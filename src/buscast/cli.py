@@ -50,7 +50,7 @@ from .models import (
     save_model,
     train,
 )
-from .nn_core import OptimizerKind
+from .nn_core import SUPPORTED_OPTIMIZERS, OptimizerKind
 from .tuning import CandidateGrid, HyperParams, make_schedule, run_hyperband, write_tuning_report
 
 TRAINABLE_METHODS = (MethodId.A, MethodId.B, MethodId.C, MethodId.D, MethodId.PER_STOP)
@@ -81,6 +81,15 @@ def _parse_pairs(raw: str) -> dict[str, str]:
         key, value = chunk.split(":", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def _parse_optimizer(raw: str) -> OptimizerKind:
+    name = raw.strip().lower()
+    for kind in SUPPORTED_OPTIMIZERS:
+        if kind.value == name:
+            return kind
+    supported = ", ".join(k.value for k in SUPPORTED_OPTIMIZERS)
+    raise BuscastError(f"unsupported optimizer {raw!r}; expected one of {supported}")
 
 
 @dataclass
@@ -171,11 +180,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         raise BuscastError(
             f"unknown method {method_raw!r}; expected a, b, c, d, perstop, or statistical"
         ) from None
-    optimizer_raw = pick("optimizer", "optimizer", str, "adam").lower()
-    try:
-        optimizer = OptimizerKind(optimizer_raw)
-    except ValueError:
-        raise BuscastError(f"unknown optimizer {optimizer_raw!r}") from None
+    optimizer = _parse_optimizer(pick("optimizer", "optimizer", str, "adam"))
     cfg.hp = HyperParams(
         batch_size=pick("batch_size", "batch_size", as_int, 16),
         sequence_length=pick("sequence_length", "sequence_length", as_int, 26),
@@ -212,7 +217,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
             else grid.learning_rates
         ),
         optimizers=(
-            tuple(OptimizerKind(v.strip().lower()) for v in file_values["tune_optimizers"].split(","))
+            tuple(_parse_optimizer(v) for v in file_values["tune_optimizers"].split(","))
             if "tune_optimizers" in file_values
             else grid.optimizers
         ),

@@ -224,7 +224,7 @@ class LstmRegressor:
         grad_seq[:, :, -1] = d_state
         for l in reversed(range(self.n_layers)):
             w, u, cache = caches[l]
-            layer_grads = branched_lstm_backward(w, u, cache, grad_seq)
+            layer_grads = branched_lstm_backward(w, u, cache, grad_seq, need_dx=l > 0)
             for b in range(self.n_branches):
                 grads[f"branch{b}/layer{l}/w"] = layer_grads.dw[b]
                 grads[f"branch{b}/layer{l}/u"] = layer_grads.du[b]

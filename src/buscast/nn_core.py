@@ -9,10 +9,35 @@ Everything runs on float64 numpy arrays. The LSTM uses the standard cell
 with the four gate blocks stacked in the fixed order [i, f, g, o] inside one
 (4H x D) input matrix, one (4H x H) recurrent matrix, and one 4H bias.
 Backward passes are exact reverse-mode differentiation of the forward code,
-returning gradients for every parameter and for the inputs.
+returning gradients for every parameter and, on request, for the inputs.
+
+The forward pass evaluates all four gates with a single ``tanh`` (the fused
+gates of Appleyard et al. 2016, arXiv:1604.01946). Since
+sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5, the i/f/o rows of W, U and b are
+halved once per call; one ``tanh`` over the whole pre-activation is then
+followed by a per-gate scale [.5, .5, 1, .5] and shift [.5, .5, -0.0, .5].
+The result is bit-identical to computing 0.5 * (tanh(0.5 * z) + 1.0) from
+unhalved weights:
+
+* scaling by a power of two commutes with rounding (short of underflow), so
+  each product, GEMM partial sum and bias add of the halved pre-activation is
+  exactly half of the unhalved one;
+* 0.5 * t is exact, so 0.5 * t + 0.5 rounds once, to round(t + 1) / 2,
+  which is 0.5 * (t + 1.0);
+* the g gate gets t * 1.0 + -0.0 == t, because -0.0 is the additive identity
+  for every float, -0.0 included.
+
+Caches are time-major: gates (L, 4, n, B, H), cell and hidden states
+(L+1, n, B, H) with index 0 the zero initial state, so each step and each
+gate of every branch is one contiguous (n, B, H) block. The GEMMs keep the
+operand shapes and layouts of a plain batch-major implementation: the
+recurrent term is one (B, H) x (H, 4H) product per branch, and the backward
+pass builds dz in (n, B, L, 4H) so the dW/dU/db/dx reductions sum in the same
+order. Every elementwise product keeps its association order, e.g.
+(g * i) * (1 - i).
 
 Set the environment variable BUSCAST_DEBUG=1 to assert that no forward or
-backward pass produces NaN/Inf.
+backward pass produces NaN/Inf. It is read on every check, not at import.
 """
 
 from __future__ import annotations
@@ -33,13 +58,11 @@ from .errors import (
     ShapeMismatch,
 )
 
-_DEBUG = bool(int(os.environ.get("BUSCAST_DEBUG", "0")))
 
-
-def _debug_check(name: str, *arrays: np.ndarray) -> None:
-    if _DEBUG:
+def _debug_check(name: str, *arrays: np.ndarray | None) -> None:
+    if os.environ.get("BUSCAST_DEBUG", "0") not in ("", "0"):
         for arr in arrays:
-            if not np.all(np.isfinite(arr)):
+            if arr is not None and not np.all(np.isfinite(arr)):
                 raise FloatingPointError(f"non-finite values in {name}")
 
 
@@ -82,16 +105,16 @@ class DenseParams:
 class LstmCache:
     """Per-step activations retained for exact backpropagation through time.
 
-    Arrays carry a leading branch axis: (n, B, L, ...). The single-branch
-    entry points wrap and unwrap n = 1.
+    Apart from the layer input, every array is time-major, so one step of all
+    n branches is a single contiguous (n, B, H) block. The single-branch entry
+    points wrap and unwrap n = 1.
     """
 
-    x: np.ndarray  # (n, B, L, D)
-    gates: np.ndarray  # (n, B, L, 4H), post-activation, order [i, f, g, o]
-    c: np.ndarray  # (n, B, L, H) cell states
-    tanh_c: np.ndarray  # (n, B, L, H)
-    h_prev: np.ndarray  # (n, B, L, H) hidden state entering each step
-    c_prev: np.ndarray  # (n, B, L, H) cell state entering each step
+    x: np.ndarray  # (n, B, L, D) layer input
+    gates: np.ndarray  # (L, 4, n, B, H), post-activation, order [i, f, g, o]
+    c: np.ndarray  # (L+1, n, B, H) cell states; c[0] is the zero initial state
+    tanh_c: np.ndarray  # (L, n, B, H)
+    h: np.ndarray  # (L+1, n, B, H) hidden states; h[0] is the zero initial state
 
 
 @dataclass
@@ -99,9 +122,12 @@ class LstmGrads:
     dw: np.ndarray
     du: np.ndarray
     db: np.ndarray
-    dx: np.ndarray
-    dh0: np.ndarray
-    dc0: np.ndarray
+    dx: np.ndarray | None  # None when the caller did not ask for it
+
+
+# Affine map after the shared tanh, per gate [i, f, g, o] (see the module docstring).
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
+_GATE_SHIFT = np.array([0.5, 0.5, -0.0, 0.5])
 
 
 def branched_lstm_forward(
@@ -109,136 +135,164 @@ def branched_lstm_forward(
     u: np.ndarray,  # (n, 4H, H)
     b: np.ndarray,  # (n, 4H)
     x: np.ndarray,  # (n, B, L, D)
-    h0: np.ndarray | None = None,  # (n, B, H)
-    c0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LstmCache]:
     """Run n independent LSTM layers over n input streams in lock-step.
 
     The branches share shapes but not parameters, so each time step is one
-    batched matmul instead of n small ones.
+    batched matmul instead of n small ones. Returns the hidden sequence, a
+    read-only (n, B, L, H) view of ``cache.h``, and the cache.
     """
     n, batch, steps, dim = x.shape
     hidden = u.shape[2]
-    h = np.zeros((n, batch, hidden)) if h0 is None else h0
-    c = np.zeros((n, batch, hidden)) if c0 is None else c0
-    if h.shape != (n, batch, hidden) or c.shape != (n, batch, hidden):
-        raise ShapeMismatch(f"initial state shapes {h.shape}/{c.shape} != {(n, batch, hidden)}")
+    row_scale = np.repeat(_GATE_SCALE, hidden)
+    w_half = w * row_scale[:, None]
+    u_half = u * row_scale[:, None]
+    b_half = b * row_scale
 
     # Input contribution for every step of every branch in one batched GEMM.
-    wt = w.transpose(0, 2, 1)
-    xw = np.matmul(x.reshape(n, batch * steps, dim), wt).reshape(n, batch, steps, 4 * hidden)
-    ut = u.transpose(0, 2, 1)
-    bias = b[:, None, :]
+    xw = np.matmul(x.reshape(n, batch * steps, dim), w_half.transpose(0, 2, 1))
+    xw = xw.reshape(n, batch, steps, 4 * hidden)
+    gates = np.empty((steps, 4, n, batch, hidden))
+    bias = np.empty((n, batch, 4 * hidden))
+    bias[...] = b_half[:, None, :]
+    scale = _GATE_SCALE[:, None, None, None]
+    shift = _GATE_SHIFT[:, None, None, None]
 
-    gates = np.empty((n, batch, steps, 4 * hidden))
-    cs = np.empty((n, batch, steps, hidden))
-    tanh_cs = np.empty((n, batch, steps, hidden))
-    h_prevs = np.empty((n, batch, steps, hidden))
-    c_prevs = np.empty((n, batch, steps, hidden))
-    hs = np.empty((n, batch, steps, hidden))
+    c = np.empty((steps + 1, n, batch, hidden))
+    h = np.empty((steps + 1, n, batch, hidden))
+    c[0] = 0.0
+    h[0] = 0.0
+    tanh_c = np.empty((steps, n, batch, hidden))
+    ut = u_half.transpose(0, 2, 1)
+    hu = np.empty((n, batch, 4 * hidden))
+    hu_by_gate = hu.reshape(n, batch, 4, hidden).transpose(2, 0, 1, 3)
+    ig = np.empty((n, batch, hidden))
 
     for t in range(steps):
-        z = xw[:, :, t] + np.matmul(h, ut) + bias
-        act = sigmoid(z)
-        act[..., 2 * hidden : 3 * hidden] = np.tanh(z[..., 2 * hidden : 3 * hidden])
-        i = act[..., :hidden]
-        f = act[..., hidden : 2 * hidden]
-        g = act[..., 2 * hidden : 3 * hidden]
-        o = act[..., 3 * hidden :]
-        h_prevs[:, :, t] = h
-        c_prevs[:, :, t] = c
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[:, :, t] = act
-        cs[:, :, t] = c
-        tanh_cs[:, :, t] = tc
-        hs[:, :, t] = h
+        z = gates[t]
+        np.matmul(h[t], ut, out=hu)
+        hu += xw[:, :, t]
+        hu += bias
+        np.tanh(hu_by_gate, out=z)
+        z *= scale
+        z += shift
+        i, f, g, o = z
+        np.multiply(f, c[t], out=c[t + 1])
+        np.multiply(i, g, out=ig)
+        c[t + 1] += ig
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=h[t + 1])
 
-    _debug_check("lstm_forward", hs, cs)
-    return hs, LstmCache(x=x, gates=gates, c=cs, tanh_c=tanh_cs, h_prev=h_prevs, c_prev=c_prevs)
+    # A read-only view: the cache still needs h for the backward pass.
+    hs = h[1:].transpose(1, 2, 0, 3)
+    hs.flags.writeable = False
+    _debug_check("lstm_forward", hs, c)
+    return hs, LstmCache(x=x, gates=gates, c=c, tanh_c=tanh_c, h=h)
+
+
+# Steps of local derivatives computed per block in the backward pass: enough
+# elements to amortize numpy's per-call cost, few enough to stay in cache.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _local_derivatives(
+    cache: LstmCache, start: int, stop: int, dcell_dh: np.ndarray, k: np.ndarray, tmp: np.ndarray
+) -> None:
+    """Fill the step-independent derivative factors of steps [start, stop).
+
+    dcell_dh[j] = o * (1 - tanh(c)^2); k[j, :3] scale dc into the i, f and g
+    blocks of dz and k[j, 3] scales dh into the o block, for step start + j.
+    """
+    m = stop - start
+    dcell_dh, k, tmp = dcell_dh[:m], k[:m], tmp[:m]
+    i, f, g, o = cache.gates[start:stop].transpose(1, 0, 2, 3, 4)
+    tanh_c = cache.tanh_c[start:stop]
+    np.multiply(tanh_c, tanh_c, out=dcell_dh)
+    np.subtract(1.0, dcell_dh, out=dcell_dh)
+    dcell_dh *= o
+    np.multiply(g, i, out=k[:, 0])
+    k[:, 0] *= np.subtract(1.0, i, out=tmp)
+    np.multiply(cache.c[start:stop], f, out=k[:, 1])
+    k[:, 1] *= np.subtract(1.0, f, out=tmp)
+    np.multiply(g, g, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(i, tmp, out=k[:, 2])
+    np.multiply(tanh_c, o, out=k[:, 3])
+    k[:, 3] *= np.subtract(1.0, o, out=tmp)
 
 
 def branched_lstm_backward(
-    w: np.ndarray, u: np.ndarray, cache: LstmCache, grad_hs: np.ndarray
+    w: np.ndarray,
+    u: np.ndarray,
+    cache: LstmCache,
+    grad_hs: np.ndarray,
+    need_dx: bool = True,
 ) -> LstmGrads:
     """Exact BPTT through :func:`branched_lstm_forward`.
 
     ``grad_hs`` is dLoss/d(hidden sequence), shape (n, B, L, H); gradients
-    come back per branch with the same leading axis.
+    come back per branch with the same leading axis. With ``need_dx=False``
+    the input gradient is skipped and ``dx`` is None.
     """
     n, batch, steps, dim = cache.x.shape
     hidden = u.shape[2]
     if grad_hs.shape != (n, batch, steps, hidden):
         raise ShapeMismatch(f"grad shape {grad_hs.shape} != {(n, batch, steps, hidden)}")
 
-    i = cache.gates[..., :hidden]
-    f = cache.gates[..., hidden : 2 * hidden]
-    g = cache.gates[..., 2 * hidden : 3 * hidden]
-    o = cache.gates[..., 3 * hidden :]
-
-    # Local gate derivatives are step-independent; hoist them out of the
-    # sequential pass so the time loop only chains dc/dh.
-    dcell_dh = o * (1.0 - cache.tanh_c * cache.tanh_c)
-    k_i = g * i * (1.0 - i)
-    k_f = cache.c_prev * f * (1.0 - f)
-    k_g = i * (1.0 - g * g)
-    k_o = cache.tanh_c * o * (1.0 - o)
-
+    # dz keeps the batch-major (n, B, L, 4H) layout so the parameter
+    # reductions below sum in the same order as a batch-major BPTT would.
     dz = np.empty((n, batch, steps, 4 * hidden))
+    dz_by_gate = dz.reshape(n, batch, steps, 4, hidden).transpose(2, 3, 0, 1, 4)
+    f = cache.gates[:, 1]
+    span = max(1, min(steps, _BLOCK_ELEMENTS // (n * batch * hidden)))
+    dcell_dh = np.empty((span, n, batch, hidden))
+    k = np.empty((span, 4, n, batch, hidden))
+    tmp = np.empty((span, n, batch, hidden))
+    dh = np.empty((n, batch, hidden))
+    dc = np.empty((n, batch, hidden))
     dh_next = np.zeros((n, batch, hidden))
     dc_next = np.zeros((n, batch, hidden))
-    for t in reversed(range(steps)):
-        dh = grad_hs[:, :, t] + dh_next
-        dc = dh * dcell_dh[:, :, t] + dc_next
-        dc_next = dc * f[:, :, t]
-        dz[:, :, t, :hidden] = dc * k_i[:, :, t]
-        dz[:, :, t, hidden : 2 * hidden] = dc * k_f[:, :, t]
-        dz[:, :, t, 2 * hidden : 3 * hidden] = dc * k_g[:, :, t]
-        dz[:, :, t, 3 * hidden :] = dh * k_o[:, :, t]
-        dh_next = np.matmul(dz[:, :, t], u)
+    for stop in range(steps, 0, -span):
+        start = max(0, stop - span)
+        _local_derivatives(cache, start, stop, dcell_dh, k, tmp)
+        for t in reversed(range(start, stop)):
+            j = t - start
+            np.add(grad_hs[:, :, t], dh_next, out=dh)
+            np.multiply(dh, dcell_dh[j], out=dc)
+            dc += dc_next
+            np.multiply(dc, f[t], out=dc_next)
+            np.multiply(dc, k[j, :3], out=dz_by_gate[t, :3])
+            np.multiply(dh, k[j, 3], out=dz_by_gate[t, 3])
+            np.matmul(dz[:, :, t], u, out=dh_next)
 
     flat_dz = dz.reshape(n, batch * steps, 4 * hidden)
     flat_dz_t = flat_dz.transpose(0, 2, 1)
+    h_prev = cache.h[:-1].transpose(1, 2, 0, 3).reshape(n, batch * steps, hidden)
     grads = LstmGrads(
         dw=np.matmul(flat_dz_t, cache.x.reshape(n, batch * steps, dim)),
-        du=np.matmul(flat_dz_t, cache.h_prev.reshape(n, batch * steps, hidden)),
+        du=np.matmul(flat_dz_t, h_prev),
         db=flat_dz.sum(axis=1),
-        dx=np.matmul(flat_dz, w).reshape(n, batch, steps, dim),
-        dh0=dh_next,
-        dc0=dc_next,
+        dx=np.matmul(flat_dz, w).reshape(n, batch, steps, dim) if need_dx else None,
     )
     _debug_check("lstm_backward", grads.dw, grads.du, grads.db, grads.dx)
     return grads
 
 
-def lstm_forward(
-    params: LstmLayerParams,
-    x: np.ndarray,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
-) -> tuple[np.ndarray, LstmCache]:
+def lstm_forward(params: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
     """Run the cell over a (B, L, D) batch; return hidden sequence and cache."""
     if x.ndim != 3:
         raise ShapeMismatch(f"expected (batch, steps, features) input, got shape {x.shape}")
     params.validate()
     if x.shape[2] != params.input_size:
         raise ShapeMismatch(f"input feature dim {x.shape[2]} != layer input size {params.input_size}")
-    hs, cache = branched_lstm_forward(
-        params.w[None], params.u[None], params.b[None], x[None],
-        None if h0 is None else h0[None],
-        None if c0 is None else c0[None],
-    )
+    hs, cache = branched_lstm_forward(params.w[None], params.u[None], params.b[None], x[None])
     return hs[0], cache
 
 
 def lstm_backward(params: LstmLayerParams, cache: LstmCache, grad_hs: np.ndarray) -> LstmGrads:
     """Exact BPTT for a single layer. ``grad_hs`` has shape (B, L, H)."""
     grads = branched_lstm_backward(params.w[None], params.u[None], cache, grad_hs[None])
-    return LstmGrads(
-        dw=grads.dw[0], du=grads.du[0], db=grads.db[0],
-        dx=grads.dx[0], dh0=grads.dh0[0], dc0=grads.dc0[0],
-    )
+    return LstmGrads(dw=grads.dw[0], du=grads.du[0], db=grads.db[0], dx=grads.dx[0])
 
 
 def dense_forward(params: DenseParams, x: np.ndarray) -> np.ndarray:
@@ -306,13 +360,6 @@ class OptimizerKind(Enum):
     ADAMAX = "adamax"
     FTRL = "ftrl"
 
-
-_UNIMPLEMENTED = {
-    OptimizerKind.ADADELTA,
-    OptimizerKind.ADAGRAD,
-    OptimizerKind.ADAMAX,
-    OptimizerKind.FTRL,
-}
 
 
 class Optimizer:
@@ -409,19 +456,19 @@ class Nadam(Adam):
         param -= self.learning_rate * lookahead / (np.sqrt(v_hat) + self.eps)
 
 
+_OPTIMIZER_CLASSES = {cls.kind: cls for cls in (Sgd, RmsProp, Adam, Nadam)}
+
+#: The optimizer kinds :func:`make_optimizer` can build.
+SUPPORTED_OPTIMIZERS = tuple(_OPTIMIZER_CLASSES)
+
+
 def make_optimizer(kind: OptimizerKind, learning_rate: float) -> Optimizer:
-    if kind in _UNIMPLEMENTED:
+    if kind not in _OPTIMIZER_CLASSES:
         raise NotImplementedError(
             f"optimizer {kind.value!r} is in the candidate list but not implemented; "
-            "use one of sgd, rmsprop, adam, nadam"
+            f"use one of {', '.join(k.value for k in SUPPORTED_OPTIMIZERS)}"
         )
-    cls = {
-        OptimizerKind.SGD: Sgd,
-        OptimizerKind.RMSPROP: RmsProp,
-        OptimizerKind.ADAM: Adam,
-        OptimizerKind.NADAM: Nadam,
-    }[kind]
-    return cls(learning_rate)
+    return _OPTIMIZER_CLASSES[kind](learning_rate)
 
 
 def clip_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> float:
@@ -465,19 +512,24 @@ def save_params(path: str | Path, header: dict, named_params: Iterable[tuple[str
 
 def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
+    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 12:
         raise CheckpointError(f"{path}: not a buscast checkpoint")
     (blob_len,) = struct.unpack_from("<Q", raw, 4)
-    header = json.loads(raw[12 : 12 + blob_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[12 : 12 + blob_len].decode("utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        header = None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt checkpoint header")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
     offset = 12 + blob_len
     params: dict[str, np.ndarray] = {}
     for name, shape in header["params"]:
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        if arr.size != count:
+        if offset + count * 8 > len(raw):
             raise CheckpointError(f"{path}: truncated payload at {name}")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         params[name] = arr.reshape(shape).copy()
         offset += count * 8
     return header, params

@@ -1,15 +1,24 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from buscast.cli import main, parse_config_file
+from buscast.nn_core import save_params
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err, command, *fragments):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error [{command}]: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +143,16 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["adadelta", "adagrad", "adamax", "ftrl"])
+    def test_unimplemented_optimizer_rejected(self, workspace, capsys, tmp_path, name):
+        code, _, err = run_cli(
+            capsys, "train", "--dataset", str(workspace["dataset"]),
+            "--method", "a", "--optimizer", name, "--max-epochs", "1", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "train", name, "sgd, rmsprop, adam, nadam")
+        assert not (tmp_path / "a.ckpt").exists()
+
     def test_statistical_not_trainable(self, workspace, capsys):
         code, _, err = run_cli(
             capsys, "train", "--dataset", str(workspace["dataset"]),
@@ -209,6 +228,27 @@ class TestPredict:
             "--model", str(tmp_path / "ghost.ckpt"),
         )
         assert code == 1
+
+    def _predict_with_checkpoint(self, capsys, workspace, path):
+        return run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
+
+    def test_truncated_checkpoint_payload(self, workspace, capsys, tmp_path):
+        path = tmp_path / "truncated.ckpt"
+        save_params(path, {"note": "x"}, [("w", np.ones((4, 3))), ("b", np.ones(4))])
+        path.write_bytes(path.read_bytes()[:-8])
+        code, _, err = self._predict_with_checkpoint(capsys, workspace, path)
+        assert code == 1
+        assert_one_error_line(err, "predict", "truncated payload at b")
+
+    def test_corrupt_checkpoint_header(self, workspace, capsys, tmp_path):
+        path = tmp_path / "corrupt.ckpt"
+        save_params(path, {"note": "x"}, [("w", np.ones((4, 3)))])
+        raw = bytearray(path.read_bytes())
+        raw[12] = ord("[")  # the header's opening brace
+        path.write_bytes(bytes(raw))
+        code, _, err = self._predict_with_checkpoint(capsys, workspace, path)
+        assert code == 1
+        assert_one_error_line(err, "predict", "corrupt checkpoint header")
 
     def test_insufficient_history(self, capsys, tmp_path, workspace):
         # a dataset with only 12 services against look-back 13
@@ -290,6 +330,16 @@ class TestTune:
             assert code == 0
             blobs.append((out_dir / "tuning_d.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_unimplemented_tune_optimizer_rejected(self, workspace, capsys, tmp_path):
+        config = tmp_path / "tune.cfg"
+        config.write_text("tune_optimizers = adam,ftrl\n")
+        code, _, err = run_cli(
+            capsys, "tune", "--dataset", str(workspace["dataset"]),
+            "--method", "d", "--config", str(config), "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "tune", "ftrl", "sgd, rmsprop, adam, nadam")
 
 
 class TestConfigFile:

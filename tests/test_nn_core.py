@@ -69,7 +69,8 @@ class TestLstmForward:
         )
         hs, cache = lstm_forward(params, np.array([[[1.0]]]))
         assert hs[0, 0, 0] == pytest.approx(0.23127139439235833, abs=1e-15)
-        assert cache.c[0, 0, 0, 0] == pytest.approx(0.39021386657536267, abs=1e-15)
+        # cache.c is (L+1, n, B, H) with c[0] the initial state; c[1] is after step one.
+        assert cache.c[1, 0, 0, 0] == pytest.approx(0.39021386657536267, abs=1e-15)
 
     def test_batch_equivariance(self):
         rng = np.random.default_rng(1)
@@ -86,6 +87,18 @@ class TestLstmForward:
             lstm_forward(params, np.zeros((2, 5, 7)))
         with pytest.raises(ShapeMismatch):
             lstm_forward(params, np.zeros((2, 5)))
+
+
+class TestDebugChecks:
+    def test_nan_input_raises_when_enabled_after_import(self, monkeypatch):
+        params = init_lstm_params(3, 4, np.random.default_rng(0))
+        x = np.zeros((2, 5, 3))
+        x[1, 2, 0] = np.nan
+        monkeypatch.delenv("BUSCAST_DEBUG", raising=False)
+        lstm_forward(params, x)
+        monkeypatch.setenv("BUSCAST_DEBUG", "1")
+        with pytest.raises(FloatingPointError, match="lstm_forward"):
+            lstm_forward(params, x)
 
 
 class TestLstmBackward:
