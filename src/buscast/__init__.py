@@ -34,7 +34,6 @@ from .features import (
     ScalerParams,
     build_windows,
     chronological_split,
-    encode_service,
     fit_scaler,
     one_hot,
     prepare_windows,

@@ -19,7 +19,14 @@ import numpy as np
 
 from . import data_ingest, features, synth
 from .data_ingest import DEFAULT_TIMETABLE, RouteDataset, timetable_from_strings
-from .errors import BadBoundaries, BuscastError, InsufficientHistory, MissingModel, TooShort
+from .errors import (
+    BadBoundaries,
+    BuscastError,
+    CheckpointError,
+    InsufficientHistory,
+    MissingModel,
+    TooShort,
+)
 from .evaluation import (
     EvalReport,
     MethodResult,
@@ -81,6 +88,14 @@ def _parse_pairs(raw: str) -> dict[str, str]:
         key, value = chunk.split(":", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def _convert(label: str, convert, raw: str):
+    """``convert(raw)``, with a bad value reported against the flag or config key it came from."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise BuscastError(f"invalid value {raw!r} for {label}: {exc}") from None
 
 
 def _parse_optimizer(raw: str) -> OptimizerKind:
@@ -148,15 +163,18 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     def pick(flag_name: str, key: str, convert, default):
         flag = getattr(args, flag_name, None)
         if flag is not None:
-            return convert(str(flag))
+            return _convert("--" + flag_name.replace("_", "-"), convert, str(flag))
         if key in file_values:
-            return convert(file_values[key])
+            return _convert(f"config key {key!r}", convert, file_values[key])
         return default
 
     as_int = int
     as_float = float
     as_date = date.fromisoformat
     as_path = Path
+
+    def as_clip(raw: str) -> float | None:
+        return None if raw.lower() == "none" else float(raw)
 
     cfg.route_name = pick("route_name", "route_name", str, "route")
     cfg.ridership_csv = pick("ridership", "ridership_csv", as_path, None)
@@ -191,8 +209,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     )
     cfg.max_epochs = pick("max_epochs", "max_epochs", as_int, 200)
     cfg.patience = pick("patience", "patience", as_int, 10)
-    clip_raw = pick("clip_norm", "clip_norm", str, "5.0")
-    cfg.clip_norm = None if str(clip_raw).lower() == "none" else float(clip_raw)
+    cfg.clip_norm = pick("clip_norm", "clip_norm", as_clip, 5.0)
     cfg.seed = pick("seed", "seed", as_int, 0)
     cfg.eval_seeds = pick("seeds", "eval_seeds", as_int, 5)
     cfg.tune_max_resource = pick("max_resource", "tune_max_resource", as_int, 27)
@@ -202,7 +219,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 
     def int_list(key, default):
         if key in file_values:
-            return tuple(int(v) for v in file_values[key].split(","))
+            return tuple(_convert(f"config key {key!r}", int, v) for v in file_values[key].split(","))
         return default
 
     grid = CandidateGrid()
@@ -212,7 +229,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         lstm_nodes=int_list("tune_lstm_nodes", grid.lstm_nodes),
         n_layers=int_list("tune_n_layers", grid.n_layers),
         learning_rates=(
-            tuple(float(v) for v in file_values["tune_learning_rates"].split(","))
+            tuple(
+                _convert("config key 'tune_learning_rates'", float, v)
+                for v in file_values["tune_learning_rates"].split(",")
+            )
             if "tune_learning_rates" in file_values
             else grid.learning_rates
         ),
@@ -256,6 +276,20 @@ def _checkpoint_paths(cfg: RunConfig, method: MethodId, n_stops: int) -> list[Pa
     return [cfg.out_dir / f"{method.value}.ckpt"]
 
 
+def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
+    """Load a checkpoint and check it was trained for this dataset's stops, timetable and features."""
+    lm = load_model(path)
+    expected_dim = method_spec(lm.method, dataset.services_per_day).features.dimension
+    for what, trained, given in (
+        ("n_stops", lm.n_stops, dataset.n_stops),
+        ("services_per_day", lm.spec.features.services_per_day, dataset.services_per_day),
+        ("feature dimension", lm.model.input_size, expected_dim),
+    ):
+        if trained != given:
+            raise CheckpointError(f"{path}: checkpoint has {what} {trained}, dataset has {given}")
+    return lm
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -267,7 +301,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_stops=cfg.n_stops,
         services_per_day=cfg.services_per_day,
         seed=cfg.seed,
-        start_date=date.fromisoformat(args.start_date),
+        start_date=_convert("--start-date", date.fromisoformat, args.start_date),
         rain_probability=args.rain_prob,
         rain_effect=args.rain_effect,
         weekend_effect=args.weekend_effect,
@@ -339,8 +373,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     if args.start or args.end:
         lo, hi = dataset.date_range()
-        start = date.fromisoformat(args.start) if args.start else lo
-        end = date.fromisoformat(args.end) if args.end else hi
+        start = _convert("--start", date.fromisoformat, args.start) if args.start else lo
+        end = _convert("--end", date.fromisoformat, args.end) if args.end else hi
         dataset = dataset.subset_by_dates(start, end)
     matrix = correlation_matrix(dataset)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -497,7 +531,7 @@ def _evaluate_from_checkpoints(cfg: RunConfig, dataset: RouteDataset, methods: l
         missing = [p for p in paths if not p.exists()]
         if missing:
             raise MissingModel(f"method {method.value!r}: no checkpoint at {missing[0]}")
-        loaded: list[LoadedModel] = [load_model(p) for p in paths]
+        loaded: list[LoadedModel] = [_load_checked(p, dataset) for p in paths]
         lm = loaded[0]
         artifact = lm.model if spec.architecture is Architecture.JOINT else [l.model for l in loaded]
         artifacts[method] = (spec, artifact, lm.scalers)
@@ -552,6 +586,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = evaluate_methods(
             dataset, boundaries, hps, seeds, cfg.schedule(), stat_window,
             progress=(print if args.format == "text" else None),
+            look_back=cfg.hp.sequence_length,
         )
     else:
         report = _evaluate_from_checkpoints(cfg, dataset, methods)
@@ -594,14 +629,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         paths = sorted(model_path.glob("perstop_stop*.ckpt"))
         if not paths:
             raise MissingModel(f"no per-stop checkpoints in {model_path}")
-        loaded = [load_model(p) for p in paths]
+        loaded = [_load_checked(p, dataset) for p in paths]
         loaded.sort(key=lambda lm: lm.stop_index or 0)
         artifact = [lm.model for lm in loaded]
         lm = loaded[0]
     else:
         if not model_path.exists():
             raise MissingModel(f"no checkpoint at {model_path}")
-        lm = load_model(model_path)
+        lm = _load_checked(model_path, dataset)
         artifact = lm.model
 
     look_back = lm.look_back

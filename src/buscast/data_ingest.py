@@ -347,21 +347,30 @@ class RouteDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "RouteDataset":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != "buscast-dataset" or payload.get("version") != 1:
-            raise MalformedRow(f"{path}: not a version-1 buscast dataset cache")
-        records = [
-            RidershipRecord(date.fromisoformat(d), svc, stop, count)
-            for d, svc, stop, count in payload["records"]
-        ]
-        weather = [
-            ServiceWeather(date.fromisoformat(d), svc, bool(rain), precip)
-            for d, svc, rain, precip in payload["weather"]
-        ]
-        timetable = {int(i): time.fromisoformat(t) for i, t in payload["timetable"].items()}
-        return build_route_dataset(
-            records, weather, payload["n_stops"], payload["services_per_day"], timetable
-        )
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not (
+                isinstance(payload, dict)
+                and payload.get("format") == "buscast-dataset"
+                and payload.get("version") == 1
+            ):
+                raise MalformedRow(f"{path}: not a version-1 buscast dataset cache")
+            records = [
+                RidershipRecord(date.fromisoformat(d), svc, stop, count)
+                for d, svc, stop, count in payload["records"]
+            ]
+            weather = [
+                ServiceWeather(date.fromisoformat(d), svc, bool(rain), precip)
+                for d, svc, rain, precip in payload["weather"]
+            ]
+            timetable = {int(i): time.fromisoformat(t) for i, t in payload["timetable"].items()}
+            return build_route_dataset(
+                records, weather, payload["n_stops"], payload["services_per_day"], timetable
+            )
+        except KeyError as exc:
+            raise MalformedRow(f"{path}: dataset cache lacks {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
 
 
 def build_route_dataset(

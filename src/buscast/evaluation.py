@@ -137,23 +137,23 @@ def evaluate_method(
                 preds[i, col] = predict_statistical(baseline, col + 1, service_index)
     elif spec.architecture is Architecture.JOINT:
         preds = descale_predictions(
-            _batched_forward(artifact, test.xs), scalers, list(range(1, n_stops + 1))
+            _batched_forward(artifact, test), scalers, list(range(1, n_stops + 1))
         )
     else:
         models: Sequence[LstmRegressor] = artifact
         cols = [
-            _batched_forward(models[b], (test.xs[b],))[:, 0] for b in range(n_stops)
+            _batched_forward(models[b], single_stop_view(test, b))[:, 0] for b in range(n_stops)
         ]
         preds = descale_predictions(np.column_stack(cols), scalers, list(range(1, n_stops + 1)))
     return [rmse(preds[:, col], test.y[:, col]) for col in range(n_stops)]
 
 
-def _batched_forward(model: LstmRegressor, xs: Sequence[np.ndarray], batch: int = 512) -> np.ndarray:
-    n = xs[0].shape[0]
+def _batched_forward(model: LstmRegressor, data: AlignedWindows, batch: int = 512) -> np.ndarray:
+    n = data.n_samples
     chunks = []
     for start in range(0, n, batch):
         stop = min(start + batch, n)
-        chunks.append(model.forward([x[start:stop] for x in xs]))
+        chunks.append(model.forward(data.batch(slice(start, stop))))
     return np.concatenate(chunks, axis=0)
 
 
@@ -276,12 +276,14 @@ def evaluate_methods(
     schedule: TrainSchedule | None = None,
     stat_window: tuple[date, date] | None = None,
     progress: Callable[[str], None] | None = None,
+    look_back: int = 26,
 ) -> EvalReport:
     """Train and score the requested methods on a common test target set.
 
     NN methods are trained once per seed and reported as the per-stop median
     over seeds. The statistical baseline is fitted on ``stat_window``
-    (default: dataset start through the validation boundary).
+    (default: dataset start through the validation boundary). With no NN
+    method requested, the scored targets are those windowable at ``look_back``.
     """
     schedule = schedule or TrainSchedule()
     n_stops = dataset.n_stops
@@ -297,7 +299,7 @@ def evaluate_methods(
     if not prepared:
         # Statistical alone still needs windows to define the scored targets.
         any_spec = method_spec(MethodId.A, dataset.services_per_day)
-        prepared[MethodId.A] = prepare_windows(dataset, boundaries, any_spec.features, 26)
+        prepared[MethodId.A] = prepare_windows(dataset, boundaries, any_spec.features, look_back)
 
     # Score every method on the same predicted services.
     common: set = set(next(iter(prepared.values())).test.index_map)

@@ -9,20 +9,28 @@ in fixed order, is
 with blocks dropped according to the :class:`FeatureSpec`. Ridership is
 min-max scaled per stop, precipitation globally; both scalers are fitted on
 the training split only. Day-of-week indices run Monday=0 .. Sunday=6, and
-the rain one-hot is [no-rain, rain].
+the rain one-hot is [no-rain, rain]. A stop's rows are encoded column by
+column; each element is the same IEEE operation the per-row formula does,
+so the rows are bit-identical to encoding one service at a time.
 
 Rows are sliced into stride-1 look-back windows. Windows never span a gap
 left by an excluded incomplete service: a window is always L truly
 consecutive timetable slots.
+
+Windows are never materialized. A split is held as its encoded rows, one
+(n, T, D) stack over the stops, plus the first row of each window
+(``starts``); window i of stop b is ``rows[b, starts[i] : starts[i] + L]``.
+:meth:`AlignedWindows.batch` gathers one mini-batch with a single
+``np.take`` into a fresh C-contiguous (n, B, L, D) array, holding exactly
+the bytes that stacking per-window copies would, so the LSTM core sees the
+same operands and training stays bit-identical. Memory is that of the rows,
+not L times it.
 """
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -91,10 +99,11 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Per-stop supervised windows: X[i] covers services i..i+L-1, y[i] the next one."""
+    """Per-stop supervised windows: window i is x[starts[i] : starts[i]+L], y[i] the next row's target."""
 
     stop_index: int
-    x: np.ndarray  # (N, L, D) float64
+    x: np.ndarray  # (T, D) float64, the stop's encoded rows (not copied)
+    starts: np.ndarray  # (N,) intp, first row of each window
     y: np.ndarray  # (N, 1) float64, raw ridership of the predicted service
     look_back: int
     index_map: tuple[ServiceKey, ...]  # key of the predicted service per window
@@ -104,7 +113,8 @@ class WindowedDataset:
 class AlignedWindows:
     """Window streams of all stops aligned on identical target services."""
 
-    xs: tuple[np.ndarray, ...]  # one (N, L, D) tensor per stop
+    rows: np.ndarray  # (n_stops, T, D) encoded rows, the only copy
+    starts: np.ndarray  # (N,) intp, first row of each window
     y: np.ndarray  # (N, n_stops) raw targets, column b-1 = stop b
     look_back: int
     index_map: tuple[ServiceKey, ...]
@@ -116,6 +126,11 @@ class AlignedWindows:
     @property
     def n_stops(self) -> int:
         return self.y.shape[1]
+
+    def batch(self, idx) -> np.ndarray:
+        """Windows ``idx`` (indices or a slice) of every stop: one C-contiguous (n, B, L, D) array."""
+        steps = self.starts[idx][:, None] + np.arange(self.look_back)
+        return np.take(self.rows, steps, axis=1)
 
 
 def fit_scaler(values: Sequence[float] | np.ndarray) -> ScalerParams:
@@ -137,12 +152,13 @@ def inverse_scale(x: float | np.ndarray, params: ScalerParams):
     return x * (params.max - params.min) + params.min
 
 
-def one_hot(index: int, cardinality: int) -> np.ndarray:
-    if not 0 <= index < cardinality:
-        raise IndexOutOfRange(f"index {index} outside [0, {cardinality})")
-    vec = np.zeros(cardinality, dtype=np.float64)
-    vec[index] = 1.0
-    return vec
+def one_hot(index: int | np.ndarray, cardinality: int) -> np.ndarray:
+    """Unit vector e_index of length ``cardinality``; an array of N indices gives N rows."""
+    index = np.asarray(index)
+    bad = index[(index < 0) | (index >= cardinality)]
+    if bad.size:
+        raise IndexOutOfRange(f"index {bad.flat[0]} outside [0, {cardinality})")
+    return np.eye(cardinality)[index]
 
 
 def fit_scalers(train: RouteDataset, spec: FeatureSpec) -> ScalerSet:
@@ -158,37 +174,36 @@ def fit_scalers(train: RouteDataset, spec: FeatureSpec) -> ScalerSet:
     return ScalerSet(ridership=ridership, precipitation=precipitation)
 
 
-def encode_service(record, service_weather, spec: FeatureSpec, scalers: ScalerSet) -> np.ndarray:
-    """One feature row, blocks concatenated in the fixed documented order."""
-    parts: list[np.ndarray] = []
-    if spec.use_ridership:
-        scaled = scale(float(record.ridership), scalers.ridership[record.stop_index])
-        parts.append(np.array([scaled], dtype=np.float64))
-    if spec.use_day_of_week:
-        parts.append(one_hot(record.service_date.weekday(), N_WEEKDAYS))
-    if spec.use_service_number:
-        parts.append(one_hot(record.service_index - 1, spec.services_per_day))
-    if spec.use_rain:
-        parts.append(one_hot(int(service_weather.rain_flag), N_RAIN_CLASSES))
-        scaled_precip = scale(service_weather.precipitation_mm, scalers.precipitation)
-        parts.append(np.array([scaled_precip], dtype=np.float64))
-    return np.concatenate(parts)
-
-
 def encode_stop(dataset: RouteDataset, stop_index: int, spec: FeatureSpec, scalers: ScalerSet) -> FeatureMatrix:
     """Encode every complete service at one stop, tracking contiguity segments."""
     keys = dataset.complete_services
     if not keys:
         raise EmptyDataset("no complete services to encode")
-    rows = np.empty((len(keys), spec.dimension), dtype=np.float64)
-    targets = np.empty(len(keys), dtype=np.float64)
+    records = [dataset.rows_for_service(key)[stop_index] for key in keys]
+    targets = np.array([r.ridership for r in records], dtype=np.float64)
+    rows = np.zeros((len(keys), spec.dimension), dtype=np.float64)
+    col = 0
+    if spec.use_ridership:
+        rows[:, 0] = scale(targets, scalers.ridership[stop_index])
+        col = 1
+    if spec.use_day_of_week:
+        weekday = np.array([day.weekday() for day, _ in keys], dtype=np.intp)
+        rows[:, col : col + N_WEEKDAYS] = one_hot(weekday, N_WEEKDAYS)
+        col += N_WEEKDAYS
+    if spec.use_service_number:
+        service = np.array([svc - 1 for _, svc in keys], dtype=np.intp)
+        rows[:, col : col + spec.services_per_day] = one_hot(service, spec.services_per_day)
+        col += spec.services_per_day
+    if spec.use_rain:
+        weather = [dataset.weather[key] for key in keys]
+        rain = np.array([int(sw.rain_flag) for sw in weather], dtype=np.intp)
+        rows[:, col : col + N_RAIN_CLASSES] = one_hot(rain, N_RAIN_CLASSES)
+        precipitation = np.array([sw.precipitation_mm for sw in weather], dtype=np.float64)
+        rows[:, col + N_RAIN_CLASSES] = scale(precipitation, scalers.precipitation)
     segments: list[tuple[int, int]] = []
     start = 0
-    for i, key in enumerate(keys):
-        record = dataset.rows_for_service(key)[stop_index]
-        rows[i] = encode_service(record, dataset.weather[key], spec, scalers)
-        targets[i] = float(record.ridership)
-        if i > 0 and not keys_adjacent(keys[i - 1], key, dataset.services_per_day):
+    for i in range(1, len(keys)):
+        if not keys_adjacent(keys[i - 1], keys[i], dataset.services_per_day):
             segments.append((start, i))
             start = i
     segments.append((start, len(keys)))
@@ -205,37 +220,43 @@ def build_windows(matrix: FeatureMatrix, look_back: int) -> WindowedDataset:
     """Stride-1 windows within each contiguous segment; N = sum(T_seg - L)."""
     if look_back < 1:
         raise BadArgs(f"look-back must be >= 1, got {look_back}")
-    xs: list[np.ndarray] = []
-    ys: list[float] = []
-    index_map: list[ServiceKey] = []
-    for seg_start, seg_end in matrix.segments:
-        for i in range(seg_start, seg_end - look_back):
-            xs.append(matrix.rows[i : i + look_back])
-            ys.append(matrix.targets[i + look_back])
-            index_map.append(matrix.keys[i + look_back])
-    if not xs:
+    starts = np.concatenate(
+        [np.arange(seg_start, seg_end - look_back, dtype=np.intp) for seg_start, seg_end in matrix.segments]
+    )
+    if not starts.size:
         raise TooShort(
             f"no segment longer than look-back {look_back} at stop {matrix.stop_index}"
         )
-    x = np.stack(xs).astype(np.float64)
-    y = np.array(ys, dtype=np.float64).reshape(-1, 1)
-    return WindowedDataset(matrix.stop_index, x, y, look_back, tuple(index_map))
+    targets = starts + look_back
+    return WindowedDataset(
+        stop_index=matrix.stop_index,
+        x=matrix.rows,
+        starts=starts,
+        y=matrix.targets[targets].reshape(-1, 1),
+        look_back=look_back,
+        index_map=tuple(matrix.keys[i] for i in targets),
+    )
 
 
 def align_windows(per_stop: Sequence[WindowedDataset]) -> AlignedWindows:
-    """Stack per-stop windows; all streams must target the same services."""
+    """Stack per-stop rows; all streams must target the same services from the same rows."""
     if not per_stop:
         raise EmptyInput("no per-stop windows to align")
     first = per_stop[0]
     for w in per_stop[1:]:
-        if w.index_map != first.index_map or w.look_back != first.look_back:
+        if (
+            w.index_map != first.index_map
+            or w.look_back != first.look_back
+            or w.x.shape != first.x.shape
+            or not np.array_equal(w.starts, first.starts)
+        ):
             raise MisalignedBatches(
                 f"stop {w.stop_index} windows do not align with stop {first.stop_index}"
             )
-    y = np.column_stack([w.y[:, 0] for w in per_stop])
     return AlignedWindows(
-        xs=tuple(w.x for w in per_stop),
-        y=y,
+        rows=np.stack([w.x for w in per_stop]),
+        starts=first.starts,
+        y=np.column_stack([w.y[:, 0] for w in per_stop]),
         look_back=first.look_back,
         index_map=first.index_map,
     )
@@ -270,25 +291,24 @@ def scale_targets(aligned: AlignedWindows, scalers: ScalerSet) -> AlignedWindows
 
 
 def single_stop_view(aligned: AlignedWindows, column: int) -> AlignedWindows:
-    """One stop's stream out of an aligned set (column is zero-based)."""
-    return AlignedWindows(
-        xs=(aligned.xs[column],),
+    """One stop's stream out of an aligned set (column is zero-based); shares the rows."""
+    return replace(
+        aligned,
+        rows=aligned.rows[column : column + 1],
         y=aligned.y[:, column : column + 1],
-        look_back=aligned.look_back,
-        index_map=aligned.index_map,
     )
 
 
 def subset_by_targets(aligned: AlignedWindows, keys: set[ServiceKey]) -> AlignedWindows:
-    """Restrict windows to those predicting one of ``keys`` (order preserved)."""
+    """Restrict windows to those predicting one of ``keys`` (order preserved); shares the rows."""
     mask = [i for i, key in enumerate(aligned.index_map) if key in keys]
     if not mask:
         raise EmptyInput("no windows left after target restriction")
     idx = np.array(mask, dtype=np.intp)
-    return AlignedWindows(
-        xs=tuple(x[idx] for x in aligned.xs),
+    return replace(
+        aligned,
+        starts=aligned.starts[idx],
         y=aligned.y[idx],
-        look_back=aligned.look_back,
         index_map=tuple(aligned.index_map[i] for i in mask),
     )
 
@@ -331,45 +351,3 @@ def prepare_windows(
         scalers=scalers,
         spec=spec,
     )
-
-
-TENSOR_MAGIC = b"BCT1"
-
-
-def save_tensor(path: str | Path, array: np.ndarray) -> None:
-    """Binary tensor container: magic, dim count, dims, row-major float64 payload."""
-    array = np.ascontiguousarray(array, dtype=np.float64)
-    with Path(path).open("wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<I", array.ndim))
-        fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))
-        fh.write(array.tobytes())
-
-
-def load_tensor(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != TENSOR_MAGIC:
-        raise BadArgs(f"{path}: not a buscast tensor file")
-    ndim = struct.unpack_from("<I", raw, 4)[0]
-    shape = struct.unpack_from(f"<{ndim}Q", raw, 8)
-    offset = 8 + 8 * ndim
-    expected = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(raw, dtype="<f8", count=expected, offset=offset)
-    if data.size != expected:
-        raise BadArgs(f"{path}: truncated tensor payload")
-    return data.reshape(shape).copy()
-
-
-def feature_matrix_to_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Inspection export: one row per service with its key and raw target."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "service_index", "target"]
-            + [f"f{j}" for j in range(matrix.rows.shape[1])]
-        )
-        for i, (day, svc) in enumerate(matrix.keys):
-            writer.writerow(
-                [day.isoformat(), svc, repr(float(matrix.targets[i]))]
-                + [repr(float(v)) for v in matrix.rows[i]]
-            )

@@ -179,7 +179,7 @@ class LstmRegressor:
     ) -> tuple[np.ndarray, list]:
         """All branches in lock-step; returns stacked top hidden sequences."""
         self._check_inputs(xs)
-        seq = np.stack(xs)  # (n, B, L, D)
+        seq = np.asarray(xs)  # (n, B, L, D); a batch array passes through uncopied
         caches = []
         for l in range(self.n_layers):
             w, u, b = self._stacked_layer(l)
@@ -276,8 +276,7 @@ def _batched_loss(model: LstmRegressor, data: AlignedWindows, batch_size: int = 
     n = data.n_samples
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        xs = [x[start:stop] for x in data.xs]
-        pred = model.forward(xs)
+        pred = model.forward(data.batch(slice(start, stop)))
         diff = pred - data.y[start:stop]
         total += float(np.sum(diff * diff))
     return total / (n * data.y.shape[1])
@@ -334,8 +333,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            xs = [x[idx] for x in train_data.xs]
-            loss, grads = model.forward_backward(xs, train_data.y[idx])
+            loss, grads = model.forward_backward(train_data.batch(idx), train_data.y[idx])
             if not math.isfinite(loss):
                 raise DivergedTraining(f"non-finite training loss at epoch {epoch}")
             if schedule.clip_norm is not None:

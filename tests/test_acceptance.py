@@ -6,6 +6,7 @@ directory containing ``ridership.csv`` and ``weather.csv`` in the documented
 schema to enable them; otherwise they skip.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -28,7 +29,7 @@ from buscast.data_ingest import (
     DEFAULT_TIMETABLE,
 )
 from buscast.evaluation import correlation_matrix, evaluate_method, evaluate_methods, rmse
-from buscast.features import AlignedWindows, prepare_windows, scale_targets
+from buscast.features import prepare_windows, scale_targets
 from buscast.models import (
     MethodId,
     TrainSchedule,
@@ -256,11 +257,8 @@ def test_c07_learning_capability():
     spec = method_spec(MethodId.D, 26)
     prepared = prepare_windows(ds, (date(2021, 10, 10), date(2021, 10, 12)), spec.features, 26)
     scaled = scale_targets(prepared.train, prepared.scalers)
-    forty = AlignedWindows(
-        xs=tuple(x[:40] for x in scaled.xs),
-        y=scaled.y[:40],
-        look_back=26,
-        index_map=scaled.index_map[:40],
+    forty = dataclasses.replace(
+        scaled, starts=scaled.starts[:40], y=scaled.y[:40], index_map=scaled.index_map[:40],
     )
     model = build_model(spec, WINNER_HP_JOINT, 5, seed=0)
     history = train(

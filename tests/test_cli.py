@@ -368,3 +368,88 @@ class TestConfigFile:
         from buscast.models import load_model
 
         assert load_model(tmp_path / "a.ckpt").model.hidden_size == 4
+
+
+class TestBadInputs:
+    """Each bad input ends in exit 1 and one ``error [cmd]:`` line, never a traceback."""
+
+    def test_bad_date_flag(self, workspace, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "train", "--dataset", str(workspace["dataset"]), "--method", "a",
+            "--train-end", "2021-13-01", "--val-end", "2021-10-20", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "train", "--train-end", "2021-13-01")
+
+    def test_bad_config_value(self, workspace, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("batch_size = abc\n")
+        code, _, err = run_cli(
+            capsys, "train", "--dataset", str(workspace["dataset"]), "--method", "a",
+            "--config", str(config), "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "train", "'batch_size'", "'abc'")
+
+    def test_dataset_cache_without_records(self, workspace, capsys, tmp_path):
+        payload = json.loads(workspace["dataset"].read_text())
+        del payload["records"]
+        cache = tmp_path / "dataset.json"
+        cache.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "evaluate", "--dataset", str(cache), "--methods", "statistical", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "evaluate", "'records'")
+
+
+class TestCheckpointMatchesDataset:
+    @pytest.fixture(scope="class")
+    def three_stop_dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("three")
+        data, out = root / "data", root / "out"
+        assert main(["synth", "--days", "24", "--n-stops", "3", "--seed", "4", "--out", str(data)]) == 0
+        assert main(["ingest", "--ridership", str(data / "ridership.csv"), "--weather",
+                     str(data / "weather.csv"), "--n-stops", "3", "--out", str(out)]) == 0
+        return out / "dataset.json"
+
+    @pytest.fixture(scope="class")
+    def five_stop_checkpoint(self, workspace, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ckpt5")
+        assert main(["train", "--dataset", str(workspace["dataset"]), "--method", "a",
+                     "--out", str(out), *TINY_HP]) == 0
+        return out / "a.ckpt"
+
+    def test_predict_names_both_stop_counts(self, three_stop_dataset, five_stop_checkpoint, capsys):
+        capsys.readouterr()
+        code, _, err = run_cli(
+            capsys, "predict", "--dataset", str(three_stop_dataset), "--model", str(five_stop_checkpoint),
+        )
+        assert code == 1
+        assert_one_error_line(err, "predict", "checkpoint has n_stops 5, dataset has 3")
+
+    def test_evaluate_names_both_stop_counts(self, three_stop_dataset, five_stop_checkpoint, capsys):
+        capsys.readouterr()
+        code, _, err = run_cli(
+            capsys, "evaluate", "--dataset", str(three_stop_dataset), "--methods", "a",
+            "--out", str(five_stop_checkpoint.parent),
+        )
+        assert code == 1
+        assert_one_error_line(err, "evaluate", "checkpoint has n_stops 5, dataset has 3")
+
+
+def test_statistical_only_evaluate_scores_the_same_targets_in_both_modes(capsys, tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["synth", "--days", "30", "--seed", "6", "--out", str(data)]) == 0
+    assert main(["ingest", "--ridership", str(data / "ridership.csv"),
+                 "--weather", str(data / "weather.csv"), "--out", str(out)]) == 0
+    reports = []
+    for mode in ([], ["--retrain"]):
+        report_dir = tmp_path / f"report{len(reports)}"
+        code, _, _ = run_cli(
+            capsys, "evaluate", "--dataset", str(out / "dataset.json"), "--methods", "statistical",
+            "--sequence-length", "60", "--out", str(report_dir), *mode,
+        )
+        assert code == 0
+        reports.append((report_dir / "rmse_report.json").read_bytes())
+    assert reports[0] == reports[1]

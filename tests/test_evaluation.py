@@ -206,7 +206,9 @@ class TestEmitReport:
 
 class TestEvaluateMethodAndHarness:
     def test_memorizing_model_scores_near_zero_on_its_own_windows(self):
-        from buscast.features import AlignedWindows, scale_targets
+        from dataclasses import replace
+
+        from buscast.features import scale_targets
         from buscast.models import build_model, train
 
         ds = generate_dataset(SynthConfig(n_days=14, seed=3))
@@ -215,13 +217,12 @@ class TestEvaluateMethodAndHarness:
         hp = HyperParams(16, 26, 32, 1, 0.01, OptimizerKind.ADAM)
         prepared = prepare_windows(ds, boundaries, spec.features, 26)
         scaled = scale_targets(prepared.train, prepared.scalers)
-        ten_scaled = AlignedWindows(
-            xs=tuple(x[:10] for x in scaled.xs), y=scaled.y[:10],
-            look_back=26, index_map=scaled.index_map[:10],
+        ten_scaled = replace(
+            scaled, starts=scaled.starts[:10], y=scaled.y[:10], index_map=scaled.index_map[:10],
         )
-        ten_raw = AlignedWindows(
-            xs=tuple(x[:10] for x in prepared.train.xs), y=prepared.train.y[:10],
-            look_back=26, index_map=prepared.train.index_map[:10],
+        ten_raw = replace(
+            prepared.train, starts=prepared.train.starts[:10], y=prepared.train.y[:10],
+            index_map=prepared.train.index_map[:10],
         )
         model = build_model(spec, hp, 5, seed=0)
         train(model, ten_scaled, ten_scaled, hp, TrainSchedule(max_epochs=300, patience=300), seed=1)

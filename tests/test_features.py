@@ -20,16 +20,12 @@ from buscast.features import (
     align_windows,
     build_windows,
     chronological_split,
-    encode_service,
     encode_stop,
-    feature_matrix_to_csv,
     fit_scaler,
     fit_scalers,
     inverse_scale,
-    load_tensor,
     one_hot,
     prepare_windows,
-    save_tensor,
     scale,
     scale_targets,
 )
@@ -76,6 +72,7 @@ class TestScaler:
 class TestOneHot:
     def test_middle(self):
         assert one_hot(2, 7).tolist() == [0, 0, 1, 0, 0, 0, 0]
+        assert one_hot(np.array([2, 0]), 3).tolist() == [[0, 0, 1], [1, 0, 0]]
 
     def test_first(self):
         assert one_hot(0, 2).tolist() == [1, 0]
@@ -83,6 +80,8 @@ class TestOneHot:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             one_hot(7, 7)
+        with pytest.raises(IndexOutOfRange):
+            one_hot(np.array([0, 7]), 7)
 
     @given(st.integers(min_value=1, max_value=50).flatmap(
         lambda k: st.tuples(st.just(k), st.integers(min_value=0, max_value=k - 1))
@@ -131,12 +130,15 @@ def small_dataset_module():
     return generate_dataset(SynthConfig(n_days=30, seed=11))
 
 
+def _encoded_row(ds, key, spec, scalers, stop=1):
+    matrix = encode_stop(ds, stop, spec, scalers)
+    return matrix.rows[matrix.keys.index(key)]
+
+
 class TestEncodeService:
     def test_full_row_length_and_block_sums(self, encoded):
         ds, spec, scalers = encoded
-        key = ds.complete_services[0]
-        record = ds.rows_for_service(key)[1]
-        row = encode_service(record, ds.weather[key], spec, scalers)
+        row = _encoded_row(ds, ds.complete_services[0], spec, scalers)
         assert row.shape == (37,)
         # three one-hot blocks: day of week, service number, rain flag
         assert row[1:8].sum() == 1.0
@@ -146,17 +148,13 @@ class TestEncodeService:
     def test_ridership_only_row(self, encoded):
         ds, _, scalers = encoded
         spec_a = method_spec(MethodId.A, 26).features
-        key = ds.complete_services[0]
-        record = ds.rows_for_service(key)[1]
-        row = encode_service(record, ds.weather[key], spec_a, scalers)
+        row = _encoded_row(ds, ds.complete_services[0], spec_a, scalers)
         assert row.shape == (1,)
 
     def test_day_of_week_index_is_monday_zero(self, encoded):
         ds, spec, scalers = encoded
         # 2021-10-01 is a Friday -> index 4
-        key = (date(2021, 10, 1), 1)
-        record = ds.rows_for_service(key)[1]
-        row = encode_service(record, ds.weather[key], spec, scalers)
+        row = _encoded_row(ds, (date(2021, 10, 1), 1), spec, scalers)
         assert row[1 + 4] == 1.0
 
     def test_scaled_channels_in_unit_interval_on_fit_split(self, encoded):
@@ -187,7 +185,8 @@ class TestWindows:
         spec = method_spec(MethodId.A, 26).features
         scalers = fit_scalers(ds, spec)
         windows = build_windows(encode_stop(ds, 1, spec, scalers), 26)
-        assert windows.x.shape == (104, 26, 1)
+        assert windows.x.shape == (130, 1)  # the stop's rows, shared by all windows
+        assert windows.starts.shape == (104,)
         assert windows.y.shape == (104, 1)
 
     def test_too_short(self):
@@ -213,8 +212,9 @@ class TestWindows:
         spec = method_spec(MethodId.A, 26).features
         scalers = fit_scalers(ds, spec)
         windows = build_windows(encode_stop(ds, 1, spec, scalers), 26)
-        for i in range(windows.x.shape[0] - 1):
-            assert np.array_equal(windows.x[i, 1:], windows.x[i + 1, :-1])
+        x = windows.x[windows.starts[:, None] + np.arange(26)]
+        for i in range(x.shape[0] - 1):
+            assert np.array_equal(x[i, 1:], x[i + 1, :-1])
 
     def test_gap_breaks_segments(self):
         drop_key = (date(2021, 10, 3), 10)
@@ -226,10 +226,12 @@ class TestWindows:
         assert len(matrix.segments) == 2
         windows = build_windows(matrix, 26)
         # two segments of 61 and 68 services -> (61-26) + (68-26)
-        assert windows.x.shape[0] == (61 - 26) + (68 - 26)
+        assert windows.starts.shape[0] == (61 - 26) + (68 - 26)
         # no window straddles the excluded service
         for i, key in enumerate(windows.index_map):
             assert key != drop_key
+        for start in windows.starts:
+            assert any(a <= start and start + 26 < b for a, b in matrix.segments)
 
     def test_bad_look_back(self):
         ds = _contig_dataset(2)
@@ -293,26 +295,3 @@ class TestScaleTargets:
             restored = inverse_scale(scaled.y[:, col], params)
             assert np.allclose(restored, prepared.train.y[:, col])
 
-
-class TestTensorContainer:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        arr = rng.normal(size=(4, 3, 2))
-        path = tmp_path / "x.tensor"
-        save_tensor(path, arr)
-        assert np.array_equal(load_tensor(path), arr)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.tensor"
-        path.write_bytes(b"nope")
-        with pytest.raises(BadArgs):
-            load_tensor(path)
-
-    def test_matrix_csv(self, tmp_path, small_dataset):
-        spec = method_spec(MethodId.A, 26).features
-        scalers = fit_scalers(small_dataset, spec)
-        matrix = encode_stop(small_dataset, 1, spec, scalers)
-        path = tmp_path / "m.csv"
-        feature_matrix_to_csv(matrix, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + matrix.rows.shape[0]

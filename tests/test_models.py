@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from datetime import date
 
@@ -12,7 +13,7 @@ from buscast.errors import (
     MisalignedBatches,
     MissingKey,
 )
-from buscast.features import AlignedWindows, ScalerParams, ScalerSet, prepare_windows, scale_targets
+from buscast.features import ScalerParams, ScalerSet, prepare_windows, scale_targets
 from buscast.models import (
     Architecture,
     MethodId,
@@ -30,6 +31,8 @@ from buscast.nn_core import OptimizerKind, dense_forward, lstm_forward
 from buscast.synth import SynthConfig, generate_dataset
 from buscast.tuning import HyperParams
 
+from window_oracle import aligned_from_tensors
+
 HP_SMALL = HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM)
 
 
@@ -37,7 +40,7 @@ def _random_windows(rng, n_stops, n, look_back, dim):
     xs = tuple(rng.normal(size=(n, look_back, dim)) for _ in range(n_stops))
     y = rng.normal(size=(n, n_stops))
     keys = tuple((date(2022, 1, 1 + i // 26), 1 + i % 26) for i in range(n))
-    return AlignedWindows(xs=xs, y=y, look_back=look_back, index_map=keys)
+    return aligned_from_tensors(xs, y, look_back, keys)
 
 
 class TestMethodSpecs:
@@ -196,7 +199,7 @@ class TestTrain:
 
     def test_nan_input_diverges(self):
         data = self._data()
-        data.xs[0][0, 0, 0] = math.nan
+        data.rows[0, 0, 0] = math.nan  # stop 1, window 0, step 0
         val = self._data(seed=1, n=8)
         model = build_model(method_spec(MethodId.A), HP_SMALL, 2, seed=5)
         hp = HyperParams(64, 6, 4, 1, 0.01, OptimizerKind.ADAM)  # one batch covers all
@@ -207,10 +210,7 @@ class TestTrain:
         # quick convergence smoke; the full-capacity check lives in acceptance
         rng = np.random.default_rng(9)
         data = _random_windows(rng, 2, 20, 6, 1)
-        data = AlignedWindows(
-            xs=data.xs, y=(data.y - data.y.min()) / (data.y.max() - data.y.min()),
-            look_back=6, index_map=data.index_map,
-        )
+        data = dataclasses.replace(data, y=(data.y - data.y.min()) / (data.y.max() - data.y.min()))
         hp = HyperParams(8, 6, 16, 1, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.A), hp, 2, seed=0)
         history = train(model, data, data, hp, TrainSchedule(max_epochs=150, patience=150), seed=1)
@@ -222,10 +222,7 @@ class TestTrain:
         # finite for 200 epochs on bounded inputs
         rng = np.random.default_rng(14)
         data = _random_windows(rng, 2, 32, 6, 1)
-        data = AlignedWindows(
-            xs=tuple(np.clip(x, -1, 1) for x in data.xs),
-            y=np.clip(data.y, 0, 1), look_back=6, index_map=data.index_map,
-        )
+        data = dataclasses.replace(data, rows=np.clip(data.rows, -1, 1), y=np.clip(data.y, 0, 1))
         hp = HyperParams(16, 6, 4, 1, 0.01, kind)
         model = build_model(method_spec(MethodId.A), hp, 2, seed=3)
         history = train(model, data, data, hp, TrainSchedule(max_epochs=200, patience=200), seed=4)
@@ -376,6 +373,6 @@ class TestCheckpoint:
         assert loaded.scalers == prepared.scalers
         for name, arr in model.param_dict().items():
             assert loaded.model.param_dict()[name].tobytes() == arr.tobytes()
-        pred_a = model.forward([x[:2] for x in prepared.test.xs])
-        pred_b = loaded.model.forward([x[:2] for x in prepared.test.xs])
+        pred_a = model.forward(prepared.test.batch(slice(0, 2)))
+        pred_b = loaded.model.forward(prepared.test.batch(slice(0, 2)))
         assert np.array_equal(pred_a, pred_b)

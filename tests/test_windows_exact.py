@@ -1,0 +1,129 @@
+"""The rows-plus-starts window layout against the per-window oracle, byte for byte."""
+
+import dataclasses
+from datetime import date
+
+import numpy as np
+import pytest
+
+from buscast.data_ingest import build_route_dataset, join_weather_to_services
+from buscast.features import (
+    chronological_split,
+    encode_stop,
+    fit_scalers,
+    prepare_windows,
+    scale_targets,
+    single_stop_view,
+    subset_by_targets,
+)
+from buscast.models import MethodId, build_model, method_spec
+from buscast.nn_core import OptimizerKind
+from buscast.synth import SynthConfig, generate
+from buscast.tuning import HyperParams
+
+from window_oracle import oracle_aligned, oracle_batch, oracle_stop_rows
+
+NN_METHODS = [m for m in MethodId if m is not MethodId.STATISTICAL]
+BOUNDS = (date(2021, 10, 8), date(2021, 10, 10))
+DROPPED = (date(2021, 10, 3), 10)
+LOOK_BACK = 26
+
+
+def _route(rain_probability):
+    """12 days, 3 stops; stop 2 is constant (ridership scaler span 0) and one
+    training service misses a stop row (a gap). Without rain the precipitation
+    scaler's span is 0 too."""
+    config = SynthConfig(n_days=12, n_stops=3, seed=17, rain_probability=rain_probability)
+    records, observations = generate(config)
+    records = [
+        dataclasses.replace(r, ridership=4) if r.stop_index == 2 else r
+        for r in records
+        if not (r.service_date == DROPPED[0] and r.service_index == DROPPED[1] and r.stop_index == 1)
+    ]
+    weather = join_weather_to_services(records, observations, config.timetable)
+    return build_route_dataset(records, weather, 3, 26, config.timetable)
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.5], ids=["dry", "rain"])
+def route(request):
+    ds = _route(request.param)
+    assert ds.incomplete_services == (DROPPED,)
+    return ds
+
+
+def _splits(route, method):
+    spec = method_spec(method, 26).features
+    prepared = prepare_windows(route, BOUNDS, spec, LOOK_BACK)
+    split_ds = chronological_split(route, BOUNDS)
+    return spec, prepared, zip(split_ds, (prepared.train, prepared.val, prepared.test))
+
+
+def _index_sets(n):
+    perm = np.random.default_rng(n).permutation(n)
+    return [perm, perm[:16], perm[5:6], slice(0, 7), slice(5, n), slice(0, 512), slice(n - 3, n)]
+
+
+def _assert_same_bytes(got, expected):
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
+def test_rows_match_per_service_encoding(route, method):
+    spec = method_spec(method, 26).features
+    train_ds, _, _ = chronological_split(route, BOUNDS)
+    scalers = fit_scalers(train_ds, spec)
+    assert scalers.ridership[2].min == scalers.ridership[2].max
+    for stop in range(1, route.n_stops + 1):
+        matrix = encode_stop(route, stop, spec, scalers)
+        _assert_same_bytes(matrix.rows, oracle_stop_rows(route, stop, spec, scalers))
+
+
+@pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
+def test_batches_match_stacked_windows(route, method):
+    spec, prepared, splits = _splits(route, method)
+    for split_ds, aligned in splits:
+        xs, y, index_map = oracle_aligned(split_ds, spec, prepared.scalers, LOOK_BACK)
+        assert aligned.y.tobytes() == y.tobytes() and aligned.y.shape == y.shape
+        assert aligned.index_map == index_map
+        assert aligned.n_samples == xs[0].shape[0] and aligned.n_stops == route.n_stops
+        for idx in _index_sets(aligned.n_samples):
+            _assert_same_bytes(aligned.batch(idx), oracle_batch(xs, idx))
+
+
+@pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
+def test_views_share_rows_and_match_oracle(route, method):
+    spec, prepared, splits = _splits(route, method)
+    train_ds, train = next(iter(splits))
+    xs, y, index_map = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
+
+    keep = set(index_map[3::2])
+    sub = subset_by_targets(train, keep)
+    mask = np.array([key in keep for key in index_map])
+    assert np.shares_memory(sub.rows, train.rows)
+    assert sub.index_map == tuple(k for k in index_map if k in keep)
+    assert sub.y.tobytes() == y[mask].tobytes()
+    sub_xs = tuple(x[mask] for x in xs)
+    for idx in _index_sets(sub.n_samples):
+        _assert_same_bytes(sub.batch(idx), oracle_batch(sub_xs, idx))
+
+    for b in range(route.n_stops):
+        view = single_stop_view(train, b)
+        assert np.shares_memory(view.rows, train.rows)
+        assert view.y.tobytes() == y[:, b : b + 1].tobytes()
+        for idx in _index_sets(view.n_samples):
+            _assert_same_bytes(view.batch(idx), oracle_batch(xs[b : b + 1], idx))
+
+    scaled = scale_targets(train, prepared.scalers)
+    assert np.shares_memory(scaled.rows, train.rows) and not np.shares_memory(scaled.y, train.y)
+
+
+def test_forward_on_a_batch_equals_forward_on_stacked_windows(route):
+    spec, prepared, splits = _splits(route, MethodId.D)
+    train_ds, train = next(iter(splits))
+    xs, _, _ = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
+    model = build_model(method_spec(MethodId.D, 26), HyperParams(16, 26, 8, 2, 0.01, OptimizerKind.ADAM), 3, seed=2)
+    idx = np.random.default_rng(0).permutation(train.n_samples)[:32]
+    expected = model.forward([x[idx] for x in xs])
+    assert model.forward(train.batch(idx)).tobytes() == expected.tobytes()
