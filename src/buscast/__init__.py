@@ -26,6 +26,7 @@ from .evaluation import (
     correlation_matrix,
     evaluate_method,
     evaluate_methods,
+    fit_methods,
     improvement_report,
     rmse,
 )
@@ -40,6 +41,7 @@ from .features import (
     scale,
 )
 from .models import (
+    LstmForecaster,
     LstmRegressor,
     MethodId,
     StatisticalBaseline,

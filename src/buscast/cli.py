@@ -28,36 +28,29 @@ from .errors import (
     TooShort,
 )
 from .evaluation import (
-    EvalReport,
-    MethodResult,
+    FittedMethod,
     correlation_matrix,
     emit_report,
-    evaluate_method,
+    evaluate_method,  # not called here; perfbench traces it under this name too
     evaluate_methods,
+    fit_forecaster,
+    fit_methods,
     improvement_report,
 )
-from .features import (
-    encode_stop,
-    encode_windows,
-    prepare_windows,
-    scale_targets,
-    single_stop_view,
-    subset_by_targets,
-)
+from .features import encode_stop, encode_windows, prepare_windows, scale_targets, stop_view
 from .models import (
     Architecture,
     LoadedModel,
     MethodId,
     TrainSchedule,
     build_model,
-    fit_statistical,
     load_model,
     method_spec,
     predict_next_service,
     save_model,
     train,
 )
-from .nn_core import SUPPORTED_OPTIMIZERS, OptimizerKind
+from .nn_core import OptimizerKind
 from .tuning import CandidateGrid, HyperParams, make_schedule, run_hyperband, write_tuning_report
 
 TRAINABLE_METHODS = (MethodId.A, MethodId.B, MethodId.C, MethodId.D, MethodId.PER_STOP)
@@ -99,12 +92,11 @@ def _convert(label: str, convert, raw: str):
 
 
 def _parse_optimizer(raw: str) -> OptimizerKind:
-    name = raw.strip().lower()
-    for kind in SUPPORTED_OPTIMIZERS:
-        if kind.value == name:
-            return kind
-    supported = ", ".join(k.value for k in SUPPORTED_OPTIMIZERS)
-    raise BuscastError(f"unsupported optimizer {raw!r}; expected one of {supported}")
+    try:
+        return OptimizerKind(raw.strip().lower())
+    except ValueError:
+        supported = ", ".join(k.value for k in OptimizerKind)
+        raise BuscastError(f"unsupported optimizer {raw!r}; expected one of {supported}") from None
 
 
 @dataclass
@@ -270,12 +262,6 @@ def _echo_config(cfg: RunConfig, fmt: str) -> None:
         print(f"config: {json.dumps(cfg.describe(), sort_keys=True)}")
 
 
-def _checkpoint_paths(cfg: RunConfig, method: MethodId, n_stops: int) -> list[Path]:
-    if method is MethodId.PER_STOP:
-        return [cfg.out_dir / f"perstop_stop{b}.ckpt" for b in range(1, n_stops + 1)]
-    return [cfg.out_dir / f"{method.value}.ckpt"]
-
-
 def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
     """Load a checkpoint and check it was trained for this dataset's stops, timetable and features."""
     lm = load_model(path)
@@ -283,7 +269,7 @@ def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
     for what, trained, given in (
         ("n_stops", lm.n_stops, dataset.n_stops),
         ("services_per_day", lm.spec.features.services_per_day, dataset.services_per_day),
-        ("feature dimension", lm.model.input_size, expected_dim),
+        *(("feature dimension", m.model.input_size, expected_dim) for m in lm.forecaster.members),
     ):
         if trained != given:
             raise CheckpointError(f"{path}: checkpoint has {what} {trained}, dataset has {given}")
@@ -394,43 +380,21 @@ def _train_one_method(cfg: RunConfig, dataset: RouteDataset, method: MethodId) -
     spec = method_spec(method, dataset.services_per_day)
     boundaries = _boundaries(cfg, dataset)
     prepared = prepare_windows(dataset, boundaries, spec.features, cfg.hp.sequence_length)
-    train_scaled = scale_targets(prepared.train, prepared.scalers)
-    val_scaled = scale_targets(prepared.val, prepared.scalers)
+    forecaster, histories = fit_forecaster(spec, cfg.hp, prepared, cfg.seed, cfg.schedule())
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-
-    common = dict(
-        hp=cfg.hp,
-        scalers=prepared.scalers,
-        look_back=cfg.hp.sequence_length,
-        n_stops=dataset.n_stops,
-        services_per_day=dataset.services_per_day,
+    ckpt = cfg.out_dir / f"{method.value}.ckpt"
+    save_model(
+        ckpt, forecaster, method=method, look_back=cfg.hp.sequence_length,
+        n_stops=dataset.n_stops, services_per_day=dataset.services_per_day,
     )
-    if spec.architecture is Architecture.JOINT:
-        model = build_model(spec, cfg.hp, dataset.n_stops, cfg.seed)
-        history = train(model, train_scaled, val_scaled, cfg.hp, cfg.schedule(), cfg.seed + 1)
-        ckpt = cfg.out_dir / f"{method.value}.ckpt"
-        save_model(ckpt, model, method=method, seed=cfg.seed, **common)
-        history_path = cfg.out_dir / f"{method.value}_history.csv"
+    written = [str(ckpt)]
+    best = 0.0
+    for label, history in histories.items():
+        history_path = cfg.out_dir / f"{label}_history.csv"
         history.write_csv(history_path)
-        written += [str(ckpt), str(history_path)]
-        best = history.best_val_loss
-    else:
-        best = 0.0
-        for b in range(dataset.n_stops):
-            sub_train = single_stop_view(train_scaled, b)
-            sub_val = single_stop_view(val_scaled, b)
-            seed = cfg.seed * dataset.n_stops + b
-            model = build_model(spec, cfg.hp, dataset.n_stops, seed)
-            history = train(model, sub_train, sub_val, cfg.hp, cfg.schedule(), seed + 1)
-            ckpt = cfg.out_dir / f"perstop_stop{b + 1}.ckpt"
-            save_model(ckpt, model, method=method, seed=seed, stop_index=b + 1, **common)
-            history_path = cfg.out_dir / f"perstop_stop{b + 1}_history.csv"
-            history.write_csv(history_path)
-            written += [str(ckpt), str(history_path)]
-            best += history.best_val_loss / dataset.n_stops
+        written.append(str(history_path))
+        best += history.best_val_loss / len(histories)
     return {"written": written, "best_val_loss": best, "boundaries": [b.isoformat() for b in boundaries]}
-
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -479,8 +443,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         train_scaled = scale_targets(prepared.train, prepared.scalers)
         val_scaled = scale_targets(prepared.val, prepared.scalers)
         if stop_col is not None:
-            train_scaled = single_stop_view(train_scaled, stop_col)
-            val_scaled = single_stop_view(val_scaled, stop_col)
+            train_scaled = stop_view(train_scaled, slice(stop_col, stop_col + 1))
+            val_scaled = stop_view(val_scaled, slice(stop_col, stop_col + 1))
         model = build_model(spec, hp, dataset.n_stops, seed)
         trial_schedule = TrainSchedule(
             max_epochs=epochs, patience=max(epochs, 1), clip_norm=cfg.clip_norm
@@ -517,53 +481,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_from_checkpoints(cfg: RunConfig, dataset: RouteDataset, methods: list[MethodId]) -> EvalReport:
-    boundaries = _boundaries(cfg, dataset)
+def _load_fitted(
+    cfg: RunConfig, dataset: RouteDataset, boundaries: tuple[date, date], methods: list[MethodId]
+) -> dict[MethodId, FittedMethod]:
+    """Each method's checkpoint, and its test split windowed with the checkpoint's scalers."""
     _, _, test_ds = features.chronological_split(dataset, boundaries)
-
-    artifacts: dict[MethodId, tuple] = {}
-    windows: dict[MethodId, object] = {}
+    fitted = {}
     for method in methods:
-        spec = method_spec(method, dataset.services_per_day)
-        if spec.architecture is Architecture.NONE:
-            continue
-        paths = _checkpoint_paths(cfg, method, dataset.n_stops)
-        missing = [p for p in paths if not p.exists()]
-        if missing:
-            raise MissingModel(f"method {method.value!r}: no checkpoint at {missing[0]}")
-        loaded: list[LoadedModel] = [_load_checked(p, dataset) for p in paths]
-        lm = loaded[0]
-        artifact = lm.model if spec.architecture is Architecture.JOINT else [l.model for l in loaded]
-        artifacts[method] = (spec, artifact, lm.scalers)
-        windows[method] = encode_windows(test_ds, lm.spec.features, lm.scalers, lm.look_back)
-
-    if windows:
-        common = set(next(iter(windows.values())).index_map)
-        for w in windows.values():
-            common &= set(w.index_map)
-    else:
-        spec = method_spec(MethodId.A, dataset.services_per_day)
-        prepared = prepare_windows(dataset, boundaries, spec.features, cfg.hp.sequence_length)
-        windows[MethodId.A] = prepared.test
-        common = set(prepared.test.index_map)
-
-    results = {}
-    for method in methods:
-        spec = method_spec(method, dataset.services_per_day)
-        if spec.architecture is Architecture.NONE:
-            window = (
-                cfg.stat_start or dataset.date_range()[0],
-                cfg.stat_end or boundaries[1],
-            )
-            baseline = fit_statistical(dataset, window)
-            test = subset_by_targets(next(iter(windows.values())), common)
-            per_stop = evaluate_method(spec, baseline, test, None)
-        else:
-            spec_, artifact, scalers = artifacts[method]
-            test = subset_by_targets(windows[method], common)
-            per_stop = evaluate_method(spec_, artifact, test, scalers)
-        results[method] = MethodResult(per_stop=tuple(per_stop))
-    return EvalReport(stops=tuple(range(1, dataset.n_stops + 1)), methods=results)
+        path = cfg.out_dir / f"{method.value}.ckpt"
+        if not path.exists():
+            raise MissingModel(f"method {method.value!r}: no checkpoint at {path}")
+        lm = _load_checked(path, dataset)
+        test = encode_windows(test_ds, lm.spec.features, lm.forecaster.scalers, lm.look_back)
+        fitted[method] = FittedMethod(test, (lm.forecaster,))
+    return fitted
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -576,20 +507,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not methods:
         raise BuscastError("evaluate needs --methods, e.g. --methods a,d,perstop,statistical")
 
+    boundaries = _boundaries(cfg, dataset)
+    trained = [m for m in methods if m in TRAINABLE_METHODS]
     if args.retrain:
-        boundaries = _boundaries(cfg, dataset)
         seeds = [cfg.seed + i for i in range(cfg.eval_seeds)]
-        hps = {m: (None if m is MethodId.STATISTICAL else cfg.hp) for m in methods}
-        stat_window = None
-        if cfg.stat_start and cfg.stat_end:
-            stat_window = (cfg.stat_start, cfg.stat_end)
-        report = evaluate_methods(
-            dataset, boundaries, hps, seeds, cfg.schedule(), stat_window,
-            progress=(print if args.format == "text" else None),
-            look_back=cfg.hp.sequence_length,
-        )
+        fitted = fit_methods(dataset, boundaries, {m: cfg.hp for m in trained}, seeds, cfg.schedule())
     else:
-        report = _evaluate_from_checkpoints(cfg, dataset, methods)
+        fitted = _load_fitted(cfg, dataset, boundaries, trained)
+    report = evaluate_methods(
+        dataset, boundaries, {m: fitted.get(m) for m in methods}, (cfg.stat_start, cfg.stat_end),
+        cfg.hp.sequence_length, progress=(print if args.format == "text" else None),
+    )
 
     reference = MethodId.PER_STOP if MethodId.PER_STOP in report.methods else None
     paths = emit_report(report, cfg.out_dir, reference)
@@ -625,26 +553,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _merge(args)
     dataset = _load_dataset(cfg)
     model_path = Path(args.model)
-    if model_path.is_dir():
-        paths = sorted(model_path.glob("perstop_stop*.ckpt"))
-        if not paths:
-            raise MissingModel(f"no per-stop checkpoints in {model_path}")
-        loaded = [_load_checked(p, dataset) for p in paths]
-        loaded.sort(key=lambda lm: lm.stop_index or 0)
-        artifact = [lm.model for lm in loaded]
-        lm = loaded[0]
-    else:
-        if not model_path.exists():
-            raise MissingModel(f"no checkpoint at {model_path}")
-        lm = _load_checked(model_path, dataset)
-        artifact = lm.model
+    if not model_path.is_file():
+        raise MissingModel(f"no checkpoint file at {model_path}")
+    lm = _load_checked(model_path, dataset)
 
     look_back = lm.look_back
-    spec = lm.spec
     history = []
     last_key = None
     for stop in range(1, dataset.n_stops + 1):
-        matrix = encode_stop(dataset, stop, spec.features, lm.scalers)
+        matrix = encode_stop(dataset, stop, lm.spec.features, lm.forecaster.scalers)
         seg_start, seg_end = matrix.segments[-1]
         if seg_end - seg_start < look_back:
             raise InsufficientHistory(
@@ -653,8 +570,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         history.append(matrix.rows[seg_end - look_back : seg_end])
         last_key = matrix.keys[seg_end - 1]
 
-    predictions = predict_next_service(artifact, history, lm.scalers, look_back)
     target = data_ingest.next_service_key(last_key, dataset.services_per_day)
+    predictions = predict_next_service(lm.forecaster, history, look_back, target)
     payload = {
         "predicted_date": target[0].isoformat(),
         "predicted_service_index": target[1],
@@ -751,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict the next service's per-stop ridership")
     _add_common(p)
-    p.add_argument("--model", required=True, help="checkpoint file, or directory of per-stop checkpoints")
+    p.add_argument("--model", required=True, help="checkpoint file written by 'train'")
     p.set_defaults(fn=cmd_predict)
 
     return parser

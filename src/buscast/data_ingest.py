@@ -442,39 +442,6 @@ def write_weather_csv(observations: Iterable[WeatherObservation], path: str | Pa
             writer.writerow([o.obs_date.isoformat(), o.obs_hour, o.category.value, repr(o.precipitation_mm)])
 
 
-def write_service_weather_csv(weather: Iterable[ServiceWeather], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "service_index", "rain_flag", "precipitation_mm"])
-        for sw in sorted(weather, key=lambda s: (s.service_date, s.service_index)):
-            writer.writerow(
-                [sw.service_date.isoformat(), sw.service_index, int(sw.rain_flag), repr(sw.precipitation_mm)]
-            )
-
-
-def parse_service_weather_csv(path: str | Path) -> list[ServiceWeather]:
-    """Inverse of :func:`write_service_weather_csv`."""
-    path = Path(path)
-    out: list[ServiceWeather] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for name in ("date", "service_index", "rain_flag", "precipitation_mm"):
-            if name not in header:
-                raise MissingColumn(f"{path}: column {name!r} not in header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            out.append(
-                ServiceWeather(
-                    _parse_date(row["date"], where),
-                    _parse_int(row["service_index"], where, minimum=1),
-                    bool(_parse_int(row["rain_flag"], where, minimum=0)),
-                    _parse_float(row["precipitation_mm"], where, minimum=0.0),
-                )
-            )
-    return out
-
-
 def timetable_from_strings(departures: Sequence[str]) -> dict[int, time]:
     """Build a timetable from "HH:MM" strings, service indices 1..S in order."""
     table: dict[int, time] = {}

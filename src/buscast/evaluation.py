@@ -29,24 +29,24 @@ from .errors import (
 )
 from .features import (
     AlignedWindows,
-    ScalerSet,
+    PreparedData,
     prepare_windows,
     scale_targets,
-    single_stop_view,
+    stop_view,
     subset_by_targets,
 )
 from .models import (
-    Architecture,
-    LstmRegressor,
+    Forecaster,
+    LstmForecaster,
+    Member,
     MethodId,
     MethodSpec,
-    StatisticalBaseline,
+    TrainHistory,
     TrainSchedule,
     build_model,
-    descale_predictions,
     fit_statistical,
+    member_plan,
     method_spec,
-    predict_statistical,
     train,
 )
 from .tuning import HyperParams
@@ -116,45 +116,10 @@ def correlation_matrix(dataset: RouteDataset) -> CorrelationMatrix:
 # per-method scoring
 
 
-def evaluate_method(
-    spec: MethodSpec,
-    artifact,
-    test: AlignedWindows,
-    scalers: ScalerSet | None,
-) -> list[float]:
-    """Per-stop RMSE in persons on the given test windows.
-
-    ``artifact`` is a joint model, a list of per-stop models, or a fitted
-    StatisticalBaseline (which ignores ``scalers``). Targets in ``test`` are
-    raw ridership.
-    """
-    n_stops = test.n_stops
-    if spec.architecture is Architecture.NONE:
-        baseline: StatisticalBaseline = artifact
-        preds = np.empty_like(test.y)
-        for i, (_, service_index) in enumerate(test.index_map):
-            for col in range(n_stops):
-                preds[i, col] = predict_statistical(baseline, col + 1, service_index)
-    elif spec.architecture is Architecture.JOINT:
-        preds = descale_predictions(
-            _batched_forward(artifact, test), scalers, list(range(1, n_stops + 1))
-        )
-    else:
-        models: Sequence[LstmRegressor] = artifact
-        cols = [
-            _batched_forward(models[b], single_stop_view(test, b))[:, 0] for b in range(n_stops)
-        ]
-        preds = descale_predictions(np.column_stack(cols), scalers, list(range(1, n_stops + 1)))
-    return [rmse(preds[:, col], test.y[:, col]) for col in range(n_stops)]
-
-
-def _batched_forward(model: LstmRegressor, data: AlignedWindows, batch: int = 512) -> np.ndarray:
-    n = data.n_samples
-    chunks = []
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        chunks.append(model.forward(data.batch(slice(start, stop))))
-    return np.concatenate(chunks, axis=0)
+def evaluate_method(forecaster: Forecaster, test: AlignedWindows) -> list[float]:
+    """Per-stop RMSE in persons of ``forecaster`` on ``test``, whose targets are raw ridership."""
+    preds = forecaster.predict(test)
+    return [rmse(preds[:, col], test.y[:, col]) for col in range(test.n_stops)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +154,6 @@ class EvalReport:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        payload = json.loads(text)
-        return cls(
-            stops=tuple(payload["stops"]),
-            methods={
-                MethodId(m): MethodResult(
-                    per_stop=tuple(info["per_stop"]),
-                    per_seed={int(s): tuple(v) for s, v in info["per_seed"].items()},
-                )
-                for m, info in payload["methods"].items()
-            },
-        )
 
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -265,85 +216,97 @@ def emit_report(
 
 
 # ---------------------------------------------------------------------------
-# multi-seed training harness
+# fitting and the evaluation harness
+
+
+def fit_forecaster(
+    spec: MethodSpec, hp: HyperParams, prepared: PreparedData, seed: int, schedule: TrainSchedule
+) -> tuple[LstmForecaster, dict[str, TrainHistory]]:
+    """Build and train every regressor of a NN method; histories are keyed by regressor label.
+
+    Regressor k reads and predicts the next ``n_branches`` stops after those
+    of regressors 0..k-1: all of them for a joint method, one for the per-stop
+    baseline. Seeds come from :func:`member_plan`.
+    """
+    train_scaled = scale_targets(prepared.train, prepared.scalers)
+    val_scaled = scale_targets(prepared.val, prepared.scalers)
+    n_stops = train_scaled.n_stops
+    members, histories, first = [], {}, 0
+    for label, model_seed in member_plan(spec, n_stops, seed):
+        model = build_model(spec, hp, n_stops, model_seed)
+        stops = slice(first, first + model.n_branches)
+        histories[label] = train(
+            model, stop_view(train_scaled, stops), stop_view(val_scaled, stops), hp, schedule, model_seed + 1
+        )
+        members.append(Member(model, hp, model_seed))
+        first = stops.stop
+    return LstmForecaster(tuple(members), prepared.scalers), histories
+
+
+@dataclass(frozen=True)
+class FittedMethod:
+    """A method's forecasters and the raw-target test windows they read."""
+
+    test: AlignedWindows
+    forecasters: tuple[Forecaster, ...]
+    seeds: tuple[int, ...] = ()  # the training seed of each forecaster; empty for a single loaded or fitted one
+
+
+def fit_methods(
+    dataset: RouteDataset,
+    boundaries: tuple[date, date],
+    method_hps: Mapping[MethodId, HyperParams],
+    seeds: Sequence[int],
+    schedule: TrainSchedule | None = None,
+) -> dict[MethodId, FittedMethod]:
+    """Train every NN method once per seed, each on its own windows."""
+    schedule = schedule or TrainSchedule()
+    fitted = {}
+    for method, hp in method_hps.items():
+        spec = method_spec(method, dataset.services_per_day)
+        prepared = prepare_windows(dataset, boundaries, spec.features, hp.sequence_length)
+        forecasters = tuple(fit_forecaster(spec, hp, prepared, seed, schedule)[0] for seed in seeds)
+        fitted[method] = FittedMethod(prepared.test, forecasters, tuple(seeds))
+    return fitted
 
 
 def evaluate_methods(
     dataset: RouteDataset,
     boundaries: tuple[date, date],
-    method_hps: Mapping[MethodId, HyperParams | None],
-    seeds: Sequence[int],
-    schedule: TrainSchedule | None = None,
-    stat_window: tuple[date, date] | None = None,
-    progress: Callable[[str], None] | None = None,
+    fitted: Mapping[MethodId, FittedMethod | None],
+    stat_window: tuple[date | None, date | None] = (None, None),
     look_back: int = 26,
+    progress: Callable[[str], None] | None = None,
 ) -> EvalReport:
-    """Train and score the requested methods on a common test target set.
+    """Score every method, in the order of ``fitted``, on a common test target set.
 
-    NN methods are trained once per seed and reported as the per-stop median
-    over seeds. The statistical baseline is fitted on ``stat_window``
-    (default: dataset start through the validation boundary). With no NN
-    method requested, the scored targets are those windowable at ``look_back``.
+    The target set is the intersection of every method's windowable test
+    targets. A method with several seeds is reported as the per-stop median
+    over them. The statistical baseline maps to None and is fitted here on
+    ``stat_window``; its start defaults to the dataset's first date and its
+    end to the validation boundary, each on its own. With no NN method, the
+    scored targets are those windowable at ``look_back``.
     """
-    schedule = schedule or TrainSchedule()
-    n_stops = dataset.n_stops
     say = progress or (lambda _msg: None)
-
-    prepared = {}
-    for method in method_hps:
-        spec = method_spec(method, dataset.services_per_day)
-        if spec.architecture is Architecture.NONE:
-            continue
-        hp = method_hps[method]
-        prepared[method] = prepare_windows(dataset, boundaries, spec.features, hp.sequence_length)
-    if not prepared:
+    tests = [run.test for run in fitted.values() if run is not None]
+    if not tests:
         # Statistical alone still needs windows to define the scored targets.
-        any_spec = method_spec(MethodId.A, dataset.services_per_day)
-        prepared[MethodId.A] = prepare_windows(dataset, boundaries, any_spec.features, look_back)
-
-    # Score every method on the same predicted services.
-    common: set = set(next(iter(prepared.values())).test.index_map)
-    for data in prepared.values():
-        common &= set(data.test.index_map)
+        spec = method_spec(MethodId.A, dataset.services_per_day)
+        tests.append(prepare_windows(dataset, boundaries, spec.features, look_back).test)
+    common = set(tests[0].index_map).intersection(*(test.index_map for test in tests[1:]))
 
     results: dict[MethodId, MethodResult] = {}
-    for method, hp in method_hps.items():
-        spec = method_spec(method, dataset.services_per_day)
-        if spec.architecture is Architecture.NONE:
-            window = stat_window or (dataset.date_range()[0], boundaries[1])
-            baseline = fit_statistical(dataset, window)
-            test = subset_by_targets(next(iter(prepared.values())).test, common)
-            per_stop = evaluate_method(spec, baseline, test, None)
-            results[method] = MethodResult(per_stop=tuple(per_stop))
-            say(f"{method.value}: rmse={['%.3f' % v for v in per_stop]}")
-            continue
-
-        data = prepared[method]
-        test = subset_by_targets(data.test, common)
-        train_scaled = scale_targets(data.train, data.scalers)
-        val_scaled = scale_targets(data.val, data.scalers)
-        per_seed: dict[int, tuple[float, ...]] = {}
-        for seed in seeds:
-            if spec.architecture is Architecture.JOINT:
-                model = build_model(spec, hp, n_stops, seed)
-                train(model, train_scaled, val_scaled, hp, schedule, seed + 1)
-                artifact = model
-            else:
-                stop_models = []
-                for b in range(n_stops):
-                    sub_train = single_stop_view(train_scaled, b)
-                    sub_val = single_stop_view(val_scaled, b)
-                    m = build_model(spec, hp, n_stops, seed * n_stops + b)
-                    train(m, sub_train, sub_val, hp, schedule, seed * n_stops + b + 1)
-                    stop_models.append(m)
-                artifact = stop_models
-            per_seed[seed] = tuple(evaluate_method(spec, artifact, test, data.scalers))
-            say(f"{method.value} seed {seed}: rmse={['%.3f' % v for v in per_seed[seed]]}")
-        stacked = np.array([per_seed[s] for s in seeds])
+    for method, run in fitted.items():
+        if run is None:
+            window = (stat_window[0] or dataset.date_range()[0], stat_window[1] or boundaries[1])
+            run = FittedMethod(tests[0], (fit_statistical(dataset, window),))
+        test = subset_by_targets(run.test, common)
+        scores = [tuple(evaluate_method(forecaster, test)) for forecaster in run.forecasters]
+        for seed, per_stop in zip(run.seeds or (None,), scores):
+            tag = method.value if seed is None else f"{method.value} seed {seed}"
+            say(f"{tag}: rmse={['%.3f' % v for v in per_stop]}")
         results[method] = MethodResult(
-            per_stop=tuple(float(v) for v in np.median(stacked, axis=0)),
-            per_seed=per_seed,
+            per_stop=tuple(float(v) for v in np.median(np.array(scores), axis=0)),
+            per_seed=dict(zip(run.seeds, scores)),
         )
-
-    return EvalReport(stops=tuple(range(1, n_stops + 1)), methods=results)
-
+    return EvalReport(stops=tuple(range(1, dataset.n_stops + 1)), methods=results)

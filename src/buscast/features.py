@@ -290,13 +290,9 @@ def scale_targets(aligned: AlignedWindows, scalers: ScalerSet) -> AlignedWindows
     return replace(aligned, y=y)
 
 
-def single_stop_view(aligned: AlignedWindows, column: int) -> AlignedWindows:
-    """One stop's stream out of an aligned set (column is zero-based); shares the rows."""
-    return replace(
-        aligned,
-        rows=aligned.rows[column : column + 1],
-        y=aligned.y[:, column : column + 1],
-    )
+def stop_view(aligned: AlignedWindows, stops: slice) -> AlignedWindows:
+    """The streams of the stops in ``stops`` (zero-based columns) out of an aligned set; shares the rows."""
+    return replace(aligned, rows=aligned.rows[stops], y=aligned.y[:, stops])
 
 
 def subset_by_targets(aligned: AlignedWindows, keys: set[ServiceKey]) -> AlignedWindows:

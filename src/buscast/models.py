@@ -10,6 +10,10 @@ Two neural architectures share one implementation, the branched regressor:
 The statistical baseline predicts the historical mean ridership grouped by
 (stop, service number) over a configured date window.
 
+Every trained method is a :class:`Forecaster` with one
+``predict(windows) -> (N, n_stops)`` in persons: an :class:`LstmForecaster`
+(one joint regressor, or one regressor per stop) or the statistical table.
+
 Training minimizes MSE on min-max scaled targets with shuffled mini-batches,
 early stopping on validation loss, and restore-best-weights. Fixed seeds
 make runs bit-reproducible.
@@ -23,12 +27,13 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .data_ingest import RouteDataset
+from .data_ingest import RouteDataset, ServiceKey
 from .errors import (
+    CheckpointError,
     DivergedTraining,
     EmptyDataset,
     EmptyWindow,
@@ -38,7 +43,7 @@ from .errors import (
     MissingKey,
     ShapeMismatch,
 )
-from .features import AlignedWindows, FeatureSpec, ScalerParams, ScalerSet, inverse_scale
+from .features import AlignedWindows, FeatureSpec, ScalerParams, ScalerSet, inverse_scale, stop_view
 from .nn_core import (
     DenseParams,
     LstmLayerParams,
@@ -188,11 +193,6 @@ class LstmRegressor:
                 caches.append((w, u, cache))
         return seq, caches
 
-    def branch_states(self, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Final hidden state (B, H) of each branch's top layer."""
-        seq, _ = self._run_branches(xs, keep_caches=False)
-        return [seq[b, :, -1] for b in range(self.n_branches)]
-
     def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:
         """Scaled predictions, shape (B, n_branches); de-scaling is the caller's job."""
         seq, _ = self._run_branches(xs, keep_caches=False)
@@ -266,9 +266,25 @@ def build_model(spec: MethodSpec, hp: HyperParams, n_stops: int, seed: int) -> L
     return LstmRegressor(branches, head)
 
 
-def forward_joint(model: LstmRegressor, xs: Sequence[np.ndarray]) -> np.ndarray:
-    """Batch predictions of the joint model; column j predicts stop j+1."""
-    return model.forward(xs)
+def member_plan(spec: MethodSpec, n_stops: int, seed: int) -> list[tuple[str, int]]:
+    """(label, initialization seed) of each regressor a NN method trains, in stop order.
+
+    A joint method trains one model labelled with the method. The per-stop
+    baseline trains one model per stop b, labelled ``<method>_stop<b>`` and
+    seeded ``seed * n_stops + b - 1``. Every regressor shuffles with its seed + 1.
+    """
+    if spec.architecture is Architecture.JOINT:
+        return [(spec.method.value, seed)]
+    return [(f"{spec.method.value}_stop{b + 1}", seed * n_stops + b) for b in range(n_stops)]
+
+
+def _batched_forward(model: LstmRegressor, data: AlignedWindows, batch: int = 512) -> np.ndarray:
+    n = data.n_samples
+    chunks = []
+    for start in range(0, n, batch):
+        stop = min(start + batch, n)
+        chunks.append(model.forward(data.batch(slice(start, stop))))
+    return np.concatenate(chunks, axis=0)
 
 
 def _batched_loss(model: LstmRegressor, data: AlignedWindows, batch_size: int = 512) -> float:
@@ -368,20 +384,13 @@ class StatisticalBaseline:
 
     table: dict[tuple[int, int], float]
 
-    def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stop_index", "service_index", "mean"])
-            for (stop, svc), mean in sorted(self.table.items()):
-                writer.writerow([stop, svc, repr(mean)])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "StatisticalBaseline":
-        table: dict[tuple[int, int], float] = {}
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                table[(int(row["stop_index"]), int(row["service_index"]))] = float(row["mean"])
-        return cls(table)
+    def predict(self, windows: AlignedWindows) -> np.ndarray:
+        """The fitted mean of each window's target service at every stop; the features are unused."""
+        preds = np.empty((windows.n_samples, windows.n_stops))
+        for i, (_, service_index) in enumerate(windows.index_map):
+            for col in range(windows.n_stops):
+                preds[i, col] = predict_statistical(self, col + 1, service_index)
+        return preds
 
 
 def fit_statistical(dataset: RouteDataset, window: tuple[date, date]) -> StatisticalBaseline:
@@ -407,54 +416,73 @@ def predict_statistical(baseline: StatisticalBaseline, stop_index: int, service_
 # ---------------------------------------------------------------------------
 # prediction
 
-Artifact = LstmRegressor | Sequence[LstmRegressor] | StatisticalBaseline
+
+class Forecaster(Protocol):
+    """A trained method, whatever its kind: joint, per-stop or statistical."""
+
+    def predict(self, windows: AlignedWindows) -> np.ndarray:
+        """(N, n_stops) predictions in persons, clamped at zero; column b-1 is stop b."""
 
 
-def descale_predictions(pred_scaled: np.ndarray, scalers: ScalerSet, stops: Sequence[int]) -> np.ndarray:
-    """Invert min-max scaling per output column and clamp at zero persons."""
-    out = np.empty_like(pred_scaled)
-    for col, stop in enumerate(stops):
-        out[:, col] = inverse_scale(pred_scaled[:, col], scalers.ridership[stop])
-    return np.maximum(out, 0.0)
+@dataclass(frozen=True)
+class Member:
+    """One trained regressor of a forecaster, with the hyperparameters and seed it was built from."""
+
+    model: LstmRegressor
+    hp: HyperParams
+    seed: int
+
+
+@dataclass(frozen=True)
+class LstmForecaster:
+    """A NN method: regressors over consecutive stops, plus the scalers of their targets.
+
+    A joint method has one member whose branches read every stop; the
+    per-stop baseline has one single-branch member per stop.
+    """
+
+    members: tuple[Member, ...]
+    scalers: ScalerSet
+
+    def predict(self, windows: AlignedWindows) -> np.ndarray:
+        widths = [member.model.n_branches for member in self.members]
+        if sum(widths) != windows.n_stops:
+            raise MisalignedBatches(f"{windows.n_stops} stops for {sum(widths)} branches")
+        cols, first = [], 0
+        for member, width in zip(self.members, widths):
+            cols.append(_batched_forward(member.model, stop_view(windows, slice(first, first + width))))
+            first += width
+        pred = np.concatenate(cols, axis=1)
+        for col in range(pred.shape[1]):
+            pred[:, col] = inverse_scale(pred[:, col], self.scalers.ridership[col + 1])
+        return np.maximum(pred, 0.0)
 
 
 def predict_next_service(
-    artifact: Artifact,
+    forecaster: Forecaster,
     history: Sequence[np.ndarray],
-    scalers: ScalerSet,
     look_back: int,
-    target_service_index: int | None = None,
+    target: ServiceKey,
 ) -> list[float]:
-    """Predict the next service's per-stop ridership from L encoded services.
+    """Predict service ``target`` at every stop from the L encoded services before it.
 
-    ``history`` holds one (L, D) feature block per stop. A joint model
-    consumes all blocks at once; a list of single-branch models consumes one
-    block each; a StatisticalBaseline ignores the features and needs the
-    ``target_service_index`` being predicted. Returned values are de-scaled
-    persons, clamped at zero.
+    ``history`` holds one (L, D) feature block per stop. The blocks become a
+    single window, so every method predicts through its one ``predict``.
+    Returned values are de-scaled persons, clamped at zero.
     """
     for block in history:
         if block.ndim != 2 or block.shape[0] != look_back:
             raise InsufficientHistory(
                 f"need exactly {look_back} consecutive services per stop, got {block.shape}"
             )
-    n_stops = len(history)
-    stops = list(range(1, n_stops + 1))
-    if isinstance(artifact, StatisticalBaseline):
-        if target_service_index is None:
-            raise MissingKey("the statistical baseline needs the target service index")
-        return [predict_statistical(artifact, stop, target_service_index) for stop in stops]
-    if isinstance(artifact, LstmRegressor):
-        if artifact.n_branches != n_stops:
-            raise MisalignedBatches(f"{n_stops} history blocks for {artifact.n_branches} branches")
-        pred = artifact.forward([block[None, :, :] for block in history])
-    else:
-        models = list(artifact)
-        if len(models) != n_stops:
-            raise MisalignedBatches(f"{n_stops} history blocks for {len(models)} models")
-        cols = [m.forward([history[i][None, :, :]])[:, 0] for i, m in enumerate(models)]
-        pred = np.column_stack(cols)
-    return [float(v) for v in descale_predictions(pred, scalers, stops)[0]]
+    window = AlignedWindows(
+        rows=np.stack(history),
+        starts=np.zeros(1, dtype=np.intp),
+        y=np.full((1, len(history)), np.nan),  # the unknown target
+        look_back=look_back,
+        index_map=(target,),
+    )
+    return [float(v) for v in forecaster.predict(window)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -477,35 +505,43 @@ def _scalers_from_payload(payload: dict) -> ScalerSet:
 
 @dataclass
 class LoadedModel:
-    model: LstmRegressor
+    forecaster: LstmForecaster
     method: MethodId
     spec: MethodSpec
-    hp: HyperParams
-    scalers: ScalerSet
     look_back: int
-    seed: int
     n_stops: int
-    stop_index: int | None  # set for per-stop baseline checkpoints
+
+
+def _member_header(member: Member) -> dict:
+    return {
+        "hyperparams": member.hp.to_dict(),
+        "seed": member.seed,
+        "n_branches": member.model.n_branches,
+        "n_layers": member.model.n_layers,
+        "hidden_size": member.model.hidden_size,
+        "input_size": member.model.input_size,
+    }
 
 
 def save_model(
     path: str | Path,
-    model: LstmRegressor,
+    forecaster: LstmForecaster,
     *,
     method: MethodId,
-    hp: HyperParams,
-    scalers: ScalerSet,
     look_back: int,
-    seed: int,
     n_stops: int,
     services_per_day: int,
-    stop_index: int | None = None,
 ) -> None:
+    """One checkpoint file per method, the per-stop baseline included.
+
+    A joint model's hyperparameters, seed and sizes are top-level header
+    keys. The per-stop baseline lists them per stop under ``stops`` and
+    stores stop b's parameters under ``stop<b>/``.
+    """
     spec = method_spec(method, services_per_day)
     header = {
         "kind": "buscast-model",
         "method": method.value,
-        "hyperparams": hp.to_dict(),
         "feature_spec": {
             "use_ridership": spec.features.use_ridership,
             "use_day_of_week": spec.features.use_day_of_week,
@@ -514,45 +550,85 @@ def save_model(
             "services_per_day": spec.features.services_per_day,
             "dimension": spec.features.dimension,
         },
-        "scalers": _scalers_to_payload(scalers),
+        "scalers": _scalers_to_payload(forecaster.scalers),
         "look_back": look_back,
-        "seed": seed,
         "n_stops": n_stops,
         "services_per_day": services_per_day,
-        "stop_index": stop_index,
-        "n_branches": model.n_branches,
-        "n_layers": model.n_layers,
-        "hidden_size": model.hidden_size,
-        "input_size": model.input_size,
     }
-    save_params(path, header, list(model.param_dict().items()))
+    members = forecaster.members
+    if spec.architecture is Architecture.PER_STOP:
+        header["stops"] = [_member_header(member) for member in members]
+        prefixes = [f"stop{b}/" for b in range(1, len(members) + 1)]
+    else:
+        # stop_index is always null; it keeps joint checkpoints byte-identical to earlier ones
+        header.update(_member_header(members[0]), stop_index=None)
+        prefixes = [""]
+    params = [
+        (prefix + name, arr)
+        for prefix, member in zip(prefixes, members)
+        for name, arr in member.model.param_dict().items()
+    ]
+    save_params(path, header, params)
+
+
+def _field(mapping: dict, key: str, path: str | Path, what: str = "header key"):
+    """``mapping[key]``; a missing key makes the checkpoint malformed, named by the key."""
+    try:
+        return mapping[key]
+    except (KeyError, TypeError):
+        raise CheckpointError(f"{path}: checkpoint has no {what} {key!r}") from None
+
+
+def _parsed(parse, payload, what: str, path: str | Path):
+    try:
+        return parse(payload)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CheckpointError(f"{path}: malformed {what} in checkpoint ({exc!r})") from None
+
+
+def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], path: str | Path) -> Member:
+    def array(name: str) -> np.ndarray:
+        return _field(params, prefix + name, path, "parameter array")
+
+    branches = [
+        [
+            LstmLayerParams(
+                w=array(f"branch{b}/layer{l}/w"),
+                u=array(f"branch{b}/layer{l}/u"),
+                b=array(f"branch{b}/layer{l}/b"),
+            )
+            for l in range(_field(entry, "n_layers", path))
+        ]
+        for b in range(_field(entry, "n_branches", path))
+    ]
+    return Member(
+        model=LstmRegressor(branches, DenseParams(w=array("head/w"), b=array("head/b"))),
+        hp=_parsed(HyperParams.from_dict, _field(entry, "hyperparams", path), "hyperparams", path),
+        seed=_field(entry, "seed", path),
+    )
 
 
 def load_model(path: str | Path) -> LoadedModel:
     header, params = load_params(path)
-    method = MethodId(header["method"])
-    spec = method_spec(method, header["services_per_day"])
-    branches = []
-    for b in range(header["n_branches"]):
-        stack = []
-        for l in range(header["n_layers"]):
-            stack.append(
-                LstmLayerParams(
-                    w=params[f"branch{b}/layer{l}/w"],
-                    u=params[f"branch{b}/layer{l}/u"],
-                    b=params[f"branch{b}/layer{l}/b"],
-                )
-            )
-        branches.append(stack)
-    model = LstmRegressor(branches, DenseParams(w=params["head/w"], b=params["head/b"]))
+    method_name = _field(header, "method", path)
+    try:
+        method = MethodId(method_name)
+    except ValueError:
+        raise CheckpointError(f"{path}: unknown method {method_name!r} in checkpoint") from None
+    spec = method_spec(method, _field(header, "services_per_day", path))
+    if spec.architecture is Architecture.PER_STOP:
+        entries = _field(header, "stops", path)
+        prefixes = [f"stop{b}/" for b in range(1, len(entries) + 1)]
+    else:
+        entries, prefixes = [header], [""]
+    members = tuple(
+        _load_member(entry, prefix, params, path) for entry, prefix in zip(entries, prefixes)
+    )
+    scalers = _parsed(_scalers_from_payload, _field(header, "scalers", path), "scalers", path)
     return LoadedModel(
-        model=model,
+        forecaster=LstmForecaster(members, scalers),
         method=method,
         spec=spec,
-        hp=HyperParams.from_dict(header["hyperparams"]),
-        scalers=_scalers_from_payload(header["scalers"]),
-        look_back=header["look_back"],
-        seed=header["seed"],
-        n_stops=header["n_stops"],
-        stop_index=header["stop_index"],
+        look_back=_field(header, "look_back", path),
+        n_stops=_field(header, "n_stops", path),
     )

@@ -28,9 +28,11 @@ from buscast.data_ingest import (
     parse_weather_csv,
     DEFAULT_TIMETABLE,
 )
-from buscast.evaluation import correlation_matrix, evaluate_method, evaluate_methods, rmse
+from buscast.evaluation import correlation_matrix, evaluate_method, evaluate_methods, fit_methods, rmse
 from buscast.features import prepare_windows, scale_targets
 from buscast.models import (
+    LstmForecaster,
+    Member,
     MethodId,
     TrainSchedule,
     build_model,
@@ -181,7 +183,7 @@ def test_c03_statistical_baseline_oracle():
     boundaries = (date(2021, 10, 10), date(2021, 10, 12))
     prepared = prepare_windows(quiet, boundaries, method_spec(MethodId.A, 26).features, 26)
     baseline = fit_statistical(quiet, (quiet.date_range()[0], boundaries[1]))
-    per_stop = evaluate_method(method_spec(MethodId.STATISTICAL, 26), baseline, prepared.test, None)
+    per_stop = evaluate_method(baseline, prepared.test)
     assert per_stop == [0.0] * 5
     _report("C3 statistical baseline equals brute-force group-by mean", started)
 
@@ -277,13 +279,14 @@ def test_c08_ablation_ordering():
     dates = sorted({r.service_date for r in ds.records})
     boundaries = (dates[int(len(dates) * 0.8) - 1], dates[int(len(dates) * 0.9) - 1])
     hp = HyperParams(128, 26, 16, 1, 0.01, OptimizerKind.ADAM)
-    report = evaluate_methods(
+    fitted = fit_methods(
         ds,
         boundaries,
         {MethodId.D: hp, MethodId.A: hp, MethodId.PER_STOP: hp},
         seeds=[0, 1, 2, 3, 4],
         schedule=TrainSchedule(max_epochs=25, patience=6),
     )
+    report = evaluate_methods(ds, boundaries, fitted)
     d = report.methods[MethodId.D].per_stop
     a = report.methods[MethodId.A].per_stop
     per_stop = report.methods[MethodId.PER_STOP].per_stop
@@ -311,22 +314,25 @@ def test_c09_paper_scale_reproduction():
     train_p = scale_targets(prepared_p.train, prepared_p.scalers)
     val_p = scale_targets(prepared_p.val, prepared_p.scalers)
 
-    from buscast.features import single_stop_view as _single_stop
+    from buscast.features import stop_view
 
     d_rmse, p_rmse = [], []
     for seed in seeds:
         model = build_model(spec_d, WINNER_HP_JOINT, 5, seed)
         train(model, train_d, val_d, WINNER_HP_JOINT, schedule, seed + 1)
-        d_rmse.append(evaluate_method(spec_d, model, prepared_d.test, prepared_d.scalers))
+        joint = LstmForecaster((Member(model, WINNER_HP_JOINT, seed),), prepared_d.scalers)
+        d_rmse.append(evaluate_method(joint, prepared_d.test))
 
-        stop_models = []
+        stop_members = []
         for stop in range(1, 6):
             hp = WINNER_HP_PER_STOP[stop]
             m = build_model(spec_p, hp, 5, seed * 5 + stop)
-            train(m, _single_stop(train_p, stop - 1), _single_stop(val_p, stop - 1),
+            column = slice(stop - 1, stop)
+            train(m, stop_view(train_p, column), stop_view(val_p, column),
                   hp, schedule, seed * 5 + stop + 1)
-            stop_models.append(m)
-        p_rmse.append(evaluate_method(spec_p, stop_models, prepared_p.test, prepared_p.scalers))
+            stop_members.append(Member(m, hp, seed * 5 + stop))
+        per_stop = LstmForecaster(tuple(stop_members), prepared_p.scalers)
+        p_rmse.append(evaluate_method(per_stop, prepared_p.test))
 
     d_median = np.median(np.array(d_rmse), axis=0)
     p_median = np.median(np.array(p_rmse), axis=0)

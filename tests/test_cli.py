@@ -127,14 +127,14 @@ class TestTrain:
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) >= 2
 
-    def test_per_stop_writes_five_checkpoints(self, workspace, capsys):
+    def test_per_stop_writes_one_checkpoint(self, workspace, capsys):
         code, _, _ = run_cli(
             capsys, "train", "--dataset", str(workspace["dataset"]),
             "--method", "perstop", "--out", str(workspace["out"]), *TINY_HP,
         )
         assert code == 0
-        for stop in range(1, 6):
-            assert (workspace["out"] / f"perstop_stop{stop}.ckpt").exists()
+        written = {p.name for p in workspace["out"].glob("perstop*")}
+        assert written == {"perstop.ckpt"} | {f"perstop_stop{stop}_history.csv" for stop in range(1, 6)}
 
     def test_unknown_method(self, workspace, capsys):
         code, _, err = run_cli(
@@ -214,13 +214,22 @@ class TestPredict:
         assert payload["predicted_date"] == "2021-10-25"
         assert payload["predicted_service_index"] == 1
 
-    def test_per_stop_directory(self, workspace, capsys):
+    def test_per_stop_checkpoint_file(self, workspace, capsys):
         code, out, _ = run_cli(
+            capsys, "predict", "--dataset", str(workspace["dataset"]),
+            "--model", str(workspace["out"] / "perstop.ckpt"),
+        )
+        assert code == 0
+        predictions = json.loads(out)["predictions"]
+        assert len(predictions) == 5 and all(v >= 0.0 for v in predictions.values())
+
+    def test_per_stop_directory(self, workspace, capsys):
+        code, _, err = run_cli(
             capsys, "predict", "--dataset", str(workspace["dataset"]),
             "--model", str(workspace["out"]),
         )
-        assert code == 0
-        assert len(json.loads(out)["predictions"]) == 5
+        assert code == 1
+        assert_one_error_line(err, "predict", "no checkpoint file at")
 
     def test_missing_model(self, workspace, capsys, tmp_path):
         code, _, err = run_cli(
@@ -249,6 +258,27 @@ class TestPredict:
         code, _, err = self._predict_with_checkpoint(capsys, workspace, path)
         assert code == 1
         assert_one_error_line(err, "predict", "corrupt checkpoint header")
+
+    @pytest.mark.parametrize(
+        "edit_header, drop, fragment",
+        [
+            (lambda h: h.pop("method"), None, "'method'"),
+            (lambda h: h.update(method="zz"), None, "unknown method 'zz'"),
+            (lambda h: None, "branch0/layer0/w", "'branch0/layer0/w'"),
+            (lambda h: h["hyperparams"].pop("optimizer"), None, "malformed hyperparams"),
+        ],
+        ids=["no-method", "unknown-method", "missing-array", "bad-hyperparams"],
+    )
+    def test_malformed_checkpoint(self, workspace, capsys, tmp_path, edit_header, drop, fragment):
+        from buscast.nn_core import load_params
+
+        header, params = load_params(workspace["out"] / "d.ckpt")
+        edit_header(header)
+        path = tmp_path / "edited.ckpt"
+        save_params(path, header, [(name, arr) for name, arr in params.items() if name != drop])
+        code, _, err = self._predict_with_checkpoint(capsys, workspace, path)
+        assert code == 1
+        assert_one_error_line(err, "predict", fragment)
 
     def test_insufficient_history(self, capsys, tmp_path, workspace):
         # a dataset with only 12 services against look-back 13
@@ -367,7 +397,7 @@ class TestConfigFile:
         assert code == 0
         from buscast.models import load_model
 
-        assert load_model(tmp_path / "a.ckpt").model.hidden_size == 4
+        assert load_model(tmp_path / "a.ckpt").forecaster.members[0].model.hidden_size == 4
 
 
 class TestBadInputs:
@@ -453,3 +483,30 @@ def test_statistical_only_evaluate_scores_the_same_targets_in_both_modes(capsys,
         assert code == 0
         reports.append((report_dir / "rmse_report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+class TestOneHarness:
+    """Checkpoint and --retrain evaluation score every method identically for the same flags."""
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self, workspace, tmp_path_factory):
+        out = tmp_path_factory.mktemp("harness")
+        for method in ("d", "perstop"):
+            assert main(["train", "--dataset", str(workspace["dataset"]), "--method", method,
+                         "--seed", "3", "--out", str(out), *TINY_HP]) == 0
+        return out
+
+    @pytest.mark.parametrize("stat_flags", [[], ["--stat-start", "2021-10-10"]], ids=["default", "stat-start"])
+    def test_checkpoint_mode_equals_retrain(self, workspace, checkpoints, capsys, tmp_path, stat_flags):
+        reports = []
+        for mode in ([], ["--retrain", "--seeds", "1"]):
+            out = checkpoints if not mode else tmp_path
+            code, _, _ = run_cli(
+                capsys, "evaluate", "--dataset", str(workspace["dataset"]),
+                "--methods", "d,perstop,statistical", "--seed", "3", "--out", str(out),
+                *TINY_HP, *stat_flags, *mode,
+            )
+            assert code == 0
+            reports.append(json.loads((out / "rmse_report.json").read_text())["methods"])
+        for method in ("d", "perstop", "statistical"):
+            assert reports[0][method]["per_stop"] == reports[1][method]["per_stop"]

@@ -16,10 +16,8 @@ from buscast.data_ingest import (
     build_route_dataset,
     join_weather_to_services,
     parse_ridership_csv,
-    parse_service_weather_csv,
     parse_weather_csv,
     write_ridership_csv,
-    write_service_weather_csv,
 )
 from buscast.errors import (
     DuplicateKey,
@@ -241,14 +239,10 @@ class TestRoundTrips:
 
     def test_csv_round_trip(self, tmp_path):
         records, weather, config = _complete_inputs()
-        r_path, w_path = tmp_path / "r.csv", tmp_path / "w.csv"
+        r_path = tmp_path / "r.csv"
         write_ridership_csv(records, r_path)
-        write_service_weather_csv(weather, w_path)
         ds = build_route_dataset(records, weather, 5, 26, config.timetable)
-        ds2 = build_route_dataset(
-            parse_ridership_csv(r_path), parse_service_weather_csv(w_path), 5, 26, config.timetable
-        )
-        assert ds == ds2
+        assert build_route_dataset(parse_ridership_csv(r_path), weather, 5, 26, config.timetable) == ds
 
     @given(
         rows=st.lists(

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date, time
 
@@ -25,6 +26,7 @@ from buscast.evaluation import (
     emit_report,
     evaluate_method,
     evaluate_methods,
+    fit_methods,
     improvement_report,
     rmse,
 )
@@ -199,8 +201,12 @@ class TestEmitReport:
         assert len(lines) == 1 + 6  # header + six methods
         assert lines[0].split(",")[:2] == ["method", "stop1_rmse"]
         assert len(lines[1].split(",")) == 1 + 5 + 1
-        restored = EvalReport.from_json(paths["json"].read_text())
-        assert restored == report
+        payload = json.loads(paths["json"].read_text())
+        assert payload["stops"] == [1, 2, 3, 4, 5]
+        assert list(payload["methods"]) == sorted(m.value for m in REFERENCE_RMSE)
+        for method, per_stop in REFERENCE_RMSE.items():
+            entry = payload["methods"][method.value]
+            assert entry == {"per_stop": list(per_stop), "mean": float(np.mean(per_stop)), "per_seed": {}}
         assert paths["improvement"].exists()
 
 
@@ -209,7 +215,7 @@ class TestEvaluateMethodAndHarness:
         from dataclasses import replace
 
         from buscast.features import scale_targets
-        from buscast.models import build_model, train
+        from buscast.models import LstmForecaster, Member, build_model, train
 
         ds = generate_dataset(SynthConfig(n_days=14, seed=3))
         boundaries = (date(2021, 10, 10), date(2021, 10, 12))
@@ -226,7 +232,7 @@ class TestEvaluateMethodAndHarness:
         )
         model = build_model(spec, hp, 5, seed=0)
         train(model, ten_scaled, ten_scaled, hp, TrainSchedule(max_epochs=300, patience=300), seed=1)
-        per_stop = evaluate_method(spec, model, ten_raw, prepared.scalers)
+        per_stop = evaluate_method(LstmForecaster((Member(model, hp, 0),), prepared.scalers), ten_raw)
         assert all(v < 0.1 for v in per_stop)
 
     def test_statistical_is_exact_on_constant_series(self, quiet_dataset):
@@ -234,22 +240,21 @@ class TestEvaluateMethodAndHarness:
         spec = method_spec(MethodId.A, 26)
         prepared = prepare_windows(quiet_dataset, boundaries, spec.features, 26)
         baseline = fit_statistical(quiet_dataset, (quiet_dataset.date_range()[0], boundaries[1]))
-        per_stop = evaluate_method(
-            method_spec(MethodId.STATISTICAL, 26), baseline, prepared.test, None
-        )
+        per_stop = evaluate_method(baseline, prepared.test)
         assert per_stop == [0.0] * 5
 
     def test_harness_reports_all_methods(self):
         ds = generate_dataset(SynthConfig(n_days=16, n_stops=2, seed=21))
         hp = HyperParams(32, 13, 4, 1, 0.01, OptimizerKind.ADAM)
         boundaries = (date(2021, 10, 12), date(2021, 10, 14))
-        report = evaluate_methods(
+        fitted = fit_methods(
             ds,
             boundaries,
-            {MethodId.A: hp, MethodId.PER_STOP: hp, MethodId.STATISTICAL: None},
+            {MethodId.A: hp, MethodId.PER_STOP: hp},
             seeds=[0, 1],
             schedule=TrainSchedule(max_epochs=4, patience=4),
         )
+        report = evaluate_methods(ds, boundaries, {**fitted, MethodId.STATISTICAL: None})
         assert set(report.methods) == {MethodId.A, MethodId.PER_STOP, MethodId.STATISTICAL}
         for method, result in report.methods.items():
             assert len(result.per_stop) == 2

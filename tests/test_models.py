@@ -16,6 +16,8 @@ from buscast.errors import (
 from buscast.features import ScalerParams, ScalerSet, prepare_windows, scale_targets
 from buscast.models import (
     Architecture,
+    LstmForecaster,
+    Member,
     MethodId,
     TrainSchedule,
     build_model,
@@ -27,7 +29,7 @@ from buscast.models import (
     save_model,
     train,
 )
-from buscast.nn_core import OptimizerKind, dense_forward, lstm_forward
+from buscast.nn_core import OptimizerKind, branched_lstm_forward, dense_forward, lstm_forward
 from buscast.synth import SynthConfig, generate_dataset
 from buscast.tuning import HyperParams
 
@@ -118,8 +120,6 @@ class TestForward:
     def test_matches_manual_composition_of_core_ops(self):
         # Oracle: run each branch through lstm_forward layer by layer, take the
         # final hidden states, concatenate, and apply the dense head by hand.
-        from buscast.models import forward_joint
-
         hp = HyperParams(8, 5, 3, 2, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n_stops=3, seed=7)
         rng = np.random.default_rng(7)
@@ -132,17 +132,26 @@ class TestForward:
                 seq, _ = lstm_forward(layer, seq)
             states.append(seq[:, -1])
         expected = dense_forward(model.head, np.concatenate(states, axis=1))
-        assert np.allclose(forward_joint(model, xs), expected, atol=1e-12)
-        assert np.array_equal(forward_joint(model, xs), model.forward(xs))
+        assert np.allclose(model.forward(xs), expected, atol=1e-12)
 
     def test_branch_isolation(self):
-        model = build_model(method_spec(MethodId.D), HP_SMALL, 4, seed=2)
+        # Branch b's top-layer hidden states depend on stop b's input only.
+        hp = HyperParams(8, 6, 4, 2, 0.01, OptimizerKind.ADAM)
+        model = build_model(method_spec(MethodId.D), hp, 4, seed=2)
+
+        def branch_states(xs):
+            seq = np.stack(xs)
+            for l in range(model.n_layers):
+                w, u, b = (np.stack([getattr(stack[l], k) for stack in model.branches]) for k in "wub")
+                seq, _ = branched_lstm_forward(w, u, b, seq)
+            return seq
+
         rng = np.random.default_rng(2)
         xs = [rng.normal(size=(3, 6, 37)) for _ in range(4)]
-        base = model.branch_states(xs)
+        base = branch_states(xs)
         zeroed = [x.copy() for x in xs]
         zeroed[2][...] = 0.0
-        changed = model.branch_states(zeroed)
+        changed = branch_states(zeroed)
         for b in range(4):
             if b == 2:
                 assert not np.allclose(changed[b], base[b])
@@ -283,66 +292,56 @@ class TestStatisticalBaseline:
         baseline = fit_statistical(ds, ds.date_range())
         assert predict_statistical(baseline, 1, 3) == predict_statistical(baseline, 1, 3)
 
-    def test_csv_round_trip(self, tmp_path):
-        from buscast.models import StatisticalBaseline
-
-        ds = self._dataset()
-        baseline = fit_statistical(ds, ds.date_range())
-        path = tmp_path / "baseline.csv"
-        baseline.to_csv(path)
-        assert StatisticalBaseline.from_csv(path) == baseline
-
 
 class TestPredictNextService:
+    TARGET = (date(2021, 10, 11), 3)
+
     def _scalers(self, n_stops):
         return ScalerSet(
             ridership={b: ScalerParams(0.0, 10.0) for b in range(1, n_stops + 1)},
             precipitation=ScalerParams(0.0, 1.0),
         )
 
-    def test_inverse_scaling(self):
-        model = build_model(method_spec(MethodId.A), HP_SMALL, 2, seed=0)
+    def _constant(self, method, n_stops, head_bias, seed=0):
+        model = build_model(method_spec(method), HP_SMALL, n_stops, seed=seed)
         for name, arr in model.param_dict().items():
             arr[...] = 0.0
-        model.head.b[...] = np.array([0.5, 0.25])
+        model.head.b[...] = np.array(head_bias)
+        return Member(model, HP_SMALL, seed)
+
+    def test_inverse_scaling(self):
+        forecaster = LstmForecaster((self._constant(MethodId.A, 2, [0.5, 0.25]),), self._scalers(2))
         history = [np.zeros((6, 1)), np.zeros((6, 1))]
-        preds = predict_next_service(model, history, self._scalers(2), look_back=6)
-        assert preds == [5.0, 2.5]
+        assert predict_next_service(forecaster, history, 6, self.TARGET) == [5.0, 2.5]
 
     def test_negative_output_clamped(self):
-        model = build_model(method_spec(MethodId.A), HP_SMALL, 1, seed=0)
-        for name, arr in model.param_dict().items():
-            arr[...] = 0.0
-        model.head.b[...] = np.array([-0.02])
-        preds = predict_next_service(model, [np.zeros((6, 1))], self._scalers(1), look_back=6)
-        assert preds == [0.0]
+        forecaster = LstmForecaster((self._constant(MethodId.A, 1, [-0.02]),), self._scalers(1))
+        assert predict_next_service(forecaster, [np.zeros((6, 1))], 6, self.TARGET) == [0.0]
 
     def test_insufficient_history(self):
-        model = build_model(method_spec(MethodId.A), HP_SMALL, 1, seed=0)
+        forecaster = LstmForecaster((self._constant(MethodId.A, 1, [0.0]),), self._scalers(1))
         with pytest.raises(InsufficientHistory):
-            predict_next_service(model, [np.zeros((5, 1))], self._scalers(1), look_back=6)
+            predict_next_service(forecaster, [np.zeros((5, 1))], 6, self.TARGET)
 
     def test_statistical_artifact_uses_target_index(self):
         ds = generate_dataset(SynthConfig(n_days=10, n_stops=2, seed=4))
         baseline = fit_statistical(ds, ds.date_range())
         history = [np.zeros((6, 1))] * 2
-        preds = predict_next_service(
-            baseline, history, self._scalers(2), look_back=6, target_service_index=3
-        )
+        preds = predict_next_service(baseline, history, 6, self.TARGET)
         assert preds == [predict_statistical(baseline, 1, 3), predict_statistical(baseline, 2, 3)]
         with pytest.raises(MissingKey):
-            predict_next_service(baseline, history, self._scalers(2), look_back=6)
+            predict_next_service(baseline, history, 6, (date(2021, 10, 11), 99))
 
     def test_per_stop_ensemble(self):
-        models = []
-        for b in range(2):
-            m = build_model(method_spec(MethodId.PER_STOP), HP_SMALL, 2, seed=b)
-            for name, arr in m.param_dict().items():
-                arr[...] = 0.0
-            m.head.b[...] = np.array([0.1 * (b + 1)])
-            models.append(m)
-        preds = predict_next_service(models, [np.zeros((6, 1))] * 2, self._scalers(2), look_back=6)
+        members = tuple(self._constant(MethodId.PER_STOP, 2, [0.1 * (b + 1)], seed=b) for b in range(2))
+        forecaster = LstmForecaster(members, self._scalers(2))
+        preds = predict_next_service(forecaster, [np.zeros((6, 1))] * 2, 6, self.TARGET)
         assert preds == [pytest.approx(1.0), pytest.approx(2.0)]
+
+    def test_branch_count_must_match_stops(self):
+        forecaster = LstmForecaster((self._constant(MethodId.A, 2, [0.5, 0.25]),), self._scalers(3))
+        with pytest.raises(MisalignedBatches):
+            predict_next_service(forecaster, [np.zeros((6, 1))] * 3, 6, self.TARGET)
 
 
 class TestCheckpoint:
@@ -362,17 +361,34 @@ class TestCheckpoint:
             seed=1,
         )
         path = tmp_path / "d.ckpt"
-        save_model(
-            path, model, method=MethodId.D, hp=hp, scalers=prepared.scalers,
-            look_back=26, seed=0, n_stops=3, services_per_day=26,
-        )
+        forecaster = LstmForecaster((Member(model, hp, 0),), prepared.scalers)
+        save_model(path, forecaster, method=MethodId.D, look_back=26, n_stops=3, services_per_day=26)
         loaded = load_model(path)
         assert loaded.method is MethodId.D
-        assert loaded.hp == hp
+        assert loaded.forecaster.members[0].hp == hp
         assert loaded.look_back == 26
-        assert loaded.scalers == prepared.scalers
+        assert loaded.forecaster.scalers == prepared.scalers
         for name, arr in model.param_dict().items():
-            assert loaded.model.param_dict()[name].tobytes() == arr.tobytes()
+            assert loaded.forecaster.members[0].model.param_dict()[name].tobytes() == arr.tobytes()
         pred_a = model.forward(prepared.test.batch(slice(0, 2)))
-        pred_b = loaded.model.forward(prepared.test.batch(slice(0, 2)))
+        pred_b = loaded.forecaster.members[0].model.forward(prepared.test.batch(slice(0, 2)))
         assert np.array_equal(pred_a, pred_b)
+
+    def test_per_stop_round_trip_keeps_each_stops_hyperparams(self, tmp_path):
+        # One file holds every stop's model, each with its own hyperparameters and seed.
+        spec = method_spec(MethodId.PER_STOP, 26)
+        hps = [HyperParams(256, 26, 16, 1, 0.01, OptimizerKind.RMSPROP),
+               HyperParams(32, 26, 8, 3, 0.01, OptimizerKind.NADAM)]
+        members = tuple(Member(build_model(spec, hp, 2, seed=b + 7), hp, b + 7) for b, hp in enumerate(hps))
+        scalers = ScalerSet({1: ScalerParams(0.0, 9.0), 2: ScalerParams(1.0, 4.0)}, ScalerParams(0.0, 0.0))
+        path = tmp_path / "perstop.ckpt"
+        save_model(path, LstmForecaster(members, scalers), method=MethodId.PER_STOP, look_back=26,
+                   n_stops=2, services_per_day=26)
+        loaded = load_model(path)
+        assert loaded.method is MethodId.PER_STOP and loaded.forecaster.scalers == scalers
+        for got, want in zip(loaded.forecaster.members, members, strict=True):
+            assert (got.hp, got.seed) == (want.hp, want.seed)
+            for name, arr in want.model.param_dict().items():
+                assert got.model.param_dict()[name].tobytes() == arr.tobytes()
+        windows = _random_windows(np.random.default_rng(3), 2, 5, 26, 1)
+        assert np.array_equal(loaded.forecaster.predict(windows), LstmForecaster(members, scalers).predict(windows))

@@ -240,14 +240,6 @@ class TestOptimizers:
         with pytest.raises(NonPositiveLearningRate):
             Adam(-1.0)
 
-    @pytest.mark.parametrize(
-        "kind",
-        [OptimizerKind.ADADELTA, OptimizerKind.ADAGRAD, OptimizerKind.ADAMAX, OptimizerKind.FTRL],
-    )
-    def test_candidate_optimizers_not_implemented(self, kind):
-        with pytest.raises(NotImplementedError, match=kind.value):
-            make_optimizer(kind, 0.01)
-
     def test_shape_mismatch(self):
         opt = Sgd(0.1)
         with pytest.raises(ShapeMismatch):

@@ -13,7 +13,7 @@ from buscast.features import (
     fit_scalers,
     prepare_windows,
     scale_targets,
-    single_stop_view,
+    stop_view,
     subset_by_targets,
 )
 from buscast.models import MethodId, build_model, method_spec
@@ -109,7 +109,7 @@ def test_views_share_rows_and_match_oracle(route, method):
         _assert_same_bytes(sub.batch(idx), oracle_batch(sub_xs, idx))
 
     for b in range(route.n_stops):
-        view = single_stop_view(train, b)
+        view = stop_view(train, slice(b, b + 1))
         assert np.shares_memory(view.rows, train.rows)
         assert view.y.tobytes() == y[:, b : b + 1].tobytes()
         for idx in _index_sets(view.n_samples):
