@@ -425,6 +425,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     schedule = make_schedule(cfg.tune_max_resource, cfg.tune_eta)
     grid = cfg.grid
     stop_col = (args.stop - 1) if spec.architecture is Architecture.PER_STOP else None
+    if stop_col is not None and not 1 <= args.stop <= dataset.n_stops:
+        n = dataset.n_stops
+        raise BuscastError(f"--stop must be in 1..{n} (the dataset has {n} stops), got {args.stop}")
 
     window_cache: dict[int, object] = {}
 

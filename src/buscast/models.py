@@ -53,7 +53,7 @@ from .nn_core import (
     dense_backward,
     dense_forward,
     init_dense_params,
-    init_lstm_params,
+    init_lstm_layers,
     load_params,
     make_optimizer,
     mse_loss,
@@ -105,53 +105,54 @@ class LstmRegressor:
 
     Branch b consumes only stop b's windows; the head maps the concatenated
     final hidden states (n*H) to n outputs, one scaled prediction per stop.
+    Each layer holds the parameters of all n branches as one stacked
+    :class:`LstmLayerParams`; per-branch names exist only in checkpoints.
     """
 
-    def __init__(self, branches: list[list[LstmLayerParams]], head: DenseParams):
-        if not branches or not branches[0]:
-            raise InvalidHyperParams("a model needs at least one branch with one layer")
-        depth = len(branches[0])
-        for stack in branches:
-            if len(stack) != depth or any(
-                layer.w.shape != ref.w.shape or layer.u.shape != ref.u.shape
-                for layer, ref in zip(stack, branches[0])
-            ):
-                raise ShapeMismatch("all branches must share the same layer shapes")
-        hidden = branches[0][-1].hidden_size
-        if head.w.shape != (len(branches), len(branches) * hidden):
-            raise ShapeMismatch(
-                f"head shape {head.w.shape} != ({len(branches)}, {len(branches) * hidden})"
-            )
-        self.branches = branches
+    def __init__(self, layers: list[LstmLayerParams], head: DenseParams):
+        if not layers:
+            raise InvalidHyperParams("a model needs at least one LSTM layer")
+        self.layers = layers
         self.head = head
+        n, hidden = self.n_branches, self.hidden_size
+        if head.w.shape != (n, n * hidden):
+            raise ShapeMismatch(f"head shape {head.w.shape} != ({n}, {n * hidden})")
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return self.layers[0].w.shape[0]
 
     @property
     def n_layers(self) -> int:
-        return len(self.branches[0])
+        return len(self.layers)
 
     @property
     def hidden_size(self) -> int:
-        return self.branches[0][0].hidden_size
+        return self.layers[0].u.shape[2]
 
     @property
     def input_size(self) -> int:
-        return self.branches[0][0].input_size
+        return self.layers[0].w.shape[2]
 
     def param_dict(self) -> dict[str, np.ndarray]:
         """Canonically ordered live views of every parameter array."""
         out: dict[str, np.ndarray] = {}
-        for b, stack in enumerate(self.branches):
-            for l, layer in enumerate(stack):
-                out[f"branch{b}/layer{l}/w"] = layer.w
-                out[f"branch{b}/layer{l}/u"] = layer.u
-                out[f"branch{b}/layer{l}/b"] = layer.b
+        for l, layer in enumerate(self.layers):
+            out[f"layer{l}/w"] = layer.w
+            out[f"layer{l}/u"] = layer.u
+            out[f"layer{l}/b"] = layer.b
         out["head/w"] = self.head.w
         out["head/b"] = self.head.b
         return out
+
+    @property
+    def grad_stacks(self) -> list[tuple[str, str, str]]:
+        """Each layer's branch-stacked gradient names, top layer first, for :func:`clip_global_norm`.
+
+        Summed in this order, the gradient norm equals the one of the same
+        arrays held one per branch and layer, bit for bit.
+        """
+        return [(f"layer{l}/w", f"layer{l}/u", f"layer{l}/b") for l in reversed(range(self.n_layers))]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.param_dict().items()}
@@ -172,13 +173,6 @@ class LstmRegressor:
             if x.shape[1] != steps:
                 raise ShapeMismatch("branch look-back lengths differ")
 
-    def _stacked_layer(self, layer_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parameters of one depth level stacked across branches: (n,4H,D) etc."""
-        w = np.stack([stack[layer_idx].w for stack in self.branches])
-        u = np.stack([stack[layer_idx].u for stack in self.branches])
-        b = np.stack([stack[layer_idx].b for stack in self.branches])
-        return w, u, b
-
     def _run_branches(
         self, xs: Sequence[np.ndarray], keep_caches: bool
     ) -> tuple[np.ndarray, list]:
@@ -186,11 +180,10 @@ class LstmRegressor:
         self._check_inputs(xs)
         seq = np.asarray(xs)  # (n, B, L, D); a batch array passes through uncopied
         caches = []
-        for l in range(self.n_layers):
-            w, u, b = self._stacked_layer(l)
-            seq, cache = branched_lstm_forward(w, u, b, seq)
+        for layer in self.layers:
+            seq, cache = branched_lstm_forward(layer.w, layer.u, layer.b, seq)
             if keep_caches:
-                caches.append((w, u, cache))
+                caches.append(cache)
         return seq, caches
 
     def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:
@@ -223,12 +216,11 @@ class LstmRegressor:
         grad_seq = np.zeros((self.n_branches, batch, seq.shape[2], hidden))
         grad_seq[:, :, -1] = d_state
         for l in reversed(range(self.n_layers)):
-            w, u, cache = caches[l]
-            layer_grads = branched_lstm_backward(w, u, cache, grad_seq, need_dx=l > 0)
-            for b in range(self.n_branches):
-                grads[f"branch{b}/layer{l}/w"] = layer_grads.dw[b]
-                grads[f"branch{b}/layer{l}/u"] = layer_grads.du[b]
-                grads[f"branch{b}/layer{l}/b"] = layer_grads.db[b]
+            layer = self.layers[l]
+            layer_grads = branched_lstm_backward(layer.w, layer.u, caches[l], grad_seq, need_dx=l > 0)
+            grads[f"layer{l}/w"] = layer_grads.dw
+            grads[f"layer{l}/u"] = layer_grads.du
+            grads[f"layer{l}/b"] = layer_grads.db
             grad_seq = layer_grads.dx
         return loss, grads
 
@@ -252,18 +244,10 @@ def build_model(spec: MethodSpec, hp: HyperParams, n_stops: int, seed: int) -> L
         raise InvalidHyperParams("the statistical method has no trainable model")
     validate_hyperparams(hp)
     n_branches = n_stops if spec.architecture is Architecture.JOINT else 1
-    feature_dim = spec.features.dimension
     rng = np.random.default_rng(seed)
-    branches = []
-    for _ in range(n_branches):
-        stack = []
-        in_size = feature_dim
-        for _ in range(hp.n_layers):
-            stack.append(init_lstm_params(in_size, hp.lstm_nodes, rng))
-            in_size = hp.lstm_nodes
-        branches.append(stack)
+    layers = init_lstm_layers(n_branches, spec.features.dimension, hp.lstm_nodes, hp.n_layers, rng)
     head = init_dense_params(n_branches * hp.lstm_nodes, n_branches, rng)
-    return LstmRegressor(branches, head)
+    return LstmRegressor(layers, head)
 
 
 def member_plan(spec: MethodSpec, n_stops: int, seed: int) -> list[tuple[str, int]]:
@@ -353,7 +337,7 @@ def train(
             if not math.isfinite(loss):
                 raise DivergedTraining(f"non-finite training loss at epoch {epoch}")
             if schedule.clip_norm is not None:
-                clip_global_norm(grads, schedule.clip_norm)
+                clip_global_norm(grads, schedule.clip_norm, model.grad_stacks)
             optimizer.step(params, grads)
             epoch_loss += loss * len(idx)
         epoch_loss /= n
@@ -563,11 +547,15 @@ def save_model(
         # stop_index is always null; it keeps joint checkpoints byte-identical to earlier ones
         header.update(_member_header(members[0]), stop_index=None)
         prefixes = [""]
-    params = [
-        (prefix + name, arr)
-        for prefix, member in zip(prefixes, members)
-        for name, arr in member.model.param_dict().items()
-    ]
+    # The file format holds one array per branch and layer, branch-major;
+    # _load_member restacks them per layer.
+    params = []
+    for prefix, member in zip(prefixes, members):
+        model = member.model
+        for b in range(model.n_branches):
+            for l, layer in enumerate(model.layers):
+                params += [(f"{prefix}branch{b}/layer{l}/{k}", getattr(layer, k)[b]) for k in "wub"]
+        params += [(f"{prefix}head/w", model.head.w), (f"{prefix}head/b", model.head.b)]
     save_params(path, header, params)
 
 
@@ -590,19 +578,15 @@ def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], path: 
     def array(name: str) -> np.ndarray:
         return _field(params, prefix + name, path, "parameter array")
 
-    branches = [
-        [
-            LstmLayerParams(
-                w=array(f"branch{b}/layer{l}/w"),
-                u=array(f"branch{b}/layer{l}/u"),
-                b=array(f"branch{b}/layer{l}/b"),
-            )
-            for l in range(_field(entry, "n_layers", path))
-        ]
-        for b in range(_field(entry, "n_branches", path))
+    def stacked(l: int, k: str) -> np.ndarray:
+        arrays = [array(f"branch{b}/layer{l}/{k}") for b in range(_field(entry, "n_branches", path))]
+        return _parsed(np.stack, arrays, "parameter arrays", path)
+
+    layers = [
+        LstmLayerParams(*(stacked(l, k) for k in "wub")) for l in range(_field(entry, "n_layers", path))
     ]
     return Member(
-        model=LstmRegressor(branches, DenseParams(w=array("head/w"), b=array("head/b"))),
+        model=LstmRegressor(layers, DenseParams(w=array("head/w"), b=array("head/b"))),
         hp=_parsed(HyperParams.from_dict, _field(entry, "hyperparams", path), "hyperparams", path),
         seed=_field(entry, "seed", path),
     )

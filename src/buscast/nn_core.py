@@ -8,8 +8,14 @@ Everything runs on float64 numpy arrays. The LSTM uses the standard cell
 
 with the four gate blocks stacked in the fixed order [i, f, g, o] inside one
 (4H x D) input matrix, one (4H x H) recurrent matrix, and one 4H bias.
-Backward passes are exact reverse-mode differentiation of the forward code,
-returning gradients for every parameter and, on request, for the inputs.
+
+A layer's parameters are stacked over the n independent branches of a
+branched model (one branch per bus stop): ``w`` is (n, 4H, D), ``u`` is
+(n, 4H, H) and ``b`` is (n, 4H), a single-branch layer being n = 1. This is
+the only in-memory layout; the gradients, the optimizer state and the global
+gradient norm work on the same stacked arrays. Backward passes are exact
+reverse-mode differentiation of the forward code, returning gradients for
+every parameter and, on request, for the inputs.
 
 The forward pass evaluates all four gates with a single ``tanh`` (the fused
 gates of Appleyard et al. 2016, arXiv:1604.01946). Since
@@ -48,7 +54,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,33 +72,13 @@ def _debug_check(name: str, *arrays: np.ndarray | None) -> None:
                 raise FloatingPointError(f"non-finite values in {name}")
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid via sigmoid(z) = (tanh(z/2) + 1) / 2."""
-    return 0.5 * (np.tanh(0.5 * z) + 1.0)
-
-
 @dataclass
 class LstmLayerParams:
-    """Gate order inside w/u/b is [input i, forget f, candidate g, output o]."""
+    """One layer of n branches. Gate order inside w/u/b is [input i, forget f, candidate g, output o]."""
 
-    w: np.ndarray  # (4H, D)
-    u: np.ndarray  # (4H, H)
-    b: np.ndarray  # (4H,)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.u.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        return self.w.shape[1]
-
-    def validate(self) -> None:
-        h = self.hidden_size
-        if self.w.shape[0] != 4 * h or self.u.shape != (4 * h, h) or self.b.shape != (4 * h,):
-            raise ShapeMismatch(
-                f"inconsistent LSTM parameter shapes w={self.w.shape} u={self.u.shape} b={self.b.shape}"
-            )
+    w: np.ndarray  # (n, 4H, D)
+    u: np.ndarray  # (n, 4H, H)
+    b: np.ndarray  # (n, 4H)
 
 
 @dataclass
@@ -106,8 +92,7 @@ class LstmCache:
     """Per-step activations retained for exact backpropagation through time.
 
     Apart from the layer input, every array is time-major, so one step of all
-    n branches is a single contiguous (n, B, H) block. The single-branch entry
-    points wrap and unwrap n = 1.
+    n branches is a single contiguous (n, B, H) block.
     """
 
     x: np.ndarray  # (n, B, L, D) layer input
@@ -142,6 +127,8 @@ def branched_lstm_forward(
     batched matmul instead of n small ones. Returns the hidden sequence, a
     read-only (n, B, L, H) view of ``cache.h``, and the cache.
     """
+    if x.ndim != 4 or x.shape[0] != w.shape[0] or x.shape[3] != w.shape[2]:
+        raise ShapeMismatch(f"input shape {x.shape} != (n={w.shape[0]}, B, L, D={w.shape[2]})")
     n, batch, steps, dim = x.shape
     hidden = u.shape[2]
     row_scale = np.repeat(_GATE_SCALE, hidden)
@@ -278,23 +265,6 @@ def branched_lstm_backward(
     return grads
 
 
-def lstm_forward(params: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
-    """Run the cell over a (B, L, D) batch; return hidden sequence and cache."""
-    if x.ndim != 3:
-        raise ShapeMismatch(f"expected (batch, steps, features) input, got shape {x.shape}")
-    params.validate()
-    if x.shape[2] != params.input_size:
-        raise ShapeMismatch(f"input feature dim {x.shape[2]} != layer input size {params.input_size}")
-    hs, cache = branched_lstm_forward(params.w[None], params.u[None], params.b[None], x[None])
-    return hs[0], cache
-
-
-def lstm_backward(params: LstmLayerParams, cache: LstmCache, grad_hs: np.ndarray) -> LstmGrads:
-    """Exact BPTT for a single layer. ``grad_hs`` has shape (B, L, H)."""
-    grads = branched_lstm_backward(params.w[None], params.u[None], cache, grad_hs[None])
-    return LstmGrads(dw=grads.dw[0], du=grads.du[0], db=grads.db[0], dx=grads.dx[0])
-
-
 def dense_forward(params: DenseParams, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != params.w.shape[1]:
         raise ShapeMismatch(f"dense input shape {x.shape} != (batch, {params.w.shape[1]})")
@@ -330,15 +300,28 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator) -> LstmLayerParams:
-    """Glorot-uniform weights; biases zero except forget gate, which starts at 1."""
-    b = np.zeros(4 * hidden_size)
-    b[hidden_size : 2 * hidden_size] = 1.0
-    return LstmLayerParams(
-        w=glorot_uniform(rng, 4 * hidden_size, input_size),
-        u=glorot_uniform(rng, 4 * hidden_size, hidden_size),
-        b=b,
-    )
+def init_lstm_layers(
+    n_branches: int, input_size: int, hidden_size: int, n_layers: int, rng: np.random.Generator
+) -> list[LstmLayerParams]:
+    """Glorot-uniform weights; biases zero except the forget gate's, which start at 1.
+
+    The generator is drawn branch by branch, and within a branch layer by
+    layer, W before U; the draws are then stacked per layer. Changing that
+    order would change every initial weight of a seeded model.
+    """
+    h4 = 4 * hidden_size
+    sizes = [input_size] + [hidden_size] * (n_layers - 1)
+    draws = [
+        [(glorot_uniform(rng, h4, size), glorot_uniform(rng, h4, hidden_size)) for size in sizes]
+        for _ in range(n_branches)
+    ]
+    bias = np.zeros((n_branches, h4))
+    bias[:, hidden_size : 2 * hidden_size] = 1.0
+    layers = []
+    for per_branch in zip(*draws):  # one layer's (W, U) of every branch
+        w, u = (np.stack(arrays) for arrays in zip(*per_branch))
+        layers.append(LstmLayerParams(w=w, u=u, b=bias.copy()))
+    return layers
 
 
 def init_dense_params(input_size: int, output_size: int, rng: np.random.Generator) -> DenseParams:
@@ -457,11 +440,28 @@ def make_optimizer(kind: OptimizerKind, learning_rate: float) -> Optimizer:
     return _OPTIMIZER_CLASSES[kind](learning_rate)
 
 
-def clip_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+def clip_global_norm(
+    grads: Mapping[str, np.ndarray], max_norm: float, stacks: Sequence[Sequence[str]] = ()
+) -> float:
+    """Scale all gradients in place so their global L2 norm is <= max_norm; return the norm.
+
+    The squares are summed one array at a time in ``grads`` order, then over
+    each group of names in ``stacks`` in turn. The arrays of a group share a
+    leading branch axis and are summed branch by branch: branch 0 of each
+    array in group order, then branch 1, and so on. Float addition is not
+    associative, so this order is what gives a branched model the norm, to
+    the bit, of the same arrays held one per branch.
+    """
+    stacked = {name for group in stacks for name in group}
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for name, g in grads.items():
+        if name not in stacked:
+            total += float(np.sum(g * g))
+    for group in stacks:
+        rows = [(grads[name] * grads[name]).reshape(len(grads[name]), -1).sum(axis=1) for name in group]
+        for branch in zip(*rows):
+            for square_sum in branch:
+                total += float(square_sum)
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm

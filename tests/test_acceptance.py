@@ -44,10 +44,10 @@ from buscast.nn_core import (
     OptimizerKind,
     dense_backward,
     dense_forward,
+    branched_lstm_backward,
+    branched_lstm_forward,
     init_dense_params,
-    init_lstm_params,
-    lstm_backward,
-    lstm_forward,
+    init_lstm_layers,
     mse_loss,
 )
 from buscast.synth import SynthConfig, generate_dataset
@@ -123,17 +123,18 @@ def test_c02_gradient_correctness():
         steps = int(rng.integers(1, 7))
         batch = int(rng.integers(1, 4))
 
-        params = init_lstm_params(dim, hidden, rng)
-        x = rng.normal(size=(batch, steps, dim))
-        target = rng.normal(size=(batch, steps, hidden))
+        # One branch (n = 1) of the branched core.
+        params = init_lstm_layers(1, dim, hidden, 1, rng)[0]
+        x = rng.normal(size=(1, batch, steps, dim))
+        target = rng.normal(size=(1, batch, steps, hidden))
 
         def lstm_loss():
-            hs, _ = lstm_forward(params, x)
+            hs, _ = branched_lstm_forward(params.w, params.u, params.b, x)
             return mse_loss(hs, target)[0]
 
-        hs, cache = lstm_forward(params, x)
+        hs, cache = branched_lstm_forward(params.w, params.u, params.b, x)
         _, grad_hs = mse_loss(hs, target)
-        grads = lstm_backward(params, cache, grad_hs)
+        grads = branched_lstm_backward(params.w, params.u, cache, grad_hs)
         for analytic, arr in (
             (grads.dw, params.w), (grads.du, params.u), (grads.db, params.b), (grads.dx, x),
         ):

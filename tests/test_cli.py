@@ -115,24 +115,30 @@ TINY_HP = [
 ]
 
 
+@pytest.fixture(scope="module")
+def trained(workspace):
+    """Train d and perstop once into the shared out directory; returns each exit code.
+
+    TestTrain checks what they write; TestEvaluate and TestPredict read the
+    checkpoints, so they pass whichever tests are selected.
+    """
+    return {
+        method: main(["train", "--dataset", str(workspace["dataset"]), "--method", method,
+                      "--out", str(workspace["out"]), *TINY_HP])
+        for method in ("d", "perstop")
+    }
+
+
 class TestTrain:
-    def test_joint_writes_checkpoint_and_history(self, workspace, capsys):
-        code, out, _ = run_cli(
-            capsys, "train", "--dataset", str(workspace["dataset"]),
-            "--method", "d", "--out", str(workspace["out"]), *TINY_HP,
-        )
-        assert code == 0
+    def test_joint_writes_checkpoint_and_history(self, workspace, trained):
+        assert trained["d"] == 0
         assert (workspace["out"] / "d.ckpt").exists()
         history = (workspace["out"] / "d_history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) >= 2
 
-    def test_per_stop_writes_one_checkpoint(self, workspace, capsys):
-        code, _, _ = run_cli(
-            capsys, "train", "--dataset", str(workspace["dataset"]),
-            "--method", "perstop", "--out", str(workspace["out"]), *TINY_HP,
-        )
-        assert code == 0
+    def test_per_stop_writes_one_checkpoint(self, workspace, trained):
+        assert trained["perstop"] == 0
         written = {p.name for p in workspace["out"].glob("perstop*")}
         assert written == {"perstop.ckpt"} | {f"perstop_stop{stop}_history.csv" for stop in range(1, 6)}
 
@@ -162,6 +168,7 @@ class TestTrain:
         assert "statistical" in err
 
 
+@pytest.mark.usefixtures("trained")
 class TestEvaluate:
     def test_checkpoint_mode_with_improvement(self, workspace, capsys):
         code, out, _ = run_cli(
@@ -200,6 +207,7 @@ class TestEvaluate:
         assert out.splitlines()[0].startswith("method,stop1_rmse")
 
 
+@pytest.mark.usefixtures("trained")
 class TestPredict:
     def test_joint_prediction_keys(self, workspace, capsys):
         code, out, _ = run_cli(
@@ -360,6 +368,16 @@ class TestTune:
             assert code == 0
             blobs.append((out_dir / "tuning_d.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("stop", ["-1", "0", "6"])
+    def test_stop_outside_the_dataset_rejected(self, workspace, capsys, tmp_path, stop):
+        code, _, err = run_cli(
+            capsys, "tune", "--dataset", str(workspace["dataset"]), "--method", "perstop",
+            "--stop", stop, "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "tune", "--stop", "1..5", "5 stops", f"got {stop}")
+        assert not any(tmp_path.iterdir())
 
     def test_unimplemented_tune_optimizer_rejected(self, workspace, capsys, tmp_path):
         config = tmp_path / "tune.cfg"

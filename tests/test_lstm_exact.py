@@ -8,9 +8,10 @@ from buscast.nn_core import (
     OptimizerKind,
     branched_lstm_backward,
     branched_lstm_forward,
+    clip_global_norm,
     dense_backward,
     dense_forward,
-    init_lstm_params,
+    init_lstm_layers,
     mse_loss,
 )
 from buscast.tuning import HyperParams
@@ -25,12 +26,10 @@ def assert_bit_identical(actual, expected):
 
 
 def branched_params(rng, n, dim, hidden):
-    layers = [init_lstm_params(dim, hidden, rng) for _ in range(n)]
-    w = np.stack([p.w for p in layers])
-    u = np.stack([p.u for p in layers])
+    layer = init_lstm_layers(n, dim, hidden, 1, rng)[0]
     # Random biases on top of the forget-gate ones, so every gate's bias matters.
-    b = np.stack([p.b for p in layers]) + rng.normal(scale=0.5, size=(n, 4 * hidden))
-    return w, u, b
+    b = layer.b + rng.normal(scale=0.5, size=(n, 4 * hidden))
+    return layer.w, layer.u, b
 
 
 @pytest.mark.parametrize(
@@ -77,16 +76,17 @@ def test_all_zero_input_matches_oracle():
 
 
 def oracle_forward_backward(model, xs, target):
-    """LstmRegressor.forward_backward written out over the oracle core."""
+    """LstmRegressor.forward_backward written out over the oracle core.
+
+    The gradients come back one array per branch and layer, in the order the
+    per-branch parameter layout produced them.
+    """
     n, hidden = model.n_branches, model.hidden_size
     seq = np.stack(xs)
     caches = []
-    for l in range(model.n_layers):
-        w = np.stack([stack[l].w for stack in model.branches])
-        u = np.stack([stack[l].u for stack in model.branches])
-        b = np.stack([stack[l].b for stack in model.branches])
-        seq, cache = oracle_forward(w, u, b, seq)
-        caches.append((w, u, cache))
+    for layer in model.layers:
+        seq, cache = oracle_forward(layer.w, layer.u, layer.b, seq)
+        caches.append((layer.w, layer.u, cache))
     batch, steps = seq.shape[1], seq.shape[2]
     concat = seq[:, :, -1].transpose(1, 0, 2).reshape(batch, n * hidden)
     loss, dpred = mse_loss(dense_forward(model.head, concat), target)
@@ -114,6 +114,23 @@ def test_two_layer_model_gradients_match_oracle():
     loss, grads = model.forward_backward(xs, target)
     loss_ref, grads_ref = oracle_forward_backward(model, xs, target)
     assert loss == loss_ref
-    assert grads.keys() == grads_ref.keys()
+
+    def stacked_grad(name):
+        # "branch{b}/layer{l}/{k}" is branch b of the stacked "layer{l}/{k}".
+        if not name.startswith("branch"):
+            return grads[name]
+        branch, layer, k = name.split("/")
+        return grads[f"{layer}/{k}"][int(branch[len("branch"):])]
+
+    assert set(grads) == {"head/w", "head/b"} | {f"layer{l}/{k}" for l in range(2) for k in "wub"}
+    assert len(grads_ref) == 2 + 3 * 2 * model.n_branches
     for name in grads_ref:
-        assert_bit_identical(grads[name], grads_ref[name])
+        assert_bit_identical(stacked_grad(name), grads_ref[name])
+
+    # Clipping that fires scales both layouts to the same bits.
+    max_norm = 1e-3
+    norm = clip_global_norm(grads, max_norm, model.grad_stacks)
+    assert norm > max_norm
+    assert norm == clip_global_norm(grads_ref, max_norm)
+    for name in grads_ref:
+        assert_bit_identical(stacked_grad(name), grads_ref[name])

@@ -29,7 +29,7 @@ from buscast.models import (
     save_model,
     train,
 )
-from buscast.nn_core import OptimizerKind, branched_lstm_forward, dense_forward, lstm_forward
+from buscast.nn_core import OptimizerKind, branched_lstm_forward, dense_forward, load_params
 from buscast.synth import SynthConfig, generate_dataset
 from buscast.tuning import HyperParams
 
@@ -93,9 +93,9 @@ class TestBuildModel:
     def test_stacked_layer_sizes(self):
         hp = HyperParams(16, 26, 8, 3, 0.001, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n_stops=2, seed=0)
-        assert model.branches[0][0].input_size == 37
-        assert model.branches[0][1].input_size == 8
-        assert model.branches[0][2].input_size == 8
+        assert [layer.w.shape for layer in model.layers] == [(2, 32, 37), (2, 32, 8), (2, 32, 8)]
+        assert [layer.u.shape for layer in model.layers] == [(2, 32, 8)] * 3
+        assert [layer.b.shape for layer in model.layers] == [(2, 32)] * 3
 
 
 class TestForward:
@@ -118,19 +118,19 @@ class TestForward:
         assert np.array_equal(pred_perm, pred[perm])
 
     def test_matches_manual_composition_of_core_ops(self):
-        # Oracle: run each branch through lstm_forward layer by layer, take the
-        # final hidden states, concatenate, and apply the dense head by hand.
+        # Oracle: run each branch alone (n = 1) through the core layer by layer,
+        # take the final hidden states, concatenate, and apply the dense head by hand.
         hp = HyperParams(8, 5, 3, 2, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n_stops=3, seed=7)
         rng = np.random.default_rng(7)
         xs = [rng.normal(size=(1, 5, 37)) for _ in range(3)]
 
         states = []
-        for stack, x in zip(model.branches, xs):
-            seq = x
-            for layer in stack:
-                seq, _ = lstm_forward(layer, seq)
-            states.append(seq[:, -1])
+        for b, x in enumerate(xs):
+            seq = x[None]
+            for layer in model.layers:
+                seq, _ = branched_lstm_forward(layer.w[b : b + 1], layer.u[b : b + 1], layer.b[b : b + 1], seq)
+            states.append(seq[0, :, -1])
         expected = dense_forward(model.head, np.concatenate(states, axis=1))
         assert np.allclose(model.forward(xs), expected, atol=1e-12)
 
@@ -141,9 +141,8 @@ class TestForward:
 
         def branch_states(xs):
             seq = np.stack(xs)
-            for l in range(model.n_layers):
-                w, u, b = (np.stack([getattr(stack[l], k) for stack in model.branches]) for k in "wub")
-                seq, _ = branched_lstm_forward(w, u, b, seq)
+            for layer in model.layers:
+                seq, _ = branched_lstm_forward(layer.w, layer.u, layer.b, seq)
             return seq
 
         rng = np.random.default_rng(2)
@@ -392,3 +391,35 @@ class TestCheckpoint:
                 assert got.model.param_dict()[name].tobytes() == arr.tobytes()
         windows = _random_windows(np.random.default_rng(3), 2, 5, 26, 1)
         assert np.array_equal(loaded.forecaster.predict(windows), LstmForecaster(members, scalers).predict(windows))
+
+    def test_checkpoint_names_stay_per_branch(self, tmp_path):
+        # Golden: whatever the in-memory layout, a checkpoint stores one array per
+        # branch and layer, named and ordered branch by branch, then the head.
+        scalers = lambda n: ScalerSet({b: ScalerParams(0.0, 1.0) for b in range(1, n + 1)}, ScalerParams(0.0, 1.0))
+        hp = HyperParams(8, 6, 4, 2, 0.01, OptimizerKind.ADAM)
+        joint = Member(build_model(method_spec(MethodId.D), hp, 3, seed=0), hp, 0)
+        save_model(tmp_path / "d.ckpt", LstmForecaster((joint,), scalers(3)), method=MethodId.D,
+                   look_back=6, n_stops=3, services_per_day=26)
+        assert load_params(tmp_path / "d.ckpt")[0]["params"] == [
+            ["branch0/layer0/w", [16, 37]], ["branch0/layer0/u", [16, 4]], ["branch0/layer0/b", [16]],
+            ["branch0/layer1/w", [16, 4]], ["branch0/layer1/u", [16, 4]], ["branch0/layer1/b", [16]],
+            ["branch1/layer0/w", [16, 37]], ["branch1/layer0/u", [16, 4]], ["branch1/layer0/b", [16]],
+            ["branch1/layer1/w", [16, 4]], ["branch1/layer1/u", [16, 4]], ["branch1/layer1/b", [16]],
+            ["branch2/layer0/w", [16, 37]], ["branch2/layer0/u", [16, 4]], ["branch2/layer0/b", [16]],
+            ["branch2/layer1/w", [16, 4]], ["branch2/layer1/u", [16, 4]], ["branch2/layer1/b", [16]],
+            ["head/w", [3, 12]], ["head/b", [3]],
+        ]
+
+        spec = method_spec(MethodId.PER_STOP)
+        hps = [HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM), HyperParams(8, 6, 3, 2, 0.01, OptimizerKind.ADAM)]
+        members = tuple(Member(build_model(spec, h, 2, seed=b), h, b) for b, h in enumerate(hps))
+        save_model(tmp_path / "perstop.ckpt", LstmForecaster(members, scalers(2)), method=MethodId.PER_STOP,
+                   look_back=6, n_stops=2, services_per_day=26)
+        assert load_params(tmp_path / "perstop.ckpt")[0]["params"] == [
+            ["stop1/branch0/layer0/w", [16, 1]], ["stop1/branch0/layer0/u", [16, 4]],
+            ["stop1/branch0/layer0/b", [16]], ["stop1/head/w", [1, 4]], ["stop1/head/b", [1]],
+            ["stop2/branch0/layer0/w", [12, 1]], ["stop2/branch0/layer0/u", [12, 3]],
+            ["stop2/branch0/layer0/b", [12]], ["stop2/branch0/layer1/w", [12, 3]],
+            ["stop2/branch0/layer1/u", [12, 3]], ["stop2/branch0/layer1/b", [12]],
+            ["stop2/head/w", [1, 3]], ["stop2/head/b", [1]],
+        ]

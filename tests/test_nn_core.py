@@ -13,20 +13,20 @@ from buscast.nn_core import (
     OptimizerKind,
     RmsProp,
     Sgd,
+    branched_lstm_backward,
+    branched_lstm_forward,
     clip_global_norm,
     dense_backward,
     dense_forward,
     glorot_uniform,
     init_dense_params,
-    init_lstm_params,
+    init_lstm_layers,
     load_params,
-    lstm_backward,
-    lstm_forward,
     make_optimizer,
     mse_loss,
     save_params,
-    sigmoid,
 )
+from lstm_oracle import oracle_forward
 
 
 def numerical_gradient(f, arr, eps=1e-5):
@@ -50,11 +50,20 @@ def max_relative_error(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def one_branch_layer(input_size, hidden_size, rng):
+    """A single-branch (n = 1) layer drawn as a lone layer of that size."""
+    return init_lstm_layers(1, input_size, hidden_size, 1, rng)[0]
+
+
+def run_layer(params, x):
+    return branched_lstm_forward(params.w, params.u, params.b, x)
+
+
 class TestLstmForward:
     def test_zero_weights_zero_hidden(self):
-        params = LstmLayerParams(w=np.zeros((8, 3)), u=np.zeros((8, 2)), b=np.zeros(8))
-        x = np.random.default_rng(0).normal(size=(4, 5, 3))
-        hs, _ = lstm_forward(params, x)
+        params = LstmLayerParams(w=np.zeros((1, 8, 3)), u=np.zeros((1, 8, 2)), b=np.zeros((1, 8)))
+        x = np.random.default_rng(0).normal(size=(1, 4, 5, 3))
+        hs, _ = run_layer(params, x)
         assert np.all(hs == 0.0)
 
     def test_single_cell_matches_hand_computation(self):
@@ -63,67 +72,69 @@ class TestLstmForward:
         #   g = tanh(0.8*1 - 0.1)      o = sigmoid(0.2*1 + 0.3)
         #   c = i*g                    h = o*tanh(c)
         params = LstmLayerParams(
-            w=np.array([[0.5], [-0.3], [0.8], [0.2]]),
-            u=np.array([[0.4], [-0.7], [0.1], [0.9]]),
-            b=np.array([0.1, 0.2, -0.1, 0.3]),
+            w=np.array([[[0.5], [-0.3], [0.8], [0.2]]]),
+            u=np.array([[[0.4], [-0.7], [0.1], [0.9]]]),
+            b=np.array([[0.1, 0.2, -0.1, 0.3]]),
         )
-        hs, cache = lstm_forward(params, np.array([[[1.0]]]))
-        assert hs[0, 0, 0] == pytest.approx(0.23127139439235833, abs=1e-15)
+        hs, cache = run_layer(params, np.array([[[[1.0]]]]))
+        assert hs[0, 0, 0, 0] == pytest.approx(0.23127139439235833, abs=1e-15)
         # cache.c is (L+1, n, B, H) with c[0] the initial state; c[1] is after step one.
         assert cache.c[1, 0, 0, 0] == pytest.approx(0.39021386657536267, abs=1e-15)
 
     def test_batch_equivariance(self):
         rng = np.random.default_rng(1)
-        params = init_lstm_params(3, 4, rng)
-        x = rng.normal(size=(5, 6, 3))
-        hs, _ = lstm_forward(params, x)
+        params = one_branch_layer(3, 4, rng)
+        x = rng.normal(size=(1, 5, 6, 3))
+        hs, _ = run_layer(params, x)
         perm = np.array([3, 0, 4, 1, 2])
-        hs_perm, _ = lstm_forward(params, x[perm])
-        assert np.array_equal(hs_perm, hs[perm])
+        hs_perm, _ = run_layer(params, x[:, perm])
+        assert np.array_equal(hs_perm, hs[:, perm])
 
     def test_shape_mismatch(self):
-        params = init_lstm_params(3, 4, np.random.default_rng(0))
+        params = one_branch_layer(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            lstm_forward(params, np.zeros((2, 5, 7)))
+            run_layer(params, np.zeros((1, 2, 5, 7)))
         with pytest.raises(ShapeMismatch):
-            lstm_forward(params, np.zeros((2, 5)))
+            run_layer(params, np.zeros((2, 5)))
+        with pytest.raises(ShapeMismatch):
+            run_layer(params, np.zeros((2, 2, 5, 3)))
 
 
 class TestDebugChecks:
     def test_nan_input_raises_when_enabled_after_import(self, monkeypatch):
-        params = init_lstm_params(3, 4, np.random.default_rng(0))
-        x = np.zeros((2, 5, 3))
-        x[1, 2, 0] = np.nan
+        params = one_branch_layer(3, 4, np.random.default_rng(0))
+        x = np.zeros((1, 2, 5, 3))
+        x[0, 1, 2, 0] = np.nan
         monkeypatch.delenv("BUSCAST_DEBUG", raising=False)
-        lstm_forward(params, x)
+        run_layer(params, x)
         monkeypatch.setenv("BUSCAST_DEBUG", "1")
         with pytest.raises(FloatingPointError, match="lstm_forward"):
-            lstm_forward(params, x)
+            run_layer(params, x)
 
 
 class TestLstmBackward:
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(2)
-        params = init_lstm_params(3, 4, rng)
-        x = rng.normal(size=(2, 5, 3))
-        hs, cache = lstm_forward(params, x)
-        grads = lstm_backward(params, cache, np.zeros_like(hs))
+        params = one_branch_layer(3, 4, rng)
+        x = rng.normal(size=(1, 2, 5, 3))
+        hs, cache = run_layer(params, x)
+        grads = branched_lstm_backward(params.w, params.u, cache, np.zeros_like(hs))
         for g in (grads.dw, grads.du, grads.db, grads.dx):
             assert np.all(g == 0.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        params = init_lstm_params(3, 4, rng)
-        x = rng.normal(size=(2, 5, 3))
-        target = rng.normal(size=(2, 5, 4))
+        params = one_branch_layer(3, 4, rng)
+        x = rng.normal(size=(1, 2, 5, 3))
+        target = rng.normal(size=(1, 2, 5, 4))
 
         def loss():
-            hs, _ = lstm_forward(params, x)
+            hs, _ = run_layer(params, x)
             return mse_loss(hs, target)[0]
 
-        hs, cache = lstm_forward(params, x)
+        hs, cache = run_layer(params, x)
         _, grad_hs = mse_loss(hs, target)
-        grads = lstm_backward(params, cache, grad_hs)
+        grads = branched_lstm_backward(params.w, params.u, cache, grad_hs)
         assert max_relative_error(grads.dw, numerical_gradient(loss, params.w)) < 1e-4
         assert max_relative_error(grads.du, numerical_gradient(loss, params.u)) < 1e-4
         assert max_relative_error(grads.db, numerical_gradient(loss, params.b)) < 1e-4
@@ -131,15 +142,15 @@ class TestLstmBackward:
 
     def test_duplicated_batch_doubles_sum_loss_gradient(self):
         rng = np.random.default_rng(4)
-        params = init_lstm_params(2, 3, rng)
-        x1 = rng.normal(size=(1, 4, 2))
-        hs1, cache1 = lstm_forward(params, x1)
+        params = one_branch_layer(2, 3, rng)
+        x1 = rng.normal(size=(1, 1, 4, 2))
+        hs1, cache1 = run_layer(params, x1)
         upstream = rng.normal(size=hs1.shape)
-        g1 = lstm_backward(params, cache1, upstream)
+        g1 = branched_lstm_backward(params.w, params.u, cache1, upstream)
 
-        x2 = np.concatenate([x1, x1])
-        hs2, cache2 = lstm_forward(params, x2)
-        g2 = lstm_backward(params, cache2, np.concatenate([upstream, upstream]))
+        x2 = np.concatenate([x1, x1], axis=1)
+        hs2, cache2 = run_layer(params, x2)
+        g2 = branched_lstm_backward(params.w, params.u, cache2, np.concatenate([upstream, upstream], axis=1))
         assert np.allclose(g2.dw, 2.0 * g1.dw)
         assert np.allclose(g2.db, 2.0 * g1.db)
 
@@ -278,17 +289,59 @@ class TestClip:
         clip_global_norm(grads, 5.0)
         assert grads["a"].tolist() == [0.3, 0.4]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_groups_match_per_branch_arrays(self, seed):
+        # A branched model's stacked gradients clip to the same bits as the
+        # same arrays held one per branch, summed branch by branch.
+        rng = np.random.default_rng(seed)
+        n, hidden, dim, layers = (int(v) for v in rng.integers(1, [6, 130, 40, 3], endpoint=True))
+        stacked = {"head/w": rng.normal(size=(n, n * hidden)), "head/b": rng.normal(size=n)}
+        for l in reversed(range(layers)):
+            size = dim if l == 0 else hidden
+            stacked[f"layer{l}/w"] = rng.normal(size=(n, 4 * hidden, size))
+            stacked[f"layer{l}/u"] = rng.normal(size=(n, 4 * hidden, hidden))
+            stacked[f"layer{l}/b"] = rng.normal(size=(n, 4 * hidden))
+        per_branch = {"head/w": stacked["head/w"].copy(), "head/b": stacked["head/b"].copy()}
+        for l in reversed(range(layers)):
+            for b in range(n):
+                for k in "wub":
+                    per_branch[f"branch{b}/layer{l}/{k}"] = stacked[f"layer{l}/{k}"][b].copy()
+        stacks = [tuple(f"layer{l}/{k}" for k in "wub") for l in reversed(range(layers))]
+
+        norm = clip_global_norm(stacked, 1e-3, stacks)
+        assert norm == clip_global_norm(per_branch, 1e-3)
+        for name, arr in per_branch.items():
+            if name.startswith("branch"):
+                b, l, k = name.split("/")
+                got = stacked[f"{l}/{k}"][int(b[len("branch"):])]
+            else:
+                got = stacked[name]
+            assert got.tobytes() == arr.tobytes()
+
 
 class TestInit:
     def test_deterministic(self):
-        a = init_lstm_params(3, 4, np.random.default_rng(9))
-        b = init_lstm_params(3, 4, np.random.default_rng(9))
-        assert np.array_equal(a.w, b.w) and np.array_equal(a.u, b.u) and np.array_equal(a.b, b.b)
+        a = init_lstm_layers(2, 3, 4, 2, np.random.default_rng(9))
+        b = init_lstm_layers(2, 3, 4, 2, np.random.default_rng(9))
+        for la, lb in zip(a, b, strict=True):
+            assert np.array_equal(la.w, lb.w) and np.array_equal(la.u, lb.u) and np.array_equal(la.b, lb.b)
+
+    def test_draws_branch_by_branch(self):
+        # Branch-major draws (each branch's layers in turn, W before U) keep
+        # every seeded initial weight of the per-branch layout.
+        layers = init_lstm_layers(3, 5, 4, 2, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for b in range(3):
+            for l, size in enumerate((5, 4)):
+                assert layers[l].w[b].tobytes() == glorot_uniform(rng, 16, size).tobytes()
+                assert layers[l].u[b].tobytes() == glorot_uniform(rng, 16, 4).tobytes()
+        assert [layer.w.shape for layer in layers] == [(3, 16, 5), (3, 16, 4)]
 
     def test_forget_gate_bias_is_one(self):
-        params = init_lstm_params(3, 4, np.random.default_rng(0))
-        assert np.all(params.b[4:8] == 1.0)
-        assert np.all(params.b[:4] == 0.0) and np.all(params.b[8:] == 0.0)
+        params = one_branch_layer(3, 4, np.random.default_rng(0))
+        assert params.b.shape == (1, 16)
+        assert np.all(params.b[:, 4:8] == 1.0)
+        assert np.all(params.b[:, :4] == 0.0) and np.all(params.b[:, 8:] == 0.0)
 
     def test_glorot_bound(self):
         rng = np.random.default_rng(0)
@@ -297,16 +350,34 @@ class TestInit:
         assert np.all(np.abs(w) <= limit)
 
 
+def gate_activations(z):
+    """Run one LSTM step whose pre-activation is ``z`` in every gate; return gates (4, H) and the oracle's."""
+    hidden = z.size
+    w, u = np.zeros((1, 4 * hidden, 1)), np.zeros((1, 4 * hidden, hidden))
+    b = np.tile(z, 4)[None]
+    x = np.zeros((1, 1, 1, 1))
+    hs, cache = branched_lstm_forward(w, u, b, x)
+    _, (_, oracle_gates, _, _, _) = oracle_forward(w, u, b, x)
+    assert np.all(np.isfinite(hs))
+    return cache.gates[0, :, 0, 0], oracle_gates[0, 0, 0].reshape(4, hidden)
+
+
 class TestSigmoid:
+    """The core's sigmoid gates (i, f, o), computed through its fused tanh."""
+
     def test_extremes_are_stable(self):
-        z = np.array([-1e6, -50.0, 0.0, 50.0, 1e6])
-        out = sigmoid(z)
-        assert np.all(np.isfinite(out))
-        assert out[0] == 0.0 and out[-1] == 1.0 and out[2] == 0.5
+        gates, oracle = gate_activations(np.array([-1e6, -50.0, 0.0, 50.0, 1e6]))
+        assert np.all(np.isfinite(gates))
+        for out in gates[[0, 1, 3]]:
+            assert out[0] == 0.0 and out[-1] == 1.0 and out[2] == 0.5
+        assert gates.tobytes() == oracle.tobytes()
 
     def test_matches_definition(self):
         z = np.linspace(-20, 20, 101)
-        assert np.allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
+        gates, _ = gate_activations(z)
+        for out in gates[[0, 1, 3]]:
+            assert np.allclose(out, 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
+        assert np.allclose(gates[2], np.tanh(z), atol=1e-12)
 
 
 class TestCheckpoint:
