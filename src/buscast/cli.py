@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -165,16 +166,25 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     as_date = date.fromisoformat
     as_path = Path
 
+    def as_count(raw: str) -> int:
+        value = int(raw)
+        if value < 1:
+            raise ValueError("must be at least 1")
+        return value
+
     def as_clip(raw: str) -> float | None:
-        return None if raw.lower() == "none" else float(raw)
+        value = None if raw.lower() == "none" else float(raw)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError("must be a finite number above 0, or 'none'")
+        return value
 
     cfg.route_name = pick("route_name", "route_name", str, "route")
     cfg.ridership_csv = pick("ridership", "ridership_csv", as_path, None)
     cfg.weather_csv = pick("weather", "weather_csv", as_path, None)
     cfg.out_dir = pick("out", "out_dir", as_path, Path("out"))
     cfg.dataset_path = pick("dataset", "dataset", as_path, None)
-    cfg.n_stops = pick("n_stops", "n_stops", as_int, 5)
-    cfg.services_per_day = pick("services", "services_per_day", as_int, 26)
+    cfg.n_stops = pick("n_stops", "n_stops", as_count, 5)
+    cfg.services_per_day = pick("services", "services_per_day", as_count, 26)
     if "timetable" in file_values:
         cfg.timetable = timetable_from_strings(file_values["timetable"].split(","))
     if "category_aliases" in file_values:
@@ -199,11 +209,11 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         learning_rate=pick("learning_rate", "learning_rate", as_float, 0.001),
         optimizer=optimizer,
     )
-    cfg.max_epochs = pick("max_epochs", "max_epochs", as_int, 200)
+    cfg.max_epochs = pick("max_epochs", "max_epochs", as_count, 200)
     cfg.patience = pick("patience", "patience", as_int, 10)
     cfg.clip_norm = pick("clip_norm", "clip_norm", as_clip, 5.0)
     cfg.seed = pick("seed", "seed", as_int, 0)
-    cfg.eval_seeds = pick("seeds", "eval_seeds", as_int, 5)
+    cfg.eval_seeds = pick("seeds", "eval_seeds", as_count, 5)
     cfg.tune_max_resource = pick("max_resource", "tune_max_resource", as_int, 27)
     cfg.tune_eta = pick("eta", "tune_eta", as_int, 3)
     cfg.stat_start = pick("stat_start", "stat_start", as_date, None)
@@ -247,7 +257,7 @@ def _boundaries(cfg: RunConfig, dataset: RouteDataset) -> tuple[date, date]:
     """Configured split boundaries, or an 80/10/10 split over distinct dates."""
     if cfg.train_end and cfg.val_end:
         return cfg.train_end, cfg.val_end
-    dates = sorted({r.service_date for r in dataset.records})
+    dates = dataset.dates()
     if len(dates) < 3:
         raise BadBoundaries("dataset spans fewer than three dates; pass --train-end/--val-end")
     b1 = dates[max(0, int(len(dates) * 0.8) - 1)]
@@ -560,20 +570,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise MissingModel(f"no checkpoint file at {model_path}")
     lm = _load_checked(model_path, dataset)
 
+    # The trailing run of complete services over the flat (day, service) slots.
     look_back = lm.look_back
-    history = []
-    last_key = None
-    for stop in range(1, dataset.n_stops + 1):
-        matrix = encode_stop(dataset, stop, lm.spec.features, lm.forecaster.scalers)
-        seg_start, seg_end = matrix.segments[-1]
-        if seg_end - seg_start < look_back:
-            raise InsufficientHistory(
-                f"need {look_back} consecutive complete services, trailing run has {seg_end - seg_start}"
-            )
-        history.append(matrix.rows[seg_end - look_back : seg_end])
-        last_key = matrix.keys[seg_end - 1]
-
-    target = data_ingest.next_service_key(last_key, dataset.services_per_day)
+    complete = dataset.complete.ravel()
+    end = int(np.flatnonzero(complete)[-1]) + 1 if complete.any() else 0
+    gaps = np.flatnonzero(~complete[:end])
+    run = end - (int(gaps[-1]) + 1 if gaps.size else 0)
+    if run < look_back:
+        raise InsufficientHistory(f"need {look_back} consecutive complete services, trailing run has {run}")
+    # Encode only the days holding the last L services of the run.
+    services = dataset.services_per_day
+    tail = dataset.subset_by_dates(
+        *(dataset.first_date + timedelta(days=slot // services) for slot in (end - look_back, end - 1))
+    )
+    history = [
+        encode_stop(tail, stop, lm.spec.features, lm.forecaster.scalers).rows[-look_back:]
+        for stop in range(1, dataset.n_stops + 1)
+    ]
+    target = data_ingest.next_service_key(tail.complete_services[-1], services)
     predictions = predict_next_service(lm.forecaster, history, look_back, target)
     payload = {
         "predicted_date": target[0].isoformat(),
@@ -665,6 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer")
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.add_argument("--patience", type=int)
+    p.add_argument("--clip-norm", dest="clip_norm", help="float, or 'none' to disable")
     p.add_argument("--stat-start", dest="stat_start")
     p.add_argument("--stat-end", dest="stat_end")
     p.set_defaults(fn=cmd_evaluate)

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, time, timedelta
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateKey,
@@ -278,68 +280,89 @@ def next_service_key(key: ServiceKey, services_per_day: int) -> ServiceKey:
     return day + timedelta(days=1), 1
 
 
-def keys_adjacent(a: ServiceKey, b: ServiceKey, services_per_day: int) -> bool:
-    return next_service_key(a, services_per_day) == b
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RouteDataset:
-    """Immutable, chronologically sorted view of one route's observations.
+    """One route's observations as a dense (day, service, stop) grid.
 
-    Services missing any of the ``n_stops`` stop rows are flagged incomplete
-    and excluded from window construction downstream.
+    Day d of the grid is ``first_date + d``; service s and stop b sit at
+    index s-1 and b-1. ``ridership`` holds the observed counts (0 where
+    ``mask`` is unset) and ``rain``/``precipitation`` the weather joined onto
+    each service (where ``weather_mask`` is set). A service is complete when
+    every stop has a count; only complete services are encoded downstream.
+    A date range of the route is a slice of the day axis, so splits share
+    these arrays.
     """
 
     n_stops: int
     services_per_day: int
-    records: tuple[RidershipRecord, ...]
-    weather: dict[ServiceKey, ServiceWeather]
     timetable: dict[int, time]
-    complete_services: tuple[ServiceKey, ...]
-    incomplete_services: tuple[ServiceKey, ...]
+    first_date: date
+    ridership: np.ndarray  # (days, S, n) int64
+    mask: np.ndarray  # (days, S, n) bool
+    rain: np.ndarray  # (days, S) bool
+    precipitation: np.ndarray  # (days, S) float64
+    weather_mask: np.ndarray  # (days, S) bool
 
     @cached_property
-    def _rows_by_service(self) -> dict[ServiceKey, dict[int, RidershipRecord]]:
-        index: dict[ServiceKey, dict[int, RidershipRecord]] = {}
-        for record in self.records:
-            index.setdefault((record.service_date, record.service_index), {})[record.stop_index] = record
-        return index
+    def complete(self) -> np.ndarray:
+        """(days, S) bool: the services observed at every stop."""
+        return self.mask.all(-1)
+
+    @cached_property
+    def complete_services(self) -> tuple[ServiceKey, ...]:
+        return self._keys(self.complete)
+
+    @cached_property
+    def incomplete_services(self) -> tuple[ServiceKey, ...]:
+        return self._keys(self.mask.any(-1) & ~self.complete)
+
+    def _keys(self, cells: np.ndarray) -> tuple[ServiceKey, ...]:
+        """(date, service) of the set cells of a (days, S) grid, chronologically."""
+        days, services = np.nonzero(cells)
+        dates = [self.first_date + timedelta(days=d) for d in range(cells.shape[0])]
+        return tuple(zip([dates[d] for d in days.tolist()], (services + 1).tolist()))
+
+    def dates(self) -> list[date]:
+        """The dates with at least one observed count, in order."""
+        days = np.flatnonzero(self.mask.any(axis=(1, 2)))
+        return [self.first_date + timedelta(days=d) for d in days.tolist()]
 
     def date_range(self) -> tuple[date, date]:
-        return self.records[0].service_date, self.records[-1].service_date
-
-    def rows_for_service(self, key: ServiceKey) -> dict[int, RidershipRecord]:
-        return self._rows_by_service[key]
-
-    def ridership_series(self, stop_index: int) -> dict[ServiceKey, int]:
-        """All observed counts at one stop, keyed by (date, service)."""
-        return {
-            key: rows[stop_index].ridership
-            for key, rows in self._rows_by_service.items()
-            if stop_index in rows
-        }
+        dates = self.dates()
+        return dates[0], dates[-1]
 
     def subset_by_dates(self, start: date, end: date) -> "RouteDataset":
-        """Services with start <= date <= end, re-validated as a dataset."""
-        records = [r for r in self.records if start <= r.service_date <= end]
-        weather = [sw for sw in self.weather.values() if start <= sw.service_date <= end]
-        return build_route_dataset(records, weather, self.n_stops, self.services_per_day, self.timetable)
+        """The days start <= date <= end, as views of this dataset's arrays."""
+        n_days = len(self.mask)
+        lo = min(max((start - self.first_date).days, 0), n_days)
+        days = slice(lo, max(min((end - self.first_date).days + 1, n_days), lo))
+        arrays = ("ridership", "mask", "rain", "precipitation", "weather_mask")
+        subset = replace(
+            self,
+            first_date=self.first_date + timedelta(days=lo),
+            **{name: getattr(self, name)[days] for name in arrays},
+        )
+        if not subset.mask.any():
+            raise EmptyDataset("no ridership records")
+        return subset
 
     def to_payload(self) -> dict:
+        dates = [(self.first_date + timedelta(days=d)).isoformat() for d in range(len(self.mask))]
+
+        def rows(present: np.ndarray, *values: np.ndarray) -> list[list]:
+            """[date, service, (stop,) *values] of each set cell of ``present``, in index order."""
+            day, *indices = np.nonzero(present)
+            columns = [(i + 1).tolist() for i in indices] + [v[present].tolist() for v in values]
+            return [[dates[d], *row] for d, *row in zip(day.tolist(), *columns)]
+
         return {
             "format": "buscast-dataset",
             "version": 1,
             "n_stops": self.n_stops,
             "services_per_day": self.services_per_day,
             "timetable": {str(i): t.isoformat(timespec="minutes") for i, t in self.timetable.items()},
-            "records": [
-                [r.service_date.isoformat(), r.service_index, r.stop_index, r.ridership]
-                for r in self.records
-            ],
-            "weather": [
-                [sw.service_date.isoformat(), sw.service_index, int(sw.rain_flag), sw.precipitation_mm]
-                for sw in sorted(self.weather.values(), key=lambda s: (s.service_date, s.service_index))
-            ],
+            "records": rows(self.mask, self.ridership),
+            "weather": rows(self.weather_mask, self.rain.astype(np.int64), self.precipitation),
         }
 
     def save(self, path: str | Path) -> None:
@@ -355,22 +378,108 @@ class RouteDataset:
                 and payload.get("version") == 1
             ):
                 raise MalformedRow(f"{path}: not a version-1 buscast dataset cache")
-            records = [
-                RidershipRecord(date.fromisoformat(d), svc, stop, count)
-                for d, svc, stop, count in payload["records"]
-            ]
-            weather = [
-                ServiceWeather(date.fromisoformat(d), svc, bool(rain), precip)
-                for d, svc, rain, precip in payload["weather"]
-            ]
+            records, weather = _columns(payload["records"], 4), _columns(payload["weather"], 4)
             timetable = {int(i): time.fromisoformat(t) for i, t in payload["timetable"].items()}
-            return build_route_dataset(
-                records, weather, payload["n_stops"], payload["services_per_day"], timetable
-            )
+            ordinal = {iso: date.fromisoformat(iso).toordinal() for iso in {*records[0], *weather[0]}}
+            records[0], weather[0] = [ordinal[d] for d in records[0]], [ordinal[d] for d in weather[0]]
+            return _assemble(records, weather, payload["n_stops"], payload["services_per_day"], timetable)
         except KeyError as exc:
             raise MalformedRow(f"{path}: dataset cache lacks {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
+
+
+def _columns(rows: Sequence, width: int) -> list[Sequence]:
+    """The columns of ``rows``, each of which must hold ``width`` values."""
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"expected rows of {width} values")
+    return list(zip(*rows)) or [()] * width
+
+
+def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64, plus a flag on each one that is not a 64-bit integer (stored as 0)."""
+    column = np.array(values)
+    if column.dtype == np.int64:
+        return column, np.zeros(len(column), dtype=bool)
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    bad = np.array([type(v) is not int or not low <= v <= high for v in values], dtype=bool)
+    return np.array([0 if b else v for v, b in zip(values, bad)], dtype=np.int64), bad
+
+
+def _assemble(
+    records: Sequence[Sequence], weather: Sequence[Sequence], n_stops: int, services_per_day: int,
+    timetable: Mapping[int, time],
+) -> RouteDataset:
+    """Validate record and service-weather columns, given in input order, and lay them out as a grid.
+
+    ``records`` holds the (date ordinal, service, stop, count) columns and
+    ``weather`` the (date ordinal, service, rain flag, precipitation) ones.
+    The first error found is raised, in this order: no records; the first
+    repeated service weather in input order; the first bad record in (date,
+    service, stop) order, with its first failing check; the first service
+    without weather; weather for a service outside the timetable.
+    """
+    (day, service, stop, count), (w_day, w_service, rain, precipitation) = records, weather
+    if not len(day):
+        raise EmptyDataset("no ridership records")
+    w_day = np.array(w_day, dtype=np.int64)
+    w_svc, w_bad = _int_column(w_service)
+    if w_bad.any():
+        raise MalformedRow(f"non-integer service index {w_service[int(np.argmax(w_bad))]!r} in service weather")
+    order = np.lexsort((w_svc, w_day))
+    repeats = order[1:][(np.diff(w_day[order]) == 0) & (np.diff(w_svc[order]) == 0)]
+    if repeats.size:
+        i = repeats.min()
+        raise DuplicateKey(f"duplicate service weather for {(date.fromordinal(int(w_day[i])), int(w_svc[i]))}")
+
+    (svc, bad_svc), (stp, bad_stp), (cnt, bad_cnt) = (_int_column(c) for c in (service, stop, count))
+    days = np.array(day, dtype=np.int64)
+    order = np.lexsort((stp, svc, days))
+    days, svc, stp, cnt = days[order], svc[order], stp[order], cnt[order]
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[1:] = (np.diff(days) == 0) & (np.diff(svc) == 0) & (np.diff(stp) == 0)
+    checks = (
+        (bad_svc[order], lambda i: MalformedRow(f"service index {service[order[i]]!r} is not a 64-bit integer")),
+        ((svc < 1) | (svc > services_per_day),
+         lambda i: MalformedRow(f"service index {service[order[i]]} outside [1, {services_per_day}]")),
+        (bad_stp[order], lambda i: MalformedRow(f"stop index {stop[order[i]]!r} is not a 64-bit integer")),
+        ((stp < 1) | (stp > n_stops), lambda i: MalformedRow(f"stop index {stop[order[i]]} outside [1, {n_stops}]")),
+        (bad_cnt[order], lambda i: MalformedRow(f"ridership {count[order[i]]!r} is not a 64-bit integer")),
+        (cnt < 0, lambda i: MalformedRow(f"negative ridership {count[order[i]]}")),
+        (repeated, lambda i: DuplicateKey(
+            f"repeated (date, service, stop) {(date.fromordinal(int(days[i])), int(svc[i]), int(stp[i]))}")),
+    )
+    failing = np.logical_or.reduce([flags for flags, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        raise next(error(i) for flags, error in checks if flags[i])
+
+    first = int(min(days[0], w_day.min(initial=days[0])))
+    n_days = int(max(days[-1], w_day.max(initial=days[-1]))) - first + 1
+    ridership = np.zeros((n_days, services_per_day, n_stops), dtype=np.int64)
+    mask = np.zeros(ridership.shape, dtype=bool)
+    ridership[days - first, svc - 1, stp - 1] = cnt
+    mask[days - first, svc - 1, stp - 1] = True
+
+    in_grid = (w_svc >= 1) & (w_svc <= services_per_day)
+    cells = (w_day[in_grid] - first, w_svc[in_grid] - 1)
+    weather_mask, rain_grid = np.zeros((2, n_days, services_per_day), dtype=bool)
+    weather_mask[cells], rain_grid[cells] = True, np.array(rain, dtype=bool)[in_grid]
+    precipitation_grid = np.zeros((n_days, services_per_day), dtype=np.float64)
+    precipitation_grid[cells] = np.array(precipitation, dtype=np.float64)[in_grid]
+    lacking = ~weather_mask[days - first, svc - 1]
+    if lacking.any():
+        i = int(np.argmax(lacking))
+        raise MissingWeather(f"no service weather for {(date.fromordinal(int(days[i])), int(svc[i]))}")
+    if not in_grid.all():
+        raise MalformedRow(
+            f"service weather for service {int(w_svc[np.argmin(in_grid)])} outside [1, {services_per_day}]"
+        )
+
+    return RouteDataset(
+        n_stops, services_per_day, dict(timetable), date.fromordinal(first),
+        ridership, mask, rain_grid, precipitation_grid, weather_mask,
+    )
 
 
 def build_route_dataset(
@@ -380,50 +489,12 @@ def build_route_dataset(
     services_per_day: int,
     timetable: Mapping[int, time],
 ) -> RouteDataset:
-    """Assemble validated records and joined weather into a RouteDataset."""
-    records = sorted(records, key=lambda r: (r.service_date, r.service_index, r.stop_index))
-    if not records:
-        raise EmptyDataset("no ridership records")
-
-    weather: dict[ServiceKey, ServiceWeather] = {}
-    for sw in service_weather:
-        key = (sw.service_date, sw.service_index)
-        if key in weather:
-            raise DuplicateKey(f"duplicate service weather for {key}")
-        weather[key] = sw
-
-    grouped: dict[ServiceKey, set[int]] = {}
-    seen: set[tuple[date, int, int]] = set()
-    for record in records:
-        if not 1 <= record.service_index <= services_per_day:
-            raise MalformedRow(f"service index {record.service_index} outside [1, {services_per_day}]")
-        if not 1 <= record.stop_index <= n_stops:
-            raise MalformedRow(f"stop index {record.stop_index} outside [1, {n_stops}]")
-        if record.ridership < 0:
-            raise MalformedRow(f"negative ridership {record.ridership}")
-        triple = (record.service_date, record.service_index, record.stop_index)
-        if triple in seen:
-            raise DuplicateKey(f"repeated (date, service, stop) {triple}")
-        seen.add(triple)
-        grouped.setdefault((record.service_date, record.service_index), set()).add(record.stop_index)
-
-    all_stops = set(range(1, n_stops + 1))
-    complete: list[ServiceKey] = []
-    incomplete: list[ServiceKey] = []
-    for key in sorted(grouped):
-        if key not in weather:
-            raise MissingWeather(f"no service weather for {key}")
-        (complete if grouped[key] == all_stops else incomplete).append(key)
-
-    return RouteDataset(
-        n_stops=n_stops,
-        services_per_day=services_per_day,
-        records=tuple(records),
-        weather=weather,
-        timetable=dict(timetable),
-        complete_services=tuple(complete),
-        incomplete_services=tuple(incomplete),
-    )
+    """Validate records and joined weather and lay them out as a RouteDataset."""
+    rows = [(r.service_date.toordinal(), r.service_index, r.stop_index, r.ridership) for r in records]
+    weather = [
+        (w.service_date.toordinal(), w.service_index, w.rain_flag, w.precipitation_mm) for w in service_weather
+    ]
+    return _assemble(_columns(rows, 4), _columns(weather, 4), n_stops, services_per_day, timetable)
 
 
 def write_ridership_csv(records: Iterable[RidershipRecord], path: str | Path) -> None:

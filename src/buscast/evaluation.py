@@ -89,21 +89,23 @@ class CorrelationMatrix:
 def correlation_matrix(dataset: RouteDataset) -> CorrelationMatrix:
     """Pairwise Pearson correlation over ridership aligned by (date, service).
 
-    Services observed at only one stop of a pair are dropped pairwise.
+    Services observed at only one stop of a pair are dropped pairwise; the
+    rest are taken in (date, service) order.
     """
-    series = [dataset.ridership_series(stop) for stop in range(1, dataset.n_stops + 1)]
-    if len(dataset.complete_services) < 2:
+    if np.count_nonzero(dataset.complete) < 2:
         raise InsufficientData("need at least two complete services")
     n = dataset.n_stops
+    counts = dataset.ridership.reshape(-1, n)
+    observed = dataset.mask.reshape(-1, n)
     values = np.eye(n)
     for a in range(n):
         for b in range(a + 1, n):
-            common = sorted(set(series[a]) & set(series[b]))
-            if len(common) < 2:
+            common = observed[:, a] & observed[:, b]
+            if np.count_nonzero(common) < 2:
                 values[a, b] = values[b, a] = math.nan
                 continue
-            xa = np.array([series[a][k] for k in common], dtype=np.float64)
-            xb = np.array([series[b][k] for k in common], dtype=np.float64)
+            xa = counts[common, a].astype(np.float64)
+            xb = counts[common, b].astype(np.float64)
             da = xa - xa.mean()
             db = xb - xb.mean()
             denom = math.sqrt(float(da @ da) * float(db @ db))

@@ -10,8 +10,9 @@ with blocks dropped according to the :class:`FeatureSpec`. Ridership is
 min-max scaled per stop, precipitation globally; both scalers are fitted on
 the training split only. Day-of-week indices run Monday=0 .. Sunday=6, and
 the rain one-hot is [no-rain, rain]. A stop's rows are encoded column by
-column; each element is the same IEEE operation the per-row formula does,
-so the rows are bit-identical to encoding one service at a time.
+column from the dataset's (day, service, stop) arrays; each element is the
+same IEEE operation the per-row formula does, so the rows are bit-identical
+to encoding one service at a time.
 
 Rows are sliced into stride-1 look-back windows. Windows never span a gap
 left by an excluded incomplete service: a window is always L truly
@@ -35,16 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_ingest import RouteDataset, ServiceKey, keys_adjacent
-from .errors import (
-    BadArgs,
-    BadBoundaries,
-    EmptyDataset,
-    EmptyInput,
-    IndexOutOfRange,
-    MisalignedBatches,
-    TooShort,
-)
+from .data_ingest import RouteDataset, ServiceKey
+from .errors import BadArgs, BadBoundaries, EmptyDataset, EmptyInput, IndexOutOfRange, TooShort
 
 N_WEEKDAYS = 7
 N_RAIN_CLASSES = 2
@@ -93,7 +86,7 @@ class FeatureMatrix:
     stop_index: int
     rows: np.ndarray  # (T, D) float64
     targets: np.ndarray  # (T,) float64, raw ridership
-    keys: tuple[ServiceKey, ...]
+    keys: tuple[ServiceKey, ...]  # the dataset's complete services, shared by every stop
     segments: tuple[tuple[int, int], ...]  # half-open contiguous runs
 
 
@@ -101,17 +94,15 @@ class FeatureMatrix:
 class WindowedDataset:
     """Per-stop supervised windows: window i is x[starts[i] : starts[i]+L], y[i] the next row's target."""
 
-    stop_index: int
     x: np.ndarray  # (T, D) float64, the stop's encoded rows (not copied)
     starts: np.ndarray  # (N,) intp, first row of each window
     y: np.ndarray  # (N, 1) float64, raw ridership of the predicted service
-    look_back: int
     index_map: tuple[ServiceKey, ...]  # key of the predicted service per window
 
 
 @dataclass(frozen=True)
 class AlignedWindows:
-    """Window streams of all stops aligned on identical target services."""
+    """Window streams of all stops; the stops share one key axis, so every window predicts one service."""
 
     rows: np.ndarray  # (n_stops, T, D) encoded rows, the only copy
     starts: np.ndarray  # (N,) intp, first row of each window
@@ -162,57 +153,55 @@ def one_hot(index: int | np.ndarray, cardinality: int) -> np.ndarray:
 
 
 def fit_scalers(train: RouteDataset, spec: FeatureSpec) -> ScalerSet:
-    """Per-stop ridership bounds plus global precipitation bounds, train split only."""
+    """Per-stop ridership bounds plus global precipitation bounds over the observed cells, train split only.
+
+    Incomplete services count, as every observed value does.
+    """
     ridership = {
-        stop: fit_scaler([r.ridership for r in train.records if r.stop_index == stop])
+        stop: fit_scaler(train.ridership[..., stop - 1][train.mask[..., stop - 1]])
         for stop in range(1, train.n_stops + 1)
     }
     if spec.use_rain:
-        precipitation = fit_scaler([sw.precipitation_mm for sw in train.weather.values()])
+        precipitation = fit_scaler(train.precipitation[train.weather_mask])
     else:
         precipitation = ScalerParams(0.0, 0.0)
     return ScalerSet(ridership=ridership, precipitation=precipitation)
 
 
 def encode_stop(dataset: RouteDataset, stop_index: int, spec: FeatureSpec, scalers: ScalerSet) -> FeatureMatrix:
-    """Encode every complete service at one stop, tracking contiguity segments."""
-    keys = dataset.complete_services
-    if not keys:
+    """Encode every complete service at one stop, tracking contiguity segments.
+
+    Services are addressed by their flat slot ``day * S + service - 1``;
+    two complete services are adjacent when their slots differ by one.
+    """
+    services = dataset.services_per_day
+    slots = np.flatnonzero(dataset.complete)
+    if not slots.size:
         raise EmptyDataset("no complete services to encode")
-    records = [dataset.rows_for_service(key)[stop_index] for key in keys]
-    targets = np.array([r.ridership for r in records], dtype=np.float64)
-    rows = np.zeros((len(keys), spec.dimension), dtype=np.float64)
+    targets = dataset.ridership.reshape(-1, dataset.n_stops)[slots, stop_index - 1].astype(np.float64)
+    rows = np.zeros((len(slots), spec.dimension), dtype=np.float64)
     col = 0
     if spec.use_ridership:
         rows[:, 0] = scale(targets, scalers.ridership[stop_index])
         col = 1
     if spec.use_day_of_week:
-        weekday = np.array([day.weekday() for day, _ in keys], dtype=np.intp)
+        weekday = (dataset.first_date.weekday() + slots // services) % N_WEEKDAYS
         rows[:, col : col + N_WEEKDAYS] = one_hot(weekday, N_WEEKDAYS)
         col += N_WEEKDAYS
     if spec.use_service_number:
-        service = np.array([svc - 1 for _, svc in keys], dtype=np.intp)
-        rows[:, col : col + spec.services_per_day] = one_hot(service, spec.services_per_day)
+        rows[:, col : col + spec.services_per_day] = one_hot(slots % services, spec.services_per_day)
         col += spec.services_per_day
     if spec.use_rain:
-        weather = [dataset.weather[key] for key in keys]
-        rain = np.array([int(sw.rain_flag) for sw in weather], dtype=np.intp)
+        rain = dataset.rain.ravel()[slots].astype(np.intp)
         rows[:, col : col + N_RAIN_CLASSES] = one_hot(rain, N_RAIN_CLASSES)
-        precipitation = np.array([sw.precipitation_mm for sw in weather], dtype=np.float64)
-        rows[:, col + N_RAIN_CLASSES] = scale(precipitation, scalers.precipitation)
-    segments: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(keys)):
-        if not keys_adjacent(keys[i - 1], keys[i], dataset.services_per_day):
-            segments.append((start, i))
-            start = i
-    segments.append((start, len(keys)))
+        rows[:, col + N_RAIN_CLASSES] = scale(dataset.precipitation.ravel()[slots], scalers.precipitation)
+    bounds = [0, *(np.flatnonzero(np.diff(slots) != 1) + 1).tolist(), len(slots)]
     return FeatureMatrix(
         stop_index=stop_index,
         rows=rows,
         targets=targets,
-        keys=tuple(keys),
-        segments=tuple(segments),
+        keys=dataset.complete_services,
+        segments=tuple(zip(bounds[:-1], bounds[1:])),
     )
 
 
@@ -229,36 +218,10 @@ def build_windows(matrix: FeatureMatrix, look_back: int) -> WindowedDataset:
         )
     targets = starts + look_back
     return WindowedDataset(
-        stop_index=matrix.stop_index,
         x=matrix.rows,
         starts=starts,
         y=matrix.targets[targets].reshape(-1, 1),
-        look_back=look_back,
         index_map=tuple(matrix.keys[i] for i in targets),
-    )
-
-
-def align_windows(per_stop: Sequence[WindowedDataset]) -> AlignedWindows:
-    """Stack per-stop rows; all streams must target the same services from the same rows."""
-    if not per_stop:
-        raise EmptyInput("no per-stop windows to align")
-    first = per_stop[0]
-    for w in per_stop[1:]:
-        if (
-            w.index_map != first.index_map
-            or w.look_back != first.look_back
-            or w.x.shape != first.x.shape
-            or not np.array_equal(w.starts, first.starts)
-        ):
-            raise MisalignedBatches(
-                f"stop {w.stop_index} windows do not align with stop {first.stop_index}"
-            )
-    return AlignedWindows(
-        rows=np.stack([w.x for w in per_stop]),
-        starts=first.starts,
-        y=np.column_stack([w.y[:, 0] for w in per_stop]),
-        look_back=first.look_back,
-        index_map=first.index_map,
     )
 
 
@@ -323,12 +286,22 @@ class PreparedData:
 def encode_windows(
     dataset: RouteDataset, spec: FeatureSpec, scalers: ScalerSet, look_back: int
 ) -> AlignedWindows:
-    """Encode and window every stop of one dataset with pre-fitted scalers."""
+    """Encode and window every stop of one dataset with pre-fitted scalers.
+
+    The stops share the dataset's complete services, so their windows start
+    at the same rows and predict the same services.
+    """
     per_stop = [
         build_windows(encode_stop(dataset, stop, spec, scalers), look_back)
         for stop in range(1, dataset.n_stops + 1)
     ]
-    return align_windows(per_stop)
+    return AlignedWindows(
+        rows=np.stack([w.x for w in per_stop]),
+        starts=per_stop[0].starts,
+        y=np.column_stack([w.y[:, 0] for w in per_stop]),
+        look_back=look_back,
+        index_map=per_stop[0].index_map,
+    )
 
 
 def prepare_windows(

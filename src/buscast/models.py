@@ -380,14 +380,19 @@ class StatisticalBaseline:
 def fit_statistical(dataset: RouteDataset, window: tuple[date, date]) -> StatisticalBaseline:
     """Arithmetic mean per (stop, service number) over all services in the window."""
     start, end = window
-    groups: dict[tuple[int, int], list[int]] = {}
-    for record in dataset.records:
-        if start <= record.service_date <= end:
-            groups.setdefault((record.stop_index, record.service_index), []).append(record.ridership)
-    if not groups:
-        raise EmptyWindow(f"no services between {start} and {end}")
-    # fsum keeps the group means exact for integer counts
-    return StatisticalBaseline({key: math.fsum(vals) / len(vals) for key, vals in groups.items()})
+    try:
+        observed = dataset.subset_by_dates(start, end)
+    except EmptyDataset:
+        raise EmptyWindow(f"no services between {start} and {end}") from None
+    # Unobserved cells hold 0. An int64 sum over one division is the exact
+    # mean, as fsum / len would give, for sums below 2**53.
+    sums = observed.ridership.sum(axis=0)
+    counts = observed.mask.sum(axis=0)
+    means = sums / np.maximum(counts, 1)
+    services, stops = np.nonzero(counts)
+    return StatisticalBaseline(
+        {(b + 1, s + 1): float(means[s, b]) for s, b in zip(services.tolist(), stops.tolist())}
+    )
 
 
 def predict_statistical(baseline: StatisticalBaseline, stop_index: int, service_index: int) -> float:

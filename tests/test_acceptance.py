@@ -50,7 +50,7 @@ from buscast.nn_core import (
     init_lstm_layers,
     mse_loss,
 )
-from buscast.synth import SynthConfig, generate_dataset
+from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams, make_schedule
 
 REAL_DATA_DIR = os.environ.get("BUSCAST_REAL_DATA")
@@ -169,7 +169,7 @@ def test_c03_statistical_baseline_oracle():
         ds = generate_dataset(config)
         baseline = fit_statistical(ds, ds.date_range())
         groups: dict = {}
-        for record in ds.records:
+        for record in generate(config)[0]:
             groups.setdefault((record.stop_index, record.service_index), []).append(record.ridership)
         assert set(baseline.table) == set(groups)
         for key, values in groups.items():
@@ -191,9 +191,11 @@ def test_c03_statistical_baseline_oracle():
 
 def test_c04a_correlation_oracle_synthetic():
     started = time.time()
-    ds = generate_dataset(SynthConfig(n_days=25, seed=23, latent_weight=0.2))
-    matrix = correlation_matrix(ds)
-    series = [ds.ridership_series(stop) for stop in range(1, 6)]
+    config = SynthConfig(n_days=25, seed=23, latent_weight=0.2)
+    matrix = correlation_matrix(generate_dataset(config))
+    series = [{} for _ in range(5)]
+    for r in generate(config)[0]:
+        series[r.stop_index - 1][(r.service_date, r.service_index)] = r.ridership
     for a in range(5):
         for b in range(a + 1, 5):
             keys = sorted(set(series[a]) & set(series[b]))
@@ -277,7 +279,7 @@ def test_c07_learning_capability():
 def test_c08_ablation_ordering():
     started = time.time()
     ds = generate_dataset(SynthConfig(n_days=120, seed=17))
-    dates = sorted({r.service_date for r in ds.records})
+    dates = ds.dates()
     boundaries = (dates[int(len(dates) * 0.8) - 1], dates[int(len(dates) * 0.9) - 1])
     hp = HyperParams(128, 26, 16, 1, 0.01, OptimizerKind.ADAM)
     fitted = fit_methods(

@@ -1,11 +1,23 @@
 import json
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from buscast.cli import main, parse_config_file
+from buscast.cli import _merge, build_parser, main, parse_config_file
+from buscast.data_ingest import (
+    DEFAULT_TIMETABLE,
+    join_weather_to_services,
+    next_service_key,
+    parse_ridership_csv,
+    parse_weather_csv,
+    write_ridership_csv,
+)
+from buscast.models import load_model, predict_next_service
 from buscast.nn_core import save_params
+
+from window_oracle import RecordRoute, oracle_stop_rows, oracle_trailing_run
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +210,21 @@ class TestEvaluate:
         report = json.loads(out)
         assert set(report["methods"]) == {"a", "statistical"}
 
+    def test_clip_norm_flag_equals_config_key(self, workspace, capsys, tmp_path):
+        config = tmp_path / "clip.cfg"
+        config.write_text("clip_norm = 1e-3\n")
+        reports = []
+        for extra in (["--clip-norm", "1e-3"], ["--config", str(config)], []):
+            out = tmp_path / f"report{len(reports)}"
+            code, _, _ = run_cli(
+                capsys, "evaluate", "--dataset", str(workspace["dataset"]), "--methods", "d",
+                "--retrain", "--seeds", "1", "--out", str(out), *TINY_HP, *extra,
+            )
+            assert code == 0
+            reports.append((out / "rmse_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[0] != reports[2]  # clipping at 1e-3 fires, so the flag took effect
+
     def test_csv_format(self, workspace, capsys):
         code, out, _ = run_cli(
             capsys, "evaluate", "--dataset", str(workspace["dataset"]),
@@ -309,6 +336,65 @@ class TestPredict:
         )
         assert code == 1
         assert "13" in err
+
+
+DAY7 = date(2021, 10, 7)
+
+
+@pytest.mark.usefixtures("trained")
+class TestPredictTail:
+    """predict encodes only the days of its last L services; its output equals a full encode of the records."""
+
+    ROUTES = {
+        "whole": lambda r: False,
+        # the last day holds one service, and it misses stop 3: the run ends the day before
+        "last-service-incomplete": lambda r: r.service_date == DAY7 and (r.service_index > 1 or r.stop_index == 3),
+        # a gap in the encoded last day, before the last 13 services
+        "gap-before-the-last-l": lambda r: (r.service_date, r.service_index, r.stop_index) == (DAY7, 5, 2),
+        # a gap inside the last 13 services: the trailing run is 6 long
+        "gap-inside-the-last-l": lambda r: (r.service_date, r.service_index, r.stop_index) == (DAY7, 20, 4),
+    }
+
+    def _route(self, tmp_path, drop):
+        """A 7-day route without the records ``drop`` selects: its cache, and the lists ingest read."""
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", "--days", "7", "--seed", "5", "--out", str(data)]) == 0
+        records = [r for r in parse_ridership_csv(data / "ridership.csv") if not drop(r)]
+        write_ridership_csv(records, data / "ridership.csv")
+        assert main(["ingest", "--ridership", str(data / "ridership.csv"),
+                     "--weather", str(data / "weather.csv"), "--out", str(out)]) == 0
+        weather = join_weather_to_services(records, parse_weather_csv(data / "weather.csv"), DEFAULT_TIMETABLE)
+        return out / "dataset.json", RecordRoute(records, weather, 5, 26)
+
+    @staticmethod
+    def _expected(lists, checkpoint):
+        """(stdout, error line) of predict, from every complete service encoded one at a time."""
+        lm = load_model(checkpoint)
+        run, look_back = oracle_trailing_run(lists), lm.look_back
+        if len(run) < look_back:
+            return "", f"error [predict]: need {look_back} consecutive complete services, trailing run has {len(run)}"
+        scalers = lm.forecaster.scalers
+        history = [oracle_stop_rows(lists, stop, lm.spec.features, scalers)[-look_back:] for stop in range(1, 6)]
+        target = next_service_key(run[-1], 26)
+        predictions = predict_next_service(lm.forecaster, history, look_back, target)
+        payload = {
+            "predicted_date": target[0].isoformat(),
+            "predicted_service_index": target[1],
+            "predictions": {str(stop): predictions[stop - 1] for stop in range(1, 6)},
+        }
+        return json.dumps(payload, sort_keys=True) + "\n", ""
+
+    @pytest.mark.parametrize("method", ["d", "perstop"])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_output_equals_full_encode(self, workspace, capsys, tmp_path, route, method):
+        cache, lists = self._route(tmp_path, self.ROUTES[route])
+        checkpoint = workspace["out"] / f"{method}.ckpt"
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "predict", "--dataset", str(cache), "--model", str(checkpoint))
+        expected_out, expected_err = self._expected(lists, checkpoint)
+        assert (out, err.strip()) == (expected_out, expected_err)
+        assert code == (1 if expected_err else 0)
+        assert bool(expected_err) == (route == "gap-inside-the-last-l")
 
 
 class TestTune:
@@ -449,6 +535,48 @@ class TestBadInputs:
         )
         assert code == 1
         assert_one_error_line(err, "evaluate", "'records'")
+
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["evaluate", "--methods", "a", "--retrain", "--seeds", "0"], "--seeds"),
+            (["evaluate", "--methods", "a", "--retrain", "--seeds", "-2"], "--seeds"),
+            (["train", "--method", "a", "--max-epochs", "0"], "--max-epochs"),
+            (["train", "--method", "a", "--clip-norm", "-1"], "--clip-norm"),
+            (["train", "--method", "a", "--clip-norm", "0"], "--clip-norm"),
+            (["train", "--method", "a", "--clip-norm", "nan"], "--clip-norm"),
+            (["tune", "--method", "a", "--clip-norm", "inf"], "--clip-norm"),
+            (["synth", "--n-stops", "0"], "--n-stops"),
+            (["synth", "--services", "0"], "--services"),
+        ],
+        ids=["seeds-0", "seeds-negative", "max-epochs-0", "clip-negative", "clip-0", "clip-nan", "clip-inf",
+             "n-stops-0", "services-0"],
+    )
+    def test_out_of_range_flag(self, workspace, capsys, tmp_path, argv, fragment):
+        dataset = [] if argv[0] == "synth" else ["--dataset", str(workspace["dataset"])]
+        code, _, err = run_cli(capsys, *argv, *dataset, "--out", str(tmp_path))
+        assert code == 1
+        assert_one_error_line(err, argv[0], fragment)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "line, key", [("eval_seeds = 0", "'eval_seeds'"), ("max_epochs = -1", "'max_epochs'"),
+                      ("clip_norm = nan", "'clip_norm'"), ("n_stops = 0", "'n_stops'")],
+    )
+    def test_out_of_range_config_key(self, workspace, capsys, tmp_path, line, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        code, _, err = run_cli(
+            capsys, "evaluate", "--dataset", str(workspace["dataset"]), "--methods", "a", "--retrain",
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert_one_error_line(err, "evaluate", "config key " + key)
+
+    def test_clip_norm_none_disables_clipping(self):
+        args = build_parser().parse_args(["train", "--clip-norm", "none"])
+        assert _merge(args).clip_norm is None
 
 
 class TestCheckpointMatchesDataset:

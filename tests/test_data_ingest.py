@@ -1,5 +1,8 @@
-from datetime import date, time
+import dataclasses
+import json
+from datetime import date, time, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,8 +225,9 @@ class TestBuildRouteDataset:
     def test_chronological_sort_total(self):
         records, weather, config = _complete_inputs()
         ds = build_route_dataset(reversed(records), weather, 5, 26, config.timetable)
-        keys = [(r.service_date, r.service_index, r.stop_index) for r in ds.records]
-        assert keys == sorted(keys)
+        keys = [tuple(row[:3]) for row in ds.to_payload()["records"]]
+        assert keys == sorted(keys) and len(keys) == len(records)
+        assert ds.to_payload() == build_route_dataset(records, weather, 5, 26, config.timetable).to_payload()
 
     def test_every_service_needs_weather(self):
         records, weather, config = _complete_inputs()
@@ -235,14 +239,38 @@ class TestRoundTrips:
     def test_dataset_cache_round_trip(self, tmp_path, small_dataset):
         path = tmp_path / "dataset.json"
         small_dataset.save(path)
-        assert RouteDataset.load(path) == small_dataset
+        assert RouteDataset.load(path).to_payload() == small_dataset.to_payload()
+
+    def test_cache_rewrite_is_byte_identical(self, tmp_path):
+        records, weather, config = _complete_inputs()
+        dropped = (date(2021, 10, 2), 7, 3)
+        records = [r for r in records if (r.service_date, r.service_index, r.stop_index) != dropped]
+        cache, rewritten = tmp_path / "dataset.json", tmp_path / "again.json"
+        build_route_dataset(records, weather, 5, 26, config.timetable).save(cache)
+        loaded = RouteDataset.load(cache)
+        assert loaded.incomplete_services == (dropped[:2],)
+        loaded.save(rewritten)
+        assert rewritten.read_bytes() == cache.read_bytes()
+
+    def test_date_slice_equals_a_dataset_of_its_records(self):
+        records, weather, config = _complete_inputs(n_days=3)
+        day = date(2021, 10, 2)
+        sliced = build_route_dataset(records, weather, 5, 26, config.timetable).subset_by_dates(day, day)
+        rebuilt = build_route_dataset(
+            [r for r in records if r.service_date == day],
+            [sw for sw in weather if sw.service_date == day],
+            5, 26, config.timetable,
+        )
+        assert sliced.to_payload() == rebuilt.to_payload()
+        assert sliced.date_range() == (day, day)
 
     def test_csv_round_trip(self, tmp_path):
         records, weather, config = _complete_inputs()
         r_path = tmp_path / "r.csv"
         write_ridership_csv(records, r_path)
         ds = build_route_dataset(records, weather, 5, 26, config.timetable)
-        assert build_route_dataset(parse_ridership_csv(r_path), weather, 5, 26, config.timetable) == ds
+        parsed = build_route_dataset(parse_ridership_csv(r_path), weather, 5, 26, config.timetable)
+        assert parsed.to_payload() == ds.to_payload()
 
     @given(
         rows=st.lists(
@@ -270,9 +298,11 @@ def test_synthetic_rain_counts_match_binarization(small_dataset):
     config = SynthConfig(n_days=30, seed=11)
     records, observations = generate(config)
     wet = {(o.obs_date, o.obs_hour) for o in observations if o.category in data_ingest.RAIN_CATEGORIES}
-    for sw in small_dataset.weather.values():
-        hour = config.timetable[sw.service_index].hour
-        assert sw.rain_flag == ((sw.service_date, hour) in wet)
+    days, services = np.nonzero(small_dataset.weather_mask)
+    assert len(days) == 30 * 26
+    for d, s in zip(days.tolist(), services.tolist()):
+        key = (small_dataset.first_date + timedelta(days=d), config.timetable[s + 1].hour)
+        assert small_dataset.rain[d, s] == (key in wet)
 
 
 def test_next_service_key_wraps_days():
@@ -284,3 +314,75 @@ def test_full_year_observation_count():
     # 18 hourly rows per day (6:00 through 23:00) over 365 days
     _, observations = generate(SynthConfig(n_days=365, seed=0))
     assert len(observations) == 6570
+
+
+def _cache_payload(records, weather, timetable) -> dict:
+    """A version-1 dataset cache holding exactly these records and weather rows."""
+    return {
+        "format": "buscast-dataset", "version": 1, "n_stops": 5, "services_per_day": 26,
+        "timetable": {str(i): t.isoformat(timespec="minutes") for i, t in timetable.items()},
+        "records": [[r.service_date.isoformat(), r.service_index, r.stop_index, r.ridership] for r in records],
+        "weather": [[sw.service_date.isoformat(), sw.service_index, int(sw.rain_flag), sw.precipitation_mm]
+                    for sw in weather],
+    }
+
+
+def _with_count(records, i, value):
+    return records[:i] + [dataclasses.replace(records[i], ridership=value)] + records[i + 1:]
+
+
+D1, D2 = date(2021, 10, 1), date(2021, 10, 2)
+
+#: name -> (edit of the valid 2-day inputs, error class, message). Every class and
+#: message is the record-by-record validation's, except the non-integer and
+#: oversized counts, which it accepted (and a cache then truncated or overflowed).
+BAD_INPUTS = {
+    "empty": (lambda r, w: ([], []), EmptyDataset, "no ridership records"),
+    "service-out-of-range": (
+        lambda r, w: (r + [RidershipRecord(D2, 27, 1, 1)], w), MalformedRow, "service index 27 outside [1, 26]"),
+    "stop-out-of-range": (
+        lambda r, w: (r + [RidershipRecord(D1, 3, 6, 1)], w), MalformedRow, "stop index 6 outside [1, 5]"),
+    "negative-count": (lambda r, w: (_with_count(r, 7, -2), w), MalformedRow, "negative ridership -2"),
+    "duplicate-triple": (
+        lambda r, w: (r + [dataclasses.replace(r[60], ridership=9)], w), DuplicateKey,
+        "repeated (date, service, stop) (datetime.date(2021, 10, 1), 13, 1)"),
+    "duplicate-service-weather": (
+        lambda r, w: (r, w + [w[30], w[5]]), DuplicateKey,
+        "duplicate service weather for (datetime.date(2021, 10, 2), 5)"),
+    "missing-weather": (
+        lambda r, w: (r, w[:20] + w[21:]), MissingWeather,
+        "no service weather for (datetime.date(2021, 10, 1), 21)"),
+    "non-integer-count": (
+        lambda r, w: (_with_count(r, 9, 1.5), w), MalformedRow, "ridership 1.5 is not a 64-bit integer"),
+    "int-beyond-int64": (
+        lambda r, w: (_with_count(r, 9, 2**63), w), MalformedRow,
+        "ridership 9223372036854775808 is not a 64-bit integer"),
+    # precedence: the first bad record in (date, service, stop) order, its first failing check
+    "first-bad-in-sorted-order": (
+        lambda r, w: ([RidershipRecord(D2, 1, 6, 1)] + r + [RidershipRecord(D1, 27, 1, 1)], w),
+        MalformedRow, "service index 27 outside [1, 26]"),
+    "first-failing-check": (
+        lambda r, w: (r + [RidershipRecord(D1, 27, 9, -1)], w), MalformedRow, "service index 27 outside [1, 26]"),
+    # precedence: repeated weather before bad records, bad records before missing weather
+    "weather-before-records": (
+        lambda r, w: (r + [RidershipRecord(D1, 27, 1, 1)], w + [w[0]]), DuplicateKey,
+        "duplicate service weather for (datetime.date(2021, 10, 1), 1)"),
+    "records-before-missing-weather": (
+        lambda r, w: (_with_count(r, len(r) - 1, -1), w[1:]), MalformedRow, "negative ridership -1"),
+}
+
+
+@pytest.mark.parametrize("source", ["build", "load"])
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_error_and_precedence(case, source, tmp_path):
+    edit, error, message = BAD_INPUTS[case]
+    records, weather, config = _complete_inputs()
+    records, weather = edit(records, weather)
+    with pytest.raises(error) as caught:
+        if source == "build":
+            build_route_dataset(records, weather, 5, 26, config.timetable)
+        else:
+            cache = tmp_path / "dataset.json"
+            cache.write_text(json.dumps(_cache_payload(records, weather, config.timetable)))
+            RouteDataset.load(cache)
+    assert str(caught.value) == message

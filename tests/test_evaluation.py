@@ -32,7 +32,7 @@ from buscast.evaluation import (
 )
 from buscast.features import prepare_windows
 from buscast.models import MethodId, TrainSchedule, fit_statistical, method_spec
-from buscast.synth import SynthConfig, generate_dataset
+from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 from buscast.nn_core import OptimizerKind
 
@@ -103,7 +103,9 @@ class TestCorrelation:
 
     def test_matches_two_pass_oracle(self, small_dataset):
         matrix = correlation_matrix(small_dataset)
-        series = [small_dataset.ridership_series(stop) for stop in range(1, 6)]
+        series = [{} for _ in range(5)]
+        for r in generate(SynthConfig(n_days=30, seed=11))[0]:  # the records of small_dataset
+            series[r.stop_index - 1][(r.service_date, r.service_index)] = r.ridership
         for a in range(5):
             for b in range(a + 1, 5):
                 common = sorted(set(series[a]) & set(series[b]))

@@ -11,13 +11,11 @@ from buscast.errors import (
     BadBoundaries,
     EmptyInput,
     IndexOutOfRange,
-    MisalignedBatches,
     TooShort,
 )
 from buscast.features import (
     FeatureSpec,
     ScalerParams,
-    align_windows,
     build_windows,
     chronological_split,
     encode_stop,
@@ -205,7 +203,9 @@ class TestWindows:
         # y[0] is the raw ridership of the 27th service
         key_27 = ds.complete_services[26]
         assert windows.index_map[0] == key_27
-        assert windows.y[0, 0] == float(ds.rows_for_service(key_27)[1].ridership)
+        records, _ = generate(SynthConfig(n_days=3, n_stops=2, services_per_day=26, seed=2))
+        (record,) = [r for r in records if (r.service_date, r.service_index, r.stop_index) == (*key_27, 1)]
+        assert windows.y[0, 0] == float(record.ridership)
 
     def test_window_consistency(self):
         ds = _contig_dataset(4)
@@ -240,26 +240,19 @@ class TestWindows:
         with pytest.raises(BadArgs):
             build_windows(encode_stop(ds, 1, spec, scalers), 0)
 
-    def test_misaligned_streams_rejected(self):
-        ds = _contig_dataset(3)
-        spec = method_spec(MethodId.A, 26).features
-        scalers = fit_scalers(ds, spec)
-        w1 = build_windows(encode_stop(ds, 1, spec, scalers), 26)
-        w2 = build_windows(encode_stop(ds, 2, spec, scalers), 27)
-        with pytest.raises(MisalignedBatches):
-            align_windows([w1, w2])
-
 
 class TestSplit:
     def test_partition(self, small_dataset):
         b = (date(2021, 10, 20), date(2021, 10, 25))
         train, val, test = chronological_split(small_dataset, b)
-        total = len(train.records) + len(val.records) + len(test.records)
-        assert total == len(small_dataset.records)
-        assert max(r.service_date for r in train.records) <= b[0]
-        assert min(r.service_date for r in val.records) > b[0]
-        assert max(r.service_date for r in val.records) <= b[1]
-        assert min(r.service_date for r in test.records) > b[1]
+        total = train.mask.sum() + val.mask.sum() + test.mask.sum()
+        assert total == small_dataset.mask.sum() == 30 * 26 * 5
+        assert max(train.dates()) <= b[0]
+        assert min(val.dates()) > b[0]
+        assert max(val.dates()) <= b[1]
+        assert min(test.dates()) > b[1]
+        # the splits are views of the dataset's arrays
+        assert all(np.shares_memory(split.ridership, small_dataset.ridership) for split in (train, val, test))
 
     def test_boundaries_must_increase(self, small_dataset):
         with pytest.raises(BadBoundaries):

@@ -1,4 +1,4 @@
-"""The rows-plus-starts window layout against the per-window oracle, byte for byte."""
+"""The columnar encoding and rows-plus-starts windows against the record-list oracle, byte for byte."""
 
 import dataclasses
 from datetime import date
@@ -21,7 +21,7 @@ from buscast.nn_core import OptimizerKind
 from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 
-from window_oracle import oracle_aligned, oracle_batch, oracle_stop_rows
+from window_oracle import RecordRoute, oracle_aligned, oracle_batch, oracle_scalers, oracle_stop_rows
 
 NN_METHODS = [m for m in MethodId if m is not MethodId.STATISTICAL]
 BOUNDS = (date(2021, 10, 8), date(2021, 10, 10))
@@ -32,7 +32,7 @@ LOOK_BACK = 26
 def _route(rain_probability):
     """12 days, 3 stops; stop 2 is constant (ridership scaler span 0) and one
     training service misses a stop row (a gap). Without rain the precipitation
-    scaler's span is 0 too."""
+    scaler's span is 0 too. Returns the dataset and the lists it was built from."""
     config = SynthConfig(n_days=12, n_stops=3, seed=17, rain_probability=rain_probability)
     records, observations = generate(config)
     records = [
@@ -41,21 +41,32 @@ def _route(rain_probability):
         if not (r.service_date == DROPPED[0] and r.service_index == DROPPED[1] and r.stop_index == 1)
     ]
     weather = join_weather_to_services(records, observations, config.timetable)
-    return build_route_dataset(records, weather, 3, 26, config.timetable)
+    return build_route_dataset(records, weather, 3, 26, config.timetable), RecordRoute(records, weather, 3, 26)
 
 
 @pytest.fixture(scope="module", params=[0.0, 0.5], ids=["dry", "rain"])
 def route(request):
-    ds = _route(request.param)
+    ds, lists = _route(request.param)
     assert ds.incomplete_services == (DROPPED,)
-    return ds
+    return ds, lists
+
+
+def _split_lists(lists):
+    """The oracle's own chronological split of the record lists."""
+    lo, hi = min(r.service_date for r in lists.records), max(r.service_date for r in lists.records)
+    one_day = BOUNDS[0].resolution
+    return (
+        lists.between(lo, BOUNDS[0]),
+        lists.between(BOUNDS[0] + one_day, BOUNDS[1]),
+        lists.between(BOUNDS[1] + one_day, hi),
+    )
 
 
 def _splits(route, method):
+    ds, lists = route
     spec = method_spec(method, 26).features
-    prepared = prepare_windows(route, BOUNDS, spec, LOOK_BACK)
-    split_ds = chronological_split(route, BOUNDS)
-    return spec, prepared, zip(split_ds, (prepared.train, prepared.val, prepared.test))
+    prepared = prepare_windows(ds, BOUNDS, spec, LOOK_BACK)
+    return spec, prepared, zip(_split_lists(lists), (prepared.train, prepared.val, prepared.test))
 
 
 def _index_sets(n):
@@ -71,23 +82,28 @@ def _assert_same_bytes(got, expected):
 
 @pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
 def test_rows_match_per_service_encoding(route, method):
+    ds, lists = route
     spec = method_spec(method, 26).features
-    train_ds, _, _ = chronological_split(route, BOUNDS)
+    train_ds, _, _ = chronological_split(ds, BOUNDS)
     scalers = fit_scalers(train_ds, spec)
+    # The training split holds the incomplete service, whose counts the scalers include.
+    assert scalers == oracle_scalers(_split_lists(lists)[0], spec.use_rain)
     assert scalers.ridership[2].min == scalers.ridership[2].max
-    for stop in range(1, route.n_stops + 1):
-        matrix = encode_stop(route, stop, spec, scalers)
-        _assert_same_bytes(matrix.rows, oracle_stop_rows(route, stop, spec, scalers))
+    for stop in range(1, ds.n_stops + 1):
+        matrix = encode_stop(ds, stop, spec, scalers)
+        assert matrix.keys == tuple(lists.complete_services())
+        _assert_same_bytes(matrix.rows, oracle_stop_rows(lists, stop, spec, scalers))
 
 
 @pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
 def test_batches_match_stacked_windows(route, method):
     spec, prepared, splits = _splits(route, method)
-    for split_ds, aligned in splits:
-        xs, y, index_map = oracle_aligned(split_ds, spec, prepared.scalers, LOOK_BACK)
+    for split_lists, aligned in splits:
+        xs, y, index_map, starts = oracle_aligned(split_lists, spec, prepared.scalers, LOOK_BACK)
         assert aligned.y.tobytes() == y.tobytes() and aligned.y.shape == y.shape
+        assert aligned.starts.tobytes() == starts.astype(np.intp).tobytes()
         assert aligned.index_map == index_map
-        assert aligned.n_samples == xs[0].shape[0] and aligned.n_stops == route.n_stops
+        assert aligned.n_samples == xs[0].shape[0] and aligned.n_stops == route[0].n_stops
         for idx in _index_sets(aligned.n_samples):
             _assert_same_bytes(aligned.batch(idx), oracle_batch(xs, idx))
 
@@ -96,7 +112,7 @@ def test_batches_match_stacked_windows(route, method):
 def test_views_share_rows_and_match_oracle(route, method):
     spec, prepared, splits = _splits(route, method)
     train_ds, train = next(iter(splits))
-    xs, y, index_map = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
+    xs, y, index_map, _ = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
 
     keep = set(index_map[3::2])
     sub = subset_by_targets(train, keep)
@@ -108,7 +124,7 @@ def test_views_share_rows_and_match_oracle(route, method):
     for idx in _index_sets(sub.n_samples):
         _assert_same_bytes(sub.batch(idx), oracle_batch(sub_xs, idx))
 
-    for b in range(route.n_stops):
+    for b in range(route[0].n_stops):
         view = stop_view(train, slice(b, b + 1))
         assert np.shares_memory(view.rows, train.rows)
         assert view.y.tobytes() == y[:, b : b + 1].tobytes()
@@ -122,7 +138,7 @@ def test_views_share_rows_and_match_oracle(route, method):
 def test_forward_on_a_batch_equals_forward_on_stacked_windows(route):
     spec, prepared, splits = _splits(route, MethodId.D)
     train_ds, train = next(iter(splits))
-    xs, _, _ = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
+    xs, _, _, _ = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
     model = build_model(method_spec(MethodId.D, 26), HyperParams(16, 26, 8, 2, 0.01, OptimizerKind.ADAM), 3, seed=2)
     idx = np.random.default_rng(0).permutation(train.n_samples)[:32]
     expected = model.forward([x[idx] for x in xs])

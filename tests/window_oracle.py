@@ -1,16 +1,66 @@
 """Reference feature encoding and windowing, kept as an exact-equality oracle.
 
-This is the straightforward implementation the rows-plus-starts layout in
-``buscast.features`` replaced: one feature row per service, built block by
-block with scalar scaling and one-hot vectors, and every look-back window
-copied out of the rows and stacked. The optimized path must reproduce its
-rows, windows and targets bit for bit.
+This is the straightforward implementation the columnar dataset and the
+rows-plus-starts layout in ``buscast.features`` replaced: it works on the
+parsed ``RidershipRecord`` and ``ServiceWeather`` lists, never on a
+``RouteDataset``. It groups the records by (date, service), builds one
+feature row per complete service block by block with scalar scaling and
+one-hot vectors, and copies every look-back window out of the rows. The
+optimized path must reproduce its rows, windows and targets bit for bit.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from buscast.data_ingest import keys_adjacent
-from buscast.features import N_RAIN_CLASSES, N_WEEKDAYS, AlignedWindows, scale
+from buscast.data_ingest import next_service_key
+from buscast.features import N_RAIN_CLASSES, N_WEEKDAYS, AlignedWindows, ScalerParams, ScalerSet, scale
+
+
+@dataclass(frozen=True)
+class RecordRoute:
+    """One route as its record and service-weather lists."""
+
+    records: list
+    weather: list
+    n_stops: int
+    services_per_day: int
+
+    def between(self, start, end) -> "RecordRoute":
+        """The records and weather dated start..end inclusive."""
+        return RecordRoute(
+            [r for r in self.records if start <= r.service_date <= end],
+            [sw for sw in self.weather if start <= sw.service_date <= end],
+            self.n_stops,
+            self.services_per_day,
+        )
+
+    def by_service(self) -> dict:
+        """{(date, service): {stop: record}}."""
+        index: dict = {}
+        for r in self.records:
+            index.setdefault((r.service_date, r.service_index), {})[r.stop_index] = r
+        return index
+
+    def complete_services(self) -> list:
+        """Sorted keys of the services with a record at every stop."""
+        return sorted(key for key, stops in self.by_service().items() if len(stops) == self.n_stops)
+
+    def weather_of(self) -> dict:
+        return {(sw.service_date, sw.service_index): sw for sw in self.weather}
+
+
+def oracle_scalers(route: RecordRoute, use_rain: bool) -> ScalerSet:
+    """Per-stop min and max of every record, and of every service's precipitation."""
+    ridership = {}
+    for stop in range(1, route.n_stops + 1):
+        counts = [r.ridership for r in route.records if r.stop_index == stop]
+        ridership[stop] = ScalerParams(float(min(counts)), float(max(counts)))
+    precipitation = [sw.precipitation_mm for sw in route.weather]
+    return ScalerSet(
+        ridership=ridership,
+        precipitation=ScalerParams(min(precipitation), max(precipitation)) if use_rain else ScalerParams(0.0, 0.0),
+    )
 
 
 def one_hot(index: int, cardinality: int) -> np.ndarray:
@@ -36,41 +86,56 @@ def encode_service(record, service_weather, spec, scalers) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def oracle_stop_rows(dataset, stop_index, spec, scalers) -> np.ndarray:
-    """(T, D) rows of one stop, encoded one service at a time."""
-    keys = dataset.complete_services
+def oracle_stop_rows(route: RecordRoute, stop_index, spec, scalers) -> np.ndarray:
+    """(T, D) rows of one stop, encoded one complete service at a time."""
+    keys = route.complete_services()
+    by_service, weather = route.by_service(), route.weather_of()
     rows = np.empty((len(keys), spec.dimension), dtype=np.float64)
     for i, key in enumerate(keys):
-        record = dataset.rows_for_service(key)[stop_index]
-        rows[i] = encode_service(record, dataset.weather[key], spec, scalers)
+        rows[i] = encode_service(by_service[key][stop_index], weather[key], spec, scalers)
     return rows
 
 
-def oracle_stop_windows(dataset, stop_index, spec, scalers, look_back):
-    """(x (N, L, D), y (N, 1), index_map) with every window copied out and stacked."""
-    keys = dataset.complete_services
-    rows = oracle_stop_rows(dataset, stop_index, spec, scalers)
-    xs, ys, index_map = [], [], []
+def oracle_trailing_run(route: RecordRoute) -> list:
+    """Keys of the last run of complete services that follow each other in the timetable."""
+    keys = route.complete_services()
+    run = [keys[-1]]
+    for key in reversed(keys[:-1]):
+        if next_service_key(key, route.services_per_day) != run[0]:
+            break
+        run.insert(0, key)
+    return run
+
+
+def oracle_stop_windows(route: RecordRoute, stop_index, spec, scalers, look_back):
+    """(x (N, L, D), y (N, 1), index_map, starts) with every window copied out and stacked."""
+    keys = route.complete_services()
+    by_service = route.by_service()
+    rows = oracle_stop_rows(route, stop_index, spec, scalers)
+    xs, ys, index_map, starts = [], [], [], []
     run_start = 0
     for i in range(1, len(keys) + 1):
-        if i < len(keys) and keys_adjacent(keys[i - 1], keys[i], dataset.services_per_day):
+        if i < len(keys) and next_service_key(keys[i - 1], route.services_per_day) == keys[i]:
             continue
         for j in range(run_start, i - look_back):
-            record = dataset.rows_for_service(keys[j + look_back])[stop_index]
+            record = by_service[keys[j + look_back]][stop_index]
             xs.append(rows[j : j + look_back])
             ys.append(float(record.ridership))
             index_map.append(keys[j + look_back])
+            starts.append(j)
         run_start = i
-    return np.stack(xs).astype(np.float64), np.array(ys).reshape(-1, 1), tuple(index_map)
+    return np.stack(xs).astype(np.float64), np.array(ys).reshape(-1, 1), tuple(index_map), np.array(starts)
 
 
-def oracle_aligned(dataset, spec, scalers, look_back):
-    """(xs, y, index_map): one (N, L, D) window tensor per stop and (N, n_stops) targets."""
+def oracle_aligned(route: RecordRoute, spec, scalers, look_back):
+    """(xs, y, index_map, starts): one (N, L, D) window tensor per stop, (N, n_stops) targets,
+    and the first row of each window."""
     per_stop = [
-        oracle_stop_windows(dataset, stop, spec, scalers, look_back)
-        for stop in range(1, dataset.n_stops + 1)
+        oracle_stop_windows(route, stop, spec, scalers, look_back)
+        for stop in range(1, route.n_stops + 1)
     ]
-    return tuple(x for x, _, _ in per_stop), np.column_stack([y[:, 0] for _, y, _ in per_stop]), per_stop[0][2]
+    xs = tuple(x for x, _, _, _ in per_stop)
+    return xs, np.column_stack([y[:, 0] for _, y, _, _ in per_stop]), per_stop[0][2], per_stop[0][3]
 
 
 def oracle_batch(xs, idx) -> np.ndarray:
