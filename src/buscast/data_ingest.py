@@ -399,10 +399,11 @@ def _columns(rows: Sequence, width: int) -> list[Sequence]:
 def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as int64, plus a flag on each one that is not a 64-bit integer (stored as 0)."""
     column = np.array(values)
-    if column.dtype == np.int64:
-        return column, np.zeros(len(column), dtype=bool)
+    if column.dtype.kind == "i":
+        return column.astype(np.int64, copy=False), np.zeros(len(column), dtype=bool)
     low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    bad = np.array([type(v) is not int or not low <= v <= high for v in values], dtype=bool)
+    integral = (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and low <= v <= high)
+    bad = np.array([not integral(v) for v in values], dtype=bool)
     return np.array([0 if b else v for v, b in zip(values, bad)], dtype=np.int64), bad
 
 

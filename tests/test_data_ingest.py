@@ -229,6 +229,15 @@ class TestBuildRouteDataset:
         assert keys == sorted(keys) and len(keys) == len(records)
         assert ds.to_payload() == build_route_dataset(records, weather, 5, 26, config.timetable).to_payload()
 
+    def test_numpy_integers_are_integers(self):
+        records, weather, config = _complete_inputs()
+        as_numpy = [
+            dataclasses.replace(r, service_index=np.int32(r.service_index), ridership=np.uint16(r.ridership))
+            for r in records
+        ]
+        ds = build_route_dataset(as_numpy, weather, 5, 26, config.timetable)
+        assert ds.to_payload() == build_route_dataset(records, weather, 5, 26, config.timetable).to_payload()
+
     def test_every_service_needs_weather(self):
         records, weather, config = _complete_inputs()
         with pytest.raises(MissingWeather):

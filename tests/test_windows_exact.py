@@ -1,7 +1,7 @@
 """The columnar encoding and rows-plus-starts windows against the record-list oracle, byte for byte."""
 
 import dataclasses
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -54,7 +54,7 @@ def route(request):
 def _split_lists(lists):
     """The oracle's own chronological split of the record lists."""
     lo, hi = min(r.service_date for r in lists.records), max(r.service_date for r in lists.records)
-    one_day = BOUNDS[0].resolution
+    one_day = timedelta(days=1)
     return (
         lists.between(lo, BOUNDS[0]),
         lists.between(BOUNDS[0] + one_day, BOUNDS[1]),
@@ -111,8 +111,8 @@ def test_batches_match_stacked_windows(route, method):
 @pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
 def test_views_share_rows_and_match_oracle(route, method):
     spec, prepared, splits = _splits(route, method)
-    train_ds, train = next(iter(splits))
-    xs, y, index_map, _ = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
+    train_lists, train = next(iter(splits))
+    xs, y, index_map, _ = oracle_aligned(train_lists, spec, prepared.scalers, LOOK_BACK)
 
     keep = set(index_map[3::2])
     sub = subset_by_targets(train, keep)
@@ -137,8 +137,8 @@ def test_views_share_rows_and_match_oracle(route, method):
 
 def test_forward_on_a_batch_equals_forward_on_stacked_windows(route):
     spec, prepared, splits = _splits(route, MethodId.D)
-    train_ds, train = next(iter(splits))
-    xs, _, _, _ = oracle_aligned(train_ds, spec, prepared.scalers, LOOK_BACK)
+    train_lists, train = next(iter(splits))
+    xs, _, _, _ = oracle_aligned(train_lists, spec, prepared.scalers, LOOK_BACK)
     model = build_model(method_spec(MethodId.D, 26), HyperParams(16, 26, 8, 2, 0.01, OptimizerKind.ADAM), 3, seed=2)
     idx = np.random.default_rng(0).permutation(train.n_samples)[:32]
     expected = model.forward([x[idx] for x in xs])
