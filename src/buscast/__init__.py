@@ -8,12 +8,13 @@ hyperparameter search, and an RMSE evaluation harness.
 """
 
 from .data_ingest import (
+    RidershipColumns,
     RidershipRecord,
     RouteDataset,
-    ServiceWeather,
+    ServiceWeatherColumns,
     WeatherCategory,
+    WeatherColumns,
     WeatherObservation,
-    binarize_weather,
     build_route_dataset,
     join_weather_to_services,
     parse_ridership_csv,

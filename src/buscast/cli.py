@@ -336,13 +336,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     cache_path = cfg.out_dir / "dataset.json"
     dataset.save(cache_path)
 
-    rain_hours = sum(1 for o in observations if data_ingest.binarize_weather(o)[0])
+    rain_hours = int(observations.rain.sum())
+    observed, complete = dataset.mask.any(-1), dataset.complete
     lo, hi = dataset.date_range()
     summary = {
         "records": len(records),
-        "services": len(dataset.complete_services) + len(dataset.incomplete_services),
-        "complete_services": len(dataset.complete_services),
-        "incomplete_services": len(dataset.incomplete_services),
+        "services": int(observed.sum()),
+        "complete_services": int(complete.sum()),
+        "incomplete_services": int((observed & ~complete).sum()),
         "date_range": [lo.isoformat(), hi.isoformat()],
         "hourly_observations": len(observations),
         "rain_observations": rain_hours,

@@ -10,13 +10,15 @@ departure.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import date, time, timedelta
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -94,14 +96,76 @@ class WeatherObservation:
     precipitation_mm: float
 
 
-@dataclass(frozen=True)
-class ServiceWeather:
-    """Weather joined onto one service: binarized rain flag plus raw precipitation."""
+#: The six categories in code order: a weather column holds a category as its index here.
+CATEGORIES = tuple(WeatherCategory)
+_IS_RAIN = np.array([category in RAIN_CATEGORIES for category in CATEGORIES])
 
-    service_date: date
-    service_index: int
-    rain_flag: bool
-    precipitation_mm: float
+
+class _Columns:
+    """Equal-length columns of one table, in row order; ``len`` is the row count."""
+
+    day: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+
+@dataclass(frozen=True, eq=False)
+class RidershipColumns(_Columns):
+    """Ridership rows as (date ordinal, service, stop, count) columns, in input order.
+
+    A parsed CSV gives int64 arrays, or an object array for an integer column
+    holding a value beyond 64 bits. Any sequences are accepted:
+    ``build_route_dataset`` validates the values.
+    """
+
+    day: Sequence[int]
+    service: Sequence[int]
+    stop: Sequence[int]
+    count: Sequence[int]
+
+    @classmethod
+    def from_records(cls, records: Iterable[RidershipRecord]) -> "RidershipColumns":
+        rows = [(r.service_date.toordinal(), r.service_index, r.stop_index, r.ridership) for r in records]
+        return cls(*_columns(rows, 4))
+
+
+@dataclass(frozen=True, eq=False)
+class WeatherColumns(_Columns):
+    """Hourly observations as columns in input order: int64 date ordinals, hours and
+    category codes (indices into ``CATEGORIES``), and float64 precipitation."""
+
+    day: np.ndarray
+    hour: np.ndarray
+    category: np.ndarray
+    precipitation: np.ndarray
+
+    @property
+    def rain(self) -> np.ndarray:
+        """The binarized weather: whether each observation's category counts as rain."""
+        return _IS_RAIN[self.category]
+
+    @classmethod
+    def from_observations(cls, observations: Iterable[WeatherObservation]) -> "WeatherColumns":
+        code = {category: i for i, category in enumerate(CATEGORIES)}
+        rows = [(o.obs_date.toordinal(), o.obs_hour, code[o.category], o.precipitation_mm) for o in observations]
+        day, hour, category, precipitation = _columns(rows, 4)
+        return cls(*(np.array(c, dtype=np.int64) for c in (day, hour, category)),
+                   np.array(precipitation, dtype=np.float64))
+
+
+@dataclass(frozen=True, eq=False)
+class ServiceWeatherColumns(_Columns):
+    """Weather joined onto services, as (date ordinal, service, rain flag, precipitation) columns.
+
+    The join gives int64, bool and float64 arrays; any sequences are
+    accepted, and ``build_route_dataset`` validates the values.
+    """
+
+    day: Sequence[int]
+    service: Sequence[int]
+    rain: Sequence[bool]
+    precipitation: Sequence[float]
 
 
 #: Default timetable: 26 services, 30-minute headway in the morning and
@@ -151,53 +215,145 @@ def _parse_float(raw: str, where: str, minimum: float | None = None) -> float:
         raise MalformedRow(f"{where}: bad number {raw!r}") from exc
     if minimum is not None and value < minimum:
         raise MalformedRow(f"{where}: value {value} below minimum {minimum}")
+    if not math.isfinite(value):
+        raise MalformedRow(f"{where}: non-finite number {raw!r}")
     return value
+
+
+class _CsvTable:
+    """A CSV file's header and non-blank rows, with the columns of its full-length rows.
+
+    Rows are validated in file order, so only the rows before the first one
+    with fewer fields than the header are split into columns: a failure among
+    them comes first, and that short row comes next.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        try:
+            self.text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        reader = csv.reader(io.StringIO(self.text, newline=""))
+        try:
+            self.header = next(reader, [])
+            self.rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
+        self.position = {name: i for i, name in enumerate(self.header)}
+        short = np.flatnonzero(np.fromiter(map(len, self.rows), np.intp, len(self.rows)) < len(self.header))
+        self.n_full = int(short[0]) if short.size else len(self.rows)
+        self.columns = list(zip(*self.rows[: self.n_full])) or [()] * len(self.header)
+
+    def column(self, name: str) -> Sequence[str]:
+        return self.columns[self.position[name]]
+
+    def first_failure(self, failing: np.ndarray, names: Sequence[str]) -> tuple[str, list[str]] | None:
+        """``path:line`` and the ``names`` fields of the first row that is short or ``failing``, if any.
+
+        A short row raises here. The line, the physical one on which the row
+        ends, is found by reading the text again.
+        """
+        if failing.any():
+            i = int(np.argmax(failing))
+        elif self.n_full < len(self.rows):
+            i = self.n_full
+        else:
+            return None
+        reader = csv.reader(io.StringIO(self.text, newline=""))
+        rows = (row for row in reader if row)
+        for _ in range(i + 2):  # the header, then rows 0..i
+            row = next(rows)
+        where = f"{self.path}:{reader.line_num}"
+        if len(row) < len(self.header):
+            raise MalformedRow(f"{where}: expected {len(self.header)} fields, got {len(row)}")
+        return where, [row[self.position[name]] for name in names]
+
+
+def _parse_column(raws: Sequence[str], parse: Callable[[str], object], dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Parse each distinct string of a column once, stripped of surrounding whitespace.
+
+    Returns the values as ``dtype`` (as objects where an integer does not fit
+    it), and a flag on each value that ``parse`` rejected (stored as 0).
+    """
+    distinct = list(set(raws))
+    values, bad = [], []
+    for raw in distinct:
+        try:
+            values.append(parse(raw.strip()))
+            bad.append(False)
+        except (KeyError, ValueError):
+            values.append(0)
+            bad.append(True)
+    try:
+        parsed = np.array(values, dtype=dtype)
+    except OverflowError:
+        parsed = np.array(values, dtype=object)
+    rows = np.fromiter(map({raw: i for i, raw in enumerate(distinct)}.__getitem__, raws), np.intp, len(raws))
+    return parsed[rows], np.array(bad, dtype=bool)[rows]
+
+
+def _date_ordinal(text: str) -> int:
+    return date.fromisoformat(text).toordinal()
+
+
+def _repeated(*keys: np.ndarray) -> np.ndarray:
+    """Flags the rows whose key columns all equal those of an earlier row."""
+    keys = tuple(np.unique(k, return_inverse=True)[1] if k.dtype == object else k for k in keys)
+    order = np.lexsort(keys[::-1])
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:][np.logical_and.reduce([np.diff(k[order]) == 0 for k in keys])]] = True
+    return repeated
 
 
 def parse_ridership_csv(
     path: str | Path,
     columns: Mapping[str, str] | None = None,
-) -> list[RidershipRecord]:
-    """Parse and validate a ridership CSV, preserving row order.
+) -> RidershipColumns:
+    """Parse and validate a ridership CSV into columns, preserving row order.
 
     ``columns`` remaps the canonical field names (date, service_index,
-    stop_index, ridership) to the file's actual header names.
+    stop_index, ridership) to the file's actual header names. The first bad
+    row in file order raises, with its first failing check: too few fields,
+    the date, the service index (at least 1), the stop index (at least 1),
+    the count (at least 0), then a (date, service, stop) seen before.
     """
     path = Path(path)
     colmap = dict(DEFAULT_RIDERSHIP_COLUMNS)
     if columns:
         colmap.update(columns)
+    table = _CsvTable(path)
+    for canonical, actual in colmap.items():
+        if actual not in table.position:
+            raise MissingColumn(f"{path}: column {actual!r} (for {canonical}) not in header")
 
-    records: list[RidershipRecord] = []
-    seen: set[tuple[date, int, int]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for canonical, actual in colmap.items():
-            if actual not in header:
-                raise MissingColumn(f"{path}: column {actual!r} (for {canonical}) not in header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            service_date = _parse_date(row[colmap["date"]], where)
-            service_index = _parse_int(row[colmap["service_index"]], where, minimum=1)
-            stop_index = _parse_int(row[colmap["stop_index"]], where, minimum=1)
-            ridership = _parse_int(row[colmap["ridership"]], where, minimum=0)
-            key = (service_date, service_index, stop_index)
-            if key in seen:
-                raise DuplicateKey(f"{where}: repeated (date, service, stop) {key}")
-            seen.add(key)
-            records.append(RidershipRecord(service_date, service_index, stop_index, ridership))
-    return records
+    day, bad_day = _parse_column(table.column(colmap["date"]), _date_ordinal, np.int64)
+    service, bad_service = _parse_column(table.column(colmap["service_index"]), int, np.int64)
+    stop, bad_stop = _parse_column(table.column(colmap["stop_index"]), int, np.int64)
+    count, bad_count = _parse_column(table.column(colmap["ridership"]), int, np.int64)
+    failing = bad_day | bad_service | (service < 1) | bad_stop | (stop < 1) | bad_count | (count < 0)
+    failure = table.first_failure(failing | _repeated(day, service, stop), [colmap[name] for name in DEFAULT_RIDERSHIP_COLUMNS])
+    if failure:
+        where, row = failure
+        key = (
+            _parse_date(row[0], where), _parse_int(row[1], where, minimum=1), _parse_int(row[2], where, minimum=1),
+        )
+        _parse_int(row[3], where, minimum=0)
+        raise DuplicateKey(f"{where}: repeated (date, service, stop) {key}")
+    return RidershipColumns(day, service, stop, count)
 
 
 def parse_weather_csv(
     path: str | Path,
     aliases: Mapping[str, str] | None = None,
-) -> list[WeatherObservation]:
-    """Parse hourly weather rows; hours outside [6, 23] are rejected.
+) -> WeatherColumns:
+    """Parse hourly weather rows into columns; hours outside [6, 23] are rejected.
 
     ``aliases`` maps source-language labels to one of the six canonical
-    category names (e.g. ``{"ame": "Rain"}``).
+    category names (e.g. ``{"ame": "Rain"}``). The first bad row in file
+    order raises, with its first failing check: too few fields, the date, the
+    hour, its range, the category, the precipitation (a finite number, at
+    least 0), then a (date, hour) seen before.
     """
     path = Path(path)
     lookup = dict(DEFAULT_CATEGORY_ALIASES)
@@ -207,69 +363,74 @@ def parse_weather_csv(
             if target is None:
                 raise UnknownCategory(f"alias {alias!r} maps to unknown category {canonical!r}")
             lookup[_normalize_label(alias)] = target
+    table = _CsvTable(path)
+    for name in WEATHER_COLUMNS:
+        if name not in table.position:
+            raise MissingColumn(f"{path}: column {name!r} not in header")
 
-    observations: list[WeatherObservation] = []
-    seen: set[tuple[date, int]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for name in WEATHER_COLUMNS:
-            if name not in header:
-                raise MissingColumn(f"{path}: column {name!r} not in header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            obs_date = _parse_date(row["date"], where)
-            obs_hour = _parse_int(row["hour"], where)
-            if not MIN_OBS_HOUR <= obs_hour <= MAX_OBS_HOUR:
-                raise HourOutOfRange(f"{where}: hour {obs_hour} outside [{MIN_OBS_HOUR}, {MAX_OBS_HOUR}]")
-            category = lookup.get(_normalize_label(row["category"]))
-            if category is None:
-                raise UnknownCategory(f"{where}: unknown weather category {row['category']!r}")
-            precipitation = _parse_float(row["precipitation_mm"], where, minimum=0.0)
-            key = (obs_date, obs_hour)
-            if key in seen:
-                raise DuplicateKey(f"{where}: repeated (date, hour) {key}")
-            seen.add(key)
-            observations.append(WeatherObservation(obs_date, obs_hour, category, precipitation))
-    return observations
-
-
-def binarize_weather(obs: WeatherObservation) -> tuple[bool, float]:
-    """Collapse the six categories into (rain_flag, precipitation)."""
-    return obs.category in RAIN_CATEGORIES, obs.precipitation_mm
+    code = {label: CATEGORIES.index(category) for label, category in lookup.items()}
+    day, bad_day = _parse_column(table.column("date"), _date_ordinal, np.int64)
+    hour, bad_hour = _parse_column(table.column("hour"), int, np.int64)
+    category, bad_category = _parse_column(table.column("category"), lambda s: code[_normalize_label(s)], np.int64)
+    precipitation, bad_precipitation = _parse_column(table.column("precipitation_mm"), float, np.float64)
+    failing = (
+        bad_day | bad_hour | (hour < MIN_OBS_HOUR) | (hour > MAX_OBS_HOUR) | bad_category | bad_precipitation
+        | ~(precipitation >= 0.0) | np.isinf(precipitation)
+    )
+    failure = table.first_failure(failing | _repeated(day, hour), WEATHER_COLUMNS)
+    if failure:
+        where, row = failure
+        key = (_parse_date(row[0], where), _parse_int(row[1], where))
+        if not MIN_OBS_HOUR <= key[1] <= MAX_OBS_HOUR:
+            raise HourOutOfRange(f"{where}: hour {key[1]} outside [{MIN_OBS_HOUR}, {MAX_OBS_HOUR}]")
+        if _normalize_label(row[2]) not in lookup:
+            raise UnknownCategory(f"{where}: unknown weather category {row[2]!r}")
+        _parse_float(row[3], where, minimum=0.0)
+        raise DuplicateKey(f"{where}: repeated (date, hour) {key}")
+    return WeatherColumns(day, hour, category, precipitation)
 
 
 def join_weather_to_services(
-    records: Iterable[RidershipRecord],
-    weather: Iterable[WeatherObservation],
+    records: RidershipColumns,
+    weather: WeatherColumns,
     timetable: Mapping[int, time],
-) -> list[ServiceWeather]:
+) -> ServiceWeatherColumns:
     """Attach to each (date, service) the observation at its scheduled departure hour.
 
     The hour is the floor of the departure time from the first stop; the
     route fits within an hour, so one observation covers the whole run.
+    The first error found is raised: the first repeated (date, hour)
+    observation in input order, then the first record in input order whose
+    service has no departure time or whose departure hour no observation.
+    Returns one row per (date, service) of the records, in that order.
     """
-    by_hour: dict[tuple[date, int], WeatherObservation] = {}
-    for obs in weather:
-        key = (obs.obs_date, obs.obs_hour)
-        if key in by_hour:
-            raise DuplicateKey(f"duplicate weather observation for {key}")
-        by_hour[key] = obs
+    w_day, w_hour = weather.day, weather.hour
+    repeats = np.flatnonzero(_repeated(w_day, w_hour))
+    if repeats.size:
+        i = int(repeats[0])
+        raise DuplicateKey(f"duplicate weather observation for {(date.fromordinal(int(w_day[i])), int(w_hour[i]))}")
+    first = int(w_day.min()) if len(weather) else 0
+    observation = np.full((int(w_day.max()) - first + 1 if len(weather) else 0, 24), -1, dtype=np.intp)
+    on_grid = (w_hour >= 0) & (w_hour < 24)
+    observation[w_day[on_grid] - first, w_hour[on_grid]] = np.flatnonzero(on_grid)
 
-    services: dict[ServiceKey, ServiceWeather] = {}
-    for record in records:
-        key = (record.service_date, record.service_index)
-        if key in services:
-            continue
-        departure = timetable.get(record.service_index)
-        if departure is None:
-            raise MissingTimetableEntry(f"service {record.service_index} has no departure time")
-        obs = by_hour.get((record.service_date, departure.hour))
-        if obs is None:
-            raise MissingWeather(f"no weather for {record.service_date} hour {departure.hour}")
-        rain_flag, precipitation = binarize_weather(obs)
-        services[key] = ServiceWeather(record.service_date, record.service_index, rain_flag, precipitation)
-    return sorted(services.values(), key=lambda sw: (sw.service_date, sw.service_index))
+    day = np.asarray(records.day, dtype=np.int64) - first
+    service, bad_service = _int_column(records.service)
+    services, slot = np.unique(service, return_inverse=True)
+    hour = np.array([timetable[s].hour if s in timetable else -1 for s in services.tolist()], dtype=np.intp)[slot]
+    hour[bad_service] = -1
+    found = (hour >= 0) & (day >= 0) & (day < len(observation))
+    obs = np.full(len(day), -1, dtype=np.intp)
+    obs[found] = observation[day[found], hour[found]]
+    if (obs < 0).any():
+        i = int(np.argmax(obs < 0))
+        if hour[i] < 0:
+            raise MissingTimetableEntry(f"service {records.service[i]} has no departure time")
+        raise MissingWeather(f"no weather for {date.fromordinal(int(day[i]) + first)} hour {int(hour[i])}")
+
+    _, pick = np.unique(day * len(services) + slot, return_index=True)
+    obs = obs[pick]
+    return ServiceWeatherColumns(day[pick] + first, service[pick], weather.rain[obs], weather.precipitation[obs])
 
 
 def next_service_key(key: ServiceKey, services_per_day: int) -> ServiceKey:
@@ -353,7 +514,7 @@ class RouteDataset:
             """[date, service, (stop,) *values] of each set cell of ``present``, in index order."""
             day, *indices = np.nonzero(present)
             columns = [(i + 1).tolist() for i in indices] + [v[present].tolist() for v in values]
-            return [[dates[d], *row] for d, *row in zip(day.tolist(), *columns)]
+            return list(map(list, zip(map(dates.__getitem__, day.tolist()), *columns)))
 
         return {
             "format": "buscast-dataset",
@@ -382,7 +543,10 @@ class RouteDataset:
             timetable = {int(i): time.fromisoformat(t) for i, t in payload["timetable"].items()}
             ordinal = {iso: date.fromisoformat(iso).toordinal() for iso in {*records[0], *weather[0]}}
             records[0], weather[0] = [ordinal[d] for d in records[0]], [ordinal[d] for d in weather[0]]
-            return _assemble(records, weather, payload["n_stops"], payload["services_per_day"], timetable)
+            return _assemble(
+                RidershipColumns(*records), ServiceWeatherColumns(*weather),
+                payload["n_stops"], payload["services_per_day"], timetable,
+            )
         except KeyError as exc:
             raise MalformedRow(f"{path}: dataset cache lacks {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
@@ -398,7 +562,7 @@ def _columns(rows: Sequence, width: int) -> list[Sequence]:
 
 def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as int64, plus a flag on each one that is not a 64-bit integer (stored as 0)."""
-    column = np.array(values)
+    column = np.asarray(values)
     if column.dtype.kind == "i":
         return column.astype(np.int64, copy=False), np.zeros(len(column), dtype=bool)
     low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -408,19 +572,19 @@ def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble(
-    records: Sequence[Sequence], weather: Sequence[Sequence], n_stops: int, services_per_day: int,
+    records: RidershipColumns, weather: ServiceWeatherColumns, n_stops: int, services_per_day: int,
     timetable: Mapping[int, time],
 ) -> RouteDataset:
     """Validate record and service-weather columns, given in input order, and lay them out as a grid.
 
-    ``records`` holds the (date ordinal, service, stop, count) columns and
-    ``weather`` the (date ordinal, service, rain flag, precipitation) ones.
     The first error found is raised, in this order: no records; the first
     repeated service weather in input order; the first bad record in (date,
     service, stop) order, with its first failing check; the first service
-    without weather; weather for a service outside the timetable.
+    without weather; weather for a service outside the timetable; the first
+    negative or non-finite precipitation in input order.
     """
-    (day, service, stop, count), (w_day, w_service, rain, precipitation) = records, weather
+    day, service, stop, count = records.day, records.service, records.stop, records.count
+    w_day, w_service, rain = weather.day, weather.service, weather.rain
     if not len(day):
         raise EmptyDataset("no ridership records")
     w_day = np.array(w_day, dtype=np.int64)
@@ -466,8 +630,9 @@ def _assemble(
     cells = (w_day[in_grid] - first, w_svc[in_grid] - 1)
     weather_mask, rain_grid = np.zeros((2, n_days, services_per_day), dtype=bool)
     weather_mask[cells], rain_grid[cells] = True, np.array(rain, dtype=bool)[in_grid]
+    precipitation = np.array(weather.precipitation, dtype=np.float64)
     precipitation_grid = np.zeros((n_days, services_per_day), dtype=np.float64)
-    precipitation_grid[cells] = np.array(precipitation, dtype=np.float64)[in_grid]
+    precipitation_grid[cells] = precipitation[in_grid]
     lacking = ~weather_mask[days - first, svc - 1]
     if lacking.any():
         i = int(np.argmax(lacking))
@@ -475,6 +640,13 @@ def _assemble(
     if not in_grid.all():
         raise MalformedRow(
             f"service weather for service {int(w_svc[np.argmin(in_grid)])} outside [1, {services_per_day}]"
+        )
+    invalid = ~(precipitation >= 0.0) | np.isinf(precipitation)
+    if invalid.any():
+        i = int(np.argmax(invalid))
+        raise MalformedRow(
+            f"precipitation {float(precipitation[i])} for {(date.fromordinal(int(w_day[i])), int(w_svc[i]))} "
+            "is negative or not finite"
         )
 
     return RouteDataset(
@@ -484,18 +656,14 @@ def _assemble(
 
 
 def build_route_dataset(
-    records: Iterable[RidershipRecord],
-    service_weather: Iterable[ServiceWeather],
+    records: RidershipColumns,
+    service_weather: ServiceWeatherColumns,
     n_stops: int,
     services_per_day: int,
     timetable: Mapping[int, time],
 ) -> RouteDataset:
     """Validate records and joined weather and lay them out as a RouteDataset."""
-    rows = [(r.service_date.toordinal(), r.service_index, r.stop_index, r.ridership) for r in records]
-    weather = [
-        (w.service_date.toordinal(), w.service_index, w.rain_flag, w.precipitation_mm) for w in service_weather
-    ]
-    return _assemble(_columns(rows, 4), _columns(weather, 4), n_stops, services_per_day, timetable)
+    return _assemble(records, service_weather, n_stops, services_per_day, timetable)
 
 
 def write_ridership_csv(records: Iterable[RidershipRecord], path: str | Path) -> None:

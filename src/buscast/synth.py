@@ -18,9 +18,11 @@ import numpy as np
 
 from .data_ingest import (
     DEFAULT_TIMETABLE,
+    RidershipColumns,
     RidershipRecord,
     RouteDataset,
     WeatherCategory,
+    WeatherColumns,
     WeatherObservation,
     build_route_dataset,
     join_weather_to_services,
@@ -119,9 +121,11 @@ def generate(config: SynthConfig) -> tuple[list[RidershipRecord], list[WeatherOb
 def generate_dataset(config: SynthConfig) -> RouteDataset:
     """Generate and assemble in one step (used heavily by tests)."""
     records, observations = generate(config)
-    service_weather = join_weather_to_services(records, observations, config.timetable)
+    ridership = RidershipColumns.from_records(records)
+    weather = WeatherColumns.from_observations(observations)
+    service_weather = join_weather_to_services(ridership, weather, config.timetable)
     return build_route_dataset(
-        records, service_weather, config.n_stops, config.services_per_day, config.timetable
+        ridership, service_weather, config.n_stops, config.services_per_day, config.timetable
     )
 
 

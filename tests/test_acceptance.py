@@ -20,7 +20,7 @@ from buscast.cli import main
 from buscast.data_ingest import (
     RAIN_CATEGORIES,
     WeatherCategory,
-    binarize_weather,
+    WeatherColumns,
     WeatherObservation,
     build_route_dataset,
     join_weather_to_services,
@@ -223,12 +223,12 @@ def test_c04b_correlation_real_dataset():
 def test_c05_weather_binarization_totals():
     started = time.time()
     wet = {cat for cat in WeatherCategory
-           if binarize_weather(WeatherObservation(date(2021, 10, 1), 7, cat, 0.0))[0]}
+           if WeatherColumns.from_observations([WeatherObservation(date(2021, 10, 1), 7, cat, 0.0)]).rain[0]}
     assert wet == set(RAIN_CATEGORIES)
     assert len(wet) == 4 and len(set(WeatherCategory) - wet) == 2
     if REAL_DATA_DIR:
         _, observations = _load_real_dataset()
-        flags = [binarize_weather(o)[0] for o in observations]
+        flags = observations.rain.tolist()
         assert sum(flags) == 618
         assert len(flags) - sum(flags) == 5580
         _report("C5 weather totals 618 rain / 5580 no rain", started)

@@ -8,6 +8,7 @@ import pytest
 from buscast.cli import _merge, build_parser, main, parse_config_file
 from buscast.data_ingest import (
     DEFAULT_TIMETABLE,
+    RidershipColumns,
     join_weather_to_services,
     next_service_key,
     parse_ridership_csv,
@@ -17,6 +18,7 @@ from buscast.data_ingest import (
 from buscast.models import load_model, predict_next_service
 from buscast.nn_core import save_params
 
+from ingest_oracle import records_of, service_weather_of
 from window_oracle import RecordRoute, oracle_stop_rows, oracle_trailing_run
 
 
@@ -106,6 +108,37 @@ class TestIngest:
         )
         assert code == 1
         assert "ingest" in err
+
+    @pytest.mark.parametrize(
+        "csv_name, edit, fragments",
+        [
+            ("ridership.csv", lambda text: text + "2021-10-01,1\n", ["ridership.csv:", "expected 4 fields, got 2"]),
+            ("weather.csv", lambda text: text + "2021-10-01,7,Sunny\n", ["weather.csv:", "expected 4 fields, got 3"]),
+            ("weather.csv", lambda text: text.replace(",0.0\n", ",nan\n", 1),
+             ["weather.csv:", "non-finite number 'nan'"]),
+        ],
+        ids=["short-ridership-row", "short-weather-row", "nan-precipitation"],
+    )
+    def test_bad_row_is_one_error_line(self, workspace, capsys, tmp_path, csv_name, edit, fragments):
+        for name in ("ridership.csv", "weather.csv"):
+            text = (workspace["data"] / name).read_text()
+            (tmp_path / name).write_text(edit(text) if name == csv_name else text)
+        code, _, err = run_cli(
+            capsys, "ingest", "--ridership", str(tmp_path / "ridership.csv"),
+            "--weather", str(tmp_path / "weather.csv"), "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert_one_error_line(err, "ingest", *fragments)
+
+    def test_non_utf8_csv_is_one_error_line(self, workspace, capsys, tmp_path):
+        r = tmp_path / "r.csv"
+        r.write_bytes(b"\xff\xfe" + (workspace["data"] / "ridership.csv").read_bytes())
+        code, _, err = run_cli(
+            capsys, "ingest", "--ridership", str(r), "--weather", str(workspace["data"] / "weather.csv"),
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "ingest", str(r), "not UTF-8")
 
 
 class TestCorrelate:
@@ -359,12 +392,14 @@ class TestPredictTail:
         """A 7-day route without the records ``drop`` selects: its cache, and the lists ingest read."""
         data, out = tmp_path / "data", tmp_path / "out"
         assert main(["synth", "--days", "7", "--seed", "5", "--out", str(data)]) == 0
-        records = [r for r in parse_ridership_csv(data / "ridership.csv") if not drop(r)]
+        records = [r for r in records_of(parse_ridership_csv(data / "ridership.csv")) if not drop(r)]
         write_ridership_csv(records, data / "ridership.csv")
         assert main(["ingest", "--ridership", str(data / "ridership.csv"),
                      "--weather", str(data / "weather.csv"), "--out", str(out)]) == 0
-        weather = join_weather_to_services(records, parse_weather_csv(data / "weather.csv"), DEFAULT_TIMETABLE)
-        return out / "dataset.json", RecordRoute(records, weather, 5, 26)
+        weather = join_weather_to_services(
+            RidershipColumns.from_records(records), parse_weather_csv(data / "weather.csv"), DEFAULT_TIMETABLE
+        )
+        return out / "dataset.json", RecordRoute(records, service_weather_of(weather), 5, 26)
 
     @staticmethod
     def _expected(lists, checkpoint):
@@ -524,6 +559,18 @@ class TestBadInputs:
         )
         assert code == 1
         assert_one_error_line(err, "train", "'batch_size'", "'abc'")
+
+    @pytest.mark.parametrize("precipitation, shown", [(-5.0, "-5.0"), (float("inf"), "inf")])
+    def test_dataset_cache_with_bad_precipitation(self, workspace, capsys, tmp_path, precipitation, shown):
+        payload = json.loads(workspace["dataset"].read_text())
+        payload["weather"][3][3] = precipitation
+        cache = tmp_path / "dataset.json"
+        cache.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "evaluate", "--dataset", str(cache), "--methods", "statistical", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert_one_error_line(err, "evaluate", f"precipitation {shown} for", "negative or not finite")
 
     def test_dataset_cache_without_records(self, workspace, capsys, tmp_path):
         payload = json.loads(workspace["dataset"].read_text())

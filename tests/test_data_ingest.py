@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from buscast import data_ingest
 from buscast.data_ingest import (
     DEFAULT_TIMETABLE,
+    RidershipColumns,
     RidershipRecord,
     RouteDataset,
-    ServiceWeather,
     WeatherCategory,
+    WeatherColumns,
     WeatherObservation,
-    binarize_weather,
     build_route_dataset,
-    join_weather_to_services,
     parse_ridership_csv,
     parse_weather_csv,
     write_ridership_csv,
@@ -34,6 +33,8 @@ from buscast.errors import (
 )
 from buscast.synth import SynthConfig, generate
 
+from ingest_oracle import ServiceWeather, observations_of, records_of, service_weather_columns, service_weather_of
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -44,7 +45,7 @@ def _write(tmp_path, name, text):
 class TestParseRidership:
     def test_direct_field_mapping(self, tmp_path):
         path = _write(tmp_path, "r.csv", "date,service_index,stop_index,ridership\n2021-10-01,1,1,3\n")
-        records = parse_ridership_csv(path)
+        records = records_of(parse_ridership_csv(path))
         assert records == [RidershipRecord(date(2021, 10, 1), 1, 1, 3)]
 
     def test_negative_count_rejected(self, tmp_path):
@@ -74,9 +75,9 @@ class TestParseRidership:
 
     def test_column_remapping(self, tmp_path):
         path = _write(tmp_path, "r.csv", "day,svc,stop,count\n2021-10-01,2,3,7\n")
-        records = parse_ridership_csv(
+        records = records_of(parse_ridership_csv(
             path, {"date": "day", "service_index": "svc", "stop_index": "stop", "ridership": "count"}
-        )
+        ))
         assert records == [RidershipRecord(date(2021, 10, 1), 2, 3, 7)]
 
     def test_row_order_preserved(self, tmp_path):
@@ -86,14 +87,66 @@ class TestParseRidership:
             "date,service_index,stop_index,ridership\n"
             "2021-10-02,1,1,5\n2021-10-01,1,1,3\n",
         )
-        records = parse_ridership_csv(path)
+        records = records_of(parse_ridership_csv(path))
         assert [r.service_date.day for r in records] == [2, 1]
+
+
+    def test_short_row_is_malformed(self, tmp_path):
+        path = _write(tmp_path, "r.csv", "date,service_index,stop_index,ridership\n2021-10-01,1,1,3\n2021-10-01,1\n")
+        with pytest.raises(MalformedRow) as caught:
+            parse_ridership_csv(path)
+        assert str(caught.value) == f"{path}:3: expected 4 fields, got 2"
+
+    def test_long_row_accepted(self, tmp_path):
+        path = _write(tmp_path, "r.csv", "date,service_index,stop_index,ridership\n2021-10-01,1,1,3,extra\n")
+        assert records_of(parse_ridership_csv(path)) == [RidershipRecord(date(2021, 10, 1), 1, 1, 3)]
+
+    def test_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"date,service_index,stop_index,ridership\n\xff\xfe\n")
+        with pytest.raises(MalformedRow, match="r.csv: not UTF-8 text"):
+            parse_ridership_csv(path)
+
+    def test_csv_reader_error_names_the_line(self, tmp_path):
+        path = _write(tmp_path, "r.csv", "date,service_index,stop_index,ridership\n2021-10-01,1,1," + "9" * 200_000)
+        with pytest.raises(MalformedRow, match=r"r.csv:2: field larger than field limit"):
+            parse_ridership_csv(path)
+
+    def test_line_numbers_count_blank_lines_and_quoted_newlines(self, tmp_path):
+        path = _write(
+            tmp_path, "r.csv",
+            'date,service_index,stop_index,ridership\n2021-10-01,1,1,"3\n"\n\n\n2021-10-01,1,2,-4\n',
+        )
+        with pytest.raises(MalformedRow) as caught:
+            parse_ridership_csv(path)
+        assert str(caught.value) == f"{path}:6: value -4 below minimum 0"
+
+    def test_integer_beyond_int64_is_left_to_the_build(self, tmp_path):
+        big = 2**63
+        path = _write(tmp_path, "r.csv", f"date,service_index,stop_index,ridership\n2021-10-01,1,1,{big}\n")
+        records = parse_ridership_csv(path)
+        assert records_of(records) == [RidershipRecord(date(2021, 10, 1), 1, 1, big)]
+        weather = service_weather_columns([ServiceWeather(date(2021, 10, 1), 1, False, 0.0)])
+        with pytest.raises(MalformedRow) as caught:
+            build_route_dataset(records, weather, 5, 26, DEFAULT_TIMETABLE)
+        assert str(caught.value) == f"ridership {big} is not a 64-bit integer"
+
+    def test_repeated_key_beyond_int64(self, tmp_path):
+        path = _write(
+            tmp_path, "r.csv",
+            f"date,service_index,stop_index,ridership\n2021-10-01,1,{2**64},3\n2021-10-01,1,{2**64},4\n",
+        )
+        with pytest.raises(DuplicateKey) as caught:
+            parse_ridership_csv(path)
+        assert str(caught.value) == (
+            f"{path}:3: repeated (date, service, stop) (datetime.date(2021, 10, 1), 1, {2**64})"
+        )
 
 
 class TestParseWeather:
     def test_direct_mapping(self, tmp_path):
         path = _write(tmp_path, "w.csv", "date,hour,category,precipitation_mm\n2021-10-01,7,Sunny,0.0\n")
-        obs = parse_weather_csv(path)
+        obs = observations_of(parse_weather_csv(path))
         assert obs == [WeatherObservation(date(2021, 10, 1), 7, WeatherCategory.SUNNY, 0.0)]
 
     def test_hour_out_of_range(self, tmp_path):
@@ -113,7 +166,7 @@ class TestParseWeather:
             "date,hour,category,precipitation_mm\n"
             "2021-10-01,7,Rain showers,1.0\n2021-10-01,8,hare,0.0\n",
         )
-        obs = parse_weather_csv(path, aliases={"hare": "Sunny"})
+        obs = observations_of(parse_weather_csv(path, aliases={"hare": "Sunny"}))
         assert obs[0].category is WeatherCategory.RAIN_SHOWERS
         assert obs[1].category is WeatherCategory.SUNNY
 
@@ -138,6 +191,26 @@ class TestParseWeather:
             parse_weather_csv(path)
 
 
+def binarize_weather(obs: WeatherObservation) -> tuple[bool, float]:
+    """(rain flag, precipitation) of one observation, as the weather columns give them."""
+    weather = WeatherColumns.from_observations([obs])
+    return bool(weather.rain[0]), float(weather.precipitation[0])
+
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e999"])
+    def test_non_finite_precipitation(self, tmp_path, raw):
+        path = _write(tmp_path, "w.csv", f"date,hour,category,precipitation_mm\n2021-10-01,7,Rain,{raw}\n")
+        with pytest.raises(MalformedRow) as caught:
+            parse_weather_csv(path)
+        assert str(caught.value) == f"{path}:2: non-finite number {raw!r}"
+
+    def test_short_row_is_malformed(self, tmp_path):
+        path = _write(tmp_path, "w.csv", "date,hour,category,precipitation_mm\n2021-10-01,7,Sunny\n")
+        with pytest.raises(MalformedRow) as caught:
+            parse_weather_csv(path)
+        assert str(caught.value) == f"{path}:2: expected 4 fields, got 3"
+
+
 class TestBinarize:
     def test_cloudy_is_dry(self):
         obs = WeatherObservation(date(2021, 10, 1), 7, WeatherCategory.CLOUDY, 0.0)
@@ -158,6 +231,18 @@ class TestBinarize:
         }
         assert sum(flags.values()) == 4
         assert not flags[WeatherCategory.SUNNY] and not flags[WeatherCategory.CLOUDY]
+
+
+def join_weather_to_services(records, observations, timetable) -> list[ServiceWeather]:
+    """The library join on record and observation lists, its result as a list."""
+    return service_weather_of(data_ingest.join_weather_to_services(
+        RidershipColumns.from_records(records), WeatherColumns.from_observations(observations), timetable
+    ))
+
+
+def _tables(records, weather):
+    """Record and service-weather lists as the column tables ``build_route_dataset`` takes."""
+    return RidershipColumns.from_records(records), service_weather_columns(weather)
 
 
 class TestJoin:
@@ -186,6 +271,20 @@ class TestJoin:
             join_weather_to_services(records, weather, {1: time(6, 40)})
 
 
+    def test_duplicate_observation(self):
+        records = [RidershipRecord(date(2021, 10, 1), 1, 1, 3)]
+        weather = [WeatherObservation(date(2021, 10, 1), h, WeatherCategory.SUNNY, 0.0) for h in (6, 7, 6)]
+        with pytest.raises(DuplicateKey, match=r"for \(datetime.date\(2021, 10, 1\), 6\)"):
+            join_weather_to_services(records, weather, {1: time(6, 40)})
+
+    def test_first_failing_record_in_input_order(self):
+        records = [RidershipRecord(date(2021, 10, 1), 1, 1, 3), RidershipRecord(date(2021, 10, 3), 1, 1, 3),
+                   RidershipRecord(date(2021, 10, 1), 9, 1, 3)]
+        weather = [WeatherObservation(date(2021, 10, 1), 6, WeatherCategory.SUNNY, 0.0)]
+        with pytest.raises(MissingWeather, match="no weather for 2021-10-03 hour 6"):
+            join_weather_to_services(records, weather, {1: time(6, 40)})
+
+
 def _complete_inputs(n_days=2, n_stops=5, services=26):
     config = SynthConfig(n_days=n_days, n_stops=n_stops, services_per_day=services, seed=1)
     records, observations = generate(config)
@@ -196,7 +295,7 @@ def _complete_inputs(n_days=2, n_stops=5, services=26):
 class TestBuildRouteDataset:
     def test_counts_complete_services(self):
         records, weather, config = _complete_inputs()
-        ds = build_route_dataset(records, weather, 5, 26, config.timetable)
+        ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
         assert len(ds.complete_services) == 52
         assert ds.incomplete_services == ()
 
@@ -208,26 +307,26 @@ class TestBuildRouteDataset:
             for r in records
             if not (r.service_date == key[0] and r.service_index == key[1] and r.stop_index == 3)
         ]
-        ds = build_route_dataset(records, weather, 5, 26, config.timetable)
+        ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
         assert ds.incomplete_services == (key,)
         assert len(ds.complete_services) == 51
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            build_route_dataset([], [], 5, 26, DEFAULT_TIMETABLE)
+            build_route_dataset(*_tables([], []), 5, 26, DEFAULT_TIMETABLE)
 
     def test_out_of_range_indices_rejected(self):
         records, weather, config = _complete_inputs()
         bad = records + [RidershipRecord(records[0].service_date, 1, 6, 1)]
         with pytest.raises(MalformedRow):
-            build_route_dataset(bad, weather, 5, 26, config.timetable)
+            build_route_dataset(*_tables(bad, weather), 5, 26, config.timetable)
 
     def test_chronological_sort_total(self):
         records, weather, config = _complete_inputs()
-        ds = build_route_dataset(reversed(records), weather, 5, 26, config.timetable)
+        ds = build_route_dataset(*_tables(reversed(records), weather), 5, 26, config.timetable)
         keys = [tuple(row[:3]) for row in ds.to_payload()["records"]]
         assert keys == sorted(keys) and len(keys) == len(records)
-        assert ds.to_payload() == build_route_dataset(records, weather, 5, 26, config.timetable).to_payload()
+        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).to_payload()
 
     def test_numpy_integers_are_integers(self):
         records, weather, config = _complete_inputs()
@@ -235,13 +334,13 @@ class TestBuildRouteDataset:
             dataclasses.replace(r, service_index=np.int32(r.service_index), ridership=np.uint16(r.ridership))
             for r in records
         ]
-        ds = build_route_dataset(as_numpy, weather, 5, 26, config.timetable)
-        assert ds.to_payload() == build_route_dataset(records, weather, 5, 26, config.timetable).to_payload()
+        ds = build_route_dataset(*_tables(as_numpy, weather), 5, 26, config.timetable)
+        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).to_payload()
 
     def test_every_service_needs_weather(self):
         records, weather, config = _complete_inputs()
         with pytest.raises(MissingWeather):
-            build_route_dataset(records, weather[:-1], 5, 26, config.timetable)
+            build_route_dataset(*_tables(records, weather[:-1]), 5, 26, config.timetable)
 
 
 class TestRoundTrips:
@@ -255,7 +354,7 @@ class TestRoundTrips:
         dropped = (date(2021, 10, 2), 7, 3)
         records = [r for r in records if (r.service_date, r.service_index, r.stop_index) != dropped]
         cache, rewritten = tmp_path / "dataset.json", tmp_path / "again.json"
-        build_route_dataset(records, weather, 5, 26, config.timetable).save(cache)
+        build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).save(cache)
         loaded = RouteDataset.load(cache)
         assert loaded.incomplete_services == (dropped[:2],)
         loaded.save(rewritten)
@@ -264,10 +363,9 @@ class TestRoundTrips:
     def test_date_slice_equals_a_dataset_of_its_records(self):
         records, weather, config = _complete_inputs(n_days=3)
         day = date(2021, 10, 2)
-        sliced = build_route_dataset(records, weather, 5, 26, config.timetable).subset_by_dates(day, day)
+        sliced = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).subset_by_dates(day, day)
         rebuilt = build_route_dataset(
-            [r for r in records if r.service_date == day],
-            [sw for sw in weather if sw.service_date == day],
+            *_tables([r for r in records if r.service_date == day], [sw for sw in weather if sw.service_date == day]),
             5, 26, config.timetable,
         )
         assert sliced.to_payload() == rebuilt.to_payload()
@@ -277,8 +375,9 @@ class TestRoundTrips:
         records, weather, config = _complete_inputs()
         r_path = tmp_path / "r.csv"
         write_ridership_csv(records, r_path)
-        ds = build_route_dataset(records, weather, 5, 26, config.timetable)
-        parsed = build_route_dataset(parse_ridership_csv(r_path), weather, 5, 26, config.timetable)
+        ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
+        parsed = build_route_dataset(parse_ridership_csv(r_path), service_weather_columns(weather), 5, 26,
+                                     config.timetable)
         assert parsed.to_payload() == ds.to_payload()
 
     @given(
@@ -299,7 +398,7 @@ class TestRoundTrips:
         records = [RidershipRecord(*row) for row in rows]
         path = tmp_path_factory.mktemp("rt") / "r.csv"
         write_ridership_csv(records, path)
-        assert parse_ridership_csv(path) == records
+        assert records_of(parse_ridership_csv(path)) == records
 
 
 def test_synthetic_rain_counts_match_binarization(small_dataset):
@@ -344,7 +443,8 @@ D1, D2 = date(2021, 10, 1), date(2021, 10, 2)
 
 #: name -> (edit of the valid 2-day inputs, error class, message). Every class and
 #: message is the record-by-record validation's, except the non-integer and
-#: oversized counts, which it accepted (and a cache then truncated or overflowed).
+#: oversized counts, which it accepted (and a cache then truncated or overflowed),
+#: and the negative or non-finite precipitation, which it accepted too.
 BAD_INPUTS = {
     "empty": (lambda r, w: ([], []), EmptyDataset, "no ridership records"),
     "service-out-of-range": (
@@ -376,6 +476,16 @@ BAD_INPUTS = {
     "weather-before-records": (
         lambda r, w: (r + [RidershipRecord(D1, 27, 1, 1)], w + [w[0]]), DuplicateKey,
         "duplicate service weather for (datetime.date(2021, 10, 1), 1)"),
+    "negative-precipitation": (
+        lambda r, w: (r, w[:4] + [dataclasses.replace(w[4], precipitation_mm=-5.0)] + w[5:]), MalformedRow,
+        "precipitation -5.0 for (datetime.date(2021, 10, 1), 5) is negative or not finite"),
+    "infinite-precipitation": (
+        lambda r, w: (r, w[:-1] + [dataclasses.replace(w[-1], precipitation_mm=float("inf"))]), MalformedRow,
+        "precipitation inf for (datetime.date(2021, 10, 2), 26) is negative or not finite"),
+    # precedence: every other check before the precipitation's
+    "missing-weather-before-precipitation": (
+        lambda r, w: (r, [dataclasses.replace(w[0], precipitation_mm=float("nan"))] + w[1:20] + w[21:]),
+        MissingWeather, "no service weather for (datetime.date(2021, 10, 1), 21)"),
     "records-before-missing-weather": (
         lambda r, w: (_with_count(r, len(r) - 1, -1), w[1:]), MalformedRow, "negative ridership -1"),
 }
@@ -389,7 +499,7 @@ def test_bad_input_error_and_precedence(case, source, tmp_path):
     records, weather = edit(records, weather)
     with pytest.raises(error) as caught:
         if source == "build":
-            build_route_dataset(records, weather, 5, 26, config.timetable)
+            build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
         else:
             cache = tmp_path / "dataset.json"
             cache.write_text(json.dumps(_cache_payload(records, weather, config.timetable)))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buscast.data_ingest import (
+    RidershipColumns,
     RidershipRecord,
-    ServiceWeather,
     build_route_dataset,
 )
 from buscast.errors import (
@@ -35,6 +35,8 @@ from buscast.models import MethodId, TrainSchedule, fit_statistical, method_spec
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 from buscast.nn_core import OptimizerKind
+
+from ingest_oracle import ServiceWeather, service_weather_columns
 
 
 class TestRmse:
@@ -81,7 +83,9 @@ def _two_stop_dataset(series_a, series_b):
         records.append(RidershipRecord(d, svc, 1, a))
         records.append(RidershipRecord(d, svc, 2, b))
         weather.append(ServiceWeather(d, svc, False, 0.0))
-    return build_route_dataset(records, weather, 2, 26, timetable)
+    return build_route_dataset(
+        RidershipColumns.from_records(records), service_weather_columns(weather), 2, 26, timetable
+    )
 
 
 def _pearson_two_pass(xs, ys):

@@ -29,7 +29,7 @@ from buscast.features import (
 )
 from buscast.models import MethodId, method_spec
 from buscast.synth import SynthConfig, generate, generate_dataset
-from buscast.data_ingest import join_weather_to_services
+from buscast.data_ingest import RidershipColumns, WeatherColumns, join_weather_to_services
 
 
 class TestScaler:
@@ -173,8 +173,9 @@ def _contig_dataset(n_days, drop=None, seed=2):
             for r in records
             if not (r.service_date == drop[0] and r.service_index == drop[1] and r.stop_index == 1)
         ]
-    weather = join_weather_to_services(records, observations, config.timetable)
-    return build_route_dataset(records, weather, 2, 26, config.timetable)
+    ridership = RidershipColumns.from_records(records)
+    weather = join_weather_to_services(ridership, WeatherColumns.from_observations(observations), config.timetable)
+    return build_route_dataset(ridership, weather, 2, 26, config.timetable)
 
 
 class TestWindows:

@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from buscast.data_ingest import build_route_dataset, join_weather_to_services
+from buscast.data_ingest import RidershipColumns, WeatherColumns, build_route_dataset, join_weather_to_services
 from buscast.features import (
     chronological_split,
     encode_stop,
@@ -21,6 +21,7 @@ from buscast.nn_core import OptimizerKind
 from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 
+from ingest_oracle import service_weather_of
 from window_oracle import RecordRoute, oracle_aligned, oracle_batch, oracle_scalers, oracle_stop_rows
 
 NN_METHODS = [m for m in MethodId if m is not MethodId.STATISTICAL]
@@ -40,8 +41,10 @@ def _route(rain_probability):
         for r in records
         if not (r.service_date == DROPPED[0] and r.service_index == DROPPED[1] and r.stop_index == 1)
     ]
-    weather = join_weather_to_services(records, observations, config.timetable)
-    return build_route_dataset(records, weather, 3, 26, config.timetable), RecordRoute(records, weather, 3, 26)
+    ridership = RidershipColumns.from_records(records)
+    weather = join_weather_to_services(ridership, WeatherColumns.from_observations(observations), config.timetable)
+    dataset = build_route_dataset(ridership, weather, 3, 26, config.timetable)
+    return dataset, RecordRoute(records, service_weather_of(weather), 3, 26)
 
 
 @pytest.fixture(scope="module", params=[0.0, 0.5], ids=["dry", "rain"])
