@@ -332,7 +332,8 @@ def parse_ridership_csv(
     stop, bad_stop = _parse_column(table.column(colmap["stop_index"]), int, np.int64)
     count, bad_count = _parse_column(table.column(colmap["ridership"]), int, np.int64)
     failing = bad_day | bad_service | (service < 1) | bad_stop | (stop < 1) | bad_count | (count < 0)
-    failure = table.first_failure(failing | _repeated(day, service, stop), [colmap[name] for name in DEFAULT_RIDERSHIP_COLUMNS])
+    names = [colmap[name] for name in DEFAULT_RIDERSHIP_COLUMNS]
+    failure = table.first_failure(failing | _repeated(day, service, stop), names)
     if failure:
         where, row = failure
         key = (

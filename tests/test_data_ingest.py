@@ -90,7 +90,6 @@ class TestParseRidership:
         records = records_of(parse_ridership_csv(path))
         assert [r.service_date.day for r in records] == [2, 1]
 
-
     def test_short_row_is_malformed(self, tmp_path):
         path = _write(tmp_path, "r.csv", "date,service_index,stop_index,ridership\n2021-10-01,1,1,3\n2021-10-01,1\n")
         with pytest.raises(MalformedRow) as caught:
@@ -190,13 +189,6 @@ class TestParseWeather:
         with pytest.raises(MalformedRow):
             parse_weather_csv(path)
 
-
-def binarize_weather(obs: WeatherObservation) -> tuple[bool, float]:
-    """(rain flag, precipitation) of one observation, as the weather columns give them."""
-    weather = WeatherColumns.from_observations([obs])
-    return bool(weather.rain[0]), float(weather.precipitation[0])
-
-
     @pytest.mark.parametrize("raw", ["nan", "inf", "1e999"])
     def test_non_finite_precipitation(self, tmp_path, raw):
         path = _write(tmp_path, "w.csv", f"date,hour,category,precipitation_mm\n2021-10-01,7,Rain,{raw}\n")
@@ -209,6 +201,12 @@ def binarize_weather(obs: WeatherObservation) -> tuple[bool, float]:
         with pytest.raises(MalformedRow) as caught:
             parse_weather_csv(path)
         assert str(caught.value) == f"{path}:2: expected 4 fields, got 3"
+
+
+def binarize_weather(obs: WeatherObservation) -> tuple[bool, float]:
+    """(rain flag, precipitation) of one observation, as the weather columns give them."""
+    weather = WeatherColumns.from_observations([obs])
+    return bool(weather.rain[0]), float(weather.precipitation[0])
 
 
 class TestBinarize:
@@ -269,7 +267,6 @@ class TestJoin:
         weather = [WeatherObservation(date(2021, 10, 1), 6, WeatherCategory.SUNNY, 0.0)]
         with pytest.raises(MissingTimetableEntry):
             join_weather_to_services(records, weather, {1: time(6, 40)})
-
 
     def test_duplicate_observation(self):
         records = [RidershipRecord(date(2021, 10, 1), 1, 1, 3)]
