@@ -474,10 +474,6 @@ class RouteDataset:
     def complete_services(self) -> tuple[ServiceKey, ...]:
         return self._keys(self.complete)
 
-    @cached_property
-    def incomplete_services(self) -> tuple[ServiceKey, ...]:
-        return self._keys(self.mask.any(-1) & ~self.complete)
-
     def _keys(self, cells: np.ndarray) -> tuple[ServiceKey, ...]:
         """(date, service) of the set cells of a (days, S) grid, chronologically."""
         days, services = np.nonzero(cells)
@@ -509,22 +505,17 @@ class RouteDataset:
         return subset
 
     def to_payload(self) -> dict:
-        dates = [(self.first_date + timedelta(days=d)).isoformat() for d in range(len(self.mask))]
-
-        def rows(present: np.ndarray, *values: np.ndarray) -> list[list]:
-            """[date, service, (stop,) *values] of each set cell of ``present``, in index order."""
-            day, *indices = np.nonzero(present)
-            columns = [(i + 1).tolist() for i in indices] + [v[present].tolist() for v in values]
-            return list(map(list, zip(map(dates.__getitem__, day.tolist()), *columns)))
-
+        """The version-2 cache: the header, then the grid with null in every unobserved cell."""
         return {
             "format": "buscast-dataset",
-            "version": 1,
+            "version": 2,
             "n_stops": self.n_stops,
             "services_per_day": self.services_per_day,
+            "first_date": self.first_date.isoformat(),
             "timetable": {str(i): t.isoformat(timespec="minutes") for i, t in self.timetable.items()},
-            "records": rows(self.mask, self.ridership),
-            "weather": rows(self.weather_mask, self.rain.astype(np.int64), self.precipitation),
+            "ridership": np.where(self.mask, self.ridership, None).tolist(),
+            "rain": np.where(self.weather_mask, self.rain.astype(np.int64), None).tolist(),
+            "precipitation": np.where(self.weather_mask, self.precipitation, None).tolist(),
         }
 
     def save(self, path: str | Path) -> None:
@@ -532,26 +523,56 @@ class RouteDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "RouteDataset":
+        """Read a version-2 cache, validating it as outside input.
+
+        The first error found is raised, in this order: not a version-2 cache;
+        a missing key; a bad header value; a grid whose shape is not (days,
+        services_per_day, n_stops) or (days, services_per_day), or whose days
+        run past the last date; then the grid's cells, as ``_grid_dataset``
+        checks them.
+        """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not (
-                isinstance(payload, dict)
-                and payload.get("format") == "buscast-dataset"
-                and payload.get("version") == 1
-            ):
-                raise MalformedRow(f"{path}: not a version-1 buscast dataset cache")
-            records, weather = _columns(payload["records"], 4), _columns(payload["weather"], 4)
-            timetable = {int(i): time.fromisoformat(t) for i, t in payload["timetable"].items()}
-            ordinal = {iso: date.fromisoformat(iso).toordinal() for iso in {*records[0], *weather[0]}}
-            records[0], weather[0] = [ordinal[d] for d in records[0]], [ordinal[d] for d in weather[0]]
-            return _assemble(
-                RidershipColumns(*records), ServiceWeatherColumns(*weather),
-                payload["n_stops"], payload["services_per_day"], timetable,
-            )
-        except KeyError as exc:
-            raise MalformedRow(f"{path}: dataset cache lacks {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
+        if not (isinstance(payload, dict) and payload.get("format") == "buscast-dataset"):
+            raise MalformedRow(f"{path}: not a buscast dataset cache")
+        if payload.get("version") == 1:
+            raise MalformedRow(f"{path}: version-1 dataset cache; run 'buscast ingest' again to rewrite it")
+        if payload.get("version") != 2:
+            raise MalformedRow(f"{path}: unsupported dataset cache version {payload.get('version')!r}")
+        for key in ("n_stops", "services_per_day", "first_date", "timetable", "ridership", "rain", "precipitation"):
+            if key not in payload:
+                raise MalformedRow(f"{path}: dataset cache lacks {key!r}")
+        for key in ("n_stops", "services_per_day"):
+            if type(payload[key]) is not int or payload[key] < 1:
+                raise MalformedRow(f"{path}: {key} must be an integer >= 1, got {payload[key]!r}")
+        n_stops, services = payload["n_stops"], payload["services_per_day"]
+        try:
+            first_date = date.fromisoformat(payload["first_date"])
+        except (TypeError, ValueError):
+            raise MalformedRow(f"{path}: first_date {payload['first_date']!r} is not an ISO date") from None
+        if not isinstance(payload["timetable"], dict):
+            raise MalformedRow(f"{path}: timetable is not an object")
+        timetable = {}
+        for i, t in payload["timetable"].items():
+            try:
+                timetable[int(i)] = time.fromisoformat(t)
+            except (TypeError, ValueError):
+                raise MalformedRow(f"{path}: bad timetable entry {i!r}: {t!r}") from None
+
+        days = len(payload["ridership"]) if isinstance(payload["ridership"], list) else None
+        grids = []
+        for key, shape in (
+            ("ridership", (days, services, n_stops)), ("rain", (days, services)), ("precipitation", (days, services)),
+        ):
+            grids.append(_object_grid(payload[key], shape))
+            if grids[-1] is None:
+                dims = " x ".join(["days" if key == "ridership" else str(days), *map(str, shape[1:])])
+                raise MalformedRow(f"{path}: {key!r} is not a {dims} grid")
+        if days and first_date.toordinal() + days - 1 > date.max.toordinal():
+            raise MalformedRow(f"{path}: {days} days from {first_date} run past the last representable date")
+        return _grid_dataset(n_stops, services, timetable, first_date, *grids)
 
 
 def _columns(rows: Sequence, width: int) -> list[Sequence]:
@@ -561,15 +582,107 @@ def _columns(rows: Sequence, width: int) -> list[Sequence]:
     return list(zip(*rows)) or [()] * width
 
 
+def _object_grid(value: object, shape: tuple) -> np.ndarray | None:
+    """Nested lists ``value`` as an object array of ``shape``, or None if they are not one."""
+    if not isinstance(value, list) or len(value) != shape[0]:
+        return None
+    try:
+        grid = np.array(value, dtype=object) if value else np.empty(shape, dtype=object)
+    except ValueError:  # a ragged nesting numpy cannot lay out
+        return None
+    return grid if grid.shape == shape else None
+
+
 def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as int64, plus a flag on each one that is not a 64-bit integer (stored as 0)."""
     column = np.asarray(values)
     if column.dtype.kind == "i":
         return column.astype(np.int64, copy=False), np.zeros(len(column), dtype=bool)
+    if column.dtype == object and set(map(type, column.tolist())) <= {int}:
+        try:
+            return column.astype(np.int64), np.zeros(len(column), dtype=bool)
+        except OverflowError:  # an integer beyond 64 bits, flagged below
+            pass
     low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     integral = (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and low <= v <= high)
     bad = np.array([not integral(v) for v in values], dtype=bool)
     return np.array([0 if b else v for v, b in zip(values, bad)], dtype=np.int64), bad
+
+
+def _float_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Object ``values`` as float64, plus a flag on each one that is not a number (stored as 0).
+
+    An integer beyond the float range is stored as an infinity of its sign.
+    """
+    if set(map(type, values.tolist())) <= {float}:
+        return values.astype(np.float64), np.zeros(len(values), dtype=bool)
+    bad = np.array([type(v) not in (int, float) for v in values.tolist()], dtype=bool)
+
+    def number(v) -> float:
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
+
+    return np.array([0.0 if b else number(v) for v, b in zip(values.tolist(), bad)], dtype=np.float64), bad
+
+
+def _raise_first(*checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None:
+    """Raise the error for the first index any check flags, from the first check that flags it."""
+    failing = np.logical_or.reduce([flags for flags, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        raise next(error(i) for flags, error in checks if flags[i])
+
+
+def _grid_dataset(
+    n_stops: int, services_per_day: int, timetable: dict[int, time], first_date: date,
+    ridership: np.ndarray, rain: np.ndarray, precipitation: np.ndarray,
+) -> RouteDataset:
+    """Validate the cells of a cache's (days, S, n) and (days, S) object grids, null where unobserved.
+
+    The first error found is raised, in this order: the first bad count in
+    (date, service, stop) order, with its first failing check; no count at
+    all; the first observed service without weather; the first (date,
+    service) with bad weather, with its first failing check: a rain flag
+    that is not 0 or 1, a rain flag and precipitation that are not null
+    together, a precipitation that is not a number, then one that is
+    negative or not finite.
+    """
+    counts, flags, amounts = ridership.ravel(), rain.ravel(), precipitation.ravel()
+    mask = np.not_equal(counts, None)
+    count, bad_count = _int_column(np.where(mask, counts, 0))
+    _raise_first(
+        (bad_count, lambda i: MalformedRow(f"ridership {counts[i]!r} is not a 64-bit integer")),
+        (count < 0, lambda i: MalformedRow(f"negative ridership {counts[i]}")),
+    )
+    if not mask.any():
+        raise EmptyDataset("no ridership records")
+
+    def key(i: int) -> ServiceKey:
+        day, service = divmod(i, services_per_day)
+        return first_date + timedelta(days=day), service + 1
+
+    has_flag, has_amount = np.not_equal(flags, None), np.not_equal(amounts, None)
+    _raise_first((
+        mask.reshape(len(flags), n_stops).any(-1) & ~has_flag & ~has_amount,
+        lambda i: MissingWeather(f"no service weather for {key(i)}"),
+    ))
+    flag, bad_flag = _int_column(np.where(has_flag, flags, 0))
+    amount, bad_amount = _float_column(np.where(has_amount, amounts, 0.0))
+    _raise_first(
+        (bad_flag | (flag < 0) | (flag > 1),
+         lambda i: MalformedRow(f"rain flag {flags[i]!r} for {key(i)} is not 0 or 1")),
+        (has_flag != has_amount,
+         lambda i: MalformedRow(f"rain flag and precipitation for {key(i)} are not both null or both set")),
+        (bad_amount, lambda i: MalformedRow(f"precipitation {amounts[i]!r} for {key(i)} is not a number")),
+        (~(amount >= 0.0) | np.isinf(amount),
+         lambda i: MalformedRow(f"precipitation {float(amount[i])} for {key(i)} is negative or not finite")),
+    )
+    return RouteDataset(
+        n_stops, services_per_day, timetable, first_date, count.reshape(ridership.shape), mask.reshape(ridership.shape),
+        (flag == 1).reshape(rain.shape), amount.reshape(rain.shape), has_flag.reshape(rain.shape),
+    )
 
 
 def _assemble(
@@ -615,10 +728,7 @@ def _assemble(
         (repeated, lambda i: DuplicateKey(
             f"repeated (date, service, stop) {(date.fromordinal(int(days[i])), int(svc[i]), int(stp[i]))}")),
     )
-    failing = np.logical_or.reduce([flags for flags, _ in checks])
-    if failing.any():
-        i = int(np.argmax(failing))
-        raise next(error(i) for flags, error in checks if flags[i])
+    _raise_first(*checks)
 
     first = int(min(days[0], w_day.min(initial=days[0])))
     n_days = int(max(days[-1], w_day.max(initial=days[-1]))) - first + 1

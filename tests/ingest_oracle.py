@@ -7,14 +7,15 @@ columnar path must raise the same errors, or return the same rows, except
 where it rejects more: a row with fewer fields than the header, a file that
 is not UTF-8, and a precipitation that is not finite.
 
-The helpers at the end convert between these row lists and the columns.
+The helpers at the end convert between these row lists and the columns,
+and list a dataset's incomplete services.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from datetime import date, time
+from datetime import date, time, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -29,6 +30,7 @@ from buscast.data_ingest import (
     WEATHER_COLUMNS,
     RidershipColumns,
     RidershipRecord,
+    RouteDataset,
     ServiceKey,
     ServiceWeatherColumns,
     WeatherCategory,
@@ -237,3 +239,9 @@ def service_weather_columns(rows: Iterable[ServiceWeather]) -> ServiceWeatherCol
         [sw.rain_flag for sw in rows],
         [sw.precipitation_mm for sw in rows],
     )
+
+
+def incomplete_keys(dataset: RouteDataset) -> tuple[ServiceKey, ...]:
+    """(date, service) of each service observed at some stops but not all, chronologically."""
+    days, services = np.nonzero(dataset.mask.any(-1) & ~dataset.complete)
+    return tuple((dataset.first_date + timedelta(days=d), s + 1) for d, s in zip(days.tolist(), services.tolist()))

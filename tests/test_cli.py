@@ -9,6 +9,8 @@ from buscast.cli import _merge, build_parser, main, parse_config_file
 from buscast.data_ingest import (
     DEFAULT_TIMETABLE,
     RidershipColumns,
+    RouteDataset,
+    build_route_dataset,
     join_weather_to_services,
     next_service_key,
     parse_ridership_csv,
@@ -90,6 +92,33 @@ class TestIngest:
         assert summary["incomplete_services"] == 0
         assert summary["rain_observations"] + summary["no_rain_observations"] == 24 * 18
         assert Path(summary["dataset"]).exists()
+
+    def test_cache_loads_equal_to_the_build(self, workspace, capsys, tmp_path):
+        """The cache ``ingest`` writes loads array for array as the dataset built from the parsed CSVs,
+        on a route with an incomplete service and a day without counts."""
+        header, *rows = (workspace["data"] / "ridership.csv").read_text().splitlines()
+        gap_day = sorted({row.split(",")[0] for row in rows})[4]
+        kept = [row for i, row in enumerate(rows) if i != 40 and not row.startswith(gap_day)]
+        ridership = tmp_path / "ridership.csv"
+        ridership.write_text("\n".join([header, *kept]) + "\n")
+        weather = workspace["data"] / "weather.csv"
+        code, _, _ = run_cli(
+            capsys, "ingest", "--ridership", str(ridership), "--weather", str(weather), "--out", str(tmp_path),
+        )
+        assert code == 0
+        records = parse_ridership_csv(ridership)
+        built = build_route_dataset(
+            records, join_weather_to_services(records, parse_weather_csv(weather), DEFAULT_TIMETABLE),
+            5, 26, DEFAULT_TIMETABLE,
+        )
+        loaded = RouteDataset.load(tmp_path / "dataset.json")
+        assert (~built.complete & built.mask.any(-1)).sum() == 1
+        assert not built.mask[4].any() and not built.weather_mask[4].any()
+        for name in ("ridership", "mask", "rain", "precipitation", "weather_mask"):
+            expected, actual = getattr(built, name), getattr(loaded, name)
+            assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
+        assert (loaded.first_date, loaded.timetable) == (built.first_date, built.timetable)
+        assert (loaded.n_stops, loaded.services_per_day) == (built.n_stops, built.services_per_day)
 
     def test_missing_file_fails(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -560,28 +589,58 @@ class TestBadInputs:
         assert code == 1
         assert_one_error_line(err, "train", "'batch_size'", "'abc'")
 
-    @pytest.mark.parametrize("precipitation, shown", [(-5.0, "-5.0"), (float("inf"), "inf")])
-    def test_dataset_cache_with_bad_precipitation(self, workspace, capsys, tmp_path, precipitation, shown):
+    def _evaluate_edited_cache(self, workspace, capsys, tmp_path, edit):
+        """Run ``evaluate`` on the shared cache after ``edit`` changed its JSON payload in place."""
         payload = json.loads(workspace["dataset"].read_text())
-        payload["weather"][3][3] = precipitation
+        edit(payload)
         cache = tmp_path / "dataset.json"
         cache.write_text(json.dumps(payload))
-        code, _, err = run_cli(
+        return run_cli(
             capsys, "evaluate", "--dataset", str(cache), "--methods", "statistical", "--out", str(tmp_path),
+        )
+
+    @pytest.mark.parametrize("precipitation, shown", [(-5.0, "-5.0"), (float("inf"), "inf")])
+    def test_dataset_cache_with_bad_precipitation(self, workspace, capsys, tmp_path, precipitation, shown):
+        code, _, err = self._evaluate_edited_cache(
+            workspace, capsys, tmp_path, lambda payload: payload["precipitation"][0].__setitem__(3, precipitation),
         )
         assert code == 1
         assert_one_error_line(err, "evaluate", f"precipitation {shown} for", "negative or not finite")
 
     def test_dataset_cache_without_records(self, workspace, capsys, tmp_path):
-        payload = json.loads(workspace["dataset"].read_text())
-        del payload["records"]
-        cache = tmp_path / "dataset.json"
-        cache.write_text(json.dumps(payload))
-        code, _, err = run_cli(
-            capsys, "evaluate", "--dataset", str(cache), "--methods", "statistical", "--out", str(tmp_path),
+        code, _, err = self._evaluate_edited_cache(
+            workspace, capsys, tmp_path, lambda payload: payload.pop("ridership"),
         )
         assert code == 1
-        assert_one_error_line(err, "evaluate", "'records'")
+        assert_one_error_line(err, "evaluate", "'ridership'")
+
+    def test_dataset_cache_with_rain_flag_7(self, workspace, capsys, tmp_path):
+        code, _, err = self._evaluate_edited_cache(
+            workspace, capsys, tmp_path, lambda payload: payload["rain"][0].__setitem__(4, 7),
+        )
+        assert code == 1
+        assert_one_error_line(err, "evaluate", "rain flag 7 for (datetime.date(2021, 10, 1), 5) is not 0 or 1")
+
+    def test_dataset_cache_with_no_stops(self, workspace, capsys, tmp_path):
+        code, _, err = self._evaluate_edited_cache(
+            workspace, capsys, tmp_path, lambda payload: payload.__setitem__("n_stops", 0),
+        )
+        assert code == 1
+        assert_one_error_line(err, "evaluate", "n_stops must be an integer >= 1, got 0")
+
+    def test_version_1_cache_asks_for_a_new_ingest(self, workspace, trained, capsys, tmp_path):
+        cache = tmp_path / "dataset.json"
+        cache.write_text(json.dumps({
+            "format": "buscast-dataset", "version": 1, "n_stops": 5, "services_per_day": 26,
+            "timetable": {"1": "06:40"}, "records": [["2021-10-01", 1, 1, 3]], "weather": [["2021-10-01", 1, 0, 0.0]],
+        }))
+        code, _, err = run_cli(
+            capsys, "predict", "--dataset", str(cache), "--model", str(workspace["out"] / "d.ckpt"),
+        )
+        assert code == 1
+        assert_one_error_line(
+            err, "predict", f"{cache}: version-1 dataset cache; run 'buscast ingest' again to rewrite it",
+        )
 
 
     @pytest.mark.parametrize(

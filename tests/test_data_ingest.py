@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import json
 from datetime import date, time, timedelta
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +35,14 @@ from buscast.errors import (
 )
 from buscast.synth import SynthConfig, generate
 
-from ingest_oracle import ServiceWeather, observations_of, records_of, service_weather_columns, service_weather_of
+from ingest_oracle import (
+    ServiceWeather,
+    incomplete_keys,
+    observations_of,
+    records_of,
+    service_weather_columns,
+    service_weather_of,
+)
 
 
 def _write(tmp_path, name, text):
@@ -294,7 +303,7 @@ class TestBuildRouteDataset:
         records, weather, config = _complete_inputs()
         ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
         assert len(ds.complete_services) == 52
-        assert ds.incomplete_services == ()
+        assert incomplete_keys(ds) == ()
 
     def test_missing_stop_flags_incomplete(self):
         records, weather, config = _complete_inputs()
@@ -305,7 +314,7 @@ class TestBuildRouteDataset:
             if not (r.service_date == key[0] and r.service_index == key[1] and r.stop_index == 3)
         ]
         ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
-        assert ds.incomplete_services == (key,)
+        assert incomplete_keys(ds) == (key,)
         assert len(ds.complete_services) == 51
 
     def test_empty_rejected(self):
@@ -321,8 +330,7 @@ class TestBuildRouteDataset:
     def test_chronological_sort_total(self):
         records, weather, config = _complete_inputs()
         ds = build_route_dataset(*_tables(reversed(records), weather), 5, 26, config.timetable)
-        keys = [tuple(row[:3]) for row in ds.to_payload()["records"]]
-        assert keys == sorted(keys) and len(keys) == len(records)
+        assert int(ds.mask.sum()) == len(records)
         assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).to_payload()
 
     def test_numpy_integers_are_integers(self):
@@ -353,7 +361,7 @@ class TestRoundTrips:
         cache, rewritten = tmp_path / "dataset.json", tmp_path / "again.json"
         build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).save(cache)
         loaded = RouteDataset.load(cache)
-        assert loaded.incomplete_services == (dropped[:2],)
+        assert incomplete_keys(loaded) == (dropped[:2],)
         loaded.save(rewritten)
         assert rewritten.read_bytes() == cache.read_bytes()
 
@@ -421,14 +429,23 @@ def test_full_year_observation_count():
     assert len(observations) == 6570
 
 
-def _cache_payload(records, weather, timetable) -> dict:
-    """A version-1 dataset cache holding exactly these records and weather rows."""
+def _grid_payload(records, weather, timetable) -> dict:
+    """A version-2 dataset cache laying out exactly these records and weather rows, unvalidated."""
+    dates = [r.service_date for r in records] + [sw.service_date for sw in weather]
+    first = min(dates, default=D1)
+    days = (max(dates) - first).days + 1 if dates else 0
+    ridership = [[[None] * 5 for _ in range(26)] for _ in range(days)]
+    rain, precipitation = ([[None] * 26 for _ in range(days)] for _ in range(2))
+    for r in records:
+        ridership[(r.service_date - first).days][r.service_index - 1][r.stop_index - 1] = r.ridership
+    for sw in weather:
+        day, service = (sw.service_date - first).days, sw.service_index - 1
+        rain[day][service], precipitation[day][service] = int(sw.rain_flag), sw.precipitation_mm
     return {
-        "format": "buscast-dataset", "version": 1, "n_stops": 5, "services_per_day": 26,
+        "format": "buscast-dataset", "version": 2, "n_stops": 5, "services_per_day": 26,
+        "first_date": first.isoformat(),
         "timetable": {str(i): t.isoformat(timespec="minutes") for i, t in timetable.items()},
-        "records": [[r.service_date.isoformat(), r.service_index, r.stop_index, r.ridership] for r in records],
-        "weather": [[sw.service_date.isoformat(), sw.service_index, int(sw.rain_flag), sw.precipitation_mm]
-                    for sw in weather],
+        "ridership": ridership, "rain": rain, "precipitation": precipitation,
     }
 
 
@@ -488,9 +505,22 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("source", ["build", "load"])
-@pytest.mark.parametrize("case", list(BAD_INPUTS))
+#: The cases a (day, service, stop) grid cannot hold: a service or stop outside
+#: it, or two values for one cell. Only ``build_route_dataset`` sees them.
+NOT_A_GRID = {
+    "service-out-of-range", "stop-out-of-range", "duplicate-triple", "duplicate-service-weather",
+    "first-bad-in-sorted-order", "first-failing-check", "weather-before-records",
+}
+
+
+@pytest.mark.parametrize(
+    "case, source",
+    [(case, source) for case in BAD_INPUTS for source in ("build", "load")
+     if source == "build" or case not in NOT_A_GRID],
+    ids=lambda value: value,
+)
 def test_bad_input_error_and_precedence(case, source, tmp_path):
+    """``build_route_dataset``, and ``RouteDataset.load`` of the same inputs laid out as a cache grid."""
     edit, error, message = BAD_INPUTS[case]
     records, weather, config = _complete_inputs()
     records, weather = edit(records, weather)
@@ -499,6 +529,225 @@ def test_bad_input_error_and_precedence(case, source, tmp_path):
             build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
         else:
             cache = tmp_path / "dataset.json"
-            cache.write_text(json.dumps(_cache_payload(records, weather, config.timetable)))
+            cache.write_text(json.dumps(_grid_payload(records, weather, config.timetable)))
             RouteDataset.load(cache)
     assert str(caught.value) == message
+
+
+def _with(payload, **changes):
+    return {**payload, **changes}
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+def _with_cell(payload, key, index, value):
+    """The payload with one cell of the ``key`` grid replaced."""
+    grid = copy.deepcopy(payload[key])
+    *outer, last = index
+    row = grid
+    for i in outer:
+        row = row[i]
+    row[last] = value
+    return {**payload, key: grid}
+
+
+def _no_counts(payload):
+    return _with(payload, ridership=[[[None] * 5 for _ in range(26)] for _ in range(2)])
+
+
+def _short_row(payload, key, index):
+    grid = copy.deepcopy(payload[key])
+    row = grid
+    for i in index:
+        row = row[i]
+    row.pop()
+    return {**payload, key: grid}
+
+
+CELL = "(datetime.date(2021, 10, 1), 5)"
+
+#: name -> (edit of a valid 2-day, 26-service, 5-stop cache, error class, message
+#: with <path> for the cache's path). The cases run in the load's order; those
+#: named ``x-before-y`` break two checks and expect the earlier one.
+BAD_CACHES = {
+    # 1. not a version-2 buscast cache
+    "not-json": (lambda p: "{", MalformedRow,
+                 "<path>: malformed dataset cache: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)"),
+    "not-an-object": (lambda p: [], MalformedRow, "<path>: not a buscast dataset cache"),
+    "other-format": (lambda p: _with(p, format="csv"), MalformedRow, "<path>: not a buscast dataset cache"),
+    "version-1": (lambda p: _with(p, version=1), MalformedRow,
+                  "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
+    "version-3": (lambda p: _with(p, version=3), MalformedRow, "<path>: unsupported dataset cache version 3"),
+    "no-version": (lambda p: _without(p, "version"), MalformedRow,
+                   "<path>: unsupported dataset cache version None"),
+    "version-before-key": (lambda p: _without(_with(p, version=1), "ridership"), MalformedRow,
+                           "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
+    # 2. a missing key
+    "no-first-date": (lambda p: _without(p, "first_date"), MalformedRow, "<path>: dataset cache lacks 'first_date'"),
+    "no-rain": (lambda p: _without(p, "rain"), MalformedRow, "<path>: dataset cache lacks 'rain'"),
+    "key-before-header": (lambda p: _without(_with(p, n_stops=0), "precipitation"), MalformedRow,
+                          "<path>: dataset cache lacks 'precipitation'"),
+    # 3. a bad header value
+    "no-stops": (lambda p: _with(p, n_stops=0), MalformedRow, "<path>: n_stops must be an integer >= 1, got 0"),
+    "stops-true": (lambda p: _with(p, n_stops=True), MalformedRow,
+                   "<path>: n_stops must be an integer >= 1, got True"),
+    "services-text": (lambda p: _with(p, services_per_day="26"), MalformedRow,
+                      "<path>: services_per_day must be an integer >= 1, got '26'"),
+    "bad-first-date": (lambda p: _with(p, first_date="2021-13-01"), MalformedRow,
+                       "<path>: first_date '2021-13-01' is not an ISO date"),
+    "numeric-first-date": (lambda p: _with(p, first_date=20211001), MalformedRow,
+                           "<path>: first_date 20211001 is not an ISO date"),
+    "timetable-list": (lambda p: _with(p, timetable=[]), MalformedRow, "<path>: timetable is not an object"),
+    "timetable-bad-time": (lambda p: _with(p, timetable={"1": "25:00"}), MalformedRow,
+                           "<path>: bad timetable entry '1': '25:00'"),
+    "timetable-bad-service": (lambda p: _with(p, timetable={"x": "06:40"}), MalformedRow,
+                              "<path>: bad timetable entry 'x': '06:40'"),
+    "header-before-shape": (lambda p: _with(p, n_stops=0, ridership={}), MalformedRow,
+                            "<path>: n_stops must be an integer >= 1, got 0"),
+    # 4. a grid of the wrong shape
+    "ridership-not-a-list": (lambda p: _with(p, ridership={}), MalformedRow,
+                             "<path>: 'ridership' is not a days x 26 x 5 grid"),
+    "ragged-ridership": (lambda p: _short_row(p, "ridership", (1, 7)), MalformedRow,
+                         "<path>: 'ridership' is not a days x 26 x 5 grid"),
+    "too-deep-ridership": (lambda p: _with(p, ridership=[[[[c] for c in row] for row in d] for d in p["ridership"]]),
+                           MalformedRow, "<path>: 'ridership' is not a days x 26 x 5 grid"),
+    "stops-disagree": (lambda p: _with(p, n_stops=4), MalformedRow, "<path>: 'ridership' is not a days x 26 x 4 grid"),
+    "services-disagree": (lambda p: _with(p, services_per_day=27), MalformedRow,
+                          "<path>: 'ridership' is not a days x 27 x 5 grid"),
+    "rain-days-disagree": (lambda p: _with(p, rain=p["rain"][:1]), MalformedRow, "<path>: 'rain' is not a 2 x 26 grid"),
+    "ragged-precipitation": (lambda p: _short_row(p, "precipitation", (1,)), MalformedRow,
+                             "<path>: 'precipitation' is not a 2 x 26 grid"),
+    "shape-before-counts": (lambda p: _short_row(_with_cell(p, "ridership", (0, 0, 0), 1.5), "rain", (0,)),
+                            MalformedRow, "<path>: 'rain' is not a 2 x 26 grid"),
+    "days-past-the-last-date": (lambda p: _with(p, first_date="9999-12-31"), MalformedRow,
+                                "<path>: 2 days from 9999-12-31 run past the last representable date"),
+    # 5. the first bad count in (date, service, stop) order
+    "count-true": (lambda p: _with_cell(p, "ridership", (0, 4, 2), True), MalformedRow,
+                   "ridership True is not a 64-bit integer"),
+    "count-float": (lambda p: _with_cell(p, "ridership", (0, 4, 2), 1.5), MalformedRow,
+                    "ridership 1.5 is not a 64-bit integer"),
+    "count-text": (lambda p: _with_cell(p, "ridership", (0, 4, 2), "3"), MalformedRow,
+                   "ridership '3' is not a 64-bit integer"),
+    "count-beyond-int64": (lambda p: _with_cell(p, "ridership", (0, 4, 2), 2**63), MalformedRow,
+                           "ridership 9223372036854775808 is not a 64-bit integer"),
+    "count-nan": (lambda p: _with_cell(p, "ridership", (0, 4, 2), float("nan")), MalformedRow,
+                  "ridership nan is not a 64-bit integer"),
+    "count-list": (lambda p: _with_cell(p, "ridership", (0, 4, 2), [3]), MalformedRow,
+                   "ridership [3] is not a 64-bit integer"),
+    "negative-count": (lambda p: _with_cell(p, "ridership", (0, 4, 2), -2), MalformedRow, "negative ridership -2"),
+    "earlier-date-first": (
+        lambda p: _with_cell(_with_cell(p, "ridership", (1, 0, 0), 1.5), "ridership", (0, 25, 4), -1),
+        MalformedRow, "negative ridership -1"),
+    "earlier-stop-first": (
+        lambda p: _with_cell(_with_cell(p, "ridership", (0, 3, 4), "3"), "ridership", (0, 3, 1), -1),
+        MalformedRow, "negative ridership -1"),
+    # 6. no count at all
+    "no-counts": (_no_counts, EmptyDataset, "no ridership records"),
+    "no-days": (lambda p: _with(p, ridership=[], rain=[], precipitation=[]), EmptyDataset, "no ridership records"),
+    "count-before-empty": (lambda p: _with_cell(_no_counts(p), "ridership", (1, 2, 3), 1.5), MalformedRow,
+                           "ridership 1.5 is not a 64-bit integer"),
+    # 7. an observed service without weather
+    "missing-weather": (
+        lambda p: _with_cell(_with_cell(p, "rain", (0, 20), None), "precipitation", (0, 20), None), MissingWeather,
+        "no service weather for (datetime.date(2021, 10, 1), 21)"),
+    "count-before-missing-weather": (
+        lambda p: _with_cell(_with_cell(_with_cell(p, "rain", (0, 0), None), "precipitation", (0, 0), None),
+                             "ridership", (1, 25, 4), -1),
+        MalformedRow, "negative ridership -1"),
+    "missing-weather-before-values": (
+        lambda p: _with_cell(_with_cell(_with_cell(p, "rain", (1, 3), None), "precipitation", (1, 3), None),
+                             "rain", (0, 0), 7),
+        MissingWeather, "no service weather for (datetime.date(2021, 10, 2), 4)"),
+    # 8. the first (date, service) with bad weather, its first failing check
+    "rain-7": (lambda p: _with_cell(p, "rain", (0, 4), 7), MalformedRow, f"rain flag 7 for {CELL} is not 0 or 1"),
+    "rain-true": (lambda p: _with_cell(p, "rain", (0, 4), True), MalformedRow,
+                  f"rain flag True for {CELL} is not 0 or 1"),
+    "rain-float": (lambda p: _with_cell(p, "rain", (0, 4), 1.0), MalformedRow,
+                   f"rain flag 1.0 for {CELL} is not 0 or 1"),
+    "rain-alone": (lambda p: _with_cell(p, "precipitation", (0, 4), None), MalformedRow,
+                   f"rain flag and precipitation for {CELL} are not both null or both set"),
+    "precipitation-alone": (lambda p: _with_cell(p, "rain", (0, 4), None), MalformedRow,
+                            f"rain flag and precipitation for {CELL} are not both null or both set"),
+    "precipitation-text": (lambda p: _with_cell(p, "precipitation", (0, 4), "1"), MalformedRow,
+                           f"precipitation '1' for {CELL} is not a number"),
+    "negative-precipitation": (lambda p: _with_cell(p, "precipitation", (0, 4), -5), MalformedRow,
+                               f"precipitation -5.0 for {CELL} is negative or not finite"),
+    "nan-precipitation": (lambda p: _with_cell(p, "precipitation", (0, 4), float("nan")), MalformedRow,
+                          f"precipitation nan for {CELL} is negative or not finite"),
+    "huge-precipitation": (lambda p: _with_cell(p, "precipitation", (0, 4), 10**400), MalformedRow,
+                           f"precipitation inf for {CELL} is negative or not finite"),
+    "earlier-service-first": (
+        lambda p: _with_cell(_with_cell(p, "rain", (0, 4), 7), "precipitation", (0, 2), -1.0), MalformedRow,
+        "precipitation -1.0 for (datetime.date(2021, 10, 1), 3) is negative or not finite"),
+    "rain-before-precipitation": (
+        lambda p: _with_cell(_with_cell(p, "rain", (0, 4), 7), "precipitation", (0, 4), -1.0), MalformedRow,
+        f"rain flag 7 for {CELL} is not 0 or 1"),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_cache_payload():
+    records, weather, config = _complete_inputs()
+    return build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).to_payload()
+
+
+@pytest.mark.parametrize("case", list(BAD_CACHES))
+def test_bad_cache_error_and_precedence(case, valid_cache_payload, tmp_path):
+    edit, error, message = BAD_CACHES[case]
+    cache = tmp_path / "dataset.json"
+    edited = edit(copy.deepcopy(valid_cache_payload))
+    cache.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    with pytest.raises(error) as caught:
+        RouteDataset.load(cache)
+    assert str(caught.value) == message.replace("<path>", str(cache))
+
+
+GRID_ARRAYS = ("ridership", "mask", "rain", "precipitation", "weather_mask")
+
+
+@st.composite
+def route_grids(draw):
+    """Records and joined weather of a small route, with gaps, incomplete services
+    and weather-only services; every observed service has weather."""
+    n_stops, services, days = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    first = draw(st.dates(min_value=date(2000, 1, 1), max_value=date(2099, 12, 31)))
+    counts = draw(st.lists(st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+                           min_size=days * services * n_stops, max_size=days * services * n_stops))
+    weather = draw(st.lists(
+        st.one_of(st.none(), st.tuples(st.booleans(), st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False))),
+        min_size=days * services, max_size=days * services,
+    ))
+    hypothesis.assume(any(c is not None for c in counts))
+    records, rows = [], []
+    for cell, count in enumerate(counts):
+        if count is not None:
+            day, rest = divmod(cell, services * n_stops)
+            records.append(RidershipRecord(first + timedelta(days=day), rest // n_stops + 1, rest % n_stops + 1, count))
+    observed = {(r.service_date, r.service_index) for r in records}
+    for cell, value in enumerate(weather):
+        key = (first + timedelta(days=cell // services), cell % services + 1)
+        if value is None and key in observed:
+            value = (False, 0.0)
+        if value is not None:
+            rows.append(ServiceWeather(*key, *value))
+    timetable = {s: time(draw(st.integers(0, 23)), draw(st.integers(0, 59))) for s in range(1, services + 1)}
+    return build_route_dataset(*_tables(records, rows), n_stops, services, timetable)
+
+
+@given(ds=route_grids())
+@settings(max_examples=60, deadline=None)
+def test_cache_round_trip_property(ds, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "dataset.json"
+    ds.save(path)
+    loaded = RouteDataset.load(path)
+    for name in GRID_ARRAYS:
+        expected, actual = getattr(ds, name), getattr(loaded, name)
+        assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
+    assert (loaded.n_stops, loaded.services_per_day) == (ds.n_stops, ds.services_per_day)
+    assert loaded.first_date == ds.first_date and loaded.timetable == ds.timetable
+    rewritten = path.with_name("again.json")
+    loaded.save(rewritten)
+    assert rewritten.read_bytes() == path.read_bytes()

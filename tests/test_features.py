@@ -31,6 +31,8 @@ from buscast.models import MethodId, method_spec
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.data_ingest import RidershipColumns, WeatherColumns, join_weather_to_services
 
+from ingest_oracle import incomplete_keys
+
 
 class TestScaler:
     def test_fit(self):
@@ -220,7 +222,7 @@ class TestWindows:
     def test_gap_breaks_segments(self):
         drop_key = (date(2021, 10, 3), 10)
         ds = _contig_dataset(5, drop=drop_key)
-        assert ds.incomplete_services == (drop_key,)
+        assert incomplete_keys(ds) == (drop_key,)
         spec = method_spec(MethodId.A, 26).features
         scalers = fit_scalers(ds, spec)
         matrix = encode_stop(ds, 1, spec, scalers)

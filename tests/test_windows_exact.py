@@ -21,7 +21,7 @@ from buscast.nn_core import OptimizerKind
 from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 
-from ingest_oracle import service_weather_of
+from ingest_oracle import incomplete_keys, service_weather_of
 from window_oracle import RecordRoute, oracle_aligned, oracle_batch, oracle_scalers, oracle_stop_rows
 
 NN_METHODS = [m for m in MethodId if m is not MethodId.STATISTICAL]
@@ -50,7 +50,7 @@ def _route(rain_probability):
 @pytest.fixture(scope="module", params=[0.0, 0.5], ids=["dry", "rain"])
 def route(request):
     ds, lists = _route(request.param)
-    assert ds.incomplete_services == (DROPPED,)
+    assert incomplete_keys(ds) == (DROPPED,)
     return ds, lists
 
 
