@@ -472,12 +472,9 @@ class RouteDataset:
 
     @cached_property
     def complete_services(self) -> tuple[ServiceKey, ...]:
-        return self._keys(self.complete)
-
-    def _keys(self, cells: np.ndarray) -> tuple[ServiceKey, ...]:
-        """(date, service) of the set cells of a (days, S) grid, chronologically."""
-        days, services = np.nonzero(cells)
-        dates = [self.first_date + timedelta(days=d) for d in range(cells.shape[0])]
+        """(date, service) of the complete services, chronologically."""
+        days, services = np.nonzero(self.complete)
+        dates = [self.first_date + timedelta(days=d) for d in range(len(self.complete))]
         return tuple(zip([dates[d] for d in days.tolist()], (services + 1).tolist()))
 
     def dates(self) -> list[date]:

@@ -5,8 +5,7 @@ from datetime import date, time, timedelta
 
 import numpy as np
 import pytest
-import hypothesis
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from buscast import data_ingest
@@ -570,7 +569,8 @@ CELL = "(datetime.date(2021, 10, 1), 5)"
 
 #: name -> (edit of a valid 2-day, 26-service, 5-stop cache, error class, message
 #: with <path> for the cache's path). The cases run in the load's order; those
-#: named ``x-before-y`` break two checks and expect the earlier one.
+#: named ``...-before-...`` or ``earlier-...-first`` break two checks and expect
+#: the one the load raises first.
 BAD_CACHES = {
     # 1. not a version-2 buscast cache
     "not-json": (lambda p: "{", MalformedRow,
@@ -720,7 +720,7 @@ def route_grids(draw):
         st.one_of(st.none(), st.tuples(st.booleans(), st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False))),
         min_size=days * services, max_size=days * services,
     ))
-    hypothesis.assume(any(c is not None for c in counts))
+    assume(any(c is not None for c in counts))
     records, rows = [], []
     for cell, count in enumerate(counts):
         if count is not None:
