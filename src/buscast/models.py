@@ -181,7 +181,7 @@ class LstmRegressor:
         seq = np.asarray(xs)  # (n, B, L, D); a batch array passes through uncopied
         caches = []
         for layer in self.layers:
-            seq, cache = branched_lstm_forward(layer.w, layer.u, layer.b, seq)
+            seq, cache = branched_lstm_forward(layer.w, layer.u, layer.b, seq, keep_cache=keep_caches)
             if keep_caches:
                 caches.append(cache)
         return seq, caches

@@ -120,12 +120,18 @@ def branched_lstm_forward(
     u: np.ndarray,  # (n, 4H, H)
     b: np.ndarray,  # (n, 4H)
     x: np.ndarray,  # (n, B, L, D)
-) -> tuple[np.ndarray, LstmCache]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, LstmCache | None]:
     """Run n independent LSTM layers over n input streams in lock-step.
 
     The branches share shapes but not parameters, so each time step is one
     batched matmul instead of n small ones. Returns the hidden sequence, a
-    read-only (n, B, L, H) view of ``cache.h``, and the cache.
+    read-only (n, B, L, H) view of the hidden states, and the cache for
+    :func:`branched_lstm_backward`. With ``keep_cache=False`` no backward pass
+    can follow: one step of gates, one cell state and one tanh(cell) are
+    overwritten every step, only the hidden states are kept, and the cache
+    is None. Both modes run the same operations in the same order, so the
+    hidden sequence is the same to the bit.
     """
     if x.ndim != 4 or x.shape[0] != w.shape[0] or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"input shape {x.shape} != (n={w.shape[0]}, B, L, D={w.shape[2]})")
@@ -139,24 +145,29 @@ def branched_lstm_forward(
     # Input contribution for every step of every branch in one batched GEMM.
     xw = np.matmul(x.reshape(n, batch * steps, dim), w_half.transpose(0, 2, 1))
     xw = xw.reshape(n, batch, steps, 4 * hidden)
-    gates = np.empty((steps, 4, n, batch, hidden))
+    # Steps held in the gates, cell and tanh(cell) buffers: all of them for
+    # the backward pass, else one that every step overwrites.
+    kept = steps if keep_cache else 1
+    gates = np.empty((kept, 4, n, batch, hidden))
     bias = np.empty((n, batch, 4 * hidden))
     bias[...] = b_half[:, None, :]
     scale = _GATE_SCALE[:, None, None, None]
     shift = _GATE_SHIFT[:, None, None, None]
 
-    c = np.empty((steps + 1, n, batch, hidden))
+    c = np.empty((steps + 1 if keep_cache else 1, n, batch, hidden))
     h = np.empty((steps + 1, n, batch, hidden))
     c[0] = 0.0
     h[0] = 0.0
-    tanh_c = np.empty((steps, n, batch, hidden))
+    tanh_c = np.empty((kept, n, batch, hidden))
     ut = u_half.transpose(0, 2, 1)
     hu = np.empty((n, batch, 4 * hidden))
     hu_by_gate = hu.reshape(n, batch, 4, hidden).transpose(2, 0, 1, 3)
     ig = np.empty((n, batch, hidden))
 
     for t in range(steps):
-        z = gates[t]
+        # Slots of step t and of the cell state it writes: one slot without a cache.
+        s, s_next = (t, t + 1) if keep_cache else (0, 0)
+        z = gates[s]
         np.matmul(h[t], ut, out=hu)
         hu += xw[:, :, t]
         hu += bias
@@ -164,16 +175,19 @@ def branched_lstm_forward(
         z *= scale
         z += shift
         i, f, g, o = z
-        np.multiply(f, c[t], out=c[t + 1])
+        # Without a cache c[s] is c[s_next]: the cell state is updated in place.
+        np.multiply(f, c[s], out=c[s_next])
         np.multiply(i, g, out=ig)
-        c[t + 1] += ig
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=h[t + 1])
+        c[s_next] += ig
+        np.tanh(c[s_next], out=tanh_c[s])
+        np.multiply(o, tanh_c[s], out=h[t + 1])
 
-    # A read-only view: the cache still needs h for the backward pass.
+    # Read-only, as a cache's h is still needed by the backward pass.
     hs = h[1:].transpose(1, 2, 0, 3)
     hs.flags.writeable = False
     _debug_check("lstm_forward", hs, c)
+    if not keep_cache:
+        return hs, None
     return hs, LstmCache(x=x, gates=gates, c=c, tanh_c=tanh_c, h=h)
 
 
