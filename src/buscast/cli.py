@@ -273,7 +273,7 @@ def _echo_config(cfg: RunConfig, fmt: str) -> None:
 
 
 def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
-    """Load a checkpoint and check it was trained for this dataset's stops, timetable and features."""
+    """Load a checkpoint and check its stop count, services per day and feature dimension against the dataset."""
     lm = load_model(path)
     expected_dim = method_spec(lm.method, dataset.services_per_day).features.dimension
     for what, trained, given in (

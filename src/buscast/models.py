@@ -179,11 +179,10 @@ class LstmRegressor:
         """All branches in lock-step; returns stacked top hidden sequences."""
         self._check_inputs(xs)
         seq = np.asarray(xs)  # (n, B, L, D); a batch array passes through uncopied
-        caches = []
+        caches = []  # one LstmCache per layer, or None without keep_caches
         for layer in self.layers:
             seq, cache = branched_lstm_forward(layer.w, layer.u, layer.b, seq, keep_cache=keep_caches)
-            if keep_caches:
-                caches.append(cache)
+            caches.append(cache)
         return seq, caches
 
     def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:

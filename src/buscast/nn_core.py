@@ -35,11 +35,16 @@ unhalved weights:
 
 Caches are time-major: gates (L, 4, n, B, H), cell and hidden states
 (L+1, n, B, H) with index 0 the zero initial state, so each step and each
-gate of every branch is one contiguous (n, B, H) block. The GEMMs keep the
-operand shapes and layouts of a plain batch-major implementation: the
-recurrent term is one (B, H) x (H, 4H) product per branch, and the backward
-pass builds dz in (n, B, L, 4H) so the dW/dU/db/dx reductions sum in the same
-order. Every elementwise product keeps its association order, e.g.
+gate of every branch is one contiguous (n, B, H) block. A forward pass that
+no backward pass follows (validation, evaluation, prediction) keeps no
+cache: it reuses one step of gates, one cell state and one tanh(cell), and
+keeps only the (L+1, n, B, H) hidden states the next layer reads. Both
+modes run one step loop with the same operations, so they agree to the bit.
+
+The GEMMs keep the operand shapes and layouts of a plain batch-major
+implementation: the recurrent term is one (B, H) x (H, 4H) product per
+branch, and the backward pass builds dz in (n, B, L, 4H) so the dW/dU/db/dx
+reductions sum in the same order. Every elementwise product keeps its association order, e.g.
 (g * i) * (1 - i).
 
 Set the environment variable BUSCAST_DEBUG=1 to assert that no forward or

@@ -25,6 +25,13 @@ def assert_bit_identical(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def assert_cache_free_matches(w, u, b, x, hs_ref):
+    """The forward-only mode gives the oracle's hidden sequence and no cache."""
+    hs, cache = branched_lstm_forward(w, u, b, x, keep_cache=False)
+    assert cache is None
+    assert_bit_identical(hs, hs_ref)
+
+
 def branched_params(rng, n, dim, hidden):
     layer = init_lstm_layers(n, dim, hidden, 1, rng)[0]
     # Random biases on top of the forget-gate ones, so every gate's bias matters.
@@ -45,6 +52,7 @@ def test_forward_and_backward_match_oracle(n, batch, steps, dim, hidden):
     hs, cache = branched_lstm_forward(w, u, b, x)
     hs_ref, cache_ref = oracle_forward(w, u, b, x)
     assert_bit_identical(hs, hs_ref)
+    assert_cache_free_matches(w, u, b, x, hs_ref)
 
     grads = branched_lstm_backward(w, u, cache, grad_hs)
     dw, du, db, dx = oracle_backward(w, u, cache_ref, grad_hs)
@@ -70,6 +78,7 @@ def test_all_zero_input_matches_oracle():
     hs, cache = branched_lstm_forward(w, u, b, x)
     hs_ref, cache_ref = oracle_forward(w, u, b, x)
     assert_bit_identical(hs, hs_ref)
+    assert_cache_free_matches(w, u, b, x, hs_ref)
     grads = branched_lstm_backward(w, u, cache, grad_hs)
     for got, want in zip((grads.dw, grads.du, grads.db, grads.dx), oracle_backward(w, u, cache_ref, grad_hs)):
         assert_bit_identical(got, want)
@@ -78,8 +87,9 @@ def test_all_zero_input_matches_oracle():
 def oracle_forward_backward(model, xs, target):
     """LstmRegressor.forward_backward written out over the oracle core.
 
-    The gradients come back one array per branch and layer, in the order the
-    per-branch parameter layout produced them.
+    Returns the head output, the loss and the gradients. The gradients come
+    back one array per branch and layer, in the order the per-branch
+    parameter layout produced them.
     """
     n, hidden = model.n_branches, model.hidden_size
     seq = np.stack(xs)
@@ -89,7 +99,8 @@ def oracle_forward_backward(model, xs, target):
         caches.append((layer.w, layer.u, cache))
     batch, steps = seq.shape[1], seq.shape[2]
     concat = seq[:, :, -1].transpose(1, 0, 2).reshape(batch, n * hidden)
-    loss, dpred = mse_loss(dense_forward(model.head, concat), target)
+    pred = dense_forward(model.head, concat)
+    loss, dpred = mse_loss(pred, target)
     dw_head, db_head, dconcat = dense_backward(model.head, concat, dpred)
     grads = {"head/w": dw_head, "head/b": db_head}
     grad_seq = np.zeros((n, batch, steps, hidden))
@@ -101,7 +112,7 @@ def oracle_forward_backward(model, xs, target):
             grads[f"branch{br}/layer{l}/w"] = dw[br]
             grads[f"branch{br}/layer{l}/u"] = du[br]
             grads[f"branch{br}/layer{l}/b"] = db[br]
-    return loss, grads
+    return pred, loss, grads
 
 
 def test_two_layer_model_gradients_match_oracle():
@@ -112,8 +123,10 @@ def test_two_layer_model_gradients_match_oracle():
     target = rng.normal(size=(8, model.n_branches))
 
     loss, grads = model.forward_backward(xs, target)
-    loss_ref, grads_ref = oracle_forward_backward(model, xs, target)
+    pred_ref, loss_ref, grads_ref = oracle_forward_backward(model, xs, target)
     assert loss == loss_ref
+    # The forward-only path, which keeps no cache, predicts the same bits.
+    assert_bit_identical(model.forward(xs), pred_ref)
 
     def stacked_grad(name):
         # "branch{b}/layer{l}/{k}" is branch b of the stacked "layer{l}/{k}".

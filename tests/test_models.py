@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -170,6 +171,24 @@ class TestForward:
 
         worst = model_gradcheck(seed=0, n_stops=2, hp=HyperParams(4, 4, 3, 2, 0.01, OptimizerKind.ADAM))
         assert worst < 1e-4
+
+    def test_forward_keeps_no_bptt_cache(self):
+        # A forward-only pass must not hold the (L, 4, n, B, H) gate cache:
+        # its peak stays below the bytes of that cache plus the equally
+        # large input projection. numpy reports its buffers to tracemalloc.
+        n, batch, steps, hidden = 5, 256, 26, 16
+        hp = HyperParams(batch, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
+        model = build_model(method_spec(MethodId.D), hp, n, seed=0)
+        xs = np.random.default_rng(0).normal(size=(n, batch, steps, model.input_size))
+        model.forward(xs)
+        tracemalloc.start()
+        try:
+            model.forward(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gate_cache_bytes = steps * 4 * n * batch * hidden * 8
+        assert peak < 2 * gate_cache_bytes
 
 
 class TestTrain:

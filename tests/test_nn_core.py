@@ -55,8 +55,8 @@ def one_branch_layer(input_size, hidden_size, rng):
     return init_lstm_layers(1, input_size, hidden_size, 1, rng)[0]
 
 
-def run_layer(params, x):
-    return branched_lstm_forward(params.w, params.u, params.b, x)
+def run_layer(params, x, keep_cache=True):
+    return branched_lstm_forward(params.w, params.u, params.b, x, keep_cache=keep_cache)
 
 
 class TestLstmForward:
@@ -105,11 +105,13 @@ class TestDebugChecks:
         params = one_branch_layer(3, 4, np.random.default_rng(0))
         x = np.zeros((1, 2, 5, 3))
         x[0, 1, 2, 0] = np.nan
-        monkeypatch.delenv("BUSCAST_DEBUG", raising=False)
-        run_layer(params, x)
-        monkeypatch.setenv("BUSCAST_DEBUG", "1")
-        with pytest.raises(FloatingPointError, match="lstm_forward"):
-            run_layer(params, x)
+        # keep_cache=False is the forward-only pass of validation, evaluate and predict.
+        for keep_cache in (True, False):
+            monkeypatch.delenv("BUSCAST_DEBUG", raising=False)
+            run_layer(params, x, keep_cache)
+            monkeypatch.setenv("BUSCAST_DEBUG", "1")
+            with pytest.raises(FloatingPointError, match="lstm_forward"):
+                run_layer(params, x, keep_cache)
 
 
 class TestLstmBackward:
