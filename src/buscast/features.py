@@ -118,10 +118,17 @@ class AlignedWindows:
     def n_stops(self) -> int:
         return self.y.shape[1]
 
-    def batch(self, idx) -> np.ndarray:
-        """Windows ``idx`` (indices or a slice) of every stop: one C-contiguous (n, B, L, D) array."""
+    def batch(self, idx, out: np.ndarray | None = None) -> np.ndarray:
+        """Windows ``idx`` (indices or a slice) of every stop: one C-contiguous (n, B, L, D) array.
+
+        With ``out``, a C-contiguous array of that shape, the windows are
+        gathered into it and it is returned.
+        """
         steps = self.starts[idx][:, None] + np.arange(self.look_back)
-        return np.take(self.rows, steps, axis=1)
+        if out is None:
+            return np.take(self.rows, steps, axis=1)
+        # "raise" would gather into a copy of out first; every step is in range.
+        return np.take(self.rows, steps, axis=1, out=out, mode="clip")
 
 
 def fit_scaler(values: Sequence[float] | np.ndarray) -> ScalerParams:

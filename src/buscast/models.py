@@ -45,10 +45,12 @@ from .errors import (
 )
 from .features import AlignedWindows, FeatureSpec, ScalerParams, ScalerSet, inverse_scale, stop_view
 from .nn_core import (
+    BufferPool,
     DenseParams,
     LstmLayerParams,
     branched_lstm_backward,
     branched_lstm_forward,
+    branched_lstm_forward_windows,
     clip_global_norm,
     dense_backward,
     dense_forward,
@@ -173,23 +175,22 @@ class LstmRegressor:
             if x.shape[1] != steps:
                 raise ShapeMismatch("branch look-back lengths differ")
 
-    def _run_branches(
-        self, xs: Sequence[np.ndarray], keep_caches: bool
-    ) -> tuple[np.ndarray, list]:
-        """All branches in lock-step; returns stacked top hidden sequences."""
-        self._check_inputs(xs)
-        seq = np.asarray(xs)  # (n, B, L, D); a batch array passes through uncopied
-        caches = []  # one LstmCache per layer, or None without keep_caches
-        for layer in self.layers:
-            seq, cache = branched_lstm_forward(layer.w, layer.u, layer.b, seq, keep_cache=keep_caches)
-            caches.append(cache)
-        return seq, caches
+    def forward(self, windows: AlignedWindows, chunk: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """Scaled predictions for windows ``chunk`` of ``windows``, shape (B, n_branches); de-scaling is the caller's job.
 
-    def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:
-        """Scaled predictions, shape (B, n_branches); de-scaling is the caller's job."""
-        seq, _ = self._run_branches(xs, keep_caches=False)
-        concat = self._concat_states(seq)
-        return dense_forward(self.head, concat)
+        No backward pass follows, so no BPTT cache is kept. Layer 0 reads the
+        windows' encoded rows (:func:`branched_lstm_forward_windows`); each
+        layer above reads the hidden sequence of the one below.
+        """
+        if windows.rows.shape[0] != self.n_branches:
+            raise MisalignedBatches(f"got {windows.rows.shape[0]} input streams for {self.n_branches} branches")
+        first, *upper = self.layers
+        seq = branched_lstm_forward_windows(
+            first.w, first.u, first.b, windows.rows, windows.starts[chunk], windows.look_back
+        )
+        for layer in upper:
+            seq, _ = branched_lstm_forward(layer.w, layer.u, layer.b, seq, keep_cache=False)
+        return dense_forward(self.head, self._concat_states(seq))
 
     def _concat_states(self, seq: np.ndarray) -> np.ndarray:
         # (n, B, H) final states -> (B, n*H) with branch b at columns b*H:(b+1)*H
@@ -197,10 +198,20 @@ class LstmRegressor:
         return seq[:, :, -1].transpose(1, 0, 2).reshape(batch, self.n_branches * self.hidden_size)
 
     def forward_backward(
-        self, xs: Sequence[np.ndarray], target: np.ndarray
+        self, xs: Sequence[np.ndarray], target: np.ndarray, buffers: BufferPool | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Loss and gradients for one mini-batch of scaled targets."""
-        seq, caches = self._run_branches(xs, keep_caches=True)
+        """Loss and gradients for one mini-batch of scaled targets.
+
+        With ``buffers`` every layer's activations, input projection and dz
+        live in the pool's arrays; the gradients are fresh arrays either way.
+        """
+        self._check_inputs(xs)
+        seq = np.asarray(xs)  # (n, B, L, D); a batch array passes through uncopied
+        caches = []
+        for l, layer in enumerate(self.layers):
+            keep = True if buffers is None else buffers.lstm_cache(l, seq, self.hidden_size)
+            seq, cache = branched_lstm_forward(layer.w, layer.u, layer.b, seq, keep_cache=keep)
+            caches.append(cache)
         batch = seq.shape[1]
         hidden = self.hidden_size
         concat = self._concat_states(seq)
@@ -266,7 +277,7 @@ def _batched_forward(model: LstmRegressor, data: AlignedWindows, batch: int = 51
     chunks = []
     for start in range(0, n, batch):
         stop = min(start + batch, n)
-        chunks.append(model.forward(data.batch(slice(start, stop))))
+        chunks.append(model.forward(data, slice(start, stop)))
     return np.concatenate(chunks, axis=0)
 
 
@@ -275,7 +286,7 @@ def _batched_loss(model: LstmRegressor, data: AlignedWindows, batch_size: int = 
     n = data.n_samples
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        pred = model.forward(data.batch(slice(start, stop)))
+        pred = model.forward(data, slice(start, stop))
         diff = pred - data.y[start:stop]
         total += float(np.sum(diff * diff))
     return total / (n * data.y.shape[1])
@@ -326,13 +337,18 @@ def train(
     rng = np.random.default_rng(seed)
     history = TrainHistory()
     best_state = model.snapshot()
+    window_shape = (train_data.look_back, train_data.rows.shape[2])
 
     for epoch in range(1, schedule.max_epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
+        # The epoch's batches share one set of buffers, sized by the first
+        # (largest) batch.
+        buffers = BufferPool()
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            loss, grads = model.forward_backward(train_data.batch(idx), train_data.y[idx])
+            x = train_data.batch(idx, out=buffers.take("batch", (train_data.n_stops, len(idx), *window_shape)))
+            loss, grads = model.forward_backward(x, train_data.y[idx], buffers)
             if not math.isfinite(loss):
                 raise DivergedTraining(f"non-finite training loss at epoch {epoch}")
             if schedule.clip_norm is not None:
@@ -340,6 +356,7 @@ def train(
             optimizer.step(params, grads)
             epoch_loss += loss * len(idx)
         epoch_loss /= n
+        del buffers, x  # the validation pass runs without them
 
         val_loss = _batched_loss(model, val_data)
         if not math.isfinite(val_loss):

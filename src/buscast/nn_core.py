@@ -54,6 +54,7 @@ backward pass produces NaN/Inf. It is read on every check, not at import.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -105,6 +106,9 @@ class LstmCache:
     c: np.ndarray  # (L+1, n, B, H) cell states; c[0] is the zero initial state
     tanh_c: np.ndarray  # (L, n, B, H)
     h: np.ndarray  # (L+1, n, B, H) hidden states; h[0] is the zero initial state
+    # (n, B, L, 4H) array that holds the input projection in the forward pass
+    # and dz in the backward pass; None: each pass allocates its own
+    work: np.ndarray | None = None
 
 
 @dataclass
@@ -120,50 +124,73 @@ _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
 _GATE_SHIFT = np.array([0.5, 0.5, -0.0, 0.5])
 
 
-def branched_lstm_forward(
-    w: np.ndarray,  # (n, 4H, D)
-    u: np.ndarray,  # (n, 4H, H)
-    b: np.ndarray,  # (n, 4H)
-    x: np.ndarray,  # (n, B, L, D)
-    keep_cache: bool = True,
-) -> tuple[np.ndarray, LstmCache | None]:
-    """Run n independent LSTM layers over n input streams in lock-step.
+class BufferPool:
+    """Named float64 buffers that the passes of one training epoch reuse.
 
-    The branches share shapes but not parameters, so each time step is one
-    batched matmul instead of n small ones. Returns the hidden sequence, a
-    read-only (n, B, L, H) view of the hidden states, and the cache for
-    :func:`branched_lstm_backward`. With ``keep_cache=False`` no backward pass
-    can follow: one step of gates, one cell state and one tanh(cell) are
-    overwritten every step, only the hidden states are kept, and the cache
-    is None. Both modes run the same operations in the same order, so the
-    hidden sequence is the same to the bit.
+    ``take`` returns a C-contiguous prefix of a flat array allocated at the
+    first request under its name, so the first request must be the largest;
+    an epoch's first batch is its largest. The contents are arbitrary, and a
+    taken array shares memory with every later one of its name.
     """
-    if x.ndim != 4 or x.shape[0] != w.shape[0] or x.shape[3] != w.shape[2]:
-        raise ShapeMismatch(f"input shape {x.shape} != (n={w.shape[0]}, B, L, D={w.shape[2]})")
-    n, batch, steps, dim = x.shape
-    hidden = u.shape[2]
-    row_scale = np.repeat(_GATE_SCALE, hidden)
-    w_half = w * row_scale[:, None]
-    u_half = u * row_scale[:, None]
-    b_half = b * row_scale
 
-    # Input contribution for every step of every branch in one batched GEMM.
-    xw = np.matmul(x.reshape(n, batch * steps, dim), w_half.transpose(0, 2, 1))
-    xw = xw.reshape(n, batch, steps, 4 * hidden)
-    # Steps held in the gates, cell and tanh(cell) buffers: all of them for
-    # the backward pass, else one that every step overwrites.
-    kept = steps if keep_cache else 1
-    gates = np.empty((kept, 4, n, batch, hidden))
+    def __init__(self) -> None:
+        self._flat: dict[object, np.ndarray] = {}
+
+    def take(self, name: object, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self._flat:
+            self._flat[name] = np.empty(size)
+        return self._flat[name][:size].reshape(shape)
+
+    def lstm_cache(self, layer: int, x: np.ndarray, hidden: int) -> LstmCache:
+        """An unfilled cache of LSTM layer ``layer`` over input x, for :func:`branched_lstm_forward` to fill.
+
+        Every layer shares one work buffer: a layer's input projection is
+        dead once its forward pass ends, and its dz once its backward pass
+        ends.
+        """
+        n, batch, steps, _ = x.shape
+        state = (steps + 1, n, batch, hidden)
+        return LstmCache(
+            x=x,
+            gates=self.take((layer, "gates"), (steps, 4, n, batch, hidden)),
+            c=self.take((layer, "c"), state),
+            tanh_c=self.take((layer, "tanh_c"), (steps, n, batch, hidden)),
+            h=self.take((layer, "h"), state),
+            work=self.take("work", (n, batch, steps, 4 * hidden)),
+        )
+
+
+def _halved(w: np.ndarray, u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, U and b with their i/f/o rows halved (see the module docstring)."""
+    row_scale = np.repeat(_GATE_SCALE, u.shape[2])
+    return w * row_scale[:, None], u * row_scale[:, None], b * row_scale
+
+
+def _forward_only_buffers(n: int, batch: int, steps: int, hidden: int) -> tuple[np.ndarray, ...]:
+    """Gates, cell state and tanh(cell) of one step, and all hidden states: what a pass without backward holds."""
+    one = (1, n, batch, hidden)
+    return np.empty((1, 4, n, batch, hidden)), np.empty(one), np.empty(one), np.empty((steps + 1, n, batch, hidden))
+
+
+def _lstm_steps(u_half, b_half, step_input, gates, c, tanh_c, h) -> np.ndarray:
+    """The step loop of every forward pass; returns the read-only (n, B, L, H) hidden sequence.
+
+    ``step_input(t)`` is the (n, B, 4H) input projection of step t. ``gates``,
+    ``c`` and ``tanh_c`` hold every step, ``c`` with the zero state first, or
+    one step that each step overwrites, ``c`` then being updated in place.
+    ``h`` (L+1, n, B, H) always holds every hidden state.
+    """
+    steps = h.shape[0] - 1
+    n, batch, hidden = h.shape[1:]
+    keep = c.shape[0] > 1
     bias = np.empty((n, batch, 4 * hidden))
     bias[...] = b_half[:, None, :]
     scale = _GATE_SCALE[:, None, None, None]
     shift = _GATE_SHIFT[:, None, None, None]
 
-    c = np.empty((steps + 1 if keep_cache else 1, n, batch, hidden))
-    h = np.empty((steps + 1, n, batch, hidden))
     c[0] = 0.0
     h[0] = 0.0
-    tanh_c = np.empty((kept, n, batch, hidden))
     ut = u_half.transpose(0, 2, 1)
     hu = np.empty((n, batch, 4 * hidden))
     hu_by_gate = hu.reshape(n, batch, 4, hidden).transpose(2, 0, 1, 3)
@@ -171,10 +198,10 @@ def branched_lstm_forward(
 
     for t in range(steps):
         # Slots of step t and of the cell state it writes: one slot without a cache.
-        s, s_next = (t, t + 1) if keep_cache else (0, 0)
+        s, s_next = (t, t + 1) if keep else (0, 0)
         z = gates[s]
         np.matmul(h[t], ut, out=hu)
-        hu += xw[:, :, t]
+        hu += step_input(t)
         hu += bias
         np.tanh(hu_by_gate, out=z)
         z *= scale
@@ -191,9 +218,107 @@ def branched_lstm_forward(
     hs = h[1:].transpose(1, 2, 0, 3)
     hs.flags.writeable = False
     _debug_check("lstm_forward", hs, c)
-    if not keep_cache:
-        return hs, None
-    return hs, LstmCache(x=x, gates=gates, c=c, tanh_c=tanh_c, h=h)
+    return hs
+
+
+def branched_lstm_forward(
+    w: np.ndarray,  # (n, 4H, D)
+    u: np.ndarray,  # (n, 4H, H)
+    b: np.ndarray,  # (n, 4H)
+    x: np.ndarray,  # (n, B, L, D)
+    keep_cache: bool | LstmCache = True,
+) -> tuple[np.ndarray, LstmCache | None]:
+    """Run n independent LSTM layers over n input streams in lock-step.
+
+    The branches share shapes but not parameters, so each time step is one
+    batched matmul instead of n small ones. Returns the hidden sequence, a
+    read-only (n, B, L, H) view of the hidden states, and the cache for
+    :func:`branched_lstm_backward`. With ``keep_cache=False`` no backward pass
+    can follow: one step of gates, one cell state and one tanh(cell) are
+    overwritten every step, only the hidden states are kept, and the cache
+    is None. Both modes run the same operations in the same order, so the
+    hidden sequence is the same to the bit. ``keep_cache`` may also be an
+    unfilled cache over x (see :meth:`BufferPool.lstm_cache`), which the
+    pass fills and returns instead of allocating one.
+    """
+    if x.ndim != 4 or x.shape[0] != w.shape[0] or x.shape[3] != w.shape[2]:
+        raise ShapeMismatch(f"input shape {x.shape} != (n={w.shape[0]}, B, L, D={w.shape[2]})")
+    n, batch, steps, dim = x.shape
+    hidden = u.shape[2]
+    w_half, u_half, b_half = _halved(w, u, b)
+    if isinstance(keep_cache, LstmCache):
+        cache = keep_cache
+    elif keep_cache:
+        state = (steps + 1, n, batch, hidden)
+        cache = LstmCache(
+            x=x,
+            gates=np.empty((steps, 4, n, batch, hidden)),
+            c=np.empty(state),
+            tanh_c=np.empty((steps, n, batch, hidden)),
+            h=np.empty(state),
+        )
+    else:
+        cache = None
+
+    # Input contribution for every step of every branch in one batched GEMM.
+    work = None if cache is None or cache.work is None else cache.work.reshape(n, batch * steps, 4 * hidden)
+    xw = np.matmul(x.reshape(n, batch * steps, dim), w_half.transpose(0, 2, 1), out=work)
+    xw = xw.reshape(n, batch, steps, 4 * hidden)
+    buffers = (
+        _forward_only_buffers(n, batch, steps, hidden)
+        if cache is None
+        else (cache.gates, cache.c, cache.tanh_c, cache.h)
+    )
+    hs = _lstm_steps(u_half, b_half, lambda t: xw[:, :, t], *buffers)
+    return hs, cache
+
+
+# Fewest output elements (rows read x 4H) of a row projection. The rows of a
+# GEMM come out with the same bits whatever their number, except in a GEMM of
+# one row (a GEMV) and, at D >= 32, in one of at most ~1,200 output elements
+# (OpenBLAS 0.3.31, Haswell kernels); the floor keeps both the row projection
+# and the windowed one it replaces well above that.
+_MIN_ROW_PROJECTION = 4096
+
+
+def branched_lstm_forward_windows(
+    w: np.ndarray,  # (n, 4H, D)
+    u: np.ndarray,  # (n, 4H, H)
+    b: np.ndarray,  # (n, 4H)
+    rows: np.ndarray,  # (n, T, D)
+    starts: np.ndarray,  # (B,)
+    look_back: int,
+) -> np.ndarray:
+    """Forward-only pass over look-back windows of encoded rows.
+
+    Window i of branch k is ``rows[k, starts[i] : starts[i] + look_back]``.
+    Overlapping windows share rows, so the distinct rows the windows read
+    are projected by the halved W once, and step t adds the (n, B, 4H) gather
+    of its rows' projections where :func:`branched_lstm_forward` adds its
+    slice of the windowed projection. Above ``_MIN_ROW_PROJECTION`` a GEMM
+    row comes out with the same bits whatever the other rows are, so the
+    returned read-only (n, B, L, H) hidden sequence equals the
+    ``keep_cache=False`` pass over the gathered windows, bit for bit; a
+    smaller projection is run over the gathered windows.
+    """
+    if rows.ndim != 3 or rows.shape[0] != w.shape[0] or rows.shape[2] != w.shape[2]:
+        raise ShapeMismatch(f"rows shape {rows.shape} != (n={w.shape[0]}, T, D={w.shape[2]})")
+    n, batch, hidden = rows.shape[0], len(starts), u.shape[2]
+    steps = starts[:, None] + np.arange(look_back)
+    read, where = np.unique(steps, return_inverse=True)
+    if len(read) < 2 or len(read) * 4 * hidden < _MIN_ROW_PROJECTION:
+        return branched_lstm_forward(w, u, b, np.take(rows, steps, axis=1), keep_cache=False)[0]
+    w_half, u_half, b_half = _halved(w, u, b)
+    where = where.reshape(batch, look_back).T.copy()  # where[t, i]: row of step t of window i in read
+    proj = np.matmul(np.take(rows, read, axis=1), w_half.transpose(0, 2, 1))
+    step_in = np.empty((n, batch, 4 * hidden))
+
+    def step_input(t: int) -> np.ndarray:
+        # mode="clip" gathers straight into step_in ("raise" would gather into
+        # a copy first); every index in where is in range.
+        return np.take(proj, where[t], axis=1, out=step_in, mode="clip")
+
+    return _lstm_steps(u_half, b_half, step_input, *_forward_only_buffers(n, batch, look_back, hidden))
 
 
 # Steps of local derivatives computed per block in the backward pass: enough
@@ -247,7 +372,7 @@ def branched_lstm_backward(
 
     # dz keeps the batch-major (n, B, L, 4H) layout so the parameter
     # reductions below sum in the same order as a batch-major BPTT would.
-    dz = np.empty((n, batch, steps, 4 * hidden))
+    dz = np.empty((n, batch, steps, 4 * hidden)) if cache.work is None else cache.work
     dz_by_gate = dz.reshape(n, batch, steps, 4, hidden).transpose(2, 3, 0, 1, 4)
     f = cache.gates[:, 1]
     span = max(1, min(steps, _BLOCK_ELEMENTS // (n * batch * hidden)))

@@ -1,13 +1,19 @@
 """The fused-gate LSTM core reproduces the reference implementation bit for bit."""
 
+import itertools
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 
-from buscast.models import MethodId, build_model, method_spec
+from buscast.features import AlignedWindows, ScalerParams, ScalerSet, subset_by_targets
+from buscast.models import LstmForecaster, Member, MethodId, build_model, method_spec, predict_next_service
 from buscast.nn_core import (
+    _MIN_ROW_PROJECTION,
     OptimizerKind,
     branched_lstm_backward,
     branched_lstm_forward,
+    branched_lstm_forward_windows,
     clip_global_norm,
     dense_backward,
     dense_forward,
@@ -16,6 +22,7 @@ from buscast.nn_core import (
 )
 from buscast.tuning import HyperParams
 from lstm_oracle import oracle_backward, oracle_forward
+from window_oracle import as_windows
 
 
 def assert_bit_identical(actual, expected):
@@ -126,7 +133,7 @@ def test_two_layer_model_gradients_match_oracle():
     pred_ref, loss_ref, grads_ref = oracle_forward_backward(model, xs, target)
     assert loss == loss_ref
     # The forward-only path, which keeps no cache, predicts the same bits.
-    assert_bit_identical(model.forward(xs), pred_ref)
+    assert_bit_identical(model.forward(as_windows(xs)), pred_ref)
 
     def stacked_grad(name):
         # "branch{b}/layer{l}/{k}" is branch b of the stacked "layer{l}/{k}".
@@ -147,3 +154,119 @@ def test_two_layer_model_gradients_match_oracle():
     assert norm == clip_global_norm(grads_ref, max_norm)
     for name in grads_ref:
         assert_bit_identical(stacked_grad(name), grads_ref[name])
+
+
+# ---------------------------------------------------------------------------
+# forward-only passes over windows of encoded rows
+
+
+def _row_shapes():
+    """(n, B, L, D, H) over the benchmark's and tuning grid's sizes, within a few seconds' budget."""
+    grid = itertools.product((1, 5), (1, 16, 128, 512), (26, 182), (1, 37), (16, 64, 256))
+    return [shape for shape in grid if shape[0] * shape[1] * shape[2] * shape[4] <= 5 * 512 * 26 * 16]
+
+
+# Below the grid: projections of so few rows x 4H that OpenBLAS computes
+# their rows differently from the windowed projection's, one of them both.
+SMALL_SHAPES = [(5, 4, 26, 37, 8), (3, 4, 6, 37, 4), (2, 40, 6, 37, 4), (5, 3, 1, 37, 4)]
+
+
+def assert_window_pass_exact(w, u, b, rows, starts, look_back):
+    """The window pass gives the gathered pass's and the oracle's hidden sequence, byte for byte."""
+    hs = branched_lstm_forward_windows(w, u, b, rows, starts, look_back)
+    x = np.take(rows, starts[:, None] + np.arange(look_back), axis=1)
+    gathered, _ = branched_lstm_forward(w, u, b, x, keep_cache=False)
+    assert_bit_identical(hs, gathered)
+    assert_bit_identical(hs, oracle_forward(w, u, b, x)[0])
+
+
+def _stride_one_case(n, batch, steps, dim, hidden):
+    """Layer parameters and stride-1 windows, as training splits hold them; 3 rows before and after go unread."""
+    rng = np.random.default_rng(batch * 1000 + steps + dim + hidden)
+    rows = rng.normal(size=(n, batch + steps + 5, dim))
+    return (*branched_params(rng, n, dim, hidden), rows, np.arange(batch) + 3, steps)
+
+
+@pytest.mark.parametrize("n, batch, steps, dim, hidden", _row_shapes())
+def test_window_pass_matches_oracle(n, batch, steps, dim, hidden):
+    assert_window_pass_exact(*_stride_one_case(n, batch, steps, dim, hidden))
+
+
+@pytest.mark.parametrize("debug", ["0", "1"], ids=["plain", "debug"])
+@pytest.mark.parametrize("n, batch, steps, dim, hidden", SMALL_SHAPES)
+def test_small_window_pass_matches_oracle(n, batch, steps, dim, hidden, debug, monkeypatch):
+    monkeypatch.setenv("BUSCAST_DEBUG", debug)
+    assert_window_pass_exact(*_stride_one_case(n, batch, steps, dim, hidden))
+
+
+@pytest.mark.parametrize("dim", [1, 37])
+@pytest.mark.parametrize("hidden", [16, 64, 256, 1024])
+def test_gemm_rows_do_not_depend_on_the_row_count(dim, hidden):
+    # What the window pass rests on: from the floor up, a row of a GEMM has
+    # the same bits in a GEMM of few rows as in one of many.
+    rng = np.random.default_rng(dim + hidden)
+    w = rng.normal(size=(4 * hidden, dim))
+    a = rng.normal(size=(4096, dim))
+    many = a @ w.T
+    fewest = max(2, -(-_MIN_ROW_PROJECTION // (4 * hidden)))
+    for m in (fewest, fewest + 1, 2 * fewest, 182, 537):
+        assert (a[:m] @ w.T).tobytes() == many[:m].tobytes()
+
+
+def _gapped_windows(rng, n, dim, look_back):
+    """Stride-1 windows over two segments of 60 and 70 rows with the row between them excluded."""
+    rows = rng.normal(size=(n, 131, dim))
+    starts = np.concatenate([np.arange(0, 60 - look_back), np.arange(61, 131 - look_back)]).astype(np.intp)
+    first = date(2022, 1, 1)
+    keys = tuple((first + timedelta(days=int(s) // 26), 1 + int(s) % 26) for s in starts + look_back)
+    y = np.zeros((len(starts), n))
+    return AlignedWindows(rows, starts, y, look_back, keys)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_model_window_pass_skips_rows_and_spans_a_gap(n_layers):
+    # Every other window of two segments: the windows skip rows, read both
+    # sides of the gap, and run in chunks like the 512-window chunks.
+    hp = HyperParams(16, 26, 16, n_layers, 0.01, OptimizerKind.ADAM)
+    model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=11)
+    rng = np.random.default_rng(11)
+    windows = _gapped_windows(rng, 5, model.input_size, hp.sequence_length)
+    windows = subset_by_targets(windows, set(windows.index_map[::2]))
+    assert windows.starts[windows.starts < 60].size and windows.starts[windows.starts > 60].size
+    n_windows = windows.n_samples
+    for chunk in (slice(None), slice(0, 7), slice(n_windows - 20, n_windows), rng.permutation(n_windows)[:25]):
+        x = windows.batch(chunk)
+        pred = model.forward(windows, chunk)
+        assert_bit_identical(pred, model.forward(as_windows(x)))
+        pred_ref, _, _ = oracle_forward_backward(model, x, np.zeros_like(pred))
+        assert_bit_identical(pred, pred_ref)
+        layer = model.layers[0]
+        assert_window_pass_exact(layer.w, layer.u, layer.b, windows.rows, windows.starts[chunk], hp.sequence_length)
+
+
+@pytest.mark.parametrize("steps, hidden", [(26, 16), (182, 64)])
+def test_one_window_prediction_matches_oracle(steps, hidden):
+    # predict_next_service runs one window: every row it reads is read once.
+    hp = HyperParams(16, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
+    model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=4)
+    rng = np.random.default_rng(4)
+    history = [rng.normal(size=(steps, model.input_size)) for _ in range(5)]
+    unit = ScalerParams(0.0, 1.0)  # de-scaling by x * 1.0 + 0.0 keeps every bit
+    forecaster = LstmForecaster((Member(model, hp, 4),), ScalerSet({b: unit for b in range(1, 6)}, unit))
+    got = predict_next_service(forecaster, history, steps, (date(2022, 1, 2), 1))
+    pred_ref, _, _ = oracle_forward_backward(model, [x[None] for x in history], np.zeros((1, 5)))
+    assert got == [float(v) for v in np.maximum(pred_ref[0], 0.0)]
+
+
+@pytest.mark.parametrize("hidden", [16, 64])
+def test_window_pass_debug_checks_the_rows_it_reads(hidden, monkeypatch):
+    rng = np.random.default_rng(hidden)
+    w, u, b = branched_params(rng, 2, 37, hidden)
+    rows = rng.normal(size=(2, 200, 37))
+    starts = np.arange(100)
+    rows[1, 150, 3] = np.nan  # read by no window
+    monkeypatch.setenv("BUSCAST_DEBUG", "1")
+    assert_window_pass_exact(w, u, b, rows, starts, 26)
+    rows[1, 110, 3] = np.nan  # read by windows 85 to 99
+    with pytest.raises(FloatingPointError, match="lstm_forward"):
+        branched_lstm_forward_windows(w, u, b, rows, starts, 26)

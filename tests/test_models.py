@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 from datetime import date
 
 import numpy as np
@@ -14,10 +15,12 @@ from buscast.errors import (
     MisalignedBatches,
     MissingKey,
 )
-from buscast.features import ScalerParams, ScalerSet, prepare_windows, scale_targets
+from buscast.features import AlignedWindows, ScalerParams, ScalerSet, prepare_windows, scale_targets
+from buscast import models
 from buscast.models import (
     Architecture,
     LstmForecaster,
+    LstmRegressor,
     Member,
     MethodId,
     TrainSchedule,
@@ -30,11 +33,18 @@ from buscast.models import (
     save_model,
     train,
 )
-from buscast.nn_core import OptimizerKind, branched_lstm_forward, dense_forward, load_params
+from buscast.nn_core import (
+    BufferPool,
+    Optimizer,
+    OptimizerKind,
+    branched_lstm_forward,
+    dense_forward,
+    load_params,
+)
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 
-from window_oracle import aligned_from_tensors
+from window_oracle import aligned_from_tensors, as_windows
 
 HP_SMALL = HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM)
 
@@ -106,16 +116,16 @@ class TestForward:
             arr[...] = 0.0
         model.head.b[...] = np.array([1.0, 2.0, 3.0])
         rng = np.random.default_rng(0)
-        pred = model.forward([rng.normal(size=(4, 6, 1)) for _ in range(3)])
+        pred = model.forward(as_windows([rng.normal(size=(4, 6, 1)) for _ in range(3)]))
         assert np.allclose(pred, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
     def test_permuting_batch_permutes_predictions(self):
         model = build_model(method_spec(MethodId.D), HP_SMALL, 4, seed=1)
         rng = np.random.default_rng(1)
         xs = [rng.normal(size=(6, 6, 37)) for _ in range(4)]
-        pred = model.forward(xs)
+        pred = model.forward(as_windows(xs))
         perm = rng.permutation(6)
-        pred_perm = model.forward([x[perm] for x in xs])
+        pred_perm = model.forward(as_windows([x[perm] for x in xs]))
         assert np.array_equal(pred_perm, pred[perm])
 
     def test_matches_manual_composition_of_core_ops(self):
@@ -133,7 +143,7 @@ class TestForward:
                 seq, _ = branched_lstm_forward(layer.w[b : b + 1], layer.u[b : b + 1], layer.b[b : b + 1], seq)
             states.append(seq[0, :, -1])
         expected = dense_forward(model.head, np.concatenate(states, axis=1))
-        assert np.allclose(model.forward(xs), expected, atol=1e-12)
+        assert np.allclose(model.forward(as_windows(xs)), expected, atol=1e-12)
 
     def test_branch_isolation(self):
         # Branch b's top-layer hidden states depend on stop b's input only.
@@ -162,9 +172,10 @@ class TestForward:
         model = build_model(method_spec(MethodId.A), HP_SMALL, 2, seed=0)
         rng = np.random.default_rng(0)
         with pytest.raises(MisalignedBatches):
-            model.forward([rng.normal(size=(3, 6, 1))])
+            model.forward(as_windows([rng.normal(size=(3, 6, 1))]))
+        # Windows share their starts across stops; a training batch can still misalign.
         with pytest.raises(MisalignedBatches):
-            model.forward([rng.normal(size=(3, 6, 1)), rng.normal(size=(4, 6, 1))])
+            model.forward_backward([rng.normal(size=(3, 6, 1)), rng.normal(size=(4, 6, 1))], np.zeros((3, 2)))
 
     def test_model_gradients_match_finite_differences(self):
         from tests_grad_util import model_gradcheck
@@ -173,22 +184,24 @@ class TestForward:
         assert worst < 1e-4
 
     def test_forward_keeps_no_bptt_cache(self):
-        # A forward-only pass must not hold the (L, 4, n, B, H) gate cache:
-        # its peak stays below the bytes of that cache plus the equally
-        # large input projection. numpy reports its buffers to tracemalloc.
+        # A forward-only pass over stride-1 windows must hold neither the
+        # (L, 4, n, B, H) gate cache nor the (n, B, L, 4H) windowed input
+        # projection, which is as large: its peak stays below the bytes of
+        # one of them. numpy reports its buffers to tracemalloc.
         n, batch, steps, hidden = 5, 256, 26, 16
         hp = HyperParams(batch, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n, seed=0)
-        xs = np.random.default_rng(0).normal(size=(n, batch, steps, model.input_size))
-        model.forward(xs)
+        rows = np.random.default_rng(0).normal(size=(n, batch + steps - 1, model.input_size))
+        windows = AlignedWindows(rows, np.arange(batch), np.zeros((batch, n)), steps, index_map=())
+        model.forward(windows)
         tracemalloc.start()
         try:
-            model.forward(xs)
+            model.forward(windows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         gate_cache_bytes = steps * 4 * n * batch * hidden * 8
-        assert peak < 2 * gate_cache_bytes
+        assert peak < gate_cache_bytes
 
 
 class TestTrain:
@@ -223,6 +236,62 @@ class TestTrain:
         from buscast.models import _batched_loss
 
         assert _batched_loss(model, val) == pytest.approx(history.best_val_loss, rel=1e-12)
+
+    def test_epoch_buffers_change_no_batch_and_outlive_no_epoch(self, monkeypatch):
+        # 20 windows in batches of 8: every epoch ends with a partial batch of 4.
+        data = self._data(n=20, n_stops=3, dim=37)
+        val = self._data(seed=1, n=8, n_stops=3, dim=37)
+        hp = HyperParams(8, 6, 4, 2, 0.01, OptimizerKind.ADAM)
+        model = build_model(method_spec(MethodId.D), hp, 3, seed=5)
+        pooled, batches, given = [], [], []
+
+        take = BufferPool.take
+
+        def tracked_take(pool, name, shape):
+            arr = take(pool, name, shape)
+            pooled.append(weakref.ref(arr.base))
+            return arr
+
+        forward_backward = LstmRegressor.forward_backward
+
+        def checked_forward_backward(self, xs, target, buffers=None):
+            assert buffers is not None
+            loss, grads = forward_backward(self, xs, target, buffers)
+            # The same batch alone, in fresh arrays throughout.
+            fresh_loss, fresh_grads = forward_backward(self, np.array(xs), target)
+            assert loss == fresh_loss and grads.keys() == fresh_grads.keys()
+            for name, grad in fresh_grads.items():
+                assert grads[name].tobytes() == grad.tobytes()
+            batches.append(len(target))
+            return loss, grads
+
+        step = Optimizer.step
+
+        def recorded_step(self, params, grads):
+            given.append([(grad, grad.copy()) for grad in grads.values()])
+            return step(self, params, grads)
+
+        batched_loss = models._batched_loss
+
+        def checked_batched_loss(*args):
+            # The validation pass runs after the epoch's buffers are freed.
+            assert pooled and all(ref() is None for ref in pooled)
+            return batched_loss(*args)
+
+        monkeypatch.setattr(BufferPool, "take", tracked_take)
+        monkeypatch.setattr(LstmRegressor, "forward_backward", checked_forward_backward)
+        monkeypatch.setattr(Optimizer, "step", recorded_step)
+        monkeypatch.setattr(models, "_batched_loss", checked_batched_loss)
+        history = train(model, data, val, hp, TrainSchedule(max_epochs=3, patience=3), seed=6)
+
+        assert len(history.epochs) == 3 and batches == [8, 8, 4] * 3
+        # Later batches did not overwrite the gradients an optimizer step read.
+        assert len(given) == 9
+        for grads in given:
+            for grad, at_step in grads:
+                assert grad.tobytes() == at_step.tobytes()
+        assert all(ref() is None for ref in pooled)
+        assert set(vars(model)) == {"layers", "head"}
 
     def test_nan_input_diverges(self):
         data = self._data()
@@ -392,8 +461,8 @@ class TestCheckpoint:
         assert loaded.forecaster.scalers == prepared.scalers
         for name, arr in model.param_dict().items():
             assert loaded.forecaster.members[0].model.param_dict()[name].tobytes() == arr.tobytes()
-        pred_a = model.forward(prepared.test.batch(slice(0, 2)))
-        pred_b = loaded.forecaster.members[0].model.forward(prepared.test.batch(slice(0, 2)))
+        pred_a = model.forward(prepared.test, slice(0, 2))
+        pred_b = loaded.forecaster.members[0].model.forward(prepared.test, slice(0, 2))
         assert np.array_equal(pred_a, pred_b)
 
     def test_per_stop_round_trip_keeps_each_stops_hyperparams(self, tmp_path):

@@ -22,7 +22,7 @@ from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 
 from ingest_oracle import incomplete_keys, service_weather_of
-from window_oracle import RecordRoute, oracle_aligned, oracle_batch, oracle_scalers, oracle_stop_rows
+from window_oracle import RecordRoute, as_windows, oracle_aligned, oracle_batch, oracle_scalers, oracle_stop_rows
 
 NN_METHODS = [m for m in MethodId if m is not MethodId.STATISTICAL]
 BOUNDS = (date(2021, 10, 8), date(2021, 10, 10))
@@ -144,5 +144,6 @@ def test_forward_on_a_batch_equals_forward_on_stacked_windows(route):
     xs, _, _, _ = oracle_aligned(train_lists, spec, prepared.scalers, LOOK_BACK)
     model = build_model(method_spec(MethodId.D, 26), HyperParams(16, 26, 8, 2, 0.01, OptimizerKind.ADAM), 3, seed=2)
     idx = np.random.default_rng(0).permutation(train.n_samples)[:32]
-    expected = model.forward([x[idx] for x in xs])
-    assert model.forward(train.batch(idx)).tobytes() == expected.tobytes()
+    expected = model.forward(as_windows([x[idx] for x in xs]))
+    assert model.forward(as_windows(train.batch(idx))).tobytes() == expected.tobytes()
+    assert model.forward(train, idx).tobytes() == expected.tobytes()

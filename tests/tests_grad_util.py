@@ -6,6 +6,8 @@ from buscast.models import MethodId, build_model, method_spec
 from buscast.nn_core import mse_loss
 from buscast.tuning import HyperParams
 
+from window_oracle import as_windows
+
 
 def numerical_gradient(f, arr, eps=1e-5):
     grad = np.zeros_like(arr)
@@ -36,8 +38,10 @@ def model_gradcheck(seed: int, n_stops: int, hp: HyperParams, batch: int = 2) ->
     xs = [rng.normal(size=(batch, hp.sequence_length, dim)) for _ in range(model.n_branches)]
     target = rng.normal(size=(batch, model.n_branches))
 
+    windows = as_windows(xs)
+
     def loss():
-        return mse_loss(model.forward(xs), target)[0]
+        return mse_loss(model.forward(windows), target)[0]
 
     _, grads = model.forward_backward(xs, target)
     worst = 0.0

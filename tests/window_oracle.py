@@ -155,3 +155,12 @@ def aligned_from_tensors(xs, y, look_back, index_map) -> AlignedWindows:
     return AlignedWindows(
         rows=rows, starts=np.arange(n, dtype=np.intp) * steps, y=y, look_back=look_back, index_map=index_map
     )
+
+
+def as_windows(xs) -> AlignedWindows:
+    """Per-branch (B, L, D) arrays as the windows a forward pass reads: laid end to end, zero targets.
+
+    ``model.forward(as_windows(xs))`` runs the windows ``xs`` hold.
+    """
+    batch, steps, _ = xs[0].shape
+    return aligned_from_tensors(xs, np.zeros((batch, len(xs))), steps, index_map=())
