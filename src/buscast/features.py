@@ -21,11 +21,12 @@ consecutive timetable slots.
 Windows are never materialized. A split is held as its encoded rows, one
 (n, T, D) stack over the stops, plus the first row of each window
 (``starts``); window i of stop b is ``rows[b, starts[i] : starts[i] + L]``.
-:meth:`AlignedWindows.batch` gathers one mini-batch with a single
-``np.take`` into a fresh C-contiguous (n, B, L, D) array, holding exactly
-the bytes that stacking per-window copies would, so the LSTM core sees the
-same operands and training stays bit-identical. Memory is that of the rows,
-not L times it.
+:meth:`AlignedWindows.batch` gathers one training mini-batch with a single
+``np.take`` into a C-contiguous (n, B, L, D) array, fresh or given, holding
+exactly the bytes that stacking per-window copies would, so the LSTM core
+sees the same operands and training stays bit-identical. Forward-only
+passes read the rows and starts themselves. Memory is that of the rows, not
+L times it.
 """
 
 from __future__ import annotations

@@ -38,8 +38,25 @@ Caches are time-major: gates (L, 4, n, B, H), cell and hidden states
 gate of every branch is one contiguous (n, B, H) block. A forward pass that
 no backward pass follows (validation, evaluation, prediction) keeps no
 cache: it reuses one step of gates, one cell state and one tanh(cell), and
-keeps only the (L+1, n, B, H) hidden states the next layer reads. Both
-modes run one step loop with the same operations, so they agree to the bit.
+keeps only the (L+1, n, B, H) hidden states the next layer reads. Every
+forward pass runs one step loop with the same operations, so they agree to
+the bit.
+
+The first layer of such a pass reads look-back windows of encoded rows
+(:func:`branched_lstm_forward_windows`). Stride-1 windows share L-1 of
+their L rows, so it projects each distinct row the windows read once,
+(n, rows read, 4H) instead of the (n, B, L, 4H) projection of every step of
+every window, and each step gathers its rows' projections. A GEMM row has
+the same bits however many rows the GEMM has, except in GEMMs so small
+that OpenBLAS takes another kernel; a projection that small is run over the
+gathered windows instead (``_MIN_ROW_PROJECTION``).
+
+Training reuses its buffers across the mini-batches of one epoch
+(:class:`BufferPool`): the gathered batch, each layer's cache arrays, and
+one (n, B, L, 4H) work array that holds each layer's input projection in the
+forward pass and its dz in the backward pass, as their lifetimes never
+overlap. Each batch takes a prefix of every buffer; the gradients are
+always fresh arrays.
 
 The GEMMs keep the operand shapes and layouts of a plain batch-major
 implementation: the recurrent term is one (B, H) x (H, 4H) product per
@@ -106,9 +123,7 @@ class LstmCache:
     c: np.ndarray  # (L+1, n, B, H) cell states; c[0] is the zero initial state
     tanh_c: np.ndarray  # (L, n, B, H)
     h: np.ndarray  # (L+1, n, B, H) hidden states; h[0] is the zero initial state
-    # (n, B, L, 4H) array that holds the input projection in the forward pass
-    # and dz in the backward pass; None: each pass allocates its own
-    work: np.ndarray | None = None
+    work: np.ndarray  # (n, B, L, 4H) input projection in the forward pass, dz in the backward pass
 
 
 @dataclass
@@ -248,20 +263,11 @@ def branched_lstm_forward(
     w_half, u_half, b_half = _halved(w, u, b)
     if isinstance(keep_cache, LstmCache):
         cache = keep_cache
-    elif keep_cache:
-        state = (steps + 1, n, batch, hidden)
-        cache = LstmCache(
-            x=x,
-            gates=np.empty((steps, 4, n, batch, hidden)),
-            c=np.empty(state),
-            tanh_c=np.empty((steps, n, batch, hidden)),
-            h=np.empty(state),
-        )
     else:
-        cache = None
+        cache = BufferPool().lstm_cache(0, x, hidden) if keep_cache else None
 
     # Input contribution for every step of every branch in one batched GEMM.
-    work = None if cache is None or cache.work is None else cache.work.reshape(n, batch * steps, 4 * hidden)
+    work = None if cache is None else cache.work.reshape(n, batch * steps, 4 * hidden)
     xw = np.matmul(x.reshape(n, batch * steps, dim), w_half.transpose(0, 2, 1), out=work)
     xw = xw.reshape(n, batch, steps, 4 * hidden)
     buffers = (
@@ -372,7 +378,7 @@ def branched_lstm_backward(
 
     # dz keeps the batch-major (n, B, L, 4H) layout so the parameter
     # reductions below sum in the same order as a batch-major BPTT would.
-    dz = np.empty((n, batch, steps, 4 * hidden)) if cache.work is None else cache.work
+    dz = cache.work
     dz_by_gate = dz.reshape(n, batch, steps, 4, hidden).transpose(2, 3, 0, 1, 4)
     f = cache.gates[:, 1]
     span = max(1, min(steps, _BLOCK_ELEMENTS // (n * batch * hidden)))
