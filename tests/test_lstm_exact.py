@@ -166,8 +166,10 @@ def _row_shapes():
     return [shape for shape in grid if shape[0] * shape[1] * shape[2] * shape[4] <= 5 * 512 * 26 * 16]
 
 
-# Below the grid: projections of so few rows x 4H that OpenBLAS computes
-# their rows differently from the windowed projection's, one of them both.
+# Below the grid: row projections so small (rows read x 4H) that OpenBLAS
+# gives their rows other bits than the windowed projection's; at
+# (3, 4, 6, 37, 4) the windowed one is that small too, and L = 1 reads one
+# row per window.
 SMALL_SHAPES = [(5, 4, 26, 37, 8), (3, 4, 6, 37, 4), (2, 40, 6, 37, 4), (5, 3, 1, 37, 4)]
 
 
