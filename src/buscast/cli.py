@@ -329,9 +329,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     records = data_ingest.parse_ridership_csv(cfg.ridership_csv, cfg.ridership_columns)
     observations = data_ingest.parse_weather_csv(cfg.weather_csv, cfg.category_aliases)
     service_weather = data_ingest.join_weather_to_services(records, observations, cfg.timetable)
-    dataset = data_ingest.build_route_dataset(
-        records, service_weather, cfg.n_stops, cfg.services_per_day, cfg.timetable
-    )
+    dataset = data_ingest.build_route_dataset(records, service_weather, cfg.n_stops, cfg.services_per_day)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = cfg.out_dir / "dataset.json"
     dataset.save(cache_path)

@@ -9,6 +9,7 @@ departure.
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -442,6 +443,16 @@ def next_service_key(key: ServiceKey, services_per_day: int) -> ServiceKey:
     return day + timedelta(days=1), 1
 
 
+#: The grids of a dataset, in cache order, with the dtype each has in a version-3 cache.
+GRIDS = {
+    "ridership": np.dtype("<i8"),
+    "mask": np.dtype(bool),
+    "rain": np.dtype(bool),
+    "precipitation": np.dtype("<f8"),
+    "weather_mask": np.dtype(bool),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class RouteDataset:
     """One route's observations as a dense (day, service, stop) grid.
@@ -449,15 +460,19 @@ class RouteDataset:
     Day d of the grid is ``first_date + d``; service s and stop b sit at
     index s-1 and b-1. ``ridership`` holds the observed counts (0 where
     ``mask`` is unset) and ``rain``/``precipitation`` the weather joined onto
-    each service (where ``weather_mask`` is set). A service is complete when
-    every stop has a count; only complete services are encoded downstream.
-    A date range of the route is a slice of the day axis, so splits share
-    these arrays.
+    each service (where ``weather_mask`` is set; False and 0.0 elsewhere). A
+    service is complete when every stop has a count; only complete services
+    are encoded downstream. A date range of the route is a slice of the day
+    axis, so splits share these arrays.
+
+    The cache ``save`` writes is a JSON object: a header of ``format``,
+    ``version`` 3, ``n_stops``, ``services_per_day``, ``first_date`` and
+    ``days``, then each grid of ``GRIDS`` as base64 of its little-endian,
+    C-order bytes.
     """
 
     n_stops: int
     services_per_day: int
-    timetable: dict[int, time]
     first_date: date
     ridership: np.ndarray  # (days, S, n) int64
     mask: np.ndarray  # (days, S, n) bool
@@ -491,28 +506,28 @@ class RouteDataset:
         n_days = len(self.mask)
         lo = min(max((start - self.first_date).days, 0), n_days)
         days = slice(lo, max(min((end - self.first_date).days + 1, n_days), lo))
-        arrays = ("ridership", "mask", "rain", "precipitation", "weather_mask")
         subset = replace(
             self,
             first_date=self.first_date + timedelta(days=lo),
-            **{name: getattr(self, name)[days] for name in arrays},
+            **{name: getattr(self, name)[days] for name in GRIDS},
         )
         if not subset.mask.any():
             raise EmptyDataset("no ridership records")
         return subset
 
     def to_payload(self) -> dict:
-        """The version-2 cache: the header, then the grid with null in every unobserved cell."""
+        """The version-3 cache as a JSON object."""
         return {
             "format": "buscast-dataset",
-            "version": 2,
+            "version": 3,
             "n_stops": self.n_stops,
             "services_per_day": self.services_per_day,
             "first_date": self.first_date.isoformat(),
-            "timetable": {str(i): t.isoformat(timespec="minutes") for i, t in self.timetable.items()},
-            "ridership": np.where(self.mask, self.ridership, None).tolist(),
-            "rain": np.where(self.weather_mask, self.rain.astype(np.int64), None).tolist(),
-            "precipitation": np.where(self.weather_mask, self.precipitation, None).tolist(),
+            "days": len(self.mask),
+            **{
+                name: base64.b64encode(np.ascontiguousarray(getattr(self, name), dtype).tobytes()).decode("ascii")
+                for name, dtype in GRIDS.items()
+            },
         }
 
     def save(self, path: str | Path) -> None:
@@ -520,13 +535,15 @@ class RouteDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "RouteDataset":
-        """Read a version-2 cache, validating it as outside input.
+        """Read a version-3 cache, validating it as outside input.
 
-        The first error found is raised, in this order: not a version-2 cache;
-        a missing key; a bad header value; a grid whose shape is not (days,
-        services_per_day, n_stops) or (days, services_per_day), or whose days
-        run past the last date; then the grid's cells, as ``_grid_dataset``
-        checks them.
+        The first error found is raised, in this order: not JSON; not a
+        buscast cache; a version-1 or version-2 cache, then any version but 3;
+        a missing key; a bad header value (``n_stops``, ``services_per_day``,
+        ``first_date``, ``days``, then days that run past the last date); the
+        first grid, in ``GRIDS`` order, that is not a base64 string, is not
+        valid base64, or does not hold days x services_per_day (x n_stops)
+        cells of its dtype; then the cells, as ``_check_cells`` checks them.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -534,42 +551,41 @@ class RouteDataset:
             raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
         if not (isinstance(payload, dict) and payload.get("format") == "buscast-dataset"):
             raise MalformedRow(f"{path}: not a buscast dataset cache")
-        if payload.get("version") == 1:
-            raise MalformedRow(f"{path}: version-1 dataset cache; run 'buscast ingest' again to rewrite it")
-        if payload.get("version") != 2:
-            raise MalformedRow(f"{path}: unsupported dataset cache version {payload.get('version')!r}")
-        for key in ("n_stops", "services_per_day", "first_date", "timetable", "ridership", "rain", "precipitation"):
+        version = payload.get("version")
+        if type(version) is int and version in (1, 2):
+            raise MalformedRow(f"{path}: version-{version} dataset cache; run 'buscast ingest' again to rewrite it")
+        if type(version) is not int or version != 3:
+            raise MalformedRow(f"{path}: unsupported dataset cache version {version!r}")
+        for key in ("n_stops", "services_per_day", "first_date", "days", *GRIDS):
             if key not in payload:
                 raise MalformedRow(f"{path}: dataset cache lacks {key!r}")
-        for key in ("n_stops", "services_per_day"):
-            if type(payload[key]) is not int or payload[key] < 1:
-                raise MalformedRow(f"{path}: {key} must be an integer >= 1, got {payload[key]!r}")
-        n_stops, services = payload["n_stops"], payload["services_per_day"]
+        for key, least in (("n_stops", 1), ("services_per_day", 1), ("days", 0)):
+            if type(payload[key]) is not int or payload[key] < least:
+                raise MalformedRow(f"{path}: {key} must be an integer >= {least}, got {payload[key]!r}")
         try:
             first_date = date.fromisoformat(payload["first_date"])
         except (TypeError, ValueError):
             raise MalformedRow(f"{path}: first_date {payload['first_date']!r} is not an ISO date") from None
-        if not isinstance(payload["timetable"], dict):
-            raise MalformedRow(f"{path}: timetable is not an object")
-        timetable = {}
-        for i, t in payload["timetable"].items():
-            try:
-                timetable[int(i)] = time.fromisoformat(t)
-            except (TypeError, ValueError):
-                raise MalformedRow(f"{path}: bad timetable entry {i!r}: {t!r}") from None
-
-        days = len(payload["ridership"]) if isinstance(payload["ridership"], list) else None
-        grids = []
-        for key, shape in (
-            ("ridership", (days, services, n_stops)), ("rain", (days, services)), ("precipitation", (days, services)),
-        ):
-            grids.append(_object_grid(payload[key], shape))
-            if grids[-1] is None:
-                dims = " x ".join(["days" if key == "ridership" else str(days), *map(str, shape[1:])])
-                raise MalformedRow(f"{path}: {key!r} is not a {dims} grid")
+        days, services, n_stops = payload["days"], payload["services_per_day"], payload["n_stops"]
         if days and first_date.toordinal() + days - 1 > date.max.toordinal():
             raise MalformedRow(f"{path}: {days} days from {first_date} run past the last representable date")
-        return _grid_dataset(n_stops, services, timetable, first_date, *grids)
+
+        grids = {}
+        for name, dtype in GRIDS.items():
+            shape = (days, services, n_stops) if name in ("ridership", "mask") else (days, services)
+            if not isinstance(payload[name], str):
+                raise MalformedRow(f"{path}: {name!r} is not a base64 string")
+            try:
+                raw = base64.b64decode(payload[name], validate=True)
+            except ValueError:
+                raise MalformedRow(f"{path}: {name!r} is not valid base64") from None
+            if len(raw) != math.prod(shape) * dtype.itemsize:
+                dims = " x ".join(map(str, shape))
+                raise MalformedRow(f"{path}: {name!r} holds {len(raw)} bytes, not a {dims} grid of {dtype.name}")
+            grids[name] = np.frombuffer(raw, dtype).reshape(shape)
+        dataset = cls(n_stops, services, first_date, **grids)
+        _check_cells(dataset)
+        return dataset
 
 
 def _columns(rows: Sequence, width: int) -> list[Sequence]:
@@ -577,17 +593,6 @@ def _columns(rows: Sequence, width: int) -> list[Sequence]:
     if set(map(len, rows)) - {width}:
         raise ValueError(f"expected rows of {width} values")
     return list(zip(*rows)) or [()] * width
-
-
-def _object_grid(value: object, shape: tuple) -> np.ndarray | None:
-    """Nested lists ``value`` as an object array of ``shape``, or None if they are not one."""
-    if not isinstance(value, list) or len(value) != shape[0]:
-        return None
-    try:
-        grid = np.array(value, dtype=object) if value else np.empty(shape, dtype=object)
-    except ValueError:  # a ragged nesting numpy cannot lay out
-        return None
-    return grid if grid.shape == shape else None
 
 
 def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -606,24 +611,6 @@ def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0 if b else v for v, b in zip(values, bad)], dtype=np.int64), bad
 
 
-def _float_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Object ``values`` as float64, plus a flag on each one that is not a number (stored as 0).
-
-    An integer beyond the float range is stored as an infinity of its sign.
-    """
-    if set(map(type, values.tolist())) <= {float}:
-        return values.astype(np.float64), np.zeros(len(values), dtype=bool)
-    bad = np.array([type(v) not in (int, float) for v in values.tolist()], dtype=bool)
-
-    def number(v) -> float:
-        try:
-            return float(v)
-        except OverflowError:
-            return math.inf if v > 0 else -math.inf
-
-    return np.array([0.0 if b else number(v) for v, b in zip(values.tolist(), bad)], dtype=np.float64), bad
-
-
 def _raise_first(*checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None:
     """Raise the error for the first index any check flags, from the first check that flags it."""
     failing = np.logical_or.reduce([flags for flags, _ in checks])
@@ -632,67 +619,66 @@ def _raise_first(*checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None
         raise next(error(i) for flags, error in checks if flags[i])
 
 
-def _grid_dataset(
-    n_stops: int, services_per_day: int, timetable: dict[int, time], first_date: date,
-    ridership: np.ndarray, rain: np.ndarray, precipitation: np.ndarray,
-) -> RouteDataset:
-    """Validate the cells of a cache's (days, S, n) and (days, S) object grids, null where unobserved.
+def _check_cells(dataset: RouteDataset) -> None:
+    """Validate a dataset's cells; its bool grids may hold any byte.
 
-    The first error found is raised, in this order: the first bad count in
-    (date, service, stop) order, with its first failing check; no count at
-    all; the first observed service without weather; the first (date,
-    service) with bad weather, with its first failing check: a rain flag
-    that is not 0 or 1, a rain flag and precipitation that are not null
-    together, a precipitation that is not a number, then one that is
+    The first error found is raised, in this order: the first bad count cell
+    in (date, service, stop) order, with its first failing check: an
+    observed flag that is not 0 or 1, a count where none is observed, then a
+    negative count; no count at all; the first observed service without
+    weather; the first (date, service) with bad weather, with its first
+    failing check: a weather or rain flag that is not 0 or 1, a rain flag or
+    a precipitation set without weather, then a precipitation that is
     negative or not finite.
     """
-    counts, flags, amounts = ridership.ravel(), rain.ravel(), precipitation.ravel()
-    mask = np.not_equal(counts, None)
-    count, bad_count = _int_column(np.where(mask, counts, 0))
+    observed, counts = dataset.mask.view(np.uint8).ravel(), dataset.ridership.ravel()
+    n_stops, services = dataset.n_stops, dataset.services_per_day
+
+    def cell(i: int) -> tuple[date, int, int]:
+        day, rest = divmod(i, services * n_stops)
+        return dataset.first_date + timedelta(days=day), rest // n_stops + 1, rest % n_stops + 1
+
+    def service(i: int) -> ServiceKey:
+        day, index = divmod(i, services)
+        return dataset.first_date + timedelta(days=day), index + 1
+
     _raise_first(
-        (bad_count, lambda i: MalformedRow(f"ridership {counts[i]!r} is not a 64-bit integer")),
-        (count < 0, lambda i: MalformedRow(f"negative ridership {counts[i]}")),
+        (observed > 1, lambda i: MalformedRow(f"observed flag {observed[i]} for {cell(i)} is not 0 or 1")),
+        ((observed == 0) & (counts != 0),
+         lambda i: MalformedRow(f"ridership {counts[i]} for {cell(i)} is not observed")),
+        (counts < 0, lambda i: MalformedRow(f"negative ridership {counts[i]}")),
     )
-    if not mask.any():
+    if not observed.any():
         raise EmptyDataset("no ridership records")
 
-    def key(i: int) -> ServiceKey:
-        day, service = divmod(i, services_per_day)
-        return first_date + timedelta(days=day), service + 1
-
-    has_flag, has_amount = np.not_equal(flags, None), np.not_equal(amounts, None)
+    weather, rain = dataset.weather_mask.view(np.uint8).ravel(), dataset.rain.view(np.uint8).ravel()
+    amount = dataset.precipitation.ravel()
     _raise_first((
-        mask.reshape(len(flags), n_stops).any(-1) & ~has_flag & ~has_amount,
-        lambda i: MissingWeather(f"no service weather for {key(i)}"),
+        observed.reshape(-1, n_stops).any(-1) & (weather == 0),
+        lambda i: MissingWeather(f"no service weather for {service(i)}"),
     ))
-    flag, bad_flag = _int_column(np.where(has_flag, flags, 0))
-    amount, bad_amount = _float_column(np.where(has_amount, amounts, 0.0))
     _raise_first(
-        (bad_flag | (flag < 0) | (flag > 1),
-         lambda i: MalformedRow(f"rain flag {flags[i]!r} for {key(i)} is not 0 or 1")),
-        (has_flag != has_amount,
-         lambda i: MalformedRow(f"rain flag and precipitation for {key(i)} are not both null or both set")),
-        (bad_amount, lambda i: MalformedRow(f"precipitation {amounts[i]!r} for {key(i)} is not a number")),
+        (weather > 1, lambda i: MalformedRow(f"weather flag {weather[i]} for {service(i)} is not 0 or 1")),
+        (rain > 1, lambda i: MalformedRow(f"rain flag {rain[i]} for {service(i)} is not 0 or 1")),
+        ((weather == 0) & (rain != 0), lambda i: MalformedRow(f"rain flag for {service(i)} is set without weather")),
+        ((weather == 0) & (amount.view(np.uint64) != 0),  # -0.0 and NaN too: an unobserved cell holds 0.0
+         lambda i: MalformedRow(f"precipitation {amount[i]} for {service(i)} is set without weather")),
         (~(amount >= 0.0) | np.isinf(amount),
-         lambda i: MalformedRow(f"precipitation {float(amount[i])} for {key(i)} is negative or not finite")),
-    )
-    return RouteDataset(
-        n_stops, services_per_day, timetable, first_date, count.reshape(ridership.shape), mask.reshape(ridership.shape),
-        (flag == 1).reshape(rain.shape), amount.reshape(rain.shape), has_flag.reshape(rain.shape),
+         lambda i: MalformedRow(f"precipitation {amount[i]} for {service(i)} is negative or not finite")),
     )
 
 
-def _assemble(
+def build_route_dataset(
     records: RidershipColumns, weather: ServiceWeatherColumns, n_stops: int, services_per_day: int,
-    timetable: Mapping[int, time],
 ) -> RouteDataset:
     """Validate record and service-weather columns, given in input order, and lay them out as a grid.
 
     The first error found is raised, in this order: no records; the first
     repeated service weather in input order; the first bad record in (date,
     service, stop) order, with its first failing check; the first service
-    without weather; weather for a service outside the timetable; the first
-    negative or non-finite precipitation in input order.
+    weather outside the timetable in input order; then the laid-out grid's
+    cells, as ``_check_cells`` checks them (so the first service without
+    weather, then the first bad precipitation in (date, service) order).
     """
     day, service, stop, count = records.day, records.service, records.stop, records.count
     w_day, w_service, rain = weather.day, weather.service, weather.rain
@@ -726,6 +712,11 @@ def _assemble(
             f"repeated (date, service, stop) {(date.fromordinal(int(days[i])), int(svc[i]), int(stp[i]))}")),
     )
     _raise_first(*checks)
+    outside = (w_svc < 1) | (w_svc > services_per_day)
+    if outside.any():
+        raise MalformedRow(
+            f"service weather for service {int(w_svc[np.argmax(outside)])} outside [1, {services_per_day}]"
+        )
 
     first = int(min(days[0], w_day.min(initial=days[0])))
     n_days = int(max(days[-1], w_day.max(initial=days[-1]))) - first + 1
@@ -733,45 +724,17 @@ def _assemble(
     mask = np.zeros(ridership.shape, dtype=bool)
     ridership[days - first, svc - 1, stp - 1] = cnt
     mask[days - first, svc - 1, stp - 1] = True
-
-    in_grid = (w_svc >= 1) & (w_svc <= services_per_day)
-    cells = (w_day[in_grid] - first, w_svc[in_grid] - 1)
+    cells = (w_day - first, w_svc - 1)
     weather_mask, rain_grid = np.zeros((2, n_days, services_per_day), dtype=bool)
-    weather_mask[cells], rain_grid[cells] = True, np.array(rain, dtype=bool)[in_grid]
-    precipitation = np.array(weather.precipitation, dtype=np.float64)
-    precipitation_grid = np.zeros((n_days, services_per_day), dtype=np.float64)
-    precipitation_grid[cells] = precipitation[in_grid]
-    lacking = ~weather_mask[days - first, svc - 1]
-    if lacking.any():
-        i = int(np.argmax(lacking))
-        raise MissingWeather(f"no service weather for {(date.fromordinal(int(days[i])), int(svc[i]))}")
-    if not in_grid.all():
-        raise MalformedRow(
-            f"service weather for service {int(w_svc[np.argmin(in_grid)])} outside [1, {services_per_day}]"
-        )
-    invalid = ~(precipitation >= 0.0) | np.isinf(precipitation)
-    if invalid.any():
-        i = int(np.argmax(invalid))
-        raise MalformedRow(
-            f"precipitation {float(precipitation[i])} for {(date.fromordinal(int(w_day[i])), int(w_svc[i]))} "
-            "is negative or not finite"
-        )
+    weather_mask[cells], rain_grid[cells] = True, np.array(rain, dtype=bool)
+    precipitation = np.zeros((n_days, services_per_day), dtype=np.float64)
+    precipitation[cells] = np.array(weather.precipitation, dtype=np.float64)
 
-    return RouteDataset(
-        n_stops, services_per_day, dict(timetable), date.fromordinal(first),
-        ridership, mask, rain_grid, precipitation_grid, weather_mask,
+    dataset = RouteDataset(
+        n_stops, services_per_day, date.fromordinal(first), ridership, mask, rain_grid, precipitation, weather_mask,
     )
-
-
-def build_route_dataset(
-    records: RidershipColumns,
-    service_weather: ServiceWeatherColumns,
-    n_stops: int,
-    services_per_day: int,
-    timetable: Mapping[int, time],
-) -> RouteDataset:
-    """Validate records and joined weather and lay them out as a RouteDataset."""
-    return _assemble(records, service_weather, n_stops, services_per_day, timetable)
+    _check_cells(dataset)
+    return dataset
 
 
 def write_ridership_csv(records: Iterable[RidershipRecord], path: str | Path) -> None:

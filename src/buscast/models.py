@@ -314,6 +314,7 @@ class TrainHistory:
                 writer.writerow([epoch, repr(train_loss), repr(val_loss)])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a loss that overflows is reported once, as DivergedTraining
 def train(
     model: LstmRegressor,
     train_data: AlignedWindows,

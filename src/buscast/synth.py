@@ -124,9 +124,7 @@ def generate_dataset(config: SynthConfig) -> RouteDataset:
     ridership = RidershipColumns.from_records(records)
     weather = WeatherColumns.from_observations(observations)
     service_weather = join_weather_to_services(ridership, weather, config.timetable)
-    return build_route_dataset(
-        ridership, service_weather, config.n_stops, config.services_per_day, config.timetable
-    )
+    return build_route_dataset(ridership, service_weather, config.n_stops, config.services_per_day)
 
 
 def write_synthetic_csvs(config: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:

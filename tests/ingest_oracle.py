@@ -8,11 +8,12 @@ where it rejects more: a row with fewer fields than the header, a file that
 is not UTF-8, and a precipitation that is not finite.
 
 The helpers at the end convert between these row lists and the columns,
-and list a dataset's incomplete services.
+list a dataset's incomplete services, and edit the grids of a dataset cache.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 from dataclasses import dataclass, fields
 from datetime import date, time, timedelta
@@ -30,6 +31,7 @@ from buscast.data_ingest import (
     WEATHER_COLUMNS,
     RidershipColumns,
     RidershipRecord,
+    GRIDS,
     RouteDataset,
     ServiceKey,
     ServiceWeatherColumns,
@@ -245,3 +247,19 @@ def incomplete_keys(dataset: RouteDataset) -> tuple[ServiceKey, ...]:
     """(date, service) of each service observed at some stops but not all, chronologically."""
     days, services = np.nonzero(dataset.mask.any(-1) & ~dataset.complete)
     return tuple((dataset.first_date + timedelta(days=d), s + 1) for d, s in zip(days.tolist(), services.tolist()))
+
+
+def cache_grid(payload: dict, name: str) -> np.ndarray:
+    """A writable copy of grid ``name`` of a version-3 cache payload; a bool grid reads as its raw bytes."""
+    shape = (payload["days"], payload["services_per_day"], payload["n_stops"])
+    shape = shape if name in ("ridership", "mask") else shape[:2]
+    dtype = np.uint8 if GRIDS[name] == bool else GRIDS[name]
+    return np.frombuffer(base64.b64decode(payload[name]), dtype).reshape(shape).copy()
+
+
+def with_cache_cells(payload: dict, name: str, *cells: tuple) -> dict:
+    """The payload with cells of grid ``name`` replaced, each given as an (index, value) pair."""
+    grid = cache_grid(payload, name)
+    for index, value in cells:
+        grid[index] = value
+    return {**payload, name: base64.b64encode(grid.tobytes()).decode("ascii")}

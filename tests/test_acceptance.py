@@ -75,7 +75,7 @@ def _load_real_dataset():
     records = parse_ridership_csv(root / "ridership.csv")
     observations = parse_weather_csv(root / "weather.csv")
     weather = join_weather_to_services(records, observations, DEFAULT_TIMETABLE)
-    return build_route_dataset(records, weather, 5, 26, DEFAULT_TIMETABLE), observations
+    return build_route_dataset(records, weather, 5, 26), observations
 
 
 needs_real_data = pytest.mark.skipif(

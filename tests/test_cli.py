@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import buscast
 from buscast.cli import _merge, build_parser, main, parse_config_file
 from buscast.data_ingest import (
     DEFAULT_TIMETABLE,
@@ -20,8 +24,11 @@ from buscast.data_ingest import (
 from buscast.models import load_model, predict_next_service
 from buscast.nn_core import save_params
 
-from ingest_oracle import records_of, service_weather_of
+from ingest_oracle import records_of, service_weather_of, with_cache_cells
 from window_oracle import RecordRoute, oracle_stop_rows, oracle_trailing_run
+
+#: The directory holding the ``buscast`` package, for a child process's PYTHONPATH.
+SRC = str(Path(buscast.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -109,7 +116,7 @@ class TestIngest:
         records = parse_ridership_csv(ridership)
         built = build_route_dataset(
             records, join_weather_to_services(records, parse_weather_csv(weather), DEFAULT_TIMETABLE),
-            5, 26, DEFAULT_TIMETABLE,
+            5, 26,
         )
         loaded = RouteDataset.load(tmp_path / "dataset.json")
         assert (~built.complete & built.mask.any(-1)).sum() == 1
@@ -117,8 +124,8 @@ class TestIngest:
         for name in ("ridership", "mask", "rain", "precipitation", "weather_mask"):
             expected, actual = getattr(built, name), getattr(loaded, name)
             assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
-        assert (loaded.first_date, loaded.timetable) == (built.first_date, built.timetable)
-        assert (loaded.n_stops, loaded.services_per_day) == (built.n_stops, built.services_per_day)
+        assert (loaded.first_date, loaded.n_stops, loaded.services_per_day) == (
+            built.first_date, built.n_stops, built.services_per_day)
 
     def test_missing_file_fails(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -232,6 +239,25 @@ class TestTrain:
         assert code == 1
         assert_one_error_line(err, "train", name, "sgd, rmsprop, adam, nadam")
         assert not (tmp_path / "a.ckpt").exists()
+
+    def test_non_finite_loss_prints_one_error_line(self, tmp_path):
+        """A run whose loss overflows exits 1 with one error line and no floating-point warnings.
+
+        The commands run in a child process, so numpy's warnings would reach its stderr.
+        """
+        env = {**os.environ, "PYTHONWARNINGS": "default",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "buscast.cli", *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True)
+
+        assert cli("synth", "--days", "20", "--seed", "3", "--out", ".").returncode == 0
+        assert cli("ingest", "--ridership", "ridership.csv", "--weather", "weather.csv", "--out", ".").returncode == 0
+        run = cli("train", "--dataset", "dataset.json", "--method", "d", "--optimizer", "sgd", "--learning-rate",
+                  "1e6", "--clip-norm", "none", "--max-epochs", "5", "--out", "ckpt")
+        assert run.returncode == 1
+        assert_one_error_line(run.stderr, "train", "non-finite training loss")
 
     def test_statistical_not_trainable(self, workspace, capsys):
         code, _, err = run_cli(
@@ -590,11 +616,9 @@ class TestBadInputs:
         assert_one_error_line(err, "train", "'batch_size'", "'abc'")
 
     def _evaluate_edited_cache(self, workspace, capsys, tmp_path, edit):
-        """Run ``evaluate`` on the shared cache after ``edit`` changed its JSON payload in place."""
-        payload = json.loads(workspace["dataset"].read_text())
-        edit(payload)
+        """Run ``evaluate`` on the shared cache with its JSON payload replaced by ``edit(payload)``."""
         cache = tmp_path / "dataset.json"
-        cache.write_text(json.dumps(payload))
+        cache.write_text(json.dumps(edit(json.loads(workspace["dataset"].read_text()))))
         return run_cli(
             capsys, "evaluate", "--dataset", str(cache), "--methods", "statistical", "--out", str(tmp_path),
         )
@@ -602,28 +626,29 @@ class TestBadInputs:
     @pytest.mark.parametrize("precipitation, shown", [(-5.0, "-5.0"), (float("inf"), "inf")])
     def test_dataset_cache_with_bad_precipitation(self, workspace, capsys, tmp_path, precipitation, shown):
         code, _, err = self._evaluate_edited_cache(
-            workspace, capsys, tmp_path, lambda payload: payload["precipitation"][0].__setitem__(3, precipitation),
+            workspace, capsys, tmp_path,
+            lambda payload: with_cache_cells(payload, "precipitation", ((0, 3), precipitation)),
         )
         assert code == 1
         assert_one_error_line(err, "evaluate", f"precipitation {shown} for", "negative or not finite")
 
     def test_dataset_cache_without_records(self, workspace, capsys, tmp_path):
         code, _, err = self._evaluate_edited_cache(
-            workspace, capsys, tmp_path, lambda payload: payload.pop("ridership"),
+            workspace, capsys, tmp_path, lambda payload: {k: v for k, v in payload.items() if k != "ridership"},
         )
         assert code == 1
         assert_one_error_line(err, "evaluate", "'ridership'")
 
     def test_dataset_cache_with_rain_flag_7(self, workspace, capsys, tmp_path):
         code, _, err = self._evaluate_edited_cache(
-            workspace, capsys, tmp_path, lambda payload: payload["rain"][0].__setitem__(4, 7),
+            workspace, capsys, tmp_path, lambda payload: with_cache_cells(payload, "rain", ((0, 4), 7)),
         )
         assert code == 1
         assert_one_error_line(err, "evaluate", "rain flag 7 for (datetime.date(2021, 10, 1), 5) is not 0 or 1")
 
     def test_dataset_cache_with_no_stops(self, workspace, capsys, tmp_path):
         code, _, err = self._evaluate_edited_cache(
-            workspace, capsys, tmp_path, lambda payload: payload.__setitem__("n_stops", 0),
+            workspace, capsys, tmp_path, lambda payload: {**payload, "n_stops": 0},
         )
         assert code == 1
         assert_one_error_line(err, "evaluate", "n_stops must be an integer >= 1, got 0")
@@ -641,6 +666,31 @@ class TestBadInputs:
         assert_one_error_line(
             err, "predict", f"{cache}: version-1 dataset cache; run 'buscast ingest' again to rewrite it",
         )
+
+    def test_version_2_cache_asks_for_a_new_ingest(self, workspace, trained, capsys, tmp_path):
+        cache = tmp_path / "dataset.json"
+        cache.write_text(json.dumps({
+            "format": "buscast-dataset", "version": 2, "n_stops": 5, "services_per_day": 26,
+            "first_date": "2021-10-01", "timetable": {"1": "06:40"}, "ridership": [[[3] * 5] * 26],
+            "rain": [[0] * 26], "precipitation": [[0.0] * 26],
+        }))
+        code, _, err = run_cli(
+            capsys, "predict", "--dataset", str(cache), "--model", str(workspace["out"] / "d.ckpt"),
+        )
+        assert code == 1
+        assert_one_error_line(
+            err, "predict", f"{cache}: version-2 dataset cache; run 'buscast ingest' again to rewrite it",
+        )
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda payload: {**payload, "mask": "%%%"}, "'mask' is not valid base64"),
+        (lambda payload: {**payload, "days": payload["days"] + 1}, "'ridership' holds"),
+        (lambda payload: with_cache_cells(payload, "weather_mask", ((0, 0), 2)), "weather flag 2 for"),
+    ], ids=["bad-base64", "days-disagree", "weather-flag-2"])
+    def test_dataset_cache_with_bad_grid(self, workspace, capsys, tmp_path, edit, fragment):
+        code, _, err = self._evaluate_edited_cache(workspace, capsys, tmp_path, edit)
+        assert code == 1
+        assert_one_error_line(err, "evaluate", fragment)
 
 
     @pytest.mark.parametrize(

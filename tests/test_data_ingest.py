@@ -1,3 +1,4 @@
+import base64
 import copy
 import dataclasses
 import json
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from buscast import data_ingest
 from buscast.data_ingest import (
-    DEFAULT_TIMETABLE,
     RidershipColumns,
     RidershipRecord,
     RouteDataset,
@@ -41,6 +41,7 @@ from ingest_oracle import (
     records_of,
     service_weather_columns,
     service_weather_of,
+    with_cache_cells,
 )
 
 
@@ -135,7 +136,7 @@ class TestParseRidership:
         assert records_of(records) == [RidershipRecord(date(2021, 10, 1), 1, 1, big)]
         weather = service_weather_columns([ServiceWeather(date(2021, 10, 1), 1, False, 0.0)])
         with pytest.raises(MalformedRow) as caught:
-            build_route_dataset(records, weather, 5, 26, DEFAULT_TIMETABLE)
+            build_route_dataset(records, weather, 5, 26)
         assert str(caught.value) == f"ridership {big} is not a 64-bit integer"
 
     def test_repeated_key_beyond_int64(self, tmp_path):
@@ -300,7 +301,7 @@ def _complete_inputs(n_days=2, n_stops=5, services=26):
 class TestBuildRouteDataset:
     def test_counts_complete_services(self):
         records, weather, config = _complete_inputs()
-        ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
+        ds = build_route_dataset(*_tables(records, weather), 5, 26)
         assert len(ds.complete_services) == 52
         assert incomplete_keys(ds) == ()
 
@@ -312,25 +313,25 @@ class TestBuildRouteDataset:
             for r in records
             if not (r.service_date == key[0] and r.service_index == key[1] and r.stop_index == 3)
         ]
-        ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
+        ds = build_route_dataset(*_tables(records, weather), 5, 26)
         assert incomplete_keys(ds) == (key,)
         assert len(ds.complete_services) == 51
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            build_route_dataset(*_tables([], []), 5, 26, DEFAULT_TIMETABLE)
+            build_route_dataset(*_tables([], []), 5, 26)
 
     def test_out_of_range_indices_rejected(self):
         records, weather, config = _complete_inputs()
         bad = records + [RidershipRecord(records[0].service_date, 1, 6, 1)]
         with pytest.raises(MalformedRow):
-            build_route_dataset(*_tables(bad, weather), 5, 26, config.timetable)
+            build_route_dataset(*_tables(bad, weather), 5, 26)
 
     def test_chronological_sort_total(self):
         records, weather, config = _complete_inputs()
-        ds = build_route_dataset(*_tables(reversed(records), weather), 5, 26, config.timetable)
+        ds = build_route_dataset(*_tables(reversed(records), weather), 5, 26)
         assert int(ds.mask.sum()) == len(records)
-        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).to_payload()
+        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26).to_payload()
 
     def test_numpy_integers_are_integers(self):
         records, weather, config = _complete_inputs()
@@ -338,13 +339,13 @@ class TestBuildRouteDataset:
             dataclasses.replace(r, service_index=np.int32(r.service_index), ridership=np.uint16(r.ridership))
             for r in records
         ]
-        ds = build_route_dataset(*_tables(as_numpy, weather), 5, 26, config.timetable)
-        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).to_payload()
+        ds = build_route_dataset(*_tables(as_numpy, weather), 5, 26)
+        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26).to_payload()
 
     def test_every_service_needs_weather(self):
         records, weather, config = _complete_inputs()
         with pytest.raises(MissingWeather):
-            build_route_dataset(*_tables(records, weather[:-1]), 5, 26, config.timetable)
+            build_route_dataset(*_tables(records, weather[:-1]), 5, 26)
 
 
 class TestRoundTrips:
@@ -358,7 +359,7 @@ class TestRoundTrips:
         dropped = (date(2021, 10, 2), 7, 3)
         records = [r for r in records if (r.service_date, r.service_index, r.stop_index) != dropped]
         cache, rewritten = tmp_path / "dataset.json", tmp_path / "again.json"
-        build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).save(cache)
+        build_route_dataset(*_tables(records, weather), 5, 26).save(cache)
         loaded = RouteDataset.load(cache)
         assert incomplete_keys(loaded) == (dropped[:2],)
         loaded.save(rewritten)
@@ -367,10 +368,10 @@ class TestRoundTrips:
     def test_date_slice_equals_a_dataset_of_its_records(self):
         records, weather, config = _complete_inputs(n_days=3)
         day = date(2021, 10, 2)
-        sliced = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).subset_by_dates(day, day)
+        sliced = build_route_dataset(*_tables(records, weather), 5, 26).subset_by_dates(day, day)
         rebuilt = build_route_dataset(
             *_tables([r for r in records if r.service_date == day], [sw for sw in weather if sw.service_date == day]),
-            5, 26, config.timetable,
+            5, 26,
         )
         assert sliced.to_payload() == rebuilt.to_payload()
         assert sliced.date_range() == (day, day)
@@ -379,9 +380,8 @@ class TestRoundTrips:
         records, weather, config = _complete_inputs()
         r_path = tmp_path / "r.csv"
         write_ridership_csv(records, r_path)
-        ds = build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
-        parsed = build_route_dataset(parse_ridership_csv(r_path), service_weather_columns(weather), 5, 26,
-                                     config.timetable)
+        ds = build_route_dataset(*_tables(records, weather), 5, 26)
+        parsed = build_route_dataset(parse_ridership_csv(r_path), service_weather_columns(weather), 5, 26)
         assert parsed.to_payload() == ds.to_payload()
 
     @given(
@@ -428,24 +428,21 @@ def test_full_year_observation_count():
     assert len(observations) == 6570
 
 
-def _grid_payload(records, weather, timetable) -> dict:
-    """A version-2 dataset cache laying out exactly these records and weather rows, unvalidated."""
+def _grid_payload(records, weather) -> dict:
+    """A version-3 dataset cache laying out exactly these records and weather rows, unvalidated."""
     dates = [r.service_date for r in records] + [sw.service_date for sw in weather]
     first = min(dates, default=D1)
     days = (max(dates) - first).days + 1 if dates else 0
-    ridership = [[[None] * 5 for _ in range(26)] for _ in range(days)]
-    rain, precipitation = ([[None] * 26 for _ in range(days)] for _ in range(2))
+    ridership, mask = np.zeros((days, 26, 5), dtype=np.int64), np.zeros((days, 26, 5), dtype=bool)
+    rain, weather_mask = np.zeros((2, days, 26), dtype=bool)
+    precipitation = np.zeros((days, 26))
     for r in records:
-        ridership[(r.service_date - first).days][r.service_index - 1][r.stop_index - 1] = r.ridership
+        cell = ((r.service_date - first).days, r.service_index - 1, r.stop_index - 1)
+        ridership[cell], mask[cell] = r.ridership, True
     for sw in weather:
-        day, service = (sw.service_date - first).days, sw.service_index - 1
-        rain[day][service], precipitation[day][service] = int(sw.rain_flag), sw.precipitation_mm
-    return {
-        "format": "buscast-dataset", "version": 2, "n_stops": 5, "services_per_day": 26,
-        "first_date": first.isoformat(),
-        "timetable": {str(i): t.isoformat(timespec="minutes") for i, t in timetable.items()},
-        "ridership": ridership, "rain": rain, "precipitation": precipitation,
-    }
+        cell = ((sw.service_date - first).days, sw.service_index - 1)
+        rain[cell], precipitation[cell], weather_mask[cell] = sw.rain_flag, sw.precipitation_mm, True
+    return RouteDataset(5, 26, first, ridership, mask, rain, precipitation, weather_mask).to_payload()
 
 
 def _with_count(records, i, value):
@@ -504,11 +501,13 @@ BAD_INPUTS = {
 }
 
 
-#: The cases a (day, service, stop) grid cannot hold: a service or stop outside
-#: it, or two values for one cell. Only ``build_route_dataset`` sees them.
+#: The cases a typed (day, service, stop) grid cannot hold: a service or stop
+#: outside it, two values for one cell, or a count that is not a 64-bit
+#: integer. Only ``build_route_dataset`` sees them.
 NOT_A_GRID = {
     "service-out-of-range", "stop-out-of-range", "duplicate-triple", "duplicate-service-weather",
-    "first-bad-in-sorted-order", "first-failing-check", "weather-before-records",
+    "first-bad-in-sorted-order", "first-failing-check", "weather-before-records", "non-integer-count",
+    "int-beyond-int64",
 }
 
 
@@ -525,10 +524,10 @@ def test_bad_input_error_and_precedence(case, source, tmp_path):
     records, weather = edit(records, weather)
     with pytest.raises(error) as caught:
         if source == "build":
-            build_route_dataset(*_tables(records, weather), 5, 26, config.timetable)
+            build_route_dataset(*_tables(records, weather), 5, 26)
         else:
             cache = tmp_path / "dataset.json"
-            cache.write_text(json.dumps(_grid_payload(records, weather, config.timetable)))
+            cache.write_text(json.dumps(_grid_payload(records, weather)))
             RouteDataset.load(cache)
     assert str(caught.value) == message
 
@@ -541,28 +540,26 @@ def _without(payload, key):
     return {k: v for k, v in payload.items() if k != key}
 
 
-def _with_cell(payload, key, index, value):
-    """The payload with one cell of the ``key`` grid replaced."""
-    grid = copy.deepcopy(payload[key])
-    *outer, last = index
-    row = grid
-    for i in outer:
-        row = row[i]
-    row[last] = value
-    return {**payload, key: grid}
+def _with_bytes(payload, key, edit):
+    """The payload with grid ``key``'s decoded bytes replaced by ``edit(bytes)``."""
+    return {**payload, key: base64.b64encode(edit(base64.b64decode(payload[key]))).decode("ascii")}
 
 
 def _no_counts(payload):
-    return _with(payload, ridership=[[[None] * 5 for _ in range(26)] for _ in range(2)])
+    return with_cache_cells(with_cache_cells(payload, "mask", ((), 0)), "ridership", ((), 0))
 
 
-def _short_row(payload, key, index):
-    grid = copy.deepcopy(payload[key])
-    row = grid
-    for i in index:
-        row = row[i]
-    row.pop()
-    return {**payload, key: grid}
+def _no_weather(payload, day, service):
+    """The payload with no weather for service (day, service), as the cache stores an unobserved one."""
+    cleared = with_cache_cells(payload, "weather_mask", ((day, service), 0))
+    cleared = with_cache_cells(cleared, "rain", ((day, service), 0))
+    return with_cache_cells(cleared, "precipitation", ((day, service), 0))
+
+
+def _unobserved(payload, day, service):
+    """The payload with service (day, service) neither observed nor given weather."""
+    cleared = with_cache_cells(payload, "mask", ((day, service), 0))
+    return _no_weather(with_cache_cells(cleared, "ridership", ((day, service), 0)), day, service)
 
 
 CELL = "(datetime.date(2021, 10, 1), 5)"
@@ -570,9 +567,11 @@ CELL = "(datetime.date(2021, 10, 1), 5)"
 #: name -> (edit of a valid 2-day, 26-service, 5-stop cache, error class, message
 #: with <path> for the cache's path). The cases run in the load's order; those
 #: named ``...-before-...`` or ``earlier-...-first`` break two checks and expect
-#: the one the load raises first.
+#: the one the load raises first. A version-3 cache fixes each grid's dtype, so
+#: the cases that gave one cell a JSON value of another type (``count-true``,
+#: ``rain-float``, ``precipitation-text`` ...) give that value to the whole grid.
 BAD_CACHES = {
-    # 1. not a version-2 buscast cache
+    # 1. not a version-3 buscast cache
     "not-json": (lambda p: "{", MalformedRow,
                  "<path>: malformed dataset cache: Expecting property name enclosed in double quotes: "
                  "line 1 column 2 (char 1)"),
@@ -580,14 +579,20 @@ BAD_CACHES = {
     "other-format": (lambda p: _with(p, format="csv"), MalformedRow, "<path>: not a buscast dataset cache"),
     "version-1": (lambda p: _with(p, version=1), MalformedRow,
                   "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
-    "version-3": (lambda p: _with(p, version=3), MalformedRow, "<path>: unsupported dataset cache version 3"),
+    "version-2": (lambda p: _with(p, version=2), MalformedRow,
+                  "<path>: version-2 dataset cache; run 'buscast ingest' again to rewrite it"),
+    "version-3": (lambda p: _with(p, version="3"), MalformedRow, "<path>: unsupported dataset cache version '3'"),
+    "version-4": (lambda p: _with(p, version=4), MalformedRow, "<path>: unsupported dataset cache version 4"),
     "no-version": (lambda p: _without(p, "version"), MalformedRow,
                    "<path>: unsupported dataset cache version None"),
     "version-before-key": (lambda p: _without(_with(p, version=1), "ridership"), MalformedRow,
                            "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
     # 2. a missing key
     "no-first-date": (lambda p: _without(p, "first_date"), MalformedRow, "<path>: dataset cache lacks 'first_date'"),
+    "no-days-key": (lambda p: _without(p, "days"), MalformedRow, "<path>: dataset cache lacks 'days'"),
     "no-rain": (lambda p: _without(p, "rain"), MalformedRow, "<path>: dataset cache lacks 'rain'"),
+    "no-weather-mask": (lambda p: _without(p, "weather_mask"), MalformedRow,
+                        "<path>: dataset cache lacks 'weather_mask'"),
     "key-before-header": (lambda p: _without(_with(p, n_stops=0), "precipitation"), MalformedRow,
                           "<path>: dataset cache lacks 'precipitation'"),
     # 3. a bad header value
@@ -596,102 +601,116 @@ BAD_CACHES = {
                    "<path>: n_stops must be an integer >= 1, got True"),
     "services-text": (lambda p: _with(p, services_per_day="26"), MalformedRow,
                       "<path>: services_per_day must be an integer >= 1, got '26'"),
+    "negative-days": (lambda p: _with(p, days=-1), MalformedRow, "<path>: days must be an integer >= 0, got -1"),
     "bad-first-date": (lambda p: _with(p, first_date="2021-13-01"), MalformedRow,
                        "<path>: first_date '2021-13-01' is not an ISO date"),
     "numeric-first-date": (lambda p: _with(p, first_date=20211001), MalformedRow,
                            "<path>: first_date 20211001 is not an ISO date"),
-    "timetable-list": (lambda p: _with(p, timetable=[]), MalformedRow, "<path>: timetable is not an object"),
-    "timetable-bad-time": (lambda p: _with(p, timetable={"1": "25:00"}), MalformedRow,
-                           "<path>: bad timetable entry '1': '25:00'"),
-    "timetable-bad-service": (lambda p: _with(p, timetable={"x": "06:40"}), MalformedRow,
-                              "<path>: bad timetable entry 'x': '06:40'"),
-    "header-before-shape": (lambda p: _with(p, n_stops=0, ridership={}), MalformedRow,
-                            "<path>: n_stops must be an integer >= 1, got 0"),
-    # 4. a grid of the wrong shape
-    "ridership-not-a-list": (lambda p: _with(p, ridership={}), MalformedRow,
-                             "<path>: 'ridership' is not a days x 26 x 5 grid"),
-    "ragged-ridership": (lambda p: _short_row(p, "ridership", (1, 7)), MalformedRow,
-                         "<path>: 'ridership' is not a days x 26 x 5 grid"),
-    "too-deep-ridership": (lambda p: _with(p, ridership=[[[[c] for c in row] for row in d] for d in p["ridership"]]),
-                           MalformedRow, "<path>: 'ridership' is not a days x 26 x 5 grid"),
-    "stops-disagree": (lambda p: _with(p, n_stops=4), MalformedRow, "<path>: 'ridership' is not a days x 26 x 4 grid"),
-    "services-disagree": (lambda p: _with(p, services_per_day=27), MalformedRow,
-                          "<path>: 'ridership' is not a days x 27 x 5 grid"),
-    "rain-days-disagree": (lambda p: _with(p, rain=p["rain"][:1]), MalformedRow, "<path>: 'rain' is not a 2 x 26 grid"),
-    "ragged-precipitation": (lambda p: _short_row(p, "precipitation", (1,)), MalformedRow,
-                             "<path>: 'precipitation' is not a 2 x 26 grid"),
-    "shape-before-counts": (lambda p: _short_row(_with_cell(p, "ridership", (0, 0, 0), 1.5), "rain", (0,)),
-                            MalformedRow, "<path>: 'rain' is not a 2 x 26 grid"),
     "days-past-the-last-date": (lambda p: _with(p, first_date="9999-12-31"), MalformedRow,
                                 "<path>: 2 days from 9999-12-31 run past the last representable date"),
-    # 5. the first bad count in (date, service, stop) order
-    "count-true": (lambda p: _with_cell(p, "ridership", (0, 4, 2), True), MalformedRow,
-                   "ridership True is not a 64-bit integer"),
-    "count-float": (lambda p: _with_cell(p, "ridership", (0, 4, 2), 1.5), MalformedRow,
-                    "ridership 1.5 is not a 64-bit integer"),
-    "count-text": (lambda p: _with_cell(p, "ridership", (0, 4, 2), "3"), MalformedRow,
-                   "ridership '3' is not a 64-bit integer"),
-    "count-beyond-int64": (lambda p: _with_cell(p, "ridership", (0, 4, 2), 2**63), MalformedRow,
-                           "ridership 9223372036854775808 is not a 64-bit integer"),
-    "count-nan": (lambda p: _with_cell(p, "ridership", (0, 4, 2), float("nan")), MalformedRow,
-                  "ridership nan is not a 64-bit integer"),
-    "count-list": (lambda p: _with_cell(p, "ridership", (0, 4, 2), [3]), MalformedRow,
-                   "ridership [3] is not a 64-bit integer"),
-    "negative-count": (lambda p: _with_cell(p, "ridership", (0, 4, 2), -2), MalformedRow, "negative ridership -2"),
+    "header-before-shape": (lambda p: _with(p, n_stops=0, ridership={}), MalformedRow,
+                            "<path>: n_stops must be an integer >= 1, got 0"),
+    # 4. a grid that is not base64 of days x services (x stops) cells of its dtype
+    "ridership-not-a-list": (lambda p: _with(p, ridership={}), MalformedRow,
+                             "<path>: 'ridership' is not a base64 string"),
+    "count-list": (lambda p: _with(p, ridership=[3]), MalformedRow, "<path>: 'ridership' is not a base64 string"),
+    "count-true": (lambda p: _with(p, ridership=True), MalformedRow, "<path>: 'ridership' is not a base64 string"),
+    "count-float": (lambda p: _with(p, ridership=1.5), MalformedRow, "<path>: 'ridership' is not a base64 string"),
+    "count-nan": (lambda p: _with(p, ridership=float("nan")), MalformedRow,
+                  "<path>: 'ridership' is not a base64 string"),
+    "count-text": (lambda p: _with(p, ridership="3"), MalformedRow, "<path>: 'ridership' is not valid base64"),
+    "bad-base64": (lambda p: _with(p, mask=p["mask"][:-4] + "#A=="), MalformedRow,
+                   "<path>: 'mask' is not valid base64"),
+    "rain-true": (lambda p: _with(p, rain=True), MalformedRow, "<path>: 'rain' is not a base64 string"),
+    "rain-float": (lambda p: _with(p, rain=1.0), MalformedRow, "<path>: 'rain' is not a base64 string"),
+    "precipitation-text": (lambda p: _with(p, precipitation="1"), MalformedRow,
+                           "<path>: 'precipitation' is not valid base64"),
+    "ragged-ridership": (lambda p: _with_bytes(p, "ridership", lambda b: b[:-8]), MalformedRow,
+                         "<path>: 'ridership' holds 2072 bytes, not a 2 x 26 x 5 grid of int64"),
+    "too-deep-ridership": (lambda p: _with_bytes(p, "ridership", lambda b: b * 2), MalformedRow,
+                           "<path>: 'ridership' holds 4160 bytes, not a 2 x 26 x 5 grid of int64"),
+    "wrong-payload-length": (lambda p: _with_bytes(p, "mask", lambda b: b + b"\0\0\0"), MalformedRow,
+                             "<path>: 'mask' holds 263 bytes, not a 2 x 26 x 5 grid of bool"),
+    "stops-disagree": (lambda p: _with(p, n_stops=4), MalformedRow,
+                       "<path>: 'ridership' holds 2080 bytes, not a 2 x 26 x 4 grid of int64"),
+    "services-disagree": (lambda p: _with(p, services_per_day=27), MalformedRow,
+                          "<path>: 'ridership' holds 2080 bytes, not a 2 x 27 x 5 grid of int64"),
+    "days-disagree": (lambda p: _with(p, days=3), MalformedRow,
+                      "<path>: 'ridership' holds 2080 bytes, not a 3 x 26 x 5 grid of int64"),
+    "rain-days-disagree": (lambda p: _with_bytes(p, "rain", lambda b: b[:26]), MalformedRow,
+                           "<path>: 'rain' holds 26 bytes, not a 2 x 26 grid of bool"),
+    "ragged-precipitation": (lambda p: _with_bytes(p, "precipitation", lambda b: b[:-8]), MalformedRow,
+                             "<path>: 'precipitation' holds 408 bytes, not a 2 x 26 grid of float64"),
+    "shape-before-counts": (
+        lambda p: _with_bytes(with_cache_cells(p, "ridership", ((0, 0, 0), -1)), "rain", lambda b: b[:-1]),
+        MalformedRow, "<path>: 'rain' holds 51 bytes, not a 2 x 26 grid of bool"),
+    # 5. the first bad count cell in (date, service, stop) order, its first failing check
+    "bool-byte-2": (lambda p: with_cache_cells(p, "mask", ((0, 4, 2), 2)), MalformedRow,
+                    "observed flag 2 for (datetime.date(2021, 10, 1), 5, 3) is not 0 or 1"),
+    "count-not-observed": (lambda p: with_cache_cells(with_cache_cells(p, "mask", ((0, 4, 2), 0)), "ridership",
+                                                      ((0, 4, 2), 4)), MalformedRow,
+                           "ridership 4 for (datetime.date(2021, 10, 1), 5, 3) is not observed"),
+    # 2**63 does not fit the grid's 64 bits; its bit pattern reads as -2**63
+    "count-beyond-int64": (lambda p: with_cache_cells(p, "ridership", ((0, 4, 2), -2**63)), MalformedRow,
+                           "negative ridership -9223372036854775808"),
+    "negative-count": (lambda p: with_cache_cells(p, "ridership", ((0, 4, 2), -2)), MalformedRow,
+                       "negative ridership -2"),
     "earlier-date-first": (
-        lambda p: _with_cell(_with_cell(p, "ridership", (1, 0, 0), 1.5), "ridership", (0, 25, 4), -1),
+        lambda p: with_cache_cells(with_cache_cells(p, "mask", ((1, 0, 0), 2)), "ridership", ((0, 25, 4), -1)),
         MalformedRow, "negative ridership -1"),
     "earlier-stop-first": (
-        lambda p: _with_cell(_with_cell(p, "ridership", (0, 3, 4), "3"), "ridership", (0, 3, 1), -1),
+        lambda p: with_cache_cells(with_cache_cells(p, "mask", ((0, 3, 4), 0)), "ridership", ((0, 3, 4), 3),
+                                   ((0, 3, 1), -1)),
         MalformedRow, "negative ridership -1"),
     # 6. no count at all
     "no-counts": (_no_counts, EmptyDataset, "no ridership records"),
-    "no-days": (lambda p: _with(p, ridership=[], rain=[], precipitation=[]), EmptyDataset, "no ridership records"),
-    "count-before-empty": (lambda p: _with_cell(_no_counts(p), "ridership", (1, 2, 3), 1.5), MalformedRow,
-                           "ridership 1.5 is not a 64-bit integer"),
+    "no-days": (lambda p: _with(p, days=0, **{key: "" for key in data_ingest.GRIDS}), EmptyDataset,
+                "no ridership records"),
+    "count-before-empty": (lambda p: with_cache_cells(_no_counts(p), "ridership", ((1, 2, 3), 5)), MalformedRow,
+                           "ridership 5 for (datetime.date(2021, 10, 2), 3, 4) is not observed"),
     # 7. an observed service without weather
-    "missing-weather": (
-        lambda p: _with_cell(_with_cell(p, "rain", (0, 20), None), "precipitation", (0, 20), None), MissingWeather,
-        "no service weather for (datetime.date(2021, 10, 1), 21)"),
+    "missing-weather": (lambda p: _no_weather(p, 0, 20), MissingWeather,
+                        "no service weather for (datetime.date(2021, 10, 1), 21)"),
     "count-before-missing-weather": (
-        lambda p: _with_cell(_with_cell(_with_cell(p, "rain", (0, 0), None), "precipitation", (0, 0), None),
-                             "ridership", (1, 25, 4), -1),
+        lambda p: with_cache_cells(_no_weather(p, 0, 0), "ridership", ((1, 25, 4), -1)),
         MalformedRow, "negative ridership -1"),
     "missing-weather-before-values": (
-        lambda p: _with_cell(_with_cell(_with_cell(p, "rain", (1, 3), None), "precipitation", (1, 3), None),
-                             "rain", (0, 0), 7),
+        lambda p: with_cache_cells(_no_weather(p, 1, 3), "rain", ((0, 0), 7)),
         MissingWeather, "no service weather for (datetime.date(2021, 10, 2), 4)"),
     # 8. the first (date, service) with bad weather, its first failing check
-    "rain-7": (lambda p: _with_cell(p, "rain", (0, 4), 7), MalformedRow, f"rain flag 7 for {CELL} is not 0 or 1"),
-    "rain-true": (lambda p: _with_cell(p, "rain", (0, 4), True), MalformedRow,
-                  f"rain flag True for {CELL} is not 0 or 1"),
-    "rain-float": (lambda p: _with_cell(p, "rain", (0, 4), 1.0), MalformedRow,
-                   f"rain flag 1.0 for {CELL} is not 0 or 1"),
-    "rain-alone": (lambda p: _with_cell(p, "precipitation", (0, 4), None), MalformedRow,
-                   f"rain flag and precipitation for {CELL} are not both null or both set"),
-    "precipitation-alone": (lambda p: _with_cell(p, "rain", (0, 4), None), MalformedRow,
-                            f"rain flag and precipitation for {CELL} are not both null or both set"),
-    "precipitation-text": (lambda p: _with_cell(p, "precipitation", (0, 4), "1"), MalformedRow,
-                           f"precipitation '1' for {CELL} is not a number"),
-    "negative-precipitation": (lambda p: _with_cell(p, "precipitation", (0, 4), -5), MalformedRow,
+    "weather-flag-2": (lambda p: with_cache_cells(p, "weather_mask", ((0, 4), 2)), MalformedRow,
+                       f"weather flag 2 for {CELL} is not 0 or 1"),
+    "rain-7": (lambda p: with_cache_cells(p, "rain", ((0, 4), 7)), MalformedRow,
+               f"rain flag 7 for {CELL} is not 0 or 1"),
+    "rain-alone": (lambda p: with_cache_cells(_unobserved(p, 0, 4), "rain", ((0, 4), 1)), MalformedRow,
+                   f"rain flag for {CELL} is set without weather"),
+    "precipitation-alone": (lambda p: with_cache_cells(_unobserved(p, 0, 4), "precipitation", ((0, 4), 2.5)),
+                            MalformedRow, f"precipitation 2.5 for {CELL} is set without weather"),
+    "precipitation-without-weather": (
+        lambda p: with_cache_cells(_unobserved(p, 0, 4), "precipitation", ((0, 4), float("nan"))), MalformedRow,
+        f"precipitation nan for {CELL} is set without weather"),
+    "negative-zero-without-weather": (
+        lambda p: with_cache_cells(_unobserved(p, 0, 4), "precipitation", ((0, 4), -0.0)), MalformedRow,
+        f"precipitation -0.0 for {CELL} is set without weather"),
+    "negative-precipitation": (lambda p: with_cache_cells(p, "precipitation", ((0, 4), -5)), MalformedRow,
                                f"precipitation -5.0 for {CELL} is negative or not finite"),
-    "nan-precipitation": (lambda p: _with_cell(p, "precipitation", (0, 4), float("nan")), MalformedRow,
+    "nan-precipitation": (lambda p: with_cache_cells(p, "precipitation", ((0, 4), float("nan"))), MalformedRow,
                           f"precipitation nan for {CELL} is negative or not finite"),
-    "huge-precipitation": (lambda p: _with_cell(p, "precipitation", (0, 4), 10**400), MalformedRow,
+    "huge-precipitation": (lambda p: with_cache_cells(p, "precipitation", ((0, 4), float("inf"))), MalformedRow,
                            f"precipitation inf for {CELL} is negative or not finite"),
     "earlier-service-first": (
-        lambda p: _with_cell(_with_cell(p, "rain", (0, 4), 7), "precipitation", (0, 2), -1.0), MalformedRow,
-        "precipitation -1.0 for (datetime.date(2021, 10, 1), 3) is negative or not finite"),
+        lambda p: with_cache_cells(with_cache_cells(p, "rain", ((0, 4), 7)), "precipitation", ((0, 2), -1.0)),
+        MalformedRow, "precipitation -1.0 for (datetime.date(2021, 10, 1), 3) is negative or not finite"),
     "rain-before-precipitation": (
-        lambda p: _with_cell(_with_cell(p, "rain", (0, 4), 7), "precipitation", (0, 4), -1.0), MalformedRow,
-        f"rain flag 7 for {CELL} is not 0 or 1"),
+        lambda p: with_cache_cells(with_cache_cells(p, "rain", ((0, 4), 7)), "precipitation", ((0, 4), -1.0)),
+        MalformedRow, f"rain flag 7 for {CELL} is not 0 or 1"),
 }
 
 
 @pytest.fixture(scope="module")
 def valid_cache_payload():
     records, weather, config = _complete_inputs()
-    return build_route_dataset(*_tables(records, weather), 5, 26, config.timetable).to_payload()
+    return build_route_dataset(*_tables(records, weather), 5, 26).to_payload()
 
 
 @pytest.mark.parametrize("case", list(BAD_CACHES))
@@ -733,8 +752,7 @@ def route_grids(draw):
             value = (False, 0.0)
         if value is not None:
             rows.append(ServiceWeather(*key, *value))
-    timetable = {s: time(draw(st.integers(0, 23)), draw(st.integers(0, 59))) for s in range(1, services + 1)}
-    return build_route_dataset(*_tables(records, rows), n_stops, services, timetable)
+    return build_route_dataset(*_tables(records, rows), n_stops, services)
 
 
 @given(ds=route_grids())
@@ -747,7 +765,7 @@ def test_cache_round_trip_property(ds, tmp_path_factory):
         expected, actual = getattr(ds, name), getattr(loaded, name)
         assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
     assert (loaded.n_stops, loaded.services_per_day) == (ds.n_stops, ds.services_per_day)
-    assert loaded.first_date == ds.first_date and loaded.timetable == ds.timetable
+    assert loaded.first_date == ds.first_date
     rewritten = path.with_name("again.json")
     loaded.save(rewritten)
     assert rewritten.read_bytes() == path.read_bytes()

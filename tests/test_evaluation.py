@@ -1,6 +1,6 @@
 import json
 import math
-from datetime import date, time
+from datetime import date
 
 import numpy as np
 import pytest
@@ -76,7 +76,6 @@ def _two_stop_dataset(series_a, series_b):
     """Dataset with two stops carrying the given aligned ridership series."""
     day = date(2022, 1, 1)
     records, weather = [], []
-    timetable = {i: time(6 + (i - 1) % 18, 0) for i in range(1, 27)}
     for i, (a, b) in enumerate(zip(series_a, series_b)):
         d = date.fromordinal(day.toordinal() + i // 26)
         svc = 1 + i % 26
@@ -84,7 +83,7 @@ def _two_stop_dataset(series_a, series_b):
         records.append(RidershipRecord(d, svc, 2, b))
         weather.append(ServiceWeather(d, svc, False, 0.0))
     return build_route_dataset(
-        RidershipColumns.from_records(records), service_weather_columns(weather), 2, 26, timetable
+        RidershipColumns.from_records(records), service_weather_columns(weather), 2, 26
     )
 
 

@@ -177,7 +177,7 @@ def _contig_dataset(n_days, drop=None, seed=2):
         ]
     ridership = RidershipColumns.from_records(records)
     weather = join_weather_to_services(ridership, WeatherColumns.from_observations(observations), config.timetable)
-    return build_route_dataset(ridership, weather, 2, 26, config.timetable)
+    return build_route_dataset(ridership, weather, 2, 26)
 
 
 class TestWindows:

@@ -129,7 +129,7 @@ def _stages(parse_ridership, parse_weather, join, records_list, observations_lis
         done.append(observations_list(observations))
         joined = join(records, observations, TIMETABLE)
         done.append(joined_list(joined))
-        build_route_dataset(*tables(records, joined), N_STOPS, SERVICES, TIMETABLE).save(cache)
+        build_route_dataset(*tables(records, joined), N_STOPS, SERVICES).save(cache)
         done.append(cache.read_bytes())
     except BuscastError as exc:
         done.append((type(exc), str(exc)))

@@ -43,7 +43,7 @@ def _route(rain_probability):
     ]
     ridership = RidershipColumns.from_records(records)
     weather = join_weather_to_services(ridership, WeatherColumns.from_observations(observations), config.timetable)
-    dataset = build_route_dataset(ridership, weather, 3, 26, config.timetable)
+    dataset = build_route_dataset(ridership, weather, 3, 26)
     return dataset, RecordRoute(records, service_weather_of(weather), 3, 26)
 
 
