@@ -547,7 +547,7 @@ class RouteDataset:
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
             raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
         if not (isinstance(payload, dict) and payload.get("format") == "buscast-dataset"):
             raise MalformedRow(f"{path}: not a buscast dataset cache")

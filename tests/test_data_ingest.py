@@ -498,6 +498,10 @@ BAD_INPUTS = {
         MissingWeather, "no service weather for (datetime.date(2021, 10, 1), 21)"),
     "records-before-missing-weather": (
         lambda r, w: (_with_count(r, len(r) - 1, -1), w[1:]), MalformedRow, "negative ridership -1"),
+    # precedence: service weather outside the route before the grid's cell checks
+    "weather-outside-the-route": (
+        lambda r, w: (r, w[:20] + w[21:] + [ServiceWeather(D1, 27, False, -1.0)]), MalformedRow,
+        "service weather for service 27 outside [1, 26]"),
 }
 
 
@@ -507,7 +511,7 @@ BAD_INPUTS = {
 NOT_A_GRID = {
     "service-out-of-range", "stop-out-of-range", "duplicate-triple", "duplicate-service-weather",
     "first-bad-in-sorted-order", "first-failing-check", "weather-before-records", "non-integer-count",
-    "int-beyond-int64",
+    "int-beyond-int64", "weather-outside-the-route",
 }
 
 
@@ -575,6 +579,9 @@ BAD_CACHES = {
     "not-json": (lambda p: "{", MalformedRow,
                  "<path>: malformed dataset cache: Expecting property name enclosed in double quotes: "
                  "line 1 column 2 (char 1)"),
+    "too-deeply-nested": (lambda p: "[" * 100_000, MalformedRow,
+                          "<path>: malformed dataset cache: maximum recursion depth exceeded while decoding a JSON "
+                          "array from a unicode string"),
     "not-an-object": (lambda p: [], MalformedRow, "<path>: not a buscast dataset cache"),
     "other-format": (lambda p: _with(p, format="csv"), MalformedRow, "<path>: not a buscast dataset cache"),
     "version-1": (lambda p: _with(p, version=1), MalformedRow,
