@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -44,11 +46,14 @@ from .models import (
     LoadedModel,
     MethodId,
     TrainSchedule,
+    TrainState,
     build_model,
     load_model,
+    load_train_state,
     method_spec,
     predict_next_service,
     save_model,
+    save_train_state,
     train,
 )
 from .nn_core import OptimizerKind
@@ -424,6 +429,61 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+class SpilledStates:
+    """The training states of Hyperband trials that may yet be promoted, one file each.
+
+    A trial's state is held in memory until :func:`run_hyperband` keeps it
+    (written to a file) or the next trial starts. The files go to a
+    temporary directory under ``out_dir``, made at the first kept state; a
+    file is deleted when its trial is dropped or resumed, and the directory
+    when the search ends, on success or error (:meth:`close`).
+    """
+
+    def __init__(self, out_dir: Path):
+        self._out_dir = out_dir
+        self._dir: Path | None = None
+        self._files: dict[tuple[HyperParams, int], Path] = {}
+        self._written = 0
+        self._held: tuple[tuple[HyperParams, int], TrainState] | None = None
+
+    def resume(self, hp: HyperParams, seed: int) -> TrainState:
+        """The state (hp, seed)'s last rung left, its file deleted, or a fresh one; forgets any held state."""
+        self._held = None
+        path = self._files.pop((hp, seed), None)
+        if path is None:
+            return TrainState()
+        try:
+            return load_train_state(path, hp)
+        finally:
+            path.unlink()
+
+    def hold(self, hp: HyperParams, seed: int, state: TrainState) -> None:
+        self._held = ((hp, seed), state)
+
+    def keep(self, hp: HyperParams, seed: int) -> None:
+        if self._held is None or self._held[0] != (hp, seed):
+            return  # the trial left no state: its config was infeasible or diverged
+        if self._dir is None:
+            self._out_dir.mkdir(parents=True, exist_ok=True)
+            self._dir = Path(tempfile.mkdtemp(prefix="tune-states-", dir=self._out_dir))
+        self.drop(hp, seed)
+        path = self._dir / f"{self._written}.state"
+        self._written += 1
+        save_train_state(path, self._held[1])
+        self._files[(hp, seed)] = path
+        self._held = None
+
+    def drop(self, hp: HyperParams, seed: int) -> None:
+        path = self._files.pop((hp, seed), None)
+        if path is not None:
+            path.unlink()
+
+    def close(self) -> None:
+        self._held = None
+        if self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
+
+
 def cmd_tune(args: argparse.Namespace) -> int:
     cfg = _merge(args)
     if cfg.method is None or cfg.method not in TRAINABLE_METHODS:
@@ -439,8 +499,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise BuscastError(f"--stop must be in 1..{n} (the dataset has {n} stops), got {args.stop}")
 
     window_cache: dict[int, object] = {}
+    states = SpilledStates(cfg.out_dir)
 
     def trial(hp: HyperParams, epochs: int, seed: int) -> float:
+        state = states.resume(hp, seed)
         if hp.sequence_length not in window_cache:
             try:
                 window_cache[hp.sequence_length] = prepare_windows(
@@ -458,14 +520,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
             train_scaled = stop_view(train_scaled, slice(stop_col, stop_col + 1))
             val_scaled = stop_view(val_scaled, slice(stop_col, stop_col + 1))
         model = build_model(spec, hp, dataset.n_stops, seed)
+        # Patience equal to the budget never fires, so going on from the state
+        # of the previous rung's budget equals training this one from scratch.
         trial_schedule = TrainSchedule(
             max_epochs=epochs, patience=max(epochs, 1), clip_norm=cfg.clip_norm
         )
-        history = train(model, train_scaled, val_scaled, hp, trial_schedule, seed + 1)
+        history = train(model, train_scaled, val_scaled, hp, trial_schedule, seed + 1, state)
+        states.hold(hp, seed, state)
         return history.best_val_loss
 
     rng = np.random.default_rng(cfg.seed)
-    result = run_hyperband(trial, schedule, rng, grid)
+    try:
+        result = run_hyperband(trial, schedule, rng, grid, states=states)
+    finally:
+        states.close()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     suffix = cfg.method.value if stop_col is None else f"{cfg.method.value}_stop{args.stop}"
     report_path = cfg.out_dir / f"tuning_{suffix}.csv"

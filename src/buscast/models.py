@@ -16,7 +16,8 @@ Every trained method is a :class:`Forecaster` with one
 
 Training minimizes MSE on min-max scaled targets with shuffled mini-batches,
 early stopping on validation loss, and restore-best-weights. Fixed seeds
-make runs bit-reproducible.
+make runs bit-reproducible. A run can stop and go on later from a
+:class:`TrainState`, kept in memory or in a file in the checkpoint container.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .nn_core import (
     BufferPool,
     DenseParams,
     LstmLayerParams,
+    Optimizer,
     branched_lstm_backward,
     branched_lstm_forward,
     branched_lstm_forward_windows,
@@ -314,6 +316,23 @@ class TrainHistory:
                 writer.writerow([epoch, repr(train_loss), repr(val_loss)])
 
 
+@dataclass
+class TrainState:
+    """Where a training run stopped, for :func:`train` to go on from there.
+
+    ``params`` are the parameters after the last epoch, before the best one
+    is restored; ``best`` is the best epoch's snapshot, or None when that
+    epoch is the last one. ``rng`` is the shuffle generator. A state with an
+    empty ``history`` has not started.
+    """
+
+    history: TrainHistory = field(default_factory=TrainHistory)
+    params: dict[str, np.ndarray] = field(default_factory=dict)
+    best: dict[str, np.ndarray] | None = None
+    optimizer: Optimizer | None = None
+    rng: np.random.Generator | None = None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a loss that overflows is reported once, as DivergedTraining
 def train(
     model: LstmRegressor,
@@ -322,25 +341,38 @@ def train(
     hp: HyperParams,
     schedule: TrainSchedule,
     seed: int,
+    state: TrainState | None = None,
 ) -> TrainHistory:
     """Mini-batch training on scaled targets; returns the per-epoch history.
 
     The model is left holding the parameters of the best validation epoch
     (when ``schedule.restore_best``). The ``seed`` drives batch shuffling
     only; initialization is fixed by :func:`build_model`.
+
+    With ``state`` the run goes on from it, parameters, optimizer, shuffle
+    generator and history included (``seed`` is then unused), up to epoch
+    ``schedule.max_epochs``, and ``state`` is left holding where this run
+    stopped; the returned history is its history, from epoch 1. Going on
+    from k epochs to k+m is bit-identical to one run of k+m epochs when
+    neither run stopped early. A run that raises leaves ``state`` spent.
     """
     n = train_data.n_samples
     if n == 0 or val_data.n_samples == 0:
         raise EmptyDataset("training and validation windows must be non-empty")
     validate_hyperparams(hp)
-    optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
     params = model.param_dict()
-    rng = np.random.default_rng(seed)
-    history = TrainHistory()
-    best_state = model.snapshot()
+    if state is not None and state.history.epochs:
+        model.restore(state.params)
+        optimizer, rng, history = state.optimizer, state.rng, state.history
+        best_state = state.params if state.best is None else state.best
+    else:
+        optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
+        rng = np.random.default_rng(seed)
+        history = TrainHistory()
+        best_state = model.snapshot()
     window_shape = (train_data.look_back, train_data.rows.shape[2])
 
-    for epoch in range(1, schedule.max_epochs + 1):
+    for epoch in range(len(history.epochs) + 1, schedule.max_epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         # The epoch's batches share one set of buffers, sized by the first
@@ -370,6 +402,12 @@ def train(
         elif epoch - history.best_epoch >= schedule.patience:
             break
 
+    if state is not None and history.epochs:
+        # A best epoch that is the last one needs no second copy.
+        best_is_last = history.best_epoch == history.epochs[-1][0]
+        state.params = best_state if best_is_last else model.snapshot()
+        state.best = None if best_is_last else best_state
+        state.optimizer, state.rng, state.history = optimizer, rng, history
     if schedule.restore_best:
         model.restore(best_state)
     return history
@@ -638,3 +676,55 @@ def load_model(path: str | Path) -> LoadedModel:
         look_back=_field(header, "look_back", path),
         n_stops=_field(header, "n_stops", path),
     )
+
+
+def save_train_state(path: str | Path, state: TrainState) -> None:
+    """One :class:`TrainState` in the checkpoint container, for :func:`load_train_state`.
+
+    The header holds the optimizer's kind and step count, the shuffle
+    generator's state and the best epoch; the arrays are the history as
+    (epoch, train, val) rows and the ``params/``, ``best/`` and optimizer
+    slot (``m/``, ``v/``) arrays under their parameter names.
+    """
+    history, optimizer = state.history, state.optimizer
+    header = {
+        "kind": "buscast-train-state",
+        "optimizer": optimizer.kind.value,
+        "step_count": optimizer.step_count,
+        "rng": state.rng.bit_generator.state,
+        "best_epoch": history.best_epoch,
+        "best_val_loss": history.best_val_loss,
+    }
+    groups = {"params": state.params, "best": state.best or {}, **optimizer.slots}
+    arrays = [("history", np.array(history.epochs, dtype=np.float64))]
+    arrays += [(f"{group}/{name}", arr) for group, named in groups.items() for name, arr in named.items()]
+    save_params(path, header, arrays)
+
+
+def _generator(state: dict) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def load_train_state(path: str | Path, hp: HyperParams) -> TrainState:
+    """The :class:`TrainState` a :func:`save_train_state` file holds, its optimizer built from ``hp``."""
+    header, arrays = load_params(path)
+    optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
+    kind = _field(header, "optimizer", path)
+    if kind != optimizer.kind.value:
+        raise CheckpointError(f"{path}: training state of optimizer {kind!r}, not {optimizer.kind.value!r}")
+    optimizer.step_count = _field(header, "step_count", path)
+    groups: dict[str, dict[str, np.ndarray]] = {"params": {}, "best": {}, **optimizer.slots}
+    for key, arr in arrays.items():
+        group, _, name = key.partition("/")
+        if group in groups:
+            groups[group][name] = arr
+    history = TrainHistory(
+        epochs=[(int(epoch), train_loss, val_loss) for epoch, train_loss, val_loss in
+                _field(arrays, "history", path, "array").tolist()],
+        best_epoch=_field(header, "best_epoch", path),
+        best_val_loss=_field(header, "best_val_loss", path),
+    )
+    rng = _parsed(_generator, _field(header, "rng", path), "generator state", path)
+    return TrainState(history, groups["params"], groups["best"] or None, optimizer, rng)

@@ -490,15 +490,22 @@ class OptimizerKind(Enum):
 
 
 class Optimizer:
-    """Updates a named set of parameter arrays in place."""
+    """Updates a named set of parameter arrays in place.
+
+    Its whole state is ``step_count`` and ``slots``: one array per parameter
+    name in each slot the optimizer keeps (none for SGD, ``v`` for RMSprop,
+    ``m`` and ``v`` for Adam and Nadam), made at the parameter's first step.
+    """
 
     kind: OptimizerKind
+    SLOTS: tuple[str, ...] = ()
 
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise NonPositiveLearningRate(f"learning rate must be > 0, got {learning_rate}")
         self.learning_rate = learning_rate
         self.step_count = 0
+        self.slots: dict[str, dict[str, np.ndarray]] = {slot: {} for slot in self.SLOTS}
 
     def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         if set(params) != set(grads):
@@ -514,10 +521,11 @@ class Optimizer:
     def _update(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _slot(self, slots: dict[str, np.ndarray], name: str, like: np.ndarray) -> np.ndarray:
-        if name not in slots:
-            slots[name] = np.zeros_like(like)
-        return slots[name]
+    def _slot(self, slot: str, name: str, like: np.ndarray) -> np.ndarray:
+        arrays = self.slots[slot]
+        if name not in arrays:
+            arrays[name] = np.zeros_like(like)
+        return arrays[name]
 
 
 class Sgd(Optimizer):
@@ -529,15 +537,15 @@ class Sgd(Optimizer):
 
 class RmsProp(Optimizer):
     kind = OptimizerKind.RMSPROP
+    SLOTS = ("v",)
 
     def __init__(self, learning_rate: float, rho: float = 0.9, eps: float = 1e-8):
         super().__init__(learning_rate)
         self.rho = rho
         self.eps = eps
-        self._v: dict[str, np.ndarray] = {}
 
     def _update(self, name, param, grad):
-        v = self._slot(self._v, name, param)
+        v = self._slot("v", name, param)
         v *= self.rho
         v += (1.0 - self.rho) * grad * grad
         param -= self.learning_rate * grad / (np.sqrt(v) + self.eps)
@@ -545,18 +553,17 @@ class RmsProp(Optimizer):
 
 class Adam(Optimizer):
     kind = OptimizerKind.ADAM
+    SLOTS = ("m", "v")
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         super().__init__(learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
 
     def _moments(self, name, param, grad):
-        m = self._slot(self._m, name, param)
-        v = self._slot(self._v, name, param)
+        m = self._slot("m", name, param)
+        v = self._slot("v", name, param)
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
@@ -646,26 +653,44 @@ def save_params(path: str | Path, header: dict, named_params: Iterable[tuple[str
             fh.write(arr.tobytes())
 
 
+def _is_param_entry(entry) -> bool:
+    """Whether a header ``params`` entry is a ``[name, shape]`` pair with a non-negative integer shape."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], str)
+        and isinstance(entry[1], list)
+        and all(type(dim) is int and dim >= 0 for dim in entry[1])
+    )
+
+
 def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 12:
-        raise CheckpointError(f"{path}: not a buscast checkpoint")
-    (blob_len,) = struct.unpack_from("<Q", raw, 4)
-    try:
-        header = json.loads(raw[12 : 12 + blob_len].decode("utf-8"))
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError
-        header = None
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: corrupt checkpoint header")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
-    offset = 12 + blob_len
-    params: dict[str, np.ndarray] = {}
-    for name, shape in header["params"]:
-        count = int(np.prod(shape)) if shape else 1
-        if offset + count * 8 > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        params[name] = arr.reshape(shape).copy()
-        offset += count * 8
+    """The header and the named arrays of a :func:`save_params` file; anything malformed is a :class:`CheckpointError`."""
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != CHECKPOINT_MAGIC or len(head) < 12:
+            raise CheckpointError(f"{path}: not a buscast checkpoint")
+        (blob_len,) = struct.unpack_from("<Q", head, 4)
+        try:
+            header = json.loads(fh.read(min(blob_len, size)).decode("utf-8"))
+        except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError, deep nesting
+            header = None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: corrupt checkpoint header")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+        entries = header.get("params")
+        if not (isinstance(entries, list) and all(_is_param_entry(entry) for entry in entries)):
+            raise CheckpointError(f"{path}: malformed parameter list in checkpoint header")
+        offset = 12 + blob_len
+        params: dict[str, np.ndarray] = {}
+        for name, shape in entries:
+            count = math.prod(shape)
+            if offset + count * 8 > size:
+                raise CheckpointError(f"{path}: truncated payload at {name}")
+            arr = np.empty(count, dtype="<f8")
+            fh.readinto(arr)
+            params[name] = arr.reshape(shape)
+            offset += count * 8
     return header, params

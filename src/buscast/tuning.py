@@ -4,18 +4,25 @@ Hyperband runs several successive-halving brackets that trade off the number
 of sampled configurations against the training budget (epochs) each one
 receives. Bracket s starts n_s = floor((s_max+1)/(s+1)) * eta^s configs at
 r_s = R * eta^-s epochs; each halving keeps the best floor(n_i / eta) and
-multiplies the budget by eta. Trials are retrained from scratch at every
-rung with a fixed per-trial seed, which keeps the whole search reproducible
-from a single master seed.
+multiplies the budget by eta. Every config trains with a fixed per-trial
+seed, which keeps the whole search reproducible from a single master seed.
+
+A promoted trial resumes from the training state its previous rung left
+instead of retraining from scratch. This is exact: a trial's early-stopping
+patience equals its rung's budget, so early stopping never fires, and
+training r_i epochs from scratch is bit for bit the r_{i-1}-epoch run
+trained on for r_i - r_{i-1} more. :func:`run_hyperband` says which states
+to keep (:class:`TrialStates`); the caller stores them.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -166,6 +173,16 @@ class TrialResult:
 TrialFn = Callable[[HyperParams, int, int], float]
 
 
+class TrialStates(Protocol):
+    """Where the training states of trials that may yet be promoted wait, by (hp, seed)."""
+
+    def keep(self, hp: HyperParams, seed: int) -> None:
+        """Keep the state the trial of (hp, seed) just run ended in."""
+
+    def drop(self, hp: HyperParams, seed: int) -> None:
+        """Forget the kept state of (hp, seed): its trial can no longer be promoted."""
+
+
 @dataclass
 class HyperbandResult:
     best: HyperParams
@@ -179,11 +196,19 @@ def run_hyperband(
     schedule: HyperbandSchedule,
     rng: np.random.Generator,
     grid: CandidateGrid | None = None,
+    states: TrialStates | None = None,
 ) -> HyperbandResult:
     """Run every bracket; return the config with the lowest observed loss.
 
     Diverged trials (NaN/Inf loss or a raised DivergedTraining) are recorded
-    with an infinite sentinel and never advanced or selected.
+    with an infinite sentinel and never selected; they advance only where a
+    rung has fewer finite losses than places.
+
+    With ``states``, right after a trial that is not on its bracket's last
+    rung and that fewer than its rung's n_keep trials so far beat on (loss,
+    trial id), ``states.keep`` is called for it; once n_keep trials beat a
+    kept trial, ``states.drop``. At a rung's end the kept states are those of
+    exactly the trials it promotes.
     """
     from .errors import DivergedTraining
 
@@ -198,7 +223,8 @@ def run_hyperband(
             seed = int(rng.integers(2**31 - 1))
             candidates.append((hp, seed))
         for rung_idx, rung in enumerate(bracket.rungs):
-            scored: list[tuple[float, int, HyperParams, int]] = []
+            places = rung.n_keep if rung_idx + 1 < len(bracket.rungs) else 0
+            scored: list[tuple[float, int, HyperParams, int]] = []  # sorted on (loss, trial id)
             for hp, seed in candidates[: rung.n_configs]:
                 try:
                     loss = float(trial_fn(hp, rung.epochs, seed))
@@ -219,8 +245,12 @@ def run_hyperband(
                 trials.append(result)
                 if loss < math.inf and (best is None or loss < best.val_loss):
                     best = result
-                scored.append((loss, result.trial_id, hp, seed))
-            scored.sort(key=lambda item: (item[0], item[1]))
+                rank = bisect.bisect(scored, (loss, result.trial_id), key=lambda item: item[:2])
+                scored.insert(rank, (loss, result.trial_id, hp, seed))
+                if states is not None and rank < places:
+                    states.keep(hp, seed)
+                    if len(scored) > places:
+                        states.drop(*scored[places][2:])
             candidates = [(hp, seed) for _, _, hp, seed in scored[: rung.n_keep]]
 
     if best is None:

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from datetime import date
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 import buscast
-from buscast.cli import _merge, build_parser, main, parse_config_file
+from buscast import cli
+from buscast.cli import RunConfig, _boundaries, _merge, build_parser, main, parse_config_file
 from buscast.data_ingest import (
     DEFAULT_TIMETABLE,
     RidershipColumns,
@@ -21,8 +24,19 @@ from buscast.data_ingest import (
     parse_weather_csv,
     write_ridership_csv,
 )
-from buscast.models import load_model, predict_next_service
-from buscast.nn_core import save_params
+from buscast.errors import BuscastError, DivergedTraining
+from buscast.features import prepare_windows, scale_targets, stop_view
+from buscast.models import (
+    MethodId,
+    TrainSchedule,
+    build_model,
+    load_model,
+    method_spec,
+    predict_next_service,
+    train,
+)
+from buscast.nn_core import OptimizerKind, save_params
+from buscast.tuning import HyperParams, make_schedule
 
 from ingest_oracle import records_of, service_weather_of, with_cache_cells
 from window_oracle import RecordRoute, oracle_stop_rows, oracle_trailing_run
@@ -383,6 +397,28 @@ class TestPredict:
         assert_one_error_line(err, "predict", "corrupt checkpoint header")
 
     @pytest.mark.parametrize(
+        "header, fragment",
+        [
+            (b"[" * 100_000, "corrupt checkpoint header"),
+            (b'{"format_version": 1}', "malformed parameter list"),
+            (b'{"format_version": 1, "params": 3}', "malformed parameter list"),
+            (b'{"format_version": 1, "params": [["w", ["ab"]]]}', "malformed parameter list"),
+            (b'{"format_version": 1, "params": [["w", [1.5]]]}', "malformed parameter list"),
+            (b'{"format_version": 1, "params": [["w", [-1]]]}', "malformed parameter list"),
+            (b'{"format_version": 1, "params": [[7, [1]]]}', "malformed parameter list"),
+            (b'{"format_version": 1, "params": [["w"]]}', "malformed parameter list"),
+        ],
+        ids=["deep-nesting", "no-params", "params-not-a-list", "text-dimension", "fractional-dimension",
+             "negative-dimension", "unnamed-array", "no-shape"],
+    )
+    def test_malformed_checkpoint_header(self, workspace, capsys, tmp_path, header, fragment):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"BCKP" + struct.pack("<Q", len(header)) + header + bytes(64))
+        code, _, err = self._predict_with_checkpoint(capsys, workspace, path)
+        assert code == 1
+        assert_one_error_line(err, "predict", str(path), fragment)
+
+    @pytest.mark.parametrize(
         "edit_header, drop, fragment",
         [
             (lambda h: h.pop("method"), None, "'method'"),
@@ -564,6 +600,130 @@ class TestTune:
         )
         assert code == 1
         assert_one_error_line(err, "tune", "ftrl", "sgd, rmsprop, adam, nadam")
+
+
+#: A small tuning grid with every optimizer and both depths.
+RESUME_GRID = (
+    "tune_lstm_nodes = 4,8\ntune_n_layers = 1,2\ntune_batch_sizes = 64\ntune_sequence_lengths = 13\n"
+    "tune_learning_rates = 0.01,0.001\ntune_optimizers = sgd,rmsprop,adam,nadam\n"
+)
+
+
+def _tune_resume(workspace, root: Path, method_args) -> tuple[int, Path]:
+    config = root / "tune.cfg"
+    config.write_text(RESUME_GRID)
+    out = root / "out"
+    code = main([
+        "tune", "--dataset", str(workspace["dataset"]), "--method", *method_args, "--max-resource", "9",
+        "--eta", "3", "--config", str(config), "--out", str(out), "--seed", "4",
+    ])
+    return code, out
+
+
+@pytest.fixture(scope="class", params=[("d",), ("perstop", "--stop", "2")], ids=["d", "perstop-stop2"])
+def spied_tune(request, workspace, tmp_path_factory):
+    """One tune run of R=9, eta=3 with ``train`` and ``save_train_state`` spied on.
+
+    ``calls`` holds (hp, epochs, epochs resumed from) of each ``train`` call,
+    and ``written`` the index of the call whose state each write saved.
+    """
+    calls, written = [], []
+
+    def spied_train(model, train_data, val_data, hp, schedule, seed, state=None):
+        calls.append((hp, schedule.max_epochs, len(state.history.epochs)))
+        return train(model, train_data, val_data, hp, schedule, seed, state)
+
+    save = cli.save_train_state
+
+    def spied_save(path, state):
+        written.append(len(calls) - 1)
+        assert len(state.history.epochs) == calls[-1][1]
+        save(path, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "train", spied_train)
+        patch.setattr(cli, "save_train_state", spied_save)
+        code, out = _tune_resume(workspace, tmp_path_factory.mktemp("tune"), request.param)
+    assert code == 0
+    with next(out.glob("tuning_*.csv")).open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {"method": request.param, "out": out, "rows": rows, "calls": calls, "written": written}
+
+
+class TestTuneResume:
+    """Promoted trials resume from spilled training states, with the results of retraining from scratch."""
+
+    def test_each_row_equals_training_from_scratch(self, workspace, spied_tune):
+        method_args, rows = spied_tune["method"], spied_tune["rows"]
+        dataset = RouteDataset.load(workspace["dataset"])
+        spec = method_spec(MethodId(method_args[0]), dataset.services_per_day)
+        cols = slice(None) if len(method_args) == 1 else slice(int(method_args[2]) - 1, int(method_args[2]))
+        prepared = prepare_windows(dataset, _boundaries(RunConfig(), dataset), spec.features, 13)
+        train_data, val_data = (stop_view(scale_targets(split, prepared.scalers), cols)
+                                for split in (prepared.train, prepared.val))
+        assert len(rows) == 20 and {row["rung"] for row in rows} == {"0", "1", "2"}
+        for row in rows:
+            hp = HyperParams(int(row["batch"]), int(row["seq_len"]), int(row["nodes"]), int(row["layers"]),
+                             float(row["lr"]), OptimizerKind(row["optimizer"]))
+            epochs, seed = int(row["epochs"]), int(row["seed"])
+            model = build_model(spec, hp, dataset.n_stops, seed)
+            try:
+                expected = train(model, train_data, val_data, hp, TrainSchedule(epochs, epochs), seed + 1).best_val_loss
+            except DivergedTraining:
+                expected = float("inf")
+            assert row["val_loss"] == repr(expected), row
+
+    def test_no_state_is_left_behind(self, spied_tune):
+        suffix = "_stop".join(spied_tune["method"][::2])
+        names = sorted(path.name for path in spied_tune["out"].rglob("*"))
+        assert names == [f"best_{suffix}.json", f"tuning_{suffix}.csv"]
+
+    def test_states_are_written_only_while_promotable(self, spied_tune):
+        rows, calls, written = spied_tune["rows"], spied_tune["calls"], spied_tune["written"]
+        assert len(calls) == len(rows)  # every config is feasible: trial i is train call i
+        brackets = {bracket.index: bracket.rungs for bracket in make_schedule(9, 3).brackets}
+        promotable = set()
+        for row in rows:
+            trial, loss = int(row["trial_id"]), float(row["val_loss"])
+            rungs, rung = brackets[int(row["bracket"])], int(row["rung"])
+            # Trials of the same rung run so far that beat this one on (loss, trial id).
+            beaten_by = sum(
+                1 for other in rows
+                if (other["bracket"], other["rung"]) == (row["bracket"], row["rung"])
+                and int(other["trial_id"]) < trial and float(other["val_loss"]) <= loss
+            )
+            if rung + 1 < len(rungs) and beaten_by < rungs[rung].n_keep and loss < float("inf"):
+                promotable.add(trial)
+        assert written and sorted(written) == written and set(written) == promotable
+        # Each promoted trial resumed from its previous rung's budget.
+        for (_, _, resumed_from), row in zip(calls, rows):
+            rungs, rung = brackets[int(row["bracket"])], int(row["rung"])
+            assert resumed_from == (rungs[rung - 1].epochs if rung > 0 else 0)
+
+    @pytest.mark.parametrize("method_args", [("d",), ("perstop", "--stop", "2")], ids=["d", "perstop-stop2"])
+    def test_states_are_removed_when_a_trial_fails(self, workspace, capsys, tmp_path, monkeypatch, method_args):
+        calls, written = [], []
+
+        def failing_train(model, train_data, val_data, hp, schedule, seed, state=None):
+            calls.append(state)
+            if len(calls) == 11:  # the second trial of bracket 0's second rung
+                raise BuscastError("disk on fire")
+            return train(model, train_data, val_data, hp, schedule, seed, state)
+
+        save = cli.save_train_state
+
+        def spied_save(path, state):
+            written.append(path)
+            save(path, state)
+
+        monkeypatch.setattr(cli, "train", failing_train)
+        monkeypatch.setattr(cli, "save_train_state", spied_save)
+        code, out = _tune_resume(workspace, tmp_path, method_args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert_one_error_line(err, "tune", "disk on fire")
+        assert len(written) >= 2 and calls[-1].history.epochs  # states were spilled, and one resumed
+        assert not any(out.rglob("*"))
 
 
 class TestConfigFile:

@@ -24,13 +24,16 @@ from buscast.models import (
     Member,
     MethodId,
     TrainSchedule,
+    TrainState,
     build_model,
     fit_statistical,
     load_model,
+    load_train_state,
     method_spec,
     predict_next_service,
     predict_statistical,
     save_model,
+    save_train_state,
     train,
 )
 from buscast.nn_core import (
@@ -292,6 +295,46 @@ class TestTrain:
                 assert grad.tobytes() == at_step.tobytes()
         assert all(ref() is None for ref in pooled)
         assert set(vars(model)) == {"layers", "head"}
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_resume_through_a_file_equals_one_run(self, tmp_path, kind, n_layers):
+        # 20 windows in batches of 8; patience = the budget, so no run stops early.
+        data, val = self._data(n=20), self._data(seed=1, n=8)
+        hp = HyperParams(8, 6, 4, n_layers, 0.01, kind)
+        k, m = 3, 4
+
+        def run(epochs, restore_best, state=None, seed=6):
+            model = build_model(method_spec(MethodId.A), hp, 2, seed=5)
+            schedule = TrainSchedule(max_epochs=epochs, patience=epochs, restore_best=restore_best)
+            return model, train(model, data, val, hp, schedule, seed, state)
+
+        restored, history = run(k + m, restore_best=True)
+        unrestored, _ = run(k + m, restore_best=False)
+
+        state = TrainState()
+        run(k, restore_best=True, state=state)
+        assert (state.best is None) == (state.history.best_epoch == k)
+        path = tmp_path / "train.state"
+        save_train_state(path, state)
+        names = [name for name, _ in load_params(path)[0]["params"]]
+        assert any(name.startswith("best/") for name in names) == (state.best is not None)
+        loaded = load_train_state(path, hp)
+        assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+        assert loaded.optimizer.step_count == state.optimizer.step_count == 3 * k
+        for slot, arrays in state.optimizer.slots.items():
+            assert arrays.keys() == loaded.optimizer.slots[slot].keys()
+            for name, arr in arrays.items():
+                assert loaded.optimizer.slots[slot][name].tobytes() == arr.tobytes()
+
+        resumed, resumed_history = run(k + m, restore_best=True, state=loaded, seed=99)  # the seed goes unused
+        assert resumed_history.epochs == history.epochs
+        assert np.array(resumed_history.epochs).tobytes() == np.array(history.epochs).tobytes()
+        assert (resumed_history.best_epoch, resumed_history.best_val_loss) == (history.best_epoch, history.best_val_loss)
+        for name, arr in restored.param_dict().items():
+            assert resumed.param_dict()[name].tobytes() == arr.tobytes()
+        for name, arr in unrestored.param_dict().items():
+            assert loaded.params[name].tobytes() == arr.tobytes()
 
     def test_nan_input_diverges(self):
         data = self._data()

@@ -175,6 +175,39 @@ class TestRunHyperband:
         result = run_hyperband(trial, make_schedule(9, 3), np.random.default_rng(4))
         assert result.best.optimizer is not OptimizerKind.ADAM
 
+    def test_states_are_kept_for_exactly_the_promoted_trials(self):
+        events = []
+
+        class States:
+            def keep(self, hp, seed):
+                events.append(("keep", hp, seed))
+
+            def drop(self, hp, seed):
+                events.append(("drop", hp, seed))
+
+        def trial(hp, epochs, seed):
+            events.append(("trial", hp, seed))
+            # Ties on (loss) and diverged trials exercise the (loss, trial id) order.
+            return float("inf") if hp.optimizer is OptimizerKind.SGD else _loss_surface(hp)
+
+        schedule = make_schedule(27, 3)
+        result = run_hyperband(trial, schedule, np.random.default_rng(4), states=States())
+        trials = iter(result.trials)
+        kept: set = set()
+        for kind, hp, seed in events:
+            if kind == "keep":
+                assert (hp, seed) not in kept
+                kept.add((hp, seed))
+            elif kind == "drop":
+                kept.remove((hp, seed))
+            else:
+                t = next(trials)
+                assert (t.hp, t.seed) == (hp, seed)
+                if t.rung > 0:  # a promoted trial finds its state kept, and resumes from it
+                    kept.remove((hp, seed))
+        assert not kept and next(trials, None) is None
+        assert sum(kind == "keep" for kind, _, _ in events) > sum(t.rung > 0 for t in result.trials)
+
 
 class TestReport:
     def test_rows_and_winner_flag(self, tmp_path):
