@@ -365,6 +365,7 @@ def train(
         model.restore(state.params)
         optimizer, rng, history = state.optimizer, state.rng, state.history
         best_state = state.params if state.best is None else state.best
+        state.params, state.best = {}, None  # held by the model and best_state until the run refills them
     else:
         optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
         rng = np.random.default_rng(seed)

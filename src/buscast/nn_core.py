@@ -665,7 +665,7 @@ def _is_param_entry(entry) -> bool:
 
 
 def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and the named arrays of a :func:`save_params` file; anything malformed is a :class:`CheckpointError`."""
+    """The header and named arrays of a :func:`save_params` file; a malformed file is a :class:`CheckpointError`."""
     with Path(path).open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(12)

@@ -668,7 +668,8 @@ class TestTuneResume:
             epochs, seed = int(row["epochs"]), int(row["seed"])
             model = build_model(spec, hp, dataset.n_stops, seed)
             try:
-                expected = train(model, train_data, val_data, hp, TrainSchedule(epochs, epochs), seed + 1).best_val_loss
+                history = train(model, train_data, val_data, hp, TrainSchedule(epochs, epochs), seed + 1)
+                expected = history.best_val_loss
             except DivergedTraining:
                 expected = float("inf")
             assert row["val_loss"] == repr(expected), row

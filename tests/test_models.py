@@ -330,7 +330,8 @@ class TestTrain:
         resumed, resumed_history = run(k + m, restore_best=True, state=loaded, seed=99)  # the seed goes unused
         assert resumed_history.epochs == history.epochs
         assert np.array(resumed_history.epochs).tobytes() == np.array(history.epochs).tobytes()
-        assert (resumed_history.best_epoch, resumed_history.best_val_loss) == (history.best_epoch, history.best_val_loss)
+        assert resumed_history.best_epoch == history.best_epoch
+        assert resumed_history.best_val_loss == history.best_val_loss
         for name, arr in restored.param_dict().items():
             assert resumed.param_dict()[name].tobytes() == arr.tobytes()
         for name, arr in unrestored.param_dict().items():
