@@ -466,7 +466,6 @@ class SpilledStates:
         if self._dir is None:
             self._out_dir.mkdir(parents=True, exist_ok=True)
             self._dir = Path(tempfile.mkdtemp(prefix="tune-states-", dir=self._out_dir))
-        self.drop(hp, seed)
         path = self._dir / f"{self._written}.state"
         self._written += 1
         save_train_state(path, self._held[1])
