@@ -51,7 +51,6 @@ from .models import (
     load_model,
     method_spec,
     predict_next_service,
-    predict_statistical,
     save_model,
     train,
 )

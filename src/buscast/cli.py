@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_ingest, features, synth
-from .data_ingest import DEFAULT_TIMETABLE, RouteDataset, timetable_from_strings
+from .data_ingest import DEFAULT_TIMETABLE, RouteDataset, service_key, timetable_from_strings
 from .errors import (
     BadBoundaries,
     BuscastError,
@@ -171,10 +171,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     as_date = date.fromisoformat
     as_path = Path
 
-    def as_count(raw: str) -> int:
+    def as_count(raw: str, least: int = 1) -> int:
         value = int(raw)
-        if value < 1:
-            raise ValueError("must be at least 1")
+        if value < least:
+            raise ValueError(f"must be at least {least}")
         return value
 
     def as_clip(raw: str) -> float | None:
@@ -217,7 +217,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     cfg.max_epochs = pick("max_epochs", "max_epochs", as_count, 200)
     cfg.patience = pick("patience", "patience", as_int, 10)
     cfg.clip_norm = pick("clip_norm", "clip_norm", as_clip, 5.0)
-    cfg.seed = pick("seed", "seed", as_int, 0)
+    cfg.seed = pick("seed", "seed", lambda raw: as_count(raw, least=0), 0)
     cfg.eval_seeds = pick("seeds", "eval_seeds", as_count, 5)
     cfg.tune_max_resource = pick("max_resource", "tune_max_resource", as_int, 27)
     cfg.tune_eta = pick("eta", "tune_eta", as_int, 3)
@@ -653,11 +653,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         encode_stop(tail, stop, lm.spec.features, lm.forecaster.scalers).rows[-look_back:]
         for stop in range(1, dataset.n_stops + 1)
     ]
-    target = data_ingest.next_service_key(tail.complete_services[-1], services)
+    target = dataset.first_slot + end
     predictions = predict_next_service(lm.forecaster, history, look_back, target)
+    predicted_date, predicted_service = service_key(target, services)
     payload = {
-        "predicted_date": target[0].isoformat(),
-        "predicted_service_index": target[1],
+        "predicted_date": predicted_date.isoformat(),
+        "predicted_service_index": predicted_service,
         "predictions": {str(stop): predictions[stop - 1] for stop in range(1, dataset.n_stops + 1)},
     }
     print(json.dumps(payload, sort_keys=True))

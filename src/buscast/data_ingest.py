@@ -192,35 +192,6 @@ DEFAULT_RIDERSHIP_COLUMNS = {
 WEATHER_COLUMNS = ("date", "hour", "category", "precipitation_mm")
 
 
-def _parse_date(raw: str, where: str) -> date:
-    try:
-        return date.fromisoformat(raw.strip())
-    except ValueError as exc:
-        raise MalformedRow(f"{where}: bad date {raw!r}") from exc
-
-
-def _parse_int(raw: str, where: str, minimum: int | None = None) -> int:
-    try:
-        value = int(raw.strip())
-    except ValueError as exc:
-        raise MalformedRow(f"{where}: bad integer {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise MalformedRow(f"{where}: value {value} below minimum {minimum}")
-    return value
-
-
-def _parse_float(raw: str, where: str, minimum: float | None = None) -> float:
-    try:
-        value = float(raw.strip())
-    except ValueError as exc:
-        raise MalformedRow(f"{where}: bad number {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise MalformedRow(f"{where}: value {value} below minimum {minimum}")
-    if not math.isfinite(value):
-        raise MalformedRow(f"{where}: non-finite number {raw!r}")
-    return value
-
-
 class _CsvTable:
     """A CSV file's header and non-blank rows, with the columns of its full-length rows.
 
@@ -249,18 +220,18 @@ class _CsvTable:
     def column(self, name: str) -> Sequence[str]:
         return self.columns[self.position[name]]
 
-    def first_failure(self, failing: np.ndarray, names: Sequence[str]) -> tuple[str, list[str]] | None:
-        """``path:line`` and the ``names`` fields of the first row that is short or ``failing``, if any.
+    def raise_first(self, *checks: tuple[np.ndarray, type[Exception], Callable[[int], str]]) -> None:
+        """Raise for the first row that is short or fails a check, prefixed with its ``path:line``.
 
-        A short row raises here. The line, the physical one on which the row
-        ends, is found by reading the text again.
+        Each check flags the full rows it fails and builds the message for a
+        row; the first check that flags the row raises, as its exception
+        class. The line, the physical one on which the row ends, is found by
+        reading the text again.
         """
-        if failing.any():
-            i = int(np.argmax(failing))
-        elif self.n_full < len(self.rows):
-            i = self.n_full
-        else:
-            return None
+        failing = np.logical_or.reduce([flags for flags, _, _ in checks])
+        i = int(np.argmax(failing)) if failing.any() else self.n_full
+        if i == len(self.rows):
+            return
         reader = csv.reader(io.StringIO(self.text, newline=""))
         rows = (row for row in reader if row)
         for _ in range(i + 2):  # the header, then rows 0..i
@@ -268,7 +239,8 @@ class _CsvTable:
         where = f"{self.path}:{reader.line_num}"
         if len(row) < len(self.header):
             raise MalformedRow(f"{where}: expected {len(self.header)} fields, got {len(row)}")
-        return where, [row[self.position[name]] for name in names]
+        error, message = next((error, message) for flags, error, message in checks if flags[i])
+        raise error(f"{where}: {message(i)}")
 
 
 def _parse_column(raws: Sequence[str], parse: Callable[[str], object], dtype: type) -> tuple[np.ndarray, np.ndarray]:
@@ -292,6 +264,15 @@ def _parse_column(raws: Sequence[str], parse: Callable[[str], object], dtype: ty
         parsed = np.array(values, dtype=object)
     rows = np.fromiter(map({raw: i for i, raw in enumerate(distinct)}.__getitem__, raws), np.intp, len(raws))
     return parsed[rows], np.array(bad, dtype=bool)[rows]
+
+
+def _integer_column(raws: Sequence[str], minimum: int) -> tuple[np.ndarray, list[tuple]]:
+    """An integer column as ``_parse_column`` parses it, and its checks: an integer, then at least ``minimum``."""
+    values, bad = _parse_column(raws, int, np.int64)
+    return values, [
+        (bad, MalformedRow, lambda i: f"bad integer {raws[i]!r}"),
+        (values < minimum, MalformedRow, lambda i: f"value {int(values[i])} below minimum {minimum}"),
+    ]
 
 
 def _date_ordinal(text: str) -> int:
@@ -328,20 +309,17 @@ def parse_ridership_csv(
         if actual not in table.position:
             raise MissingColumn(f"{path}: column {actual!r} (for {canonical}) not in header")
 
-    day, bad_day = _parse_column(table.column(colmap["date"]), _date_ordinal, np.int64)
-    service, bad_service = _parse_column(table.column(colmap["service_index"]), int, np.int64)
-    stop, bad_stop = _parse_column(table.column(colmap["stop_index"]), int, np.int64)
-    count, bad_count = _parse_column(table.column(colmap["ridership"]), int, np.int64)
-    failing = bad_day | bad_service | (service < 1) | bad_stop | (stop < 1) | bad_count | (count < 0)
-    names = [colmap[name] for name in DEFAULT_RIDERSHIP_COLUMNS]
-    failure = table.first_failure(failing | _repeated(day, service, stop), names)
-    if failure:
-        where, row = failure
-        key = (
-            _parse_date(row[0], where), _parse_int(row[1], where, minimum=1), _parse_int(row[2], where, minimum=1),
-        )
-        _parse_int(row[3], where, minimum=0)
-        raise DuplicateKey(f"{where}: repeated (date, service, stop) {key}")
+    dates = table.column(colmap["date"])
+    day, bad_day = _parse_column(dates, _date_ordinal, np.int64)
+    (service, service_checks), (stop, stop_checks), (count, count_checks) = (
+        _integer_column(table.column(colmap[name]), minimum)
+        for name, minimum in (("service_index", 1), ("stop_index", 1), ("ridership", 0))
+    )
+    table.raise_first(
+        (bad_day, MalformedRow, lambda i: f"bad date {dates[i]!r}"), *service_checks, *stop_checks, *count_checks,
+        (_repeated(day, service, stop), DuplicateKey, lambda i: "repeated (date, service, stop) "
+         f"{(date.fromordinal(int(day[i])), int(service[i]), int(stop[i]))}"),
+    )
     return RidershipColumns(day, service, stop, count)
 
 
@@ -371,24 +349,23 @@ def parse_weather_csv(
             raise MissingColumn(f"{path}: column {name!r} not in header")
 
     code = {label: CATEGORIES.index(category) for label, category in lookup.items()}
-    day, bad_day = _parse_column(table.column("date"), _date_ordinal, np.int64)
-    hour, bad_hour = _parse_column(table.column("hour"), int, np.int64)
-    category, bad_category = _parse_column(table.column("category"), lambda s: code[_normalize_label(s)], np.int64)
-    precipitation, bad_precipitation = _parse_column(table.column("precipitation_mm"), float, np.float64)
-    failing = (
-        bad_day | bad_hour | (hour < MIN_OBS_HOUR) | (hour > MAX_OBS_HOUR) | bad_category | bad_precipitation
-        | ~(precipitation >= 0.0) | np.isinf(precipitation)
+    dates, hours, labels, amounts = (table.column(name) for name in WEATHER_COLUMNS)
+    day, bad_day = _parse_column(dates, _date_ordinal, np.int64)
+    hour, bad_hour = _parse_column(hours, int, np.int64)
+    category, bad_category = _parse_column(labels, lambda s: code[_normalize_label(s)], np.int64)
+    precipitation, bad_precipitation = _parse_column(amounts, float, np.float64)
+    table.raise_first(
+        (bad_day, MalformedRow, lambda i: f"bad date {dates[i]!r}"),
+        (bad_hour, MalformedRow, lambda i: f"bad integer {hours[i]!r}"),
+        ((hour < MIN_OBS_HOUR) | (hour > MAX_OBS_HOUR), HourOutOfRange,
+         lambda i: f"hour {int(hour[i])} outside [{MIN_OBS_HOUR}, {MAX_OBS_HOUR}]"),
+        (bad_category, UnknownCategory, lambda i: f"unknown weather category {labels[i]!r}"),
+        (bad_precipitation, MalformedRow, lambda i: f"bad number {amounts[i]!r}"),
+        (precipitation < 0.0, MalformedRow, lambda i: f"value {float(precipitation[i])} below minimum 0.0"),
+        (~np.isfinite(precipitation), MalformedRow, lambda i: f"non-finite number {amounts[i]!r}"),
+        (_repeated(day, hour), DuplicateKey,
+         lambda i: f"repeated (date, hour) {(date.fromordinal(int(day[i])), int(hour[i]))}"),
     )
-    failure = table.first_failure(failing | _repeated(day, hour), WEATHER_COLUMNS)
-    if failure:
-        where, row = failure
-        key = (_parse_date(row[0], where), _parse_int(row[1], where))
-        if not MIN_OBS_HOUR <= key[1] <= MAX_OBS_HOUR:
-            raise HourOutOfRange(f"{where}: hour {key[1]} outside [{MIN_OBS_HOUR}, {MAX_OBS_HOUR}]")
-        if _normalize_label(row[2]) not in lookup:
-            raise UnknownCategory(f"{where}: unknown weather category {row[2]!r}")
-        _parse_float(row[3], where, minimum=0.0)
-        raise DuplicateKey(f"{where}: repeated (date, hour) {key}")
     return WeatherColumns(day, hour, category, precipitation)
 
 
@@ -435,12 +412,10 @@ def join_weather_to_services(
     return ServiceWeatherColumns(day[pick] + first, service[pick], weather.rain[obs], weather.precipitation[obs])
 
 
-def next_service_key(key: ServiceKey, services_per_day: int) -> ServiceKey:
-    """The slot immediately after ``key`` in the daily timetable grid."""
-    day, index = key
-    if index < services_per_day:
-        return day, index + 1
-    return day + timedelta(days=1), 1
+def service_key(slot: int, services_per_day: int) -> ServiceKey:
+    """The (date, service) of an absolute slot ``date.toordinal() * services_per_day + service - 1``."""
+    day, index = divmod(int(slot), services_per_day)
+    return date.fromordinal(day), index + 1
 
 
 #: The grids of a dataset, in cache order, with the dtype each has in a version-3 cache.
@@ -463,7 +438,9 @@ class RouteDataset:
     each service (where ``weather_mask`` is set; False and 0.0 elsewhere). A
     service is complete when every stop has a count; only complete services
     are encoded downstream. A date range of the route is a slice of the day
-    axis, so splits share these arrays.
+    axis, so splits share these arrays. Downstream, a service is named by
+    its absolute slot ``date.toordinal() * S + service - 1``, which counts
+    the timetable's services one by one across days.
 
     The cache ``save`` writes is a JSON object: a header of ``format``,
     ``version`` 3, ``n_stops``, ``services_per_day``, ``first_date`` and
@@ -485,12 +462,10 @@ class RouteDataset:
         """(days, S) bool: the services observed at every stop."""
         return self.mask.all(-1)
 
-    @cached_property
-    def complete_services(self) -> tuple[ServiceKey, ...]:
-        """(date, service) of the complete services, chronologically."""
-        days, services = np.nonzero(self.complete)
-        dates = [self.first_date + timedelta(days=d) for d in range(len(self.complete))]
-        return tuple(zip([dates[d] for d in days.tolist()], (services + 1).tolist()))
+    @property
+    def first_slot(self) -> int:
+        """The slot of service 1 on ``first_date``; grid cell (d, s - 1) holds slot first_slot + d * S + s - 1."""
+        return self.first_date.toordinal() * self.services_per_day
 
     def dates(self) -> list[date]:
         """The dates with at least one observed count, in order."""
@@ -635,12 +610,10 @@ def _check_cells(dataset: RouteDataset) -> None:
     n_stops, services = dataset.n_stops, dataset.services_per_day
 
     def cell(i: int) -> tuple[date, int, int]:
-        day, rest = divmod(i, services * n_stops)
-        return dataset.first_date + timedelta(days=day), rest // n_stops + 1, rest % n_stops + 1
+        return (*service(i // n_stops), i % n_stops + 1)
 
     def service(i: int) -> ServiceKey:
-        day, index = divmod(i, services)
-        return dataset.first_date + timedelta(days=day), index + 1
+        return service_key(dataset.first_slot + i, services)
 
     _raise_first(
         (observed > 1, lambda i: MalformedRow(f"observed flag {observed[i]} for {cell(i)} is not 0 or 1")),

@@ -2,9 +2,9 @@
 
 RMSE is computed in persons on de-scaled, zero-clamped predictions against
 raw targets. All methods in one report are scored on exactly the same set of
-test target services (the intersection of each method's windowable targets),
-so their RMSEs are directly comparable. Stochastic NN methods can be scored
-as the median over several seeds; per-seed values are retained.
+test target service slots (the intersection of each method's windowable
+targets), so their RMSEs are directly comparable. Stochastic NN methods can
+be scored as the median over several seeds; per-seed values are retained.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -295,7 +296,7 @@ def evaluate_methods(
         # Statistical alone still needs windows to define the scored targets.
         spec = method_spec(MethodId.A, dataset.services_per_day)
         tests.append(prepare_windows(dataset, boundaries, spec.features, look_back).test)
-    common = set(tests[0].index_map).intersection(*(test.index_map for test in tests[1:]))
+    common = reduce(np.intersect1d, [test.slots for test in tests])
 
     results: dict[MethodId, MethodResult] = {}
     for method, run in fitted.items():

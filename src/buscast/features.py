@@ -16,7 +16,8 @@ to encoding one service at a time.
 
 Rows are sliced into stride-1 look-back windows. Windows never span a gap
 left by an excluded incomplete service: a window is always L truly
-consecutive timetable slots.
+consecutive timetable slots. Every row, window and target is named by the
+absolute slot of its service (see ``RouteDataset``), one int64 per row.
 
 Windows are never materialized. A split is held as its encoded rows, one
 (n, T, D) stack over the stops, plus the first row of each window
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_ingest import RouteDataset, ServiceKey
+from .data_ingest import RouteDataset
 from .errors import BadArgs, BadBoundaries, EmptyDataset, EmptyInput, IndexOutOfRange, TooShort
 
 N_WEEKDAYS = 7
@@ -52,11 +53,10 @@ class FeatureSpec:
     use_service_number: bool
     use_rain: bool
     services_per_day: int
-    use_ridership: bool = True
 
     @property
     def dimension(self) -> int:
-        dim = 1 if self.use_ridership else 0
+        dim = 1  # the scaled ridership, which every method reads
         if self.use_day_of_week:
             dim += N_WEEKDAYS
         if self.use_service_number:
@@ -82,13 +82,12 @@ class ScalerSet:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Encoded rows for one stop, chronological, with contiguity segments."""
+    """Encoded rows for one stop, chronological, with the slot of each row's service."""
 
     stop_index: int
     rows: np.ndarray  # (T, D) float64
     targets: np.ndarray  # (T,) float64, raw ridership
-    keys: tuple[ServiceKey, ...]  # the dataset's complete services, shared by every stop
-    segments: tuple[tuple[int, int], ...]  # half-open contiguous runs
+    slots: np.ndarray  # (T,) int64, strictly increasing; the dataset's complete services, shared by every stop
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,18 @@ class WindowedDataset:
     x: np.ndarray  # (T, D) float64, the stop's encoded rows (not copied)
     starts: np.ndarray  # (N,) intp, first row of each window
     y: np.ndarray  # (N, 1) float64, raw ridership of the predicted service
-    index_map: tuple[ServiceKey, ...]  # key of the predicted service per window
+    slots: np.ndarray  # (N,) int64, slot of the predicted service per window
 
 
 @dataclass(frozen=True)
 class AlignedWindows:
-    """Window streams of all stops; the stops share one key axis, so every window predicts one service."""
+    """Window streams of all stops; the stops share one slot axis, so every window predicts one service."""
 
     rows: np.ndarray  # (n_stops, T, D) encoded rows, the only copy
     starts: np.ndarray  # (N,) intp, first row of each window
     y: np.ndarray  # (N, n_stops) raw targets, column b-1 = stop b
     look_back: int
-    index_map: tuple[ServiceKey, ...]
+    slots: np.ndarray  # (N,) int64, slot of the predicted service per window
 
     @property
     def n_samples(self) -> int:
@@ -177,21 +176,15 @@ def fit_scalers(train: RouteDataset, spec: FeatureSpec) -> ScalerSet:
 
 
 def encode_stop(dataset: RouteDataset, stop_index: int, spec: FeatureSpec, scalers: ScalerSet) -> FeatureMatrix:
-    """Encode every complete service at one stop, tracking contiguity segments.
-
-    Services are addressed by their flat slot ``day * S + service - 1``;
-    two complete services are adjacent when their slots differ by one.
-    """
+    """Encode every complete service at one stop; two are adjacent when their slots differ by one."""
     services = dataset.services_per_day
-    slots = np.flatnonzero(dataset.complete)
+    slots = np.flatnonzero(dataset.complete)  # counted from the grid's first day
     if not slots.size:
         raise EmptyDataset("no complete services to encode")
     targets = dataset.ridership.reshape(-1, dataset.n_stops)[slots, stop_index - 1].astype(np.float64)
     rows = np.zeros((len(slots), spec.dimension), dtype=np.float64)
-    col = 0
-    if spec.use_ridership:
-        rows[:, 0] = scale(targets, scalers.ridership[stop_index])
-        col = 1
+    rows[:, 0] = scale(targets, scalers.ridership[stop_index])
+    col = 1
     if spec.use_day_of_week:
         weekday = (dataset.first_date.weekday() + slots // services) % N_WEEKDAYS
         rows[:, col : col + N_WEEKDAYS] = one_hot(weekday, N_WEEKDAYS)
@@ -203,33 +196,26 @@ def encode_stop(dataset: RouteDataset, stop_index: int, spec: FeatureSpec, scale
         rain = dataset.rain.ravel()[slots].astype(np.intp)
         rows[:, col : col + N_RAIN_CLASSES] = one_hot(rain, N_RAIN_CLASSES)
         rows[:, col + N_RAIN_CLASSES] = scale(dataset.precipitation.ravel()[slots], scalers.precipitation)
-    bounds = [0, *(np.flatnonzero(np.diff(slots) != 1) + 1).tolist(), len(slots)]
-    return FeatureMatrix(
-        stop_index=stop_index,
-        rows=rows,
-        targets=targets,
-        keys=dataset.complete_services,
-        segments=tuple(zip(bounds[:-1], bounds[1:])),
-    )
+    return FeatureMatrix(stop_index, rows, targets, dataset.first_slot + slots)
 
 
 def build_windows(matrix: FeatureMatrix, look_back: int) -> WindowedDataset:
-    """Stride-1 windows within each contiguous segment; N = sum(T_seg - L)."""
+    """Stride-1 windows over consecutive slots; N = sum(T_run - L) over the runs of consecutive slots.
+
+    Slots strictly increase, so rows i..i+L hold consecutive services exactly
+    when their slots span L.
+    """
     if look_back < 1:
         raise BadArgs(f"look-back must be >= 1, got {look_back}")
-    starts = np.concatenate(
-        [np.arange(seg_start, seg_end - look_back, dtype=np.intp) for seg_start, seg_end in matrix.segments]
-    )
+    slots = matrix.slots
+    starts = np.flatnonzero(slots[look_back:] - slots[:-look_back] == look_back)
     if not starts.size:
         raise TooShort(
             f"no segment longer than look-back {look_back} at stop {matrix.stop_index}"
         )
     targets = starts + look_back
     return WindowedDataset(
-        x=matrix.rows,
-        starts=starts,
-        y=matrix.targets[targets].reshape(-1, 1),
-        index_map=tuple(matrix.keys[i] for i in targets),
+        x=matrix.rows, starts=starts, y=matrix.targets[targets].reshape(-1, 1), slots=slots[targets]
     )
 
 
@@ -266,18 +252,12 @@ def stop_view(aligned: AlignedWindows, stops: slice) -> AlignedWindows:
     return replace(aligned, rows=aligned.rows[stops], y=aligned.y[:, stops])
 
 
-def subset_by_targets(aligned: AlignedWindows, keys: set[ServiceKey]) -> AlignedWindows:
-    """Restrict windows to those predicting one of ``keys`` (order preserved); shares the rows."""
-    mask = [i for i, key in enumerate(aligned.index_map) if key in keys]
-    if not mask:
+def subset_by_targets(aligned: AlignedWindows, slots: np.ndarray) -> AlignedWindows:
+    """Restrict windows to those predicting one of ``slots`` (order preserved); shares the rows."""
+    keep = np.isin(aligned.slots, slots)
+    if not keep.any():
         raise EmptyInput("no windows left after target restriction")
-    idx = np.array(mask, dtype=np.intp)
-    return replace(
-        aligned,
-        starts=aligned.starts[idx],
-        y=aligned.y[idx],
-        index_map=tuple(aligned.index_map[i] for i in mask),
-    )
+    return replace(aligned, starts=aligned.starts[keep], y=aligned.y[keep], slots=aligned.slots[keep])
 
 
 @dataclass(frozen=True)
@@ -308,7 +288,7 @@ def encode_windows(
         starts=per_stop[0].starts,
         y=np.column_stack([w.y[:, 0] for w in per_stop]),
         look_back=look_back,
-        index_map=per_stop[0].index_map,
+        slots=per_stop[0].slots,
     )
 
 

@@ -32,7 +32,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .data_ingest import RouteDataset, ServiceKey
+from .data_ingest import RouteDataset
 from .errors import (
     CheckpointError,
     DivergedTraining,
@@ -420,16 +420,18 @@ def train(
 
 @dataclass(frozen=True)
 class StatisticalBaseline:
-    """Mean ridership per (stop_index, service_index) over a date window."""
+    """Mean ridership per (service, stop) over a date window."""
 
-    table: dict[tuple[int, int], float]
+    means: np.ndarray  # (S, n_stops) float64: row s-1, column b-1 is service s at stop b; NaN where none observed
 
     def predict(self, windows: AlignedWindows) -> np.ndarray:
         """The fitted mean of each window's target service at every stop; the features are unused."""
-        preds = np.empty((windows.n_samples, windows.n_stops))
-        for i, (_, service_index) in enumerate(windows.index_map):
-            for col in range(windows.n_stops):
-                preds[i, col] = predict_statistical(self, col + 1, service_index)
+        services = len(self.means)
+        preds = self.means[windows.slots % services]
+        missing = np.argwhere(np.isnan(preds))
+        if missing.size:
+            i, col = missing[0]
+            raise MissingKey(f"no fitted mean for stop {col + 1}, service {windows.slots[i] % services + 1}")
         return preds
 
 
@@ -442,20 +444,10 @@ def fit_statistical(dataset: RouteDataset, window: tuple[date, date]) -> Statist
         raise EmptyWindow(f"no services between {start} and {end}") from None
     # Unobserved cells hold 0. An int64 sum over one division is the exact
     # mean, as fsum / len would give, for sums below 2**53.
-    sums = observed.ridership.sum(axis=0)
     counts = observed.mask.sum(axis=0)
-    means = sums / np.maximum(counts, 1)
-    services, stops = np.nonzero(counts)
-    return StatisticalBaseline(
-        {(b + 1, s + 1): float(means[s, b]) for s, b in zip(services.tolist(), stops.tolist())}
-    )
-
-
-def predict_statistical(baseline: StatisticalBaseline, stop_index: int, service_index: int) -> float:
-    try:
-        return baseline.table[(stop_index, service_index)]
-    except KeyError as exc:
-        raise MissingKey(f"no fitted mean for stop {stop_index}, service {service_index}") from exc
+    means = observed.ridership.sum(axis=0) / np.maximum(counts, 1)
+    means[counts == 0] = np.nan
+    return StatisticalBaseline(means)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +499,9 @@ def predict_next_service(
     forecaster: Forecaster,
     history: Sequence[np.ndarray],
     look_back: int,
-    target: ServiceKey,
+    target: int,
 ) -> list[float]:
-    """Predict service ``target`` at every stop from the L encoded services before it.
+    """Predict the service of slot ``target`` at every stop from the L encoded services before it.
 
     ``history`` holds one (L, D) feature block per stop. The blocks become a
     single window, so every method predicts through its one ``predict``.
@@ -525,7 +517,7 @@ def predict_next_service(
         starts=np.zeros(1, dtype=np.intp),
         y=np.full((1, len(history)), np.nan),  # the unknown target
         look_back=look_back,
-        index_map=(target,),
+        slots=np.array([target], dtype=np.int64),
     )
     return [float(v) for v in forecaster.predict(window)[0]]
 
@@ -588,7 +580,7 @@ def save_model(
         "kind": "buscast-model",
         "method": method.value,
         "feature_spec": {
-            "use_ridership": spec.features.use_ridership,
+            "use_ridership": True,  # every method reads the counts; the key keeps checkpoints byte-identical
             "use_day_of_week": spec.features.use_day_of_week,
             "use_service_number": spec.features.use_service_number,
             "use_rain": spec.features.use_rain,

@@ -243,10 +243,19 @@ def service_weather_columns(rows: Iterable[ServiceWeather]) -> ServiceWeatherCol
     )
 
 
+def _keys(dataset: RouteDataset, services: np.ndarray) -> tuple[ServiceKey, ...]:
+    days, indices = np.nonzero(services)
+    return tuple((dataset.first_date + timedelta(days=d), s + 1) for d, s in zip(days.tolist(), indices.tolist()))
+
+
 def incomplete_keys(dataset: RouteDataset) -> tuple[ServiceKey, ...]:
     """(date, service) of each service observed at some stops but not all, chronologically."""
-    days, services = np.nonzero(dataset.mask.any(-1) & ~dataset.complete)
-    return tuple((dataset.first_date + timedelta(days=d), s + 1) for d, s in zip(days.tolist(), services.tolist()))
+    return _keys(dataset, dataset.mask.any(-1) & ~dataset.complete)
+
+
+def complete_keys(dataset: RouteDataset) -> tuple[ServiceKey, ...]:
+    """(date, service) of each service observed at every stop, chronologically."""
+    return _keys(dataset, dataset.complete)
 
 
 def cache_grid(payload: dict, name: str) -> np.ndarray:

@@ -171,10 +171,11 @@ def test_c03_statistical_baseline_oracle():
         groups: dict = {}
         for record in generate(config)[0]:
             groups.setdefault((record.stop_index, record.service_index), []).append(record.ridership)
-        assert set(baseline.table) == set(groups)
-        for key, values in groups.items():
+        services, stops = np.nonzero(~np.isnan(baseline.means))
+        assert set(zip((stops + 1).tolist(), (services + 1).tolist())) == set(groups)
+        for (stop, service), values in groups.items():
             oracle = math.fsum(values) / len(values)
-            assert abs(baseline.table[key] - oracle) <= 1e-9
+            assert abs(baseline.means[service - 1, stop - 1] - oracle) <= 1e-9
 
     # zero-noise, zero-effect data: the per-(stop, service) series are constant
     quiet = generate_dataset(
@@ -263,7 +264,7 @@ def test_c07_learning_capability():
     prepared = prepare_windows(ds, (date(2021, 10, 10), date(2021, 10, 12)), spec.features, 26)
     scaled = scale_targets(prepared.train, prepared.scalers)
     forty = dataclasses.replace(
-        scaled, starts=scaled.starts[:40], y=scaled.y[:40], index_map=scaled.index_map[:40],
+        scaled, starts=scaled.starts[:40], y=scaled.y[:40], slots=scaled.slots[:40],
     )
     model = build_model(spec, WINNER_HP_JOINT, 5, seed=0)
     history = train(

@@ -19,7 +19,6 @@ from buscast.data_ingest import (
     RouteDataset,
     build_route_dataset,
     join_weather_to_services,
-    next_service_key,
     parse_ridership_csv,
     parse_weather_csv,
     write_ridership_csv,
@@ -39,7 +38,7 @@ from buscast.nn_core import OptimizerKind, save_params
 from buscast.tuning import HyperParams, make_schedule
 
 from ingest_oracle import records_of, service_weather_of, with_cache_cells
-from window_oracle import RecordRoute, oracle_stop_rows, oracle_trailing_run
+from window_oracle import RecordRoute, next_service_key, oracle_stop_rows, oracle_trailing_run, slots_of
 
 #: The directory holding the ``buscast`` package, for a child process's PYTHONPATH.
 SRC = str(Path(buscast.__file__).resolve().parents[1])
@@ -477,6 +476,8 @@ class TestPredictTail:
         "gap-before-the-last-l": lambda r: (r.service_date, r.service_index, r.stop_index) == (DAY7, 5, 2),
         # a gap inside the last 13 services: the trailing run is 6 long
         "gap-inside-the-last-l": lambda r: (r.service_date, r.service_index, r.stop_index) == (DAY7, 20, 4),
+        # the last day stops after service 10, so the next service is that day's 11th
+        "last-day-stops-mid-day": lambda r: r.service_date == DAY7 and r.service_index > 10,
     }
 
     def _route(self, tmp_path, drop):
@@ -502,7 +503,7 @@ class TestPredictTail:
         scalers = lm.forecaster.scalers
         history = [oracle_stop_rows(lists, stop, lm.spec.features, scalers)[-look_back:] for stop in range(1, 6)]
         target = next_service_key(run[-1], 26)
-        predictions = predict_next_service(lm.forecaster, history, look_back, target)
+        predictions = predict_next_service(lm.forecaster, history, look_back, int(slots_of([target], 26)[0]))
         payload = {
             "predicted_date": target[0].isoformat(),
             "predicted_service_index": target[1],
@@ -521,6 +522,9 @@ class TestPredictTail:
         assert (out, err.strip()) == (expected_out, expected_err)
         assert code == (1 if expected_err else 0)
         assert bool(expected_err) == (route == "gap-inside-the-last-l")
+        if route == "last-day-stops-mid-day":
+            payload = json.loads(out)
+            assert (payload["predicted_date"], payload["predicted_service_index"]) == (DAY7.isoformat(), 11)
 
 
 class TestTune:
@@ -866,9 +870,15 @@ class TestBadInputs:
             (["tune", "--method", "a", "--clip-norm", "inf"], "--clip-norm"),
             (["synth", "--n-stops", "0"], "--n-stops"),
             (["synth", "--services", "0"], "--services"),
+            *(
+                (argv + ["--seed", "-1"], "invalid value '-1' for --seed: must be at least 0")
+                for argv in (["synth"], ["train", "--method", "a"], ["tune", "--method", "a"],
+                             ["evaluate", "--methods", "a", "--retrain"])
+            ),
         ],
         ids=["seeds-0", "seeds-negative", "max-epochs-0", "clip-negative", "clip-0", "clip-nan", "clip-inf",
-             "n-stops-0", "services-0"],
+             "n-stops-0", "services-0", "seed-negative-synth", "seed-negative-train", "seed-negative-tune",
+             "seed-negative-evaluate-retrain"],
     )
     def test_out_of_range_flag(self, workspace, capsys, tmp_path, argv, fragment):
         dataset = [] if argv[0] == "synth" else ["--dataset", str(workspace["dataset"])]
@@ -879,7 +889,8 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "line, key", [("eval_seeds = 0", "'eval_seeds'"), ("max_epochs = -1", "'max_epochs'"),
-                      ("clip_norm = nan", "'clip_norm'"), ("n_stops = 0", "'n_stops'")],
+                      ("clip_norm = nan", "'clip_norm'"), ("n_stops = 0", "'n_stops'"),
+                      ("seed = -1", "'seed': must be at least 0")],
     )
     def test_out_of_range_config_key(self, workspace, capsys, tmp_path, line, key):
         config = tmp_path / "run.cfg"

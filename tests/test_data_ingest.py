@@ -32,9 +32,10 @@ from buscast.errors import (
     MissingWeather,
     UnknownCategory,
 )
-from buscast.synth import SynthConfig, generate
+from buscast.synth import SynthConfig, generate, generate_dataset
 
 from ingest_oracle import (
+    complete_keys,
     ServiceWeather,
     incomplete_keys,
     observations_of,
@@ -302,7 +303,7 @@ class TestBuildRouteDataset:
     def test_counts_complete_services(self):
         records, weather, config = _complete_inputs()
         ds = build_route_dataset(*_tables(records, weather), 5, 26)
-        assert len(ds.complete_services) == 52
+        assert len(complete_keys(ds)) == 52
         assert incomplete_keys(ds) == ()
 
     def test_missing_stop_flags_incomplete(self):
@@ -315,7 +316,7 @@ class TestBuildRouteDataset:
         ]
         ds = build_route_dataset(*_tables(records, weather), 5, 26)
         assert incomplete_keys(ds) == (key,)
-        assert len(ds.complete_services) == 51
+        assert len(complete_keys(ds)) == 51
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
@@ -417,9 +418,13 @@ def test_synthetic_rain_counts_match_binarization(small_dataset):
         assert small_dataset.rain[d, s] == (key in wet)
 
 
-def test_next_service_key_wraps_days():
-    assert data_ingest.next_service_key((date(2021, 10, 1), 26), 26) == (date(2021, 10, 2), 1)
-    assert data_ingest.next_service_key((date(2021, 10, 1), 3), 26) == (date(2021, 10, 1), 4)
+def test_service_key_wraps_days():
+    first = date(2021, 10, 1).toordinal() * 26
+    assert data_ingest.service_key(first + 25, 26) == (date(2021, 10, 1), 26)
+    assert data_ingest.service_key(first + 26, 26) == (date(2021, 10, 2), 1)
+    assert data_ingest.service_key(first + 3, 26) == (date(2021, 10, 1), 4)
+    ds = generate_dataset(SynthConfig(n_days=2, n_stops=2, seed=1))
+    assert data_ingest.service_key(ds.first_slot + 27, 26) == (ds.first_date + timedelta(days=1), 2)
 
 
 def test_full_year_observation_count():

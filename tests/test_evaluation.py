@@ -229,11 +229,11 @@ class TestEvaluateMethodAndHarness:
         prepared = prepare_windows(ds, boundaries, spec.features, 26)
         scaled = scale_targets(prepared.train, prepared.scalers)
         ten_scaled = replace(
-            scaled, starts=scaled.starts[:10], y=scaled.y[:10], index_map=scaled.index_map[:10],
+            scaled, starts=scaled.starts[:10], y=scaled.y[:10], slots=scaled.slots[:10],
         )
         ten_raw = replace(
             prepared.train, starts=prepared.train.starts[:10], y=prepared.train.y[:10],
-            index_map=prepared.train.index_map[:10],
+            slots=prepared.train.slots[:10],
         )
         model = build_model(spec, hp, 5, seed=0)
         train(model, ten_scaled, ten_scaled, hp, TrainSchedule(max_epochs=300, patience=300), seed=1)

@@ -1,4 +1,4 @@
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -31,7 +31,8 @@ from buscast.models import MethodId, method_spec
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.data_ingest import RidershipColumns, WeatherColumns, join_weather_to_services
 
-from ingest_oracle import incomplete_keys
+from ingest_oracle import complete_keys, incomplete_keys
+from window_oracle import slots_of
 
 
 class TestScaler:
@@ -132,13 +133,13 @@ def small_dataset_module():
 
 def _encoded_row(ds, key, spec, scalers, stop=1):
     matrix = encode_stop(ds, stop, spec, scalers)
-    return matrix.rows[matrix.keys.index(key)]
+    return matrix.rows[matrix.slots.tolist().index(slots_of([key], ds.services_per_day)[0])]
 
 
 class TestEncodeService:
     def test_full_row_length_and_block_sums(self, encoded):
         ds, spec, scalers = encoded
-        row = _encoded_row(ds, ds.complete_services[0], spec, scalers)
+        row = _encoded_row(ds, complete_keys(ds)[0], spec, scalers)
         assert row.shape == (37,)
         # three one-hot blocks: day of week, service number, rain flag
         assert row[1:8].sum() == 1.0
@@ -148,7 +149,7 @@ class TestEncodeService:
     def test_ridership_only_row(self, encoded):
         ds, _, scalers = encoded
         spec_a = method_spec(MethodId.A, 26).features
-        row = _encoded_row(ds, ds.complete_services[0], spec_a, scalers)
+        row = _encoded_row(ds, complete_keys(ds)[0], spec_a, scalers)
         assert row.shape == (1,)
 
     def test_day_of_week_index_is_monday_zero(self, encoded):
@@ -204,8 +205,8 @@ class TestWindows:
         matrix = encode_stop(ds, 1, spec, scalers)
         windows = build_windows(matrix, 26)
         # y[0] is the raw ridership of the 27th service
-        key_27 = ds.complete_services[26]
-        assert windows.index_map[0] == key_27
+        key_27 = complete_keys(ds)[26]
+        assert windows.slots[0] == slots_of([key_27], 26)[0]
         records, _ = generate(SynthConfig(n_days=3, n_stops=2, services_per_day=26, seed=2))
         (record,) = [r for r in records if (r.service_date, r.service_index, r.stop_index) == (*key_27, 1)]
         assert windows.y[0, 0] == float(record.ridership)
@@ -226,15 +227,16 @@ class TestWindows:
         spec = method_spec(MethodId.A, 26).features
         scalers = fit_scalers(ds, spec)
         matrix = encode_stop(ds, 1, spec, scalers)
-        assert len(matrix.segments) == 2
+        bounds = [0, *(np.flatnonzero(np.diff(matrix.slots) != 1) + 1).tolist(), len(matrix.slots)]
+        segments = list(zip(bounds[:-1], bounds[1:]))
+        assert segments == [(0, 61), (61, 129)]
         windows = build_windows(matrix, 26)
         # two segments of 61 and 68 services -> (61-26) + (68-26)
         assert windows.starts.shape[0] == (61 - 26) + (68 - 26)
         # no window straddles the excluded service
-        for i, key in enumerate(windows.index_map):
-            assert key != drop_key
+        assert slots_of([drop_key], 26)[0] not in windows.slots
         for start in windows.starts:
-            assert any(a <= start and start + 26 < b for a, b in matrix.segments)
+            assert any(a <= start and start + 26 < b for a, b in segments)
 
     def test_bad_look_back(self):
         ds = _contig_dataset(2)
@@ -273,8 +275,7 @@ class TestSplit:
         train_ds, _, _ = chronological_split(small_dataset, b)
         assert prepared.scalers == fit_scalers(train_ds, spec)
         # every test window predicts a service strictly after the validation end
-        for day, _svc in prepared.test.index_map:
-            assert day > b[1]
+        assert prepared.test.slots.min() >= slots_of([(b[1] + timedelta(days=1), 1)], 26)[0]
         # aligned across stops
         assert prepared.train.n_stops == 5
 

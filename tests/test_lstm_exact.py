@@ -22,7 +22,7 @@ from buscast.nn_core import (
 )
 from buscast.tuning import HyperParams
 from lstm_oracle import oracle_backward, oracle_forward
-from window_oracle import as_windows
+from window_oracle import as_windows, slots_of
 
 
 def assert_bit_identical(actual, expected):
@@ -222,7 +222,7 @@ def _gapped_windows(rng, n, dim, look_back):
     first = date(2022, 1, 1)
     keys = tuple((first + timedelta(days=int(s) // 26), 1 + int(s) % 26) for s in starts + look_back)
     y = np.zeros((len(starts), n))
-    return AlignedWindows(rows, starts, y, look_back, keys)
+    return AlignedWindows(rows, starts, y, look_back, slots_of(keys, 26))
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -233,7 +233,7 @@ def test_model_window_pass_skips_rows_and_spans_a_gap(n_layers):
     model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=11)
     rng = np.random.default_rng(11)
     windows = _gapped_windows(rng, 5, model.input_size, hp.sequence_length)
-    windows = subset_by_targets(windows, set(windows.index_map[::2]))
+    windows = subset_by_targets(windows, windows.slots[::2])
     assert windows.starts[windows.starts < 60].size and windows.starts[windows.starts > 60].size
     n_windows = windows.n_samples
     for chunk in (slice(None), slice(0, 7), slice(n_windows - 20, n_windows), rng.permutation(n_windows)[:25]):
@@ -255,7 +255,7 @@ def test_one_window_prediction_matches_oracle(steps, hidden):
     history = [rng.normal(size=(steps, model.input_size)) for _ in range(5)]
     unit = ScalerParams(0.0, 1.0)  # de-scaling by x * 1.0 + 0.0 keeps every bit
     forecaster = LstmForecaster((Member(model, hp, 4),), ScalerSet({b: unit for b in range(1, 6)}, unit))
-    got = predict_next_service(forecaster, history, steps, (date(2022, 1, 2), 1))
+    got = predict_next_service(forecaster, history, steps, int(slots_of([(date(2022, 1, 2), 1)], 26)[0]))
     pred_ref, _, _ = oracle_forward_backward(model, [x[None] for x in history], np.zeros((1, 5)))
     assert got == [float(v) for v in np.maximum(pred_ref[0], 0.0)]
 

@@ -7,6 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from buscast.data_ingest import RidershipColumns, WeatherColumns, build_route_dataset, join_weather_to_services
 from buscast.errors import (
     DivergedTraining,
     EmptyWindow,
@@ -31,7 +32,6 @@ from buscast.models import (
     load_train_state,
     method_spec,
     predict_next_service,
-    predict_statistical,
     save_model,
     save_train_state,
     train,
@@ -47,7 +47,7 @@ from buscast.nn_core import (
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 
-from window_oracle import aligned_from_tensors, as_windows
+from window_oracle import aligned_from_tensors, as_windows, slots_of
 
 HP_SMALL = HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM)
 
@@ -56,7 +56,17 @@ def _random_windows(rng, n_stops, n, look_back, dim):
     xs = tuple(rng.normal(size=(n, look_back, dim)) for _ in range(n_stops))
     y = rng.normal(size=(n, n_stops))
     keys = tuple((date(2022, 1, 1 + i // 26), 1 + i % 26) for i in range(n))
-    return aligned_from_tensors(xs, y, look_back, keys)
+    return aligned_from_tensors(xs, y, look_back, slots_of(keys, 26))
+
+
+def _mean(baseline, stop, service, day=date(2021, 10, 11)):
+    """The statistical baseline's prediction of (day, service) at ``stop``, through its ``predict``."""
+    services, n_stops = baseline.means.shape
+    windows = AlignedWindows(
+        np.zeros((n_stops, 1, 1)), np.zeros(1, dtype=np.intp), np.zeros((1, n_stops)), 1,
+        slots_of([(day, service)], services),
+    )
+    return float(baseline.predict(windows)[0, stop - 1])
 
 
 class TestMethodSpecs:
@@ -195,7 +205,7 @@ class TestForward:
         hp = HyperParams(batch, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n, seed=0)
         rows = np.random.default_rng(0).normal(size=(n, batch + steps - 1, model.input_size))
-        windows = AlignedWindows(rows, np.arange(batch), np.zeros((batch, n)), steps, index_map=())
+        windows = AlignedWindows(rows, np.arange(batch), np.zeros((batch, n)), steps, slots=np.arange(batch))
         model.forward(windows)
         tracemalloc.start()
         try:
@@ -386,7 +396,7 @@ class TestStatisticalBaseline:
         # recompute directly from the two raw counts
         baseline = fit_statistical(ds, window)
         expected = np.mean([r.ridership for r in all_records if r.stop_index == 1 and r.service_index == 1])
-        assert predict_statistical(baseline, 1, 1) == pytest.approx(expected)
+        assert _mean(baseline, 1, 1) == pytest.approx(expected)
         assert len(records) == 2
 
     def test_matches_brute_force_group_by(self):
@@ -399,7 +409,7 @@ class TestStatisticalBaseline:
             for r in generate(config)[0]:
                 sums.setdefault((r.stop_index, r.service_index), []).append(r.ridership)
             for key, values in sums.items():
-                assert baseline.table[key] == pytest.approx(sum(values) / len(values), abs=1e-9)
+                assert _mean(baseline, *key) == pytest.approx(sum(values) / len(values), abs=1e-9)
 
     def test_restricted_window(self):
         ds = self._dataset()
@@ -409,13 +419,27 @@ class TestStatisticalBaseline:
         for r in generate(self.CONFIG)[0]:
             if r.service_date == lo:
                 by_hand.setdefault((r.stop_index, r.service_index), []).append(r.ridership)
-        assert predict_statistical(baseline, 2, 5) == sum(by_hand[(2, 5)]) / len(by_hand[(2, 5)])
+        assert _mean(baseline, 2, 5) == sum(by_hand[(2, 5)]) / len(by_hand[(2, 5)])
+
+    @classmethod
+    def missing_cell_baseline(cls):
+        """Fitted on the first day of a route whose (service 5, stop 2) record that day is dropped."""
+        records, observations = generate(cls.CONFIG)
+        first = records[0].service_date
+        records = [r for r in records if (r.service_date, r.service_index, r.stop_index) != (first, 5, 2)]
+        ridership = RidershipColumns.from_records(records)
+        weather = join_weather_to_services(
+            ridership, WeatherColumns.from_observations(observations), cls.CONFIG.timetable
+        )
+        return fit_statistical(build_route_dataset(ridership, weather, 3, 26), (first, first))
 
     def test_missing_key(self):
-        ds = self._dataset()
-        baseline = fit_statistical(ds, ds.date_range())
-        with pytest.raises(MissingKey):
-            predict_statistical(baseline, 99, 1)
+        baseline = self.missing_cell_baseline()
+        assert _mean(baseline, 2, 4) >= 0.0 and _mean(baseline, 2, 6) >= 0.0
+        # every stop of a window is predicted, so the missing stop is named whichever is read
+        for stop in (1, 2, 3):
+            with pytest.raises(MissingKey, match=r"^no fitted mean for stop 2, service 5$"):
+                _mean(baseline, stop, 5)
 
     def test_empty_window(self):
         ds = self._dataset()
@@ -425,11 +449,13 @@ class TestStatisticalBaseline:
     def test_lookups_are_constant(self):
         ds = self._dataset()
         baseline = fit_statistical(ds, ds.date_range())
-        assert predict_statistical(baseline, 1, 3) == predict_statistical(baseline, 1, 3)
+        assert _mean(baseline, 1, 3) == _mean(baseline, 1, 3)
+        # the mean of a service number, whatever the day
+        assert _mean(baseline, 1, 3) == _mean(baseline, 1, 3, day=date(2024, 2, 29))
 
 
 class TestPredictNextService:
-    TARGET = (date(2021, 10, 11), 3)
+    TARGET = int(slots_of([(date(2021, 10, 11), 3)], 26)[0])
 
     def _scalers(self, n_stops):
         return ScalerSet(
@@ -463,9 +489,10 @@ class TestPredictNextService:
         baseline = fit_statistical(ds, ds.date_range())
         history = [np.zeros((6, 1))] * 2
         preds = predict_next_service(baseline, history, 6, self.TARGET)
-        assert preds == [predict_statistical(baseline, 1, 3), predict_statistical(baseline, 2, 3)]
-        with pytest.raises(MissingKey):
-            predict_next_service(baseline, history, 6, (date(2021, 10, 11), 99))
+        assert preds == [_mean(baseline, 1, 3), _mean(baseline, 2, 3)]
+        gapped = TestStatisticalBaseline.missing_cell_baseline()
+        with pytest.raises(MissingKey, match="stop 2, service 5"):
+            predict_next_service(gapped, [np.zeros((6, 1))] * 3, 6, self.TARGET + 2)
 
     def test_per_stop_ensemble(self):
         members = tuple(self._constant(MethodId.PER_STOP, 2, [0.1 * (b + 1)], seed=b) for b in range(2))

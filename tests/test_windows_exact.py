@@ -22,7 +22,15 @@ from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 
 from ingest_oracle import incomplete_keys, service_weather_of
-from window_oracle import RecordRoute, as_windows, oracle_aligned, oracle_batch, oracle_scalers, oracle_stop_rows
+from window_oracle import (
+    RecordRoute,
+    as_windows,
+    oracle_aligned,
+    oracle_batch,
+    oracle_scalers,
+    oracle_stop_rows,
+    slots_of,
+)
 
 NN_METHODS = [m for m in MethodId if m is not MethodId.STATISTICAL]
 BOUNDS = (date(2021, 10, 8), date(2021, 10, 10))
@@ -83,6 +91,10 @@ def _assert_same_bytes(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
+def _assert_same_slots(got, expected):
+    assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
 def test_rows_match_per_service_encoding(route, method):
     ds, lists = route
@@ -94,7 +106,7 @@ def test_rows_match_per_service_encoding(route, method):
     assert scalers.ridership[2].min == scalers.ridership[2].max
     for stop in range(1, ds.n_stops + 1):
         matrix = encode_stop(ds, stop, spec, scalers)
-        assert matrix.keys == tuple(lists.complete_services())
+        _assert_same_slots(matrix.slots, slots_of(lists.complete_services(), 26))
         _assert_same_bytes(matrix.rows, oracle_stop_rows(lists, stop, spec, scalers))
 
 
@@ -105,7 +117,7 @@ def test_batches_match_stacked_windows(route, method):
         xs, y, index_map, starts = oracle_aligned(split_lists, spec, prepared.scalers, LOOK_BACK)
         assert aligned.y.tobytes() == y.tobytes() and aligned.y.shape == y.shape
         assert aligned.starts.tobytes() == starts.astype(np.intp).tobytes()
-        assert aligned.index_map == index_map
+        _assert_same_slots(aligned.slots, slots_of(index_map, 26))
         assert aligned.n_samples == xs[0].shape[0] and aligned.n_stops == route[0].n_stops
         for idx in _index_sets(aligned.n_samples):
             _assert_same_bytes(aligned.batch(idx), oracle_batch(xs, idx))
@@ -118,10 +130,10 @@ def test_views_share_rows_and_match_oracle(route, method):
     xs, y, index_map, _ = oracle_aligned(train_lists, spec, prepared.scalers, LOOK_BACK)
 
     keep = set(index_map[3::2])
-    sub = subset_by_targets(train, keep)
+    sub = subset_by_targets(train, slots_of(keep, 26))
     mask = np.array([key in keep for key in index_map])
     assert np.shares_memory(sub.rows, train.rows)
-    assert sub.index_map == tuple(k for k in index_map if k in keep)
+    _assert_same_slots(sub.slots, slots_of([k for k in index_map if k in keep], 26))
     assert sub.y.tobytes() == y[mask].tobytes()
     sub_xs = tuple(x[mask] for x in xs)
     for idx in _index_sets(sub.n_samples):

@@ -10,11 +10,24 @@ optimized path must reproduce its rows, windows and targets bit for bit.
 """
 
 from dataclasses import dataclass
+from datetime import timedelta
 
 import numpy as np
 
-from buscast.data_ingest import next_service_key
 from buscast.features import N_RAIN_CLASSES, N_WEEKDAYS, AlignedWindows, ScalerParams, ScalerSet, scale
+
+
+def next_service_key(key, services_per_day: int):
+    """The (date, service) immediately after ``key`` in the daily timetable grid."""
+    day, index = key
+    if index < services_per_day:
+        return day, index + 1
+    return day + timedelta(days=1), 1
+
+
+def slots_of(keys, services_per_day: int) -> np.ndarray:
+    """The absolute slots ``date.toordinal() * S + service - 1`` of (date, service) keys, as int64."""
+    return np.array([day.toordinal() * services_per_day + index - 1 for day, index in keys], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -71,10 +84,8 @@ def one_hot(index: int, cardinality: int) -> np.ndarray:
 
 def encode_service(record, service_weather, spec, scalers) -> np.ndarray:
     """One feature row, blocks concatenated in the fixed documented order."""
-    parts: list[np.ndarray] = []
-    if spec.use_ridership:
-        scaled = scale(float(record.ridership), scalers.ridership[record.stop_index])
-        parts.append(np.array([scaled], dtype=np.float64))
+    scaled = scale(float(record.ridership), scalers.ridership[record.stop_index])
+    parts = [np.array([scaled], dtype=np.float64)]
     if spec.use_day_of_week:
         parts.append(one_hot(record.service_date.weekday(), N_WEEKDAYS))
     if spec.use_service_number:
@@ -143,7 +154,7 @@ def oracle_batch(xs, idx) -> np.ndarray:
     return np.stack([x[idx] for x in xs])
 
 
-def aligned_from_tensors(xs, y, look_back, index_map) -> AlignedWindows:
+def aligned_from_tensors(xs, y, look_back, slots) -> AlignedWindows:
     """Exact rows-plus-starts form of per-stop (N, L, D) window tensors.
 
     Window i of stop b becomes ``rows[b, i*L : (i+1)*L]``, so ``batch(idx)``
@@ -153,7 +164,7 @@ def aligned_from_tensors(xs, y, look_back, index_map) -> AlignedWindows:
     assert steps == look_back
     rows = np.stack([x.reshape(n * steps, dim) for x in xs])
     return AlignedWindows(
-        rows=rows, starts=np.arange(n, dtype=np.intp) * steps, y=y, look_back=look_back, index_map=index_map
+        rows=rows, starts=np.arange(n, dtype=np.intp) * steps, y=y, look_back=look_back, slots=slots
     )
 
 
@@ -163,4 +174,4 @@ def as_windows(xs) -> AlignedWindows:
     ``model.forward(as_windows(xs))`` runs the windows ``xs`` hold.
     """
     batch, steps, _ = xs[0].shape
-    return aligned_from_tensors(xs, np.zeros((batch, len(xs))), steps, index_map=())
+    return aligned_from_tensors(xs, np.zeros((batch, len(xs))), steps, slots=np.zeros(0, dtype=np.int64))
