@@ -14,7 +14,7 @@ import math
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -93,46 +93,112 @@ def _convert(label: str, convert, raw: str):
     """``convert(raw)``, with a bad value reported against the flag or config key it came from."""
     try:
         return convert(raw)
-    except ValueError as exc:
+    except (ValueError, BuscastError) as exc:
         raise BuscastError(f"invalid value {raw!r} for {label}: {exc}") from None
 
 
-def _parse_optimizer(raw: str) -> OptimizerKind:
-    try:
-        return OptimizerKind(raw.strip().lower())
-    except ValueError:
-        supported = ", ".join(k.value for k in OptimizerKind)
-        raise BuscastError(f"unsupported optimizer {raw!r}; expected one of {supported}") from None
+def _at_least(least: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < least:
+            raise ValueError(f"must be at least {least}")
+        return value
+
+    return parse
+
+
+def _rate(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < math.inf:
+        raise ValueError("must be a finite number above 0")
+    return value
+
+
+def _clip(raw: str) -> float | None:
+    return None if raw.lower() == "none" else _rate(raw)
+
+
+def _member(kind):
+    def parse(raw: str):
+        try:
+            return kind(raw.strip().lower())
+        except ValueError:
+            raise ValueError("expected one of " + ", ".join(k.value for k in kind)) from None
+
+    return parse
+
+
+def _list_of(parse):
+    return lambda raw: tuple(parse(value) for value in raw.split(","))
+
+
+_ALL = ("synth", "ingest", "correlate", "train", "tune", "evaluate", "predict")
+_FIT = ("train", "tune", "evaluate")
+_GRID = CandidateGrid()
+
+
+def _knob(default, parse, flag: str | None = None, commands: tuple[str, ...] = (), help: str | None = None):
+    """A :class:`RunConfig` field: its default (a function makes a fresh one per config), the parser
+    that turns a raw string into a checked value, and its flag, if any, with the commands that take it."""
+    meta = {"parse": parse, "flag": flag, "commands": commands, "help": help}
+    if callable(default):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    """Effective settings for one CLI run (config file merged with flags)."""
+    """Effective settings for one CLI run. A field's name is its config key; for each field a flag
+    wins, then the config key, then the default, and a flag or key value goes through its parser."""
 
-    route_name: str = "route"
-    ridership_csv: Path | None = None
-    weather_csv: Path | None = None
-    out_dir: Path = Path("out")
-    dataset_path: Path | None = None
-    n_stops: int = 5
-    services_per_day: int = 26
-    timetable: dict = field(default_factory=lambda: dict(DEFAULT_TIMETABLE))
-    category_aliases: dict = field(default_factory=dict)
-    ridership_columns: dict = field(default_factory=dict)
-    train_end: date | None = None
-    val_end: date | None = None
-    method: MethodId | None = None
-    hp: HyperParams = HyperParams(16, 26, 64, 1, 0.001, OptimizerKind.ADAM)
-    max_epochs: int = 200
-    patience: int = 10
-    clip_norm: float | None = 5.0
-    seed: int = 0
-    eval_seeds: int = 5
-    tune_max_resource: int = 27
-    tune_eta: int = 3
-    grid: CandidateGrid = CandidateGrid()
-    stat_start: date | None = None
-    stat_end: date | None = None
+    route_name: str = _knob("route", str)
+    ridership_csv: Path | None = _knob(None, Path, "--ridership", ("ingest",), "ridership CSV path")
+    weather_csv: Path | None = _knob(None, Path, "--weather", ("ingest",), "weather CSV path")
+    out_dir: Path = _knob(Path("out"), Path, "--out", _ALL, "output directory (default ./out)")
+    dataset: Path | None = _knob(None, Path, "--dataset", _ALL, "cached dataset file from 'ingest'")
+    n_stops: int = _knob(5, _at_least(1), "--n-stops", ("synth", "ingest"))
+    services_per_day: int = _knob(26, _at_least(1), "--services", ("synth", "ingest"))
+    timetable: dict = _knob(lambda: dict(DEFAULT_TIMETABLE), lambda raw: timetable_from_strings(raw.split(",")))
+    category_aliases: dict = _knob(dict, _parse_pairs)
+    ridership_columns: dict = _knob(dict, _parse_pairs)
+    train_end: date | None = _knob(None, date.fromisoformat, "--train-end", _FIT, "last training date (ISO)")
+    val_end: date | None = _knob(None, date.fromisoformat, "--val-end", _FIT, "last validation date (ISO)")
+    method: MethodId | None = _knob(
+        None, _member(MethodId), "--method", ("train", "tune"), "a | b | c | d | perstop"
+    )
+    batch_size: int = _knob(16, _at_least(1), "--batch-size", _FIT)
+    sequence_length: int = _knob(26, _at_least(1), "--sequence-length", _FIT)
+    lstm_nodes: int = _knob(64, _at_least(1), "--lstm-nodes", _FIT)
+    n_layers: int = _knob(1, _at_least(1), "--n-layers", _FIT)
+    learning_rate: float = _knob(0.001, _rate, "--learning-rate", _FIT)
+    optimizer: OptimizerKind = _knob(
+        OptimizerKind.ADAM, _member(OptimizerKind), "--optimizer", _FIT, "sgd | rmsprop | adam | nadam"
+    )
+    max_epochs: int = _knob(200, _at_least(1), "--max-epochs", _FIT)
+    patience: int = _knob(10, _at_least(1), "--patience", _FIT)
+    clip_norm: float | None = _knob(5.0, _clip, "--clip-norm", _FIT, "float, or 'none' to disable")
+    seed: int = _knob(0, _at_least(0), "--seed", _ALL, "master seed (default 0)")
+    eval_seeds: int = _knob(5, _at_least(1), "--seeds", ("evaluate",), "seed count for --retrain (default 5)")
+    tune_max_resource: int = _knob(27, _at_least(1), "--max-resource", ("tune",))
+    tune_eta: int = _knob(3, _at_least(2), "--eta", ("tune",))
+    tune_batch_sizes: tuple = _knob(_GRID.batch_sizes, _list_of(_at_least(1)))
+    tune_sequence_lengths: tuple = _knob(_GRID.sequence_lengths, _list_of(_at_least(1)))
+    tune_lstm_nodes: tuple = _knob(_GRID.lstm_nodes, _list_of(_at_least(1)))
+    tune_n_layers: tuple = _knob(_GRID.n_layers, _list_of(_at_least(1)))
+    tune_learning_rates: tuple = _knob(_GRID.learning_rates, _list_of(_rate))
+    tune_optimizers: tuple = _knob(_GRID.optimizers, _list_of(_member(OptimizerKind)))
+    stat_start: date | None = _knob(None, date.fromisoformat, "--stat-start", ("evaluate",))
+    stat_end: date | None = _knob(None, date.fromisoformat, "--stat-end", ("evaluate",))
+
+    @property
+    def hp(self) -> HyperParams:
+        """The hyperparameters; each field of :class:`HyperParams` is the field of the same name."""
+        return HyperParams(**{f.name: getattr(self, f.name) for f in fields(HyperParams)})
+
+    @property
+    def grid(self) -> CandidateGrid:
+        """The tuning grid; each ``tune_<name>`` field is the grid's ``<name>``."""
+        return CandidateGrid(**{f.name: getattr(self, "tune_" + f.name) for f in fields(CandidateGrid)})
 
     def schedule(self) -> TrainSchedule:
         return TrainSchedule(max_epochs=self.max_epochs, patience=self.patience, clip_norm=self.clip_norm)
@@ -141,7 +207,7 @@ class RunConfig:
         return {
             "route_name": self.route_name,
             "out_dir": str(self.out_dir),
-            "dataset": str(self.dataset_path) if self.dataset_path else None,
+            "dataset": str(self.dataset) if self.dataset else None,
             "method": self.method.value if self.method else None,
             "hyperparams": self.hp.to_dict(),
             "max_epochs": self.max_epochs,
@@ -155,107 +221,26 @@ class RunConfig:
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag_name: str, key: str, convert, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return _convert("--" + flag_name.replace("_", "-"), convert, str(flag))
-        if key in file_values:
-            return _convert(f"config key {key!r}", convert, file_values[key])
-        return default
-
-    as_int = int
-    as_float = float
-    as_date = date.fromisoformat
-    as_path = Path
-
-    def as_count(raw: str, least: int = 1) -> int:
-        value = int(raw)
-        if value < least:
-            raise ValueError(f"must be at least {least}")
-        return value
-
-    def as_clip(raw: str) -> float | None:
-        value = None if raw.lower() == "none" else float(raw)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ValueError("must be a finite number above 0, or 'none'")
-        return value
-
-    cfg.route_name = pick("route_name", "route_name", str, "route")
-    cfg.ridership_csv = pick("ridership", "ridership_csv", as_path, None)
-    cfg.weather_csv = pick("weather", "weather_csv", as_path, None)
-    cfg.out_dir = pick("out", "out_dir", as_path, Path("out"))
-    cfg.dataset_path = pick("dataset", "dataset", as_path, None)
-    cfg.n_stops = pick("n_stops", "n_stops", as_count, 5)
-    cfg.services_per_day = pick("services", "services_per_day", as_count, 26)
-    if "timetable" in file_values:
-        cfg.timetable = timetable_from_strings(file_values["timetable"].split(","))
-    if "category_aliases" in file_values:
-        cfg.category_aliases = _parse_pairs(file_values["category_aliases"])
-    if "ridership_columns" in file_values:
-        cfg.ridership_columns = _parse_pairs(file_values["ridership_columns"])
-    cfg.train_end = pick("train_end", "train_end", as_date, None)
-    cfg.val_end = pick("val_end", "val_end", as_date, None)
-    method_raw = pick("method", "method", str, None)
-    try:
-        cfg.method = MethodId(method_raw.lower()) if method_raw else None
-    except ValueError:
-        raise BuscastError(
-            f"unknown method {method_raw!r}; expected a, b, c, d, perstop, or statistical"
-        ) from None
-    optimizer = _parse_optimizer(pick("optimizer", "optimizer", str, "adam"))
-    cfg.hp = HyperParams(
-        batch_size=pick("batch_size", "batch_size", as_int, 16),
-        sequence_length=pick("sequence_length", "sequence_length", as_int, 26),
-        lstm_nodes=pick("lstm_nodes", "lstm_nodes", as_int, 64),
-        n_layers=pick("n_layers", "n_layers", as_int, 1),
-        learning_rate=pick("learning_rate", "learning_rate", as_float, 0.001),
-        optimizer=optimizer,
-    )
-    cfg.max_epochs = pick("max_epochs", "max_epochs", as_count, 200)
-    cfg.patience = pick("patience", "patience", as_int, 10)
-    cfg.clip_norm = pick("clip_norm", "clip_norm", as_clip, 5.0)
-    cfg.seed = pick("seed", "seed", lambda raw: as_count(raw, least=0), 0)
-    cfg.eval_seeds = pick("seeds", "eval_seeds", as_count, 5)
-    cfg.tune_max_resource = pick("max_resource", "tune_max_resource", as_int, 27)
-    cfg.tune_eta = pick("eta", "tune_eta", as_int, 3)
-    cfg.stat_start = pick("stat_start", "stat_start", as_date, None)
-    cfg.stat_end = pick("stat_end", "stat_end", as_date, None)
-
-    def int_list(key, default):
-        if key in file_values:
-            return tuple(_convert(f"config key {key!r}", int, v) for v in file_values[key].split(","))
-        return default
-
-    grid = CandidateGrid()
-    cfg.grid = CandidateGrid(
-        batch_sizes=int_list("tune_batch_sizes", grid.batch_sizes),
-        sequence_lengths=int_list("tune_sequence_lengths", grid.sequence_lengths),
-        lstm_nodes=int_list("tune_lstm_nodes", grid.lstm_nodes),
-        n_layers=int_list("tune_n_layers", grid.n_layers),
-        learning_rates=(
-            tuple(
-                _convert("config key 'tune_learning_rates'", float, v)
-                for v in file_values["tune_learning_rates"].split(",")
-            )
-            if "tune_learning_rates" in file_values
-            else grid.learning_rates
-        ),
-        optimizers=(
-            tuple(_parse_optimizer(v) for v in file_values["tune_optimizers"].split(","))
-            if "tune_optimizers" in file_values
-            else grid.optimizers
-        ),
-    )
-    return cfg
+    file_values = parse_config_file(args.config) if args.config else {}
+    knobs = fields(RunConfig)
+    names = {f.name for f in knobs}
+    for key in file_values:
+        if key not in names:
+            raise BuscastError(f"{args.config}: unknown config key {key!r}")
+    values = {}
+    for f in knobs:
+        flag_value = getattr(args, f.name, None)
+        if flag_value is not None:
+            values[f.name] = _convert(f.metadata["flag"], f.metadata["parse"], flag_value)
+        elif f.name in file_values:
+            values[f.name] = _convert(f"config key {f.name!r}", f.metadata["parse"], file_values[f.name])
+    return RunConfig(**values)
 
 
 def _load_dataset(cfg: RunConfig) -> RouteDataset:
-    if cfg.dataset_path is None:
+    if cfg.dataset is None:
         raise BuscastError("no cached dataset given; run 'buscast ingest' first and pass --dataset")
-    return RouteDataset.load(cfg.dataset_path)
+    return RouteDataset.load(cfg.dataset)
 
 
 def _boundaries(cfg: RunConfig, dataset: RouteDataset) -> tuple[date, date]:
@@ -295,8 +280,7 @@ def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
 # commands
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     config = synth.SynthConfig(
         n_days=args.days,
         n_stops=cfg.n_stops,
@@ -327,8 +311,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
+def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.ridership_csv is None or cfg.weather_csv is None:
         raise BuscastError("ingest needs --ridership and --weather CSV paths")
     records = data_ingest.parse_ridership_csv(cfg.ridership_csv, cfg.ridership_columns)
@@ -368,8 +351,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_correlate(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
+def cmd_correlate(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     if args.start or args.end:
         lo, hi = dataset.date_range()
@@ -381,7 +363,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     out_path = cfg.out_dir / "correlation.csv"
     matrix.to_csv(out_path)
     if args.format == "json":
-        print(json.dumps({"matrix": matrix.values.tolist(), "path": str(out_path)}))
+        # an undefined coefficient (a stop whose counts do not vary) is null, as JSON has no NaN
+        cells = [[None if math.isnan(v) else v for v in row] for row in matrix.values.tolist()]
+        print(json.dumps({"matrix": cells, "path": str(out_path)}, allow_nan=False))
     else:
         _echo_config(cfg, args.format)
         for row in matrix.values:
@@ -411,8 +395,7 @@ def _train_one_method(cfg: RunConfig, dataset: RouteDataset, method: MethodId) -
     return {"written": written, "best_val_loss": best, "boundaries": [b.isoformat() for b in boundaries]}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
+def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.method is None or cfg.method not in TRAINABLE_METHODS:
         raise BuscastError(
             "train needs --method one of a, b, c, d, perstop (statistical fits at evaluate time)"
@@ -483,8 +466,7 @@ class SpilledStates:
             shutil.rmtree(self._dir, ignore_errors=True)
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
+def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.method is None or cfg.method not in TRAINABLE_METHODS:
         raise BuscastError("tune needs --method one of a, b, c, d, perstop")
     dataset = _load_dataset(cfg)
@@ -576,8 +558,7 @@ def _load_fitted(
     return fitted
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     try:
         methods = [MethodId(m.strip().lower()) for m in args.methods.split(",") if m.strip()]
@@ -628,8 +609,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
+def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     model_path = Path(args.model)
     if not model_path.is_file():
@@ -669,93 +649,43 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="plain-text key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--dataset", help="cached dataset file from 'ingest'")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="buscast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn, summary in (
+        ("synth", cmd_synth, "generate synthetic ridership and weather CSVs"),
+        ("ingest", cmd_ingest, "parse CSVs, join weather, cache the dataset"),
+        ("correlate", cmd_correlate, "per-stop ridership correlation matrix"),
+        ("train", cmd_train, "train a method on the cached dataset"),
+        ("tune", cmd_tune, "tune a method on the cached dataset"),
+        ("evaluate", cmd_evaluate, "score methods on the held-out test split"),
+        ("predict", cmd_predict, "predict the next service's per-stop ridership"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="plain-text key = value config file")
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        for f in fields(RunConfig):
+            if name in f.metadata["commands"]:
+                p.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("synth", help="generate synthetic ridership and weather CSVs")
-    _add_common(p)
+    p = commands["synth"]
     p.add_argument("--days", type=int, default=60)
-    p.add_argument("--n-stops", dest="n_stops", type=int)
-    p.add_argument("--services", type=int)
     p.add_argument("--start-date", default="2021-10-01")
     p.add_argument("--rain-prob", type=float, default=0.25)
     p.add_argument("--rain-effect", type=float, default=-0.30)
     p.add_argument("--weekend-effect", type=float, default=-0.40)
     p.add_argument("--latent-weight", type=float, default=0.15)
     p.add_argument("--noise", type=float, default=1.0)
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("ingest", help="parse CSVs, join weather, cache the dataset")
-    _add_common(p)
-    p.add_argument("--ridership", help="ridership CSV path")
-    p.add_argument("--weather", help="weather CSV path")
-    p.add_argument("--n-stops", dest="n_stops", type=int)
-    p.add_argument("--services", type=int)
-    p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser("correlate", help="per-stop ridership correlation matrix")
-    _add_common(p)
-    p.add_argument("--start", help="restrict to dates >= this (ISO)")
-    p.add_argument("--end", help="restrict to dates <= this (ISO)")
-    p.set_defaults(fn=cmd_correlate)
-
-    for name, fn in (("train", cmd_train), ("tune", cmd_tune)):
-        p = sub.add_parser(name, help=f"{name} a method on the cached dataset")
-        _add_common(p)
-        p.add_argument("--method", help="a | b | c | d | perstop")
-        p.add_argument("--train-end", dest="train_end", help="last training date (ISO)")
-        p.add_argument("--val-end", dest="val_end", help="last validation date (ISO)")
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--sequence-length", dest="sequence_length", type=int)
-        p.add_argument("--lstm-nodes", dest="lstm_nodes", type=int)
-        p.add_argument("--n-layers", dest="n_layers", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--optimizer", help="sgd | rmsprop | adam | nadam")
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--clip-norm", dest="clip_norm", help="float, or 'none' to disable")
-        if name == "tune":
-            p.add_argument("--max-resource", dest="max_resource", type=int)
-            p.add_argument("--eta", type=int)
-            p.add_argument("--stop", type=int, default=1,
-                           help="stop index to tune for the per-stop method")
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("evaluate", help="score methods on the held-out test split")
-    _add_common(p)
+    commands["correlate"].add_argument("--start", help="restrict to dates >= this (ISO)")
+    commands["correlate"].add_argument("--end", help="restrict to dates <= this (ISO)")
+    commands["tune"].add_argument("--stop", type=int, default=1, help="stop index to tune for the per-stop method")
+    p = commands["evaluate"]
     p.add_argument("--methods", default="a,b,c,d,perstop,statistical")
-    p.add_argument("--train-end", dest="train_end")
-    p.add_argument("--val-end", dest="val_end")
     p.add_argument("--retrain", action="store_true",
                    help="train in-process over --seeds seeds instead of loading checkpoints")
-    p.add_argument("--seeds", type=int, help="seed count for --retrain (default 5)")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--sequence-length", dest="sequence_length", type=int)
-    p.add_argument("--lstm-nodes", dest="lstm_nodes", type=int)
-    p.add_argument("--n-layers", dest="n_layers", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--optimizer")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--clip-norm", dest="clip_norm", help="float, or 'none' to disable")
-    p.add_argument("--stat-start", dest="stat_start")
-    p.add_argument("--stat-end", dest="stat_end")
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("predict", help="predict the next service's per-stop ridership")
-    _add_common(p)
-    p.add_argument("--model", required=True, help="checkpoint file written by 'train'")
-    p.set_defaults(fn=cmd_predict)
-
+    commands["predict"].add_argument("--model", required=True, help="checkpoint file written by 'train'")
     return parser
 
 
@@ -763,7 +693,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _merge(args))
     except (BuscastError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -242,8 +242,8 @@ def validate_hyperparams(hp: HyperParams) -> None:
         raise InvalidHyperParams(f"need at least one LSTM layer, got {hp.n_layers}")
     if hp.lstm_nodes < 1 or hp.batch_size < 1 or hp.sequence_length < 1:
         raise InvalidHyperParams(f"non-positive size in {hp}")
-    if hp.learning_rate <= 0:
-        raise InvalidHyperParams(f"learning rate must be > 0, got {hp.learning_rate}")
+    if not 0 < hp.learning_rate < math.inf:
+        raise InvalidHyperParams(f"learning rate must be a finite number > 0, got {hp.learning_rate}")
 
 
 def build_model(spec: MethodSpec, hp: HyperParams, n_stops: int, seed: int) -> LstmRegressor:

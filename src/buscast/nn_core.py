@@ -501,8 +501,8 @@ class Optimizer:
     SLOTS: tuple[str, ...] = ()
 
     def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise NonPositiveLearningRate(f"learning rate must be > 0, got {learning_rate}")
+        if not 0 < learning_rate < math.inf:
+            raise NonPositiveLearningRate(f"learning rate must be a finite number > 0, got {learning_rate}")
         self.learning_rate = learning_rate
         self.step_count = 0
         self.slots: dict[str, dict[str, np.ndarray]] = {slot: {} for slot in self.SLOTS}

@@ -10,6 +10,7 @@ weekend days 40%. These are test-fixture knobs, not measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -76,6 +77,9 @@ def generate(config: SynthConfig) -> tuple[list[RidershipRecord], list[WeatherOb
     """Seeded ridership records plus matching hourly weather observations."""
     if config.n_days < 1:
         raise BadArgs(f"need at least one day, got {config.n_days}")
+    for name in ("rain_probability", "rain_effect", "weekend_effect", "latent_weight", "noise_scale"):
+        if not math.isfinite(getattr(config, name)):
+            raise BadArgs(f"{name} must be a finite number, got {getattr(config, name)}")
     if config.services_per_day > len(config.timetable):
         raise BadArgs(
             f"timetable has {len(config.timetable)} departures for "

@@ -1,14 +1,21 @@
 import csv
+import io
 import json
 import os
+import re
+import shutil
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buscast
 from buscast import cli
@@ -48,6 +55,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reject_constant(name):
+    """``json.loads``' ``parse_constant``: ``NaN`` and ``Infinity`` are not JSON."""
+    raise AssertionError(f"{name} in JSON output")
 
 
 def assert_one_error_line(err, command, *fragments):
@@ -200,6 +212,23 @@ class TestCorrelate:
         lines = (workspace["out"] / "correlation.csv").read_text().splitlines()
         assert len(lines) == 6
         assert lines[0].split(",")[1] == "stop1"
+
+    def test_json_has_null_for_a_stop_without_variance(self, capsys, tmp_path):
+        """JSON has no NaN: a coefficient that is undefined because stop 1 always counts 0 is null."""
+        assert run_cli(capsys, "synth", "--days", "3", "--seed", "1", "--out", str(tmp_path))[0] == 0
+        ridership = tmp_path / "ridership.csv"
+        header, *rows = ridership.read_text().splitlines()
+        rows = [row.rsplit(",", 1)[0] + ",0" if row.split(",")[2] == "1" else row for row in rows]
+        ridership.write_text("\n".join([header, *rows]) + "\n")
+        assert run_cli(capsys, "ingest", "--ridership", str(ridership), "--weather",
+                       str(tmp_path / "weather.csv"), "--out", str(tmp_path))[0] == 0
+        code, out, _ = run_cli(capsys, "correlate", "--dataset", str(tmp_path / "dataset.json"),
+                               "--out", str(tmp_path), "--format", "json")
+        assert code == 0
+        matrix = json.loads(out, parse_constant=reject_constant)["matrix"]
+        assert matrix[0] == [1.0, None, None, None, None] and all(row[0] is None for row in matrix[1:])
+        assert None not in matrix[1][1:]
+        assert (tmp_path / "correlation.csv").read_text().splitlines()[1].split(",")[2] == "nan"
 
 
 TINY_HP = [
@@ -758,6 +787,13 @@ class TestConfigFile:
 
         assert load_model(tmp_path / "a.ckpt").forecaster.members[0].model.hidden_size == 4
 
+    def test_readme_lists_every_key_with_its_flag(self):
+        """The README's config-file bullet names exactly the fields of ``RunConfig``, each with its flag."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("* **config file**", 1)[1].split("\n* **", 1)[0]
+        documented = dict(re.findall(r"^  \* `(\w+)`(?: \(`(--[\w-]+)`)?", section, flags=re.M))
+        assert documented == {f.name: f.metadata["flag"] or "" for f in fields(RunConfig)}
+
 
 class TestBadInputs:
     """Each bad input ends in exit 1 and one ``error [cmd]:`` line, never a traceback."""
@@ -875,10 +911,21 @@ class TestBadInputs:
                 for argv in (["synth"], ["train", "--method", "a"], ["tune", "--method", "a"],
                              ["evaluate", "--methods", "a", "--retrain"])
             ),
+            *(
+                (["train", "--method", "a", "--learning-rate", rate],
+                 f"invalid value '{rate}' for --learning-rate: must be a finite number above 0")
+                for rate in ("nan", "inf", "0")
+            ),
+            (["evaluate", "--methods", "a", "--retrain", "--patience", "0"], "--patience: must be at least 1"),
+            (["tune", "--method", "a", "--eta", "1"], "invalid value '1' for --eta: must be at least 2"),
+            (["tune", "--method", "a", "--max-resource", "0"], "--max-resource: must be at least 1"),
+            (["train", "--method", "a", "--batch-size", "abc"], "invalid value 'abc' for --batch-size"),
+            (["synth", "--noise", "nan"], "noise_scale must be a finite number, got nan"),
         ],
         ids=["seeds-0", "seeds-negative", "max-epochs-0", "clip-negative", "clip-0", "clip-nan", "clip-inf",
              "n-stops-0", "services-0", "seed-negative-synth", "seed-negative-train", "seed-negative-tune",
-             "seed-negative-evaluate-retrain"],
+             "seed-negative-evaluate-retrain", "learning-rate-nan", "learning-rate-inf", "learning-rate-0",
+             "patience-0", "eta-1", "max-resource-0", "batch-size-abc", "synth-noise-nan"],
     )
     def test_out_of_range_flag(self, workspace, capsys, tmp_path, argv, fragment):
         dataset = [] if argv[0] == "synth" else ["--dataset", str(workspace["dataset"])]
@@ -890,7 +937,11 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "line, key", [("eval_seeds = 0", "'eval_seeds'"), ("max_epochs = -1", "'max_epochs'"),
                       ("clip_norm = nan", "'clip_norm'"), ("n_stops = 0", "'n_stops'"),
-                      ("seed = -1", "'seed': must be at least 0")],
+                      ("seed = -1", "'seed': must be at least 0"),
+                      ("learning_rat = 5", "'learning_rat'"),
+                      ("learning_rate = inf", "'learning_rate': must be a finite number above 0"),
+                      ("tune_batch_sizes = 16,0", "'tune_batch_sizes': must be at least 1"),
+                      ("tune_learning_rates = 0.01,nan", "'tune_learning_rates': must be a finite number above 0")],
     )
     def test_out_of_range_config_key(self, workspace, capsys, tmp_path, line, key):
         config = tmp_path / "run.cfg"
@@ -901,6 +952,7 @@ class TestBadInputs:
         )
         assert code == 1
         assert_one_error_line(err, "evaluate", "config key " + key)
+        assert not (tmp_path / "out").exists()
 
     def test_clip_norm_none_disables_clipping(self):
         args = build_parser().parse_args(["train", "--clip-norm", "none"])
@@ -984,3 +1036,71 @@ class TestOneHarness:
             reports.append(json.loads((out / "rmse_report.json").read_text())["methods"])
         for method in ("d", "perstop", "statistical"):
             assert reports[0][method]["per_stop"] == reports[1][method]["per_stop"]
+
+
+#: Each command's flags that have no config key; the others come from the fields of ``RunConfig``.
+#: tune's --config is left out: it holds the tiny grid, and an empty one reads no file, so the
+#: default grid would train.
+HAND_WRITTEN_FLAGS = {
+    "synth": ("--config", "--format", "--days", "--start-date", "--rain-prob", "--rain-effect",
+              "--weekend-effect", "--latent-weight", "--noise"),
+    "ingest": ("--config", "--format"),
+    "correlate": ("--config", "--format", "--start", "--end"),
+    "train": ("--config", "--format"),
+    "tune": ("--format", "--stop"),
+    "evaluate": ("--config", "--format", "--methods", "--retrain"),
+    "predict": ("--config", "--format", "--model"),
+}
+#: Boundary and garbage values for any flag; no size among them is large.
+FUZZ_VALUES = ("0", "-1", "1", "2", "", "abc", "nan", "inf", "1e400", "none", "2021-13-01")
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(workspace, trained, tmp_path_factory):
+    """A working directory holding a copy of the d checkpoint and a tiny tuning grid, and each
+    command's base argv of tiny settings, which writes to that directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copy(workspace["out"] / "d.ckpt", root / "d.ckpt")
+    (root / "tiny.cfg").write_text(
+        "tune_lstm_nodes = 4\ntune_n_layers = 1\ntune_batch_sizes = 64\ntune_sequence_lengths = 13\n"
+        "tune_learning_rates = 0.01\ntune_optimizers = adam\n"
+    )
+    dataset = ["--dataset", str(workspace["dataset"])]
+    fit = [*dataset, *TINY_HP, "--max-epochs", "1"]
+    return root, {
+        "synth": ["--days", "2"],
+        "ingest": ["--ridership", str(workspace["data"] / "ridership.csv"),
+                   "--weather", str(workspace["data"] / "weather.csv")],
+        "correlate": dataset,
+        "train": ["--method", "d", *fit],
+        "tune": ["--method", "d", "--config", "tiny.cfg", "--max-resource", "1", *fit],
+        "evaluate": ["--methods", "d,statistical", "--seeds", "1", *fit],
+        "predict": [*dataset, "--model", "d.ckpt"],
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_flags_end_in_a_clean_exit(fuzz_base, data):
+    """Any flags with boundary or garbage values end in exit 0, 1 (one error line) or argparse's 2,
+    never a traceback, and JSON output holds no NaN or Infinity."""
+    root, base = fuzz_base
+    command = data.draw(st.sampled_from(sorted(base)))
+    knob_flags = [f.metadata["flag"] for f in fields(RunConfig) if command in f.metadata["commands"]]
+    flags = data.draw(st.lists(st.sampled_from(knob_flags + list(HAND_WRITTEN_FLAGS[command])), max_size=3))
+    fmt = data.draw(st.sampled_from(("text", "json", "csv")))
+    argv = [command, "--out", ".", *base[command], "--format", fmt]
+    for flag in flags:
+        argv += [flag] if flag == "--retrain" else [flag, data.draw(st.sampled_from(FUZZ_VALUES))]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.chdir(root)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 1:
+        assert_one_error_line(err.getvalue(), command)
+    if code == 0 and (fmt == "json" or command == "predict"):
+        json.loads(out.getvalue(), parse_constant=reject_constant)

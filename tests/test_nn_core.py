@@ -248,10 +248,9 @@ class TestOptimizers:
             assert theta["p"][0] == pytest.approx(1.5, abs=1e-9)
 
     def test_nonpositive_learning_rate(self):
-        with pytest.raises(NonPositiveLearningRate):
-            Sgd(0.0)
-        with pytest.raises(NonPositiveLearningRate):
-            Adam(-1.0)
+        for make, rate in ((Sgd, 0.0), (Adam, -1.0), (Sgd, math.nan), (Adam, math.inf)):
+            with pytest.raises(NonPositiveLearningRate):
+                make(rate)
 
     def test_shape_mismatch(self):
         opt = Sgd(0.1)
