@@ -29,6 +29,7 @@ from .errors import (
     InsufficientHistory,
     MissingModel,
     TooShort,
+    read_input,
 )
 from .evaluation import (
     FittedMethod,
@@ -65,7 +66,7 @@ TRAINABLE_METHODS = (MethodId.A, MethodId.B, MethodId.C, MethodId.D, MethodId.PE
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Plain-text ``key = value`` lines; ``#`` starts a comment."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path, "config file").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -114,6 +115,13 @@ def _rate(raw: str) -> float:
     return value
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _clip(raw: str) -> float | None:
     return None if raw.lower() == "none" else _rate(raw)
 
@@ -135,6 +143,7 @@ def _list_of(parse):
 _ALL = ("synth", "ingest", "correlate", "train", "tune", "evaluate", "predict")
 _FIT = ("train", "tune", "evaluate")
 _GRID = CandidateGrid()
+_SYNTH = synth.SynthConfig()
 
 
 def _knob(default, parse, flag: str | None = None, commands: tuple[str, ...] = (), help: str | None = None):
@@ -158,6 +167,13 @@ class RunConfig:
     dataset: Path | None = _knob(None, Path, "--dataset", _ALL, "cached dataset file from 'ingest'")
     n_stops: int = _knob(5, _at_least(1), "--n-stops", ("synth", "ingest"))
     services_per_day: int = _knob(26, _at_least(1), "--services", ("synth", "ingest"))
+    n_days: int = _knob(_SYNTH.n_days, _at_least(1), "--days", ("synth",), "days to synthesize (default 60)")
+    start_date: date = _knob(_SYNTH.start_date, date.fromisoformat, "--start-date", ("synth",), "first date (ISO)")
+    rain_probability: float = _knob(_SYNTH.rain_probability, _finite, "--rain-prob", ("synth",))
+    rain_effect: float = _knob(_SYNTH.rain_effect, _finite, "--rain-effect", ("synth",))
+    weekend_effect: float = _knob(_SYNTH.weekend_effect, _finite, "--weekend-effect", ("synth",))
+    latent_weight: float = _knob(_SYNTH.latent_weight, _finite, "--latent-weight", ("synth",))
+    noise_scale: float = _knob(_SYNTH.noise_scale, _finite, "--noise", ("synth",))
     timetable: dict = _knob(lambda: dict(DEFAULT_TIMETABLE), lambda raw: timetable_from_strings(raw.split(",")))
     category_aliases: dict = _knob(dict, _parse_pairs)
     ridership_columns: dict = _knob(dict, _parse_pairs)
@@ -281,24 +297,12 @@ def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
-    config = synth.SynthConfig(
-        n_days=args.days,
-        n_stops=cfg.n_stops,
-        services_per_day=cfg.services_per_day,
-        seed=cfg.seed,
-        start_date=_convert("--start-date", date.fromisoformat, args.start_date),
-        rain_probability=args.rain_prob,
-        rain_effect=args.rain_effect,
-        weekend_effect=args.weekend_effect,
-        latent_weight=args.latent_weight,
-        noise_scale=args.noise,
-        timetable=cfg.timetable,
-    )
+    config = synth.SynthConfig(**{f.name: getattr(cfg, f.name) for f in fields(synth.SynthConfig)})
     ridership_path, weather_path = synth.write_synthetic_csvs(config, cfg.out_dir)
     summary = {
         "ridership_csv": str(ridership_path),
         "weather_csv": str(weather_path),
-        "days": args.days,
+        "days": cfg.n_days,
         "n_stops": cfg.n_stops,
         "services_per_day": cfg.services_per_day,
         "seed": cfg.seed,
@@ -670,14 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
         p.set_defaults(fn=fn)
 
-    p = commands["synth"]
-    p.add_argument("--days", type=int, default=60)
-    p.add_argument("--start-date", default="2021-10-01")
-    p.add_argument("--rain-prob", type=float, default=0.25)
-    p.add_argument("--rain-effect", type=float, default=-0.30)
-    p.add_argument("--weekend-effect", type=float, default=-0.40)
-    p.add_argument("--latent-weight", type=float, default=0.15)
-    p.add_argument("--noise", type=float, default=1.0)
     commands["correlate"].add_argument("--start", help="restrict to dates >= this (ISO)")
     commands["correlate"].add_argument("--end", help="restrict to dates <= this (ISO)")
     commands["tune"].add_argument("--stop", type=int, default=1, help="stop index to tune for the per-stop method")

@@ -32,6 +32,7 @@ from .errors import (
     MissingTimetableEntry,
     MissingWeather,
     UnknownCategory,
+    read_input,
 )
 
 ServiceKey = tuple[date, int]
@@ -200,12 +201,9 @@ class _CsvTable:
     them comes first, and that short row comes next.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, what: str):
         self.path = path
-        try:
-            self.text = path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRow(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        self.text = read_input(path, what)
         reader = csv.reader(io.StringIO(self.text, newline=""))
         try:
             self.header = next(reader, [])
@@ -304,7 +302,7 @@ def parse_ridership_csv(
     colmap = dict(DEFAULT_RIDERSHIP_COLUMNS)
     if columns:
         colmap.update(columns)
-    table = _CsvTable(path)
+    table = _CsvTable(path, "ridership CSV")
     for canonical, actual in colmap.items():
         if actual not in table.position:
             raise MissingColumn(f"{path}: column {actual!r} (for {canonical}) not in header")
@@ -343,7 +341,7 @@ def parse_weather_csv(
             if target is None:
                 raise UnknownCategory(f"alias {alias!r} maps to unknown category {canonical!r}")
             lookup[_normalize_label(alias)] = target
-    table = _CsvTable(path)
+    table = _CsvTable(path, "weather CSV")
     for name in WEATHER_COLUMNS:
         if name not in table.position:
             raise MissingColumn(f"{path}: column {name!r} not in header")
@@ -521,7 +519,7 @@ class RouteDataset:
         cells of its dtype; then the cells, as ``_check_cells`` checks them.
         """
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(read_input(path, "dataset cache"))
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
             raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
         if not (isinstance(payload, dict) and payload.get("format") == "buscast-dataset"):
@@ -710,20 +708,23 @@ def build_route_dataset(
     return dataset
 
 
-def write_ridership_csv(records: Iterable[RidershipRecord], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "service_index", "stop_index", "ridership"])
-        for r in records:
-            writer.writerow([r.service_date.isoformat(), r.service_index, r.stop_index, r.ridership])
+def _write_csv(path: str | Path, header: Sequence[str], day: Sequence[int], *columns: Sequence) -> None:
+    """Write ``header``, then a row per date ordinal of ``day`` and value of each of ``columns``, as
+    ``csv.writer`` writes values that need no quoting: ISO dates, each value's ``str``, CRLF line ends."""
+    day = np.asarray(day).tolist()
+    iso = {d: date.fromordinal(d).isoformat() for d in set(day)}
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    rows = map(row.format, map(iso.__getitem__, day), *(np.asarray(c).tolist() for c in columns))
+    Path(path).write_text(row.format(*header) + "".join(rows), encoding="utf-8", newline="")
 
 
-def write_weather_csv(observations: Iterable[WeatherObservation], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(WEATHER_COLUMNS))
-        for o in observations:
-            writer.writerow([o.obs_date.isoformat(), o.obs_hour, o.category.value, repr(o.precipitation_mm)])
+def write_ridership_csv(columns: RidershipColumns, path: str | Path) -> None:
+    _write_csv(path, tuple(DEFAULT_RIDERSHIP_COLUMNS), columns.day, columns.service, columns.stop, columns.count)
+
+
+def write_weather_csv(columns: WeatherColumns, path: str | Path) -> None:
+    labels = np.array([category.value for category in CATEGORIES])[columns.category]
+    _write_csv(path, WEATHER_COLUMNS, columns.day, columns.hour, labels, columns.precipitation)
 
 
 def timetable_from_strings(departures: Sequence[str]) -> dict[int, time]:

@@ -4,9 +4,28 @@ Every error raised by buscast derives from :class:`BuscastError`, so callers
 (and the CLI) can catch one type and still report a precise failure kind.
 """
 
+from pathlib import Path
+
 
 class BuscastError(Exception):
     """Base class for all buscast errors."""
+
+
+class UnreadableInput(BuscastError):
+    """An input file could not be read: it is missing, a directory, or not readable."""
+
+
+def read_input(path, what: str, text: bool = True) -> str | bytes:
+    """The UTF-8 text of ``path``, line ends untranslated, or its bytes if not ``text``. A file that cannot be
+    read raises :class:`UnreadableInput` naming the input as ``what``; text not UTF-8, :class:`MalformedRow`."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    try:
+        return raw.decode("utf-8") if text else raw
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 # ingestion

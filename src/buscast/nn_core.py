@@ -85,6 +85,7 @@ from .errors import (
     CheckpointError,
     NonPositiveLearningRate,
     ShapeMismatch,
+    read_input,
 )
 
 
@@ -666,31 +667,27 @@ def _is_param_entry(entry) -> bool:
 
 def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and named arrays of a :func:`save_params` file; a malformed file is a :class:`CheckpointError`."""
-    with Path(path).open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
-        if head[:4] != CHECKPOINT_MAGIC or len(head) < 12:
-            raise CheckpointError(f"{path}: not a buscast checkpoint")
-        (blob_len,) = struct.unpack_from("<Q", head, 4)
-        try:
-            header = json.loads(fh.read(min(blob_len, size)).decode("utf-8"))
-        except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError, deep nesting
-            header = None
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: corrupt checkpoint header")
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
-        entries = header.get("params")
-        if not (isinstance(entries, list) and all(_is_param_entry(entry) for entry in entries)):
-            raise CheckpointError(f"{path}: malformed parameter list in checkpoint header")
-        offset = 12 + blob_len
-        params: dict[str, np.ndarray] = {}
-        for name, shape in entries:
-            count = math.prod(shape)
-            if offset + count * 8 > size:
-                raise CheckpointError(f"{path}: truncated payload at {name}")
-            arr = np.empty(count, dtype="<f8")
-            fh.readinto(arr)
-            params[name] = arr.reshape(shape)
-            offset += count * 8
+    raw = read_input(path, "checkpoint", text=False)
+    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 12:
+        raise CheckpointError(f"{path}: not a buscast checkpoint")
+    (blob_len,) = struct.unpack_from("<Q", raw, 4)
+    try:
+        header = json.loads(raw[12 : 12 + blob_len].decode("utf-8"))
+    except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError, deep nesting
+        header = None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt checkpoint header")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+    entries = header.get("params")
+    if not (isinstance(entries, list) and all(_is_param_entry(entry) for entry in entries)):
+        raise CheckpointError(f"{path}: malformed parameter list in checkpoint header")
+    offset = 12 + blob_len
+    params: dict[str, np.ndarray] = {}
+    for name, shape in entries:
+        count = math.prod(shape)
+        if offset + count * 8 > len(raw):
+            raise CheckpointError(f"{path}: truncated payload at {name}")
+        params[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).copy()
+        offset += count * 8
     return header, params

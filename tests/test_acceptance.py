@@ -53,6 +53,8 @@ from buscast.nn_core import (
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams, make_schedule
 
+from ingest_oracle import records_of
+
 REAL_DATA_DIR = os.environ.get("BUSCAST_REAL_DATA")
 
 WINNER_HP_JOINT = HyperParams(16, 26, 64, 1, 0.001, OptimizerKind.ADAM)
@@ -169,7 +171,7 @@ def test_c03_statistical_baseline_oracle():
         ds = generate_dataset(config)
         baseline = fit_statistical(ds, ds.date_range())
         groups: dict = {}
-        for record in generate(config)[0]:
+        for record in records_of(generate(config)[0]):
             groups.setdefault((record.stop_index, record.service_index), []).append(record.ridership)
         services, stops = np.nonzero(~np.isnan(baseline.means))
         assert set(zip((stops + 1).tolist(), (services + 1).tolist())) == set(groups)
@@ -195,7 +197,7 @@ def test_c04a_correlation_oracle_synthetic():
     config = SynthConfig(n_days=25, seed=23, latent_weight=0.2)
     matrix = correlation_matrix(generate_dataset(config))
     series = [{} for _ in range(5)]
-    for r in generate(config)[0]:
+    for r in records_of(generate(config)[0]):
         series[r.stop_index - 1][(r.service_date, r.service_index)] = r.ridership
     for a in range(5):
         for b in range(a + 1, 5):

@@ -236,6 +236,18 @@ TINY_HP = [
     "--learning-rate", "0.01", "--sequence-length", "13", "--max-epochs", "3",
     "--patience", "3",
 ]
+#: A tuning grid of one tiny config, as config lines.
+TINY_GRID = (
+    "tune_lstm_nodes = 4\ntune_n_layers = 1\ntune_batch_sizes = 64\ntune_sequence_lengths = 13\n"
+    "tune_learning_rates = 0.01\ntune_optimizers = adam\n"
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_grid(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid") / "tiny.cfg"
+    path.write_text(TINY_GRID)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +526,7 @@ class TestPredictTail:
         data, out = tmp_path / "data", tmp_path / "out"
         assert main(["synth", "--days", "7", "--seed", "5", "--out", str(data)]) == 0
         records = [r for r in records_of(parse_ridership_csv(data / "ridership.csv")) if not drop(r)]
-        write_ridership_csv(records, data / "ridership.csv")
+        write_ridership_csv(RidershipColumns.from_records(records), data / "ridership.csv")
         assert main(["ingest", "--ridership", str(data / "ridership.csv"),
                      "--weather", str(data / "weather.csv"), "--out", str(out)]) == 0
         weather = join_weather_to_services(
@@ -816,6 +828,13 @@ class TestBadInputs:
         assert code == 1
         assert_one_error_line(err, "train", "'batch_size'", "'abc'")
 
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed = \xff\n")
+        code, _, err = run_cli(capsys, "synth", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert_one_error_line(err, "synth", f"{config}: not UTF-8 text (byte 7)")
+
     def _evaluate_edited_cache(self, workspace, capsys, tmp_path, edit):
         """Run ``evaluate`` on the shared cache with its JSON payload replaced by ``edit(payload)``."""
         cache = tmp_path / "dataset.json"
@@ -920,16 +939,19 @@ class TestBadInputs:
             (["tune", "--method", "a", "--eta", "1"], "invalid value '1' for --eta: must be at least 2"),
             (["tune", "--method", "a", "--max-resource", "0"], "--max-resource: must be at least 1"),
             (["train", "--method", "a", "--batch-size", "abc"], "invalid value 'abc' for --batch-size"),
-            (["synth", "--noise", "nan"], "noise_scale must be a finite number, got nan"),
+            (["synth", "--noise", "nan"], "invalid value 'nan' for --noise: must be a finite number"),
         ],
         ids=["seeds-0", "seeds-negative", "max-epochs-0", "clip-negative", "clip-0", "clip-nan", "clip-inf",
              "n-stops-0", "services-0", "seed-negative-synth", "seed-negative-train", "seed-negative-tune",
              "seed-negative-evaluate-retrain", "learning-rate-nan", "learning-rate-inf", "learning-rate-0",
              "patience-0", "eta-1", "max-resource-0", "batch-size-abc", "synth-noise-nan"],
     )
-    def test_out_of_range_flag(self, workspace, capsys, tmp_path, argv, fragment):
+    def test_out_of_range_flag(self, workspace, tiny_grid, capsys, tmp_path, argv, fragment):
+        # Tiny settings come before the case's flags, so a missing range check fails fast.
+        tiny = {"train": TINY_HP, "tune": [*TINY_HP, "--config", str(tiny_grid), "--max-resource", "1"],
+                "evaluate": [*TINY_HP, "--seeds", "1"]}.get(argv[0], [])
         dataset = [] if argv[0] == "synth" else ["--dataset", str(workspace["dataset"])]
-        code, _, err = run_cli(capsys, *argv, *dataset, "--out", str(tmp_path))
+        code, _, err = run_cli(capsys, argv[0], *tiny, *argv[1:], *dataset, "--out", str(tmp_path))
         assert code == 1
         assert_one_error_line(err, argv[0], fragment)
         assert not any(tmp_path.iterdir())
@@ -944,8 +966,12 @@ class TestBadInputs:
                       ("tune_learning_rates = 0.01,nan", "'tune_learning_rates': must be a finite number above 0")],
     )
     def test_out_of_range_config_key(self, workspace, capsys, tmp_path, line, key):
+        # Tiny settings go in as the config's other keys, so a missing range check fails fast.
+        tiny = {"batch_size": "64", "lstm_nodes": "4", "sequence_length": "13", "max_epochs": "1",
+                "patience": "1", "eval_seeds": "1"}
         config = tmp_path / "run.cfg"
-        config.write_text(line + "\n")
+        config.write_text("".join(f"{k} = {v}\n" for k, v in tiny.items() if k != line.split("=")[0].strip())
+                          + line + "\n")
         code, _, err = run_cli(
             capsys, "evaluate", "--dataset", str(workspace["dataset"]), "--methods", "a", "--retrain",
             "--config", str(config), "--out", str(tmp_path / "out"),
@@ -953,6 +979,24 @@ class TestBadInputs:
         assert code == 1
         assert_one_error_line(err, "evaluate", "config key " + key)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--dataset", "cannot read dataset cache"), ("--config", "cannot read config file"),
+        ("--model", "no checkpoint file at"), ("--ridership", "cannot read ridership CSV"),
+        ("--weather", "cannot read weather CSV"), ("--out", "cannot read checkpoint"),
+    ])
+    def test_directory_for_a_file_names_the_input(self, workspace, capsys, tmp_path, flag, what):
+        directory = tmp_path / "d.ckpt"
+        directory.mkdir()
+        data, dataset = workspace["data"], str(workspace["dataset"])
+        argv = {
+            "--ridership": ["ingest", "--weather", str(data / "weather.csv")],
+            "--weather": ["ingest", "--ridership", str(data / "ridership.csv")],
+            "--out": ["evaluate", "--dataset", dataset, "--methods", "d"],  # reads <out>/d.ckpt
+        }.get(flag, ["predict", "--dataset", dataset, "--model", str(workspace["out"] / "d.ckpt")])
+        code, _, err = run_cli(capsys, *argv, flag, str(tmp_path if flag == "--out" else directory))
+        assert code == 1
+        assert_one_error_line(err, argv[0], f"{what} {directory}")
 
     def test_clip_norm_none_disables_clipping(self):
         args = build_parser().parse_args(["train", "--clip-norm", "none"])
@@ -1042,8 +1086,7 @@ class TestOneHarness:
 #: tune's --config is left out: it holds the tiny grid, and an empty one reads no file, so the
 #: default grid would train.
 HAND_WRITTEN_FLAGS = {
-    "synth": ("--config", "--format", "--days", "--start-date", "--rain-prob", "--rain-effect",
-              "--weekend-effect", "--latent-weight", "--noise"),
+    "synth": ("--config", "--format"),
     "ingest": ("--config", "--format"),
     "correlate": ("--config", "--format", "--start", "--end"),
     "train": ("--config", "--format"),
@@ -1061,10 +1104,7 @@ def fuzz_base(workspace, trained, tmp_path_factory):
     command's base argv of tiny settings, which writes to that directory."""
     root = tmp_path_factory.mktemp("fuzz")
     shutil.copy(workspace["out"] / "d.ckpt", root / "d.ckpt")
-    (root / "tiny.cfg").write_text(
-        "tune_lstm_nodes = 4\ntune_n_layers = 1\ntune_batch_sizes = 64\ntune_sequence_lengths = 13\n"
-        "tune_learning_rates = 0.01\ntune_optimizers = adam\n"
-    )
+    (root / "tiny.cfg").write_text(TINY_GRID)
     dataset = ["--dataset", str(workspace["dataset"])]
     fit = [*dataset, *TINY_HP, "--max-epochs", "1"]
     return root, {

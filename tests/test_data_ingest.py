@@ -294,8 +294,9 @@ class TestJoin:
 
 def _complete_inputs(n_days=2, n_stops=5, services=26):
     config = SynthConfig(n_days=n_days, n_stops=n_stops, services_per_day=services, seed=1)
-    records, observations = generate(config)
-    weather = join_weather_to_services(records, observations, config.timetable)
+    ridership, observations = generate(config)
+    records = records_of(ridership)
+    weather = join_weather_to_services(records, observations_of(observations), config.timetable)
     return records, weather, config
 
 
@@ -380,7 +381,7 @@ class TestRoundTrips:
     def test_csv_round_trip(self, tmp_path):
         records, weather, config = _complete_inputs()
         r_path = tmp_path / "r.csv"
-        write_ridership_csv(records, r_path)
+        write_ridership_csv(RidershipColumns.from_records(records), r_path)
         ds = build_route_dataset(*_tables(records, weather), 5, 26)
         parsed = build_route_dataset(parse_ridership_csv(r_path), service_weather_columns(weather), 5, 26)
         assert parsed.to_payload() == ds.to_payload()
@@ -402,15 +403,15 @@ class TestRoundTrips:
     def test_ridership_csv_round_trip_property(self, rows, tmp_path_factory):
         records = [RidershipRecord(*row) for row in rows]
         path = tmp_path_factory.mktemp("rt") / "r.csv"
-        write_ridership_csv(records, path)
+        write_ridership_csv(RidershipColumns.from_records(records), path)
         assert records_of(parse_ridership_csv(path)) == records
 
 
 def test_synthetic_rain_counts_match_binarization(small_dataset):
     # every joined flag agrees with re-binarizing through the category sets
     config = SynthConfig(n_days=30, seed=11)
-    records, observations = generate(config)
-    wet = {(o.obs_date, o.obs_hour) for o in observations if o.category in data_ingest.RAIN_CATEGORIES}
+    _, weather = generate(config)
+    wet = {(o.obs_date, o.obs_hour) for o in observations_of(weather) if o.category in data_ingest.RAIN_CATEGORIES}
     days, services = np.nonzero(small_dataset.weather_mask)
     assert len(days) == 30 * 26
     for d, s in zip(days.tolist(), services.tolist()):

@@ -36,7 +36,7 @@ from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 from buscast.nn_core import OptimizerKind
 
-from ingest_oracle import ServiceWeather, service_weather_columns
+from ingest_oracle import ServiceWeather, records_of, service_weather_columns
 
 
 class TestRmse:
@@ -107,7 +107,7 @@ class TestCorrelation:
     def test_matches_two_pass_oracle(self, small_dataset):
         matrix = correlation_matrix(small_dataset)
         series = [{} for _ in range(5)]
-        for r in generate(SynthConfig(n_days=30, seed=11))[0]:  # the records of small_dataset
+        for r in records_of(generate(SynthConfig(n_days=30, seed=11))[0]):  # the records of small_dataset
             series[r.stop_index - 1][(r.service_date, r.service_index)] = r.ridership
         for a in range(5):
             for b in range(a + 1, 5):

@@ -29,9 +29,9 @@ from buscast.features import (
 )
 from buscast.models import MethodId, method_spec
 from buscast.synth import SynthConfig, generate, generate_dataset
-from buscast.data_ingest import RidershipColumns, WeatherColumns, join_weather_to_services
+from buscast.data_ingest import RidershipColumns, join_weather_to_services
 
-from ingest_oracle import complete_keys, incomplete_keys
+from ingest_oracle import complete_keys, incomplete_keys, records_of
 from window_oracle import slots_of
 
 
@@ -169,7 +169,8 @@ class TestEncodeService:
 def _contig_dataset(n_days, drop=None, seed=2):
     """Small 2-stop route; optionally drop one stop row to create a gap."""
     config = SynthConfig(n_days=n_days, n_stops=2, services_per_day=26, seed=seed)
-    records, observations = generate(config)
+    ridership, weather = generate(config)
+    records = records_of(ridership)
     if drop is not None:
         records = [
             r
@@ -177,8 +178,8 @@ def _contig_dataset(n_days, drop=None, seed=2):
             if not (r.service_date == drop[0] and r.service_index == drop[1] and r.stop_index == 1)
         ]
     ridership = RidershipColumns.from_records(records)
-    weather = join_weather_to_services(ridership, WeatherColumns.from_observations(observations), config.timetable)
-    return build_route_dataset(ridership, weather, 2, 26)
+    service_weather = join_weather_to_services(ridership, weather, config.timetable)
+    return build_route_dataset(ridership, service_weather, 2, 26)
 
 
 class TestWindows:
@@ -207,8 +208,8 @@ class TestWindows:
         # y[0] is the raw ridership of the 27th service
         key_27 = complete_keys(ds)[26]
         assert windows.slots[0] == slots_of([key_27], 26)[0]
-        records, _ = generate(SynthConfig(n_days=3, n_stops=2, services_per_day=26, seed=2))
-        (record,) = [r for r in records if (r.service_date, r.service_index, r.stop_index) == (*key_27, 1)]
+        ridership, _ = generate(SynthConfig(n_days=3, n_stops=2, services_per_day=26, seed=2))
+        (record,) = [r for r in records_of(ridership) if (r.service_date, r.service_index, r.stop_index) == (*key_27, 1)]
         assert windows.y[0, 0] == float(record.ridership)
 
     def test_window_consistency(self):

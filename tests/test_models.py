@@ -7,7 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from buscast.data_ingest import RidershipColumns, WeatherColumns, build_route_dataset, join_weather_to_services
+from buscast.data_ingest import RidershipColumns, build_route_dataset, join_weather_to_services
 from buscast.errors import (
     DivergedTraining,
     EmptyWindow,
@@ -47,6 +47,7 @@ from buscast.nn_core import (
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 
+from ingest_oracle import records_of
 from window_oracle import aligned_from_tensors, as_windows, slots_of
 
 HP_SMALL = HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM)
@@ -391,7 +392,7 @@ class TestStatisticalBaseline:
     def test_mean_of_two_observations(self):
         ds = self._dataset()
         window = ds.date_range()
-        all_records = generate(self.CONFIG)[0]
+        all_records = records_of(generate(self.CONFIG)[0])
         records = [r for r in all_records if r.stop_index == 1 and r.service_index == 1][:2]
         # recompute directly from the two raw counts
         baseline = fit_statistical(ds, window)
@@ -406,7 +407,7 @@ class TestStatisticalBaseline:
             window = ds.date_range()
             baseline = fit_statistical(ds, window)
             sums: dict = {}
-            for r in generate(config)[0]:
+            for r in records_of(generate(config)[0]):
                 sums.setdefault((r.stop_index, r.service_index), []).append(r.ridership)
             for key, values in sums.items():
                 assert _mean(baseline, *key) == pytest.approx(sum(values) / len(values), abs=1e-9)
@@ -416,7 +417,7 @@ class TestStatisticalBaseline:
         lo, _hi = ds.date_range()
         baseline = fit_statistical(ds, (lo, lo))
         by_hand = {}
-        for r in generate(self.CONFIG)[0]:
+        for r in records_of(generate(self.CONFIG)[0]):
             if r.service_date == lo:
                 by_hand.setdefault((r.stop_index, r.service_index), []).append(r.ridership)
         assert _mean(baseline, 2, 5) == sum(by_hand[(2, 5)]) / len(by_hand[(2, 5)])
@@ -424,13 +425,12 @@ class TestStatisticalBaseline:
     @classmethod
     def missing_cell_baseline(cls):
         """Fitted on the first day of a route whose (service 5, stop 2) record that day is dropped."""
-        records, observations = generate(cls.CONFIG)
+        ridership, observations = generate(cls.CONFIG)
+        records = records_of(ridership)
         first = records[0].service_date
         records = [r for r in records if (r.service_date, r.service_index, r.stop_index) != (first, 5, 2)]
         ridership = RidershipColumns.from_records(records)
-        weather = join_weather_to_services(
-            ridership, WeatherColumns.from_observations(observations), cls.CONFIG.timetable
-        )
+        weather = join_weather_to_services(ridership, observations, cls.CONFIG.timetable)
         return fit_statistical(build_route_dataset(ridership, weather, 3, 26), (first, first))
 
     def test_missing_key(self):

@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from buscast.data_ingest import RidershipColumns, WeatherColumns, build_route_dataset, join_weather_to_services
+from buscast.data_ingest import RidershipColumns, build_route_dataset, join_weather_to_services
 from buscast.features import (
     chronological_split,
     encode_stop,
@@ -21,7 +21,7 @@ from buscast.nn_core import OptimizerKind
 from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 
-from ingest_oracle import incomplete_keys, service_weather_of
+from ingest_oracle import incomplete_keys, records_of, service_weather_of
 from window_oracle import (
     RecordRoute,
     as_windows,
@@ -43,14 +43,14 @@ def _route(rain_probability):
     training service misses a stop row (a gap). Without rain the precipitation
     scaler's span is 0 too. Returns the dataset and the lists it was built from."""
     config = SynthConfig(n_days=12, n_stops=3, seed=17, rain_probability=rain_probability)
-    records, observations = generate(config)
+    ridership, observations = generate(config)
     records = [
         dataclasses.replace(r, ridership=4) if r.stop_index == 2 else r
-        for r in records
+        for r in records_of(ridership)
         if not (r.service_date == DROPPED[0] and r.service_index == DROPPED[1] and r.stop_index == 1)
     ]
     ridership = RidershipColumns.from_records(records)
-    weather = join_weather_to_services(ridership, WeatherColumns.from_observations(observations), config.timetable)
+    weather = join_weather_to_services(ridership, observations, config.timetable)
     dataset = build_route_dataset(ridership, weather, 3, 26)
     return dataset, RecordRoute(records, service_weather_of(weather), 3, 26)
 
