@@ -9,6 +9,7 @@ configuration, and every command is deterministic given config + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shutil
@@ -653,7 +654,9 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="buscast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}

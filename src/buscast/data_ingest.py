@@ -193,27 +193,70 @@ DEFAULT_RIDERSHIP_COLUMNS = {
 WEATHER_COLUMNS = ("date", "hour", "category", "precipitation_mm")
 
 
+#: Every byte but the comma and the line feed, on which a quote-free CSV is split.
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _split_quote_free(text: str) -> tuple[list[str], int, list[list[str]]] | None:
+    """The header, row count and columns that ``csv.reader`` reads from ``text``, split with ``str.split``.
+
+    None unless the csv module would split the text on commas alone: after
+    CRLF becomes LF, the text holds no quote, no other CR and no NUL, no line
+    is longer than the field size limit, and every line but a blank one has
+    as many fields as the first. Blank lines are dropped, as ``csv.reader``
+    reads them as empty rows; an empty first line is an empty header.
+    """
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    first = text.partition("\n")[0]
+    if not first:
+        return None if text.strip("\n") else ([], 0, [])
+    while "\n\n" in text:
+        text = text.replace("\n\n", "\n")
+    text = text.rstrip("\n")
+    raw = text.encode()
+    breaks = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    # a line's UTF-8 bytes bound its characters
+    if np.diff(breaks, prepend=-1, append=len(raw)).max() - 1 > csv.field_size_limit():
+        return None
+    width = first.count(",") + 1
+    if raw.translate(None, _NOT_SEPARATOR) != ((b"," * (width - 1) + b"\n") * (len(breaks) + 1))[:-1]:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    return fields[:width], len(breaks), [fields[width + j :: width] for j in range(width)]
+
+
 class _CsvTable:
-    """A CSV file's header and non-blank rows, with the columns of its full-length rows.
+    """A CSV file's header and non-blank row count, with the columns of its full-length rows.
 
     Rows are validated in file order, so only the rows before the first one
     with fewer fields than the header are split into columns: a failure among
-    them comes first, and that short row comes next.
+    them comes first, and that short row comes next. A leading byte order
+    mark is not part of the text. A quote-free file is split with
+    ``str.split`` (``_split_quote_free``), any other with ``csv.reader``;
+    both give the same table.
     """
 
     def __init__(self, path: Path, what: str):
         self.path = path
-        self.text = read_input(path, what)
-        reader = csv.reader(io.StringIO(self.text, newline=""))
-        try:
-            self.header = next(reader, [])
-            self.rows = [row for row in reader if row]
-        except csv.Error as exc:
-            raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
+        self.text = read_input(path, what).removeprefix("\ufeff")
+        split = _split_quote_free(self.text)
+        if split is not None:
+            self.header, self.n_rows, self.columns = split
+            self.n_full = self.n_rows
+        else:
+            reader = csv.reader(io.StringIO(self.text, newline=""))
+            try:
+                self.header = next(reader, [])
+                rows = [row for row in reader if row]
+            except csv.Error as exc:
+                raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
+            short = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) < len(self.header))
+            self.n_rows = len(rows)
+            self.n_full = int(short[0]) if short.size else len(rows)
+            self.columns = list(zip(*rows[: self.n_full])) or [()] * len(self.header)
         self.position = {name: i for i, name in enumerate(self.header)}
-        short = np.flatnonzero(np.fromiter(map(len, self.rows), np.intp, len(self.rows)) < len(self.header))
-        self.n_full = int(short[0]) if short.size else len(self.rows)
-        self.columns = list(zip(*self.rows[: self.n_full])) or [()] * len(self.header)
 
     def column(self, name: str) -> Sequence[str]:
         return self.columns[self.position[name]]
@@ -228,11 +271,12 @@ class _CsvTable:
         """
         failing = np.logical_or.reduce([flags for flags, _, _ in checks])
         i = int(np.argmax(failing)) if failing.any() else self.n_full
-        if i == len(self.rows):
+        if i == self.n_rows:
             return
         reader = csv.reader(io.StringIO(self.text, newline=""))
+        next(reader)  # the header, blank or not
         rows = (row for row in reader if row)
-        for _ in range(i + 2):  # the header, then rows 0..i
+        for _ in range(i + 1):
             row = next(rows)
         where = f"{self.path}:{reader.line_num}"
         if len(row) < len(self.header):

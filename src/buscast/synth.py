@@ -74,6 +74,11 @@ def generate(config: SynthConfig) -> tuple[RidershipColumns, WeatherColumns]:
     days, services, n_stops = config.n_days, config.services_per_day, config.n_stops
     if services > len(config.timetable):
         raise BadArgs(f"timetable has {len(config.timetable)} departures for {services} services per day")
+    for service in range(1, services + 1):
+        departure = config.timetable[service]
+        if not MIN_OBS_HOUR <= departure.hour <= MAX_OBS_HOUR:
+            raise BadArgs(f"service {service} departs at {departure:%H:%M}, outside the weather hours "
+                          f"{MIN_OBS_HOUR:02d}:00-{MAX_OBS_HOUR}:59")
     rng = np.random.default_rng(config.seed)
     rainy = np.zeros(days, dtype=bool)
     category = np.empty((days, HOURS), dtype=np.int64)
@@ -121,9 +126,9 @@ def generate_dataset(config: SynthConfig) -> RouteDataset:
 
 
 def write_synthetic_csvs(config: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:
+    ridership, weather = generate(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ridership, weather = generate(config)
     write_ridership_csv(ridership, out_dir / "ridership.csv")
     write_weather_csv(weather, out_dir / "weather.csv")
     return out_dir / "ridership.csv", out_dir / "weather.csv"

@@ -7,6 +7,10 @@ columnar path must raise the same errors, or return the same rows, except
 where it rejects more: a row with fewer fields than the header, a file that
 is not UTF-8, and a precipitation that is not finite.
 
+``csv_table`` reads a CSV file's table by ``csv.reader`` alone: the
+reference for ``data_ingest._CsvTable``, which splits a quote-free file
+with ``str.split``.
+
 The helpers at the end convert between these row lists and the columns,
 list a dataset's incomplete services, and edit the grids of a dataset cache.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import io
 from dataclasses import dataclass, fields
 from datetime import date, time, timedelta
 from pathlib import Path
@@ -89,6 +94,25 @@ def _parse_float(raw: str, where: str, minimum: float | None = None) -> float:
     if minimum is not None and value < minimum:
         raise MalformedRow(f"{where}: value {value} below minimum {minimum}")
     return value
+
+
+def csv_table(path: Path, text: str) -> tuple[list[str], dict[str, int], int, int, list[list[str]], list[int]]:
+    """The table ``csv.reader`` reads from ``text``: the header, each name's last position in it, the
+    non-blank row count, the count of rows before the first one shorter than the header, the columns of
+    those rows, and the line each row ends on. A csv error raises ``MalformedRow`` at ``path:line``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
+    try:
+        header = next(reader, [])
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from None
+    n_full = next((i for i, row in enumerate(rows) if len(row) < len(header)), len(rows))
+    columns = [list(column) for column in zip(*rows[:n_full])] or [[] for _ in header]
+    return header, {name: i for i, name in enumerate(header)}, len(rows), n_full, columns, lines
 
 
 def parse_ridership_csv(

@@ -191,6 +191,29 @@ class TestIngest:
         assert code == 1
         assert_one_error_line(err, "ingest", *fragments)
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted-header"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, workspace, capsys, tmp_path, quoted):
+        """CSVs that start with a UTF-8 byte order mark ingest to the same cache byte for byte, and a bad
+        row is reported on the same line; a quoted header name takes the csv.reader path."""
+        caches, errors = [], []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            data = tmp_path / ("bom" if bom else "plain")
+            data.mkdir()
+            for name in ("ridership.csv", "weather.csv"):
+                text = (workspace["data"] / name).read_bytes()
+                (data / name).write_bytes(bom + (b'"date"' + text[len(b"date"):] if quoted else text))
+            argv = ["ingest", "--ridership", str(data / "ridership.csv"), "--weather", str(data / "weather.csv")]
+            assert run_cli(capsys, *argv, "--out", str(data))[0] == 0
+            caches.append((data / "dataset.json").read_bytes())
+            with (data / "ridership.csv").open("ab") as f:
+                f.write(b"2021-10-01,1,1,-4\r\n")
+            code, _, err = run_cli(capsys, *argv, "--out", str(data / "bad"))
+            assert code == 1
+            errors.append(err.replace(str(data), "<data>"))
+        assert caches[1] == caches[0]
+        lines = 1 + 24 * 26 * 5 + 1
+        assert errors[1] == errors[0] == f"error [ingest]: <data>/ridership.csv:{lines}: value -4 below minimum 0\n"
+
     def test_non_utf8_csv_is_one_error_line(self, workspace, capsys, tmp_path):
         r = tmp_path / "r.csv"
         r.write_bytes(b"\xff\xfe" + (workspace["data"] / "ridership.csv").read_bytes())
@@ -799,6 +822,21 @@ class TestConfigFile:
 
         assert load_model(tmp_path / "a.ckpt").forecaster.members[0].model.hidden_size == 4
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_second_call_holds_the_defaults(self, capsys, tmp_path, monkeypatch):
+        """Flags and a config file given to one ``main`` call do not reach the next, which shares its parser."""
+        configs = []
+        monkeypatch.setattr(cli, "_merge", lambda args: configs.append(_merge(args)) or configs[-1])
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("rain_probability = 0.5\nseed = 4\n")
+        assert run_cli(capsys, "synth", "--config", "run.cfg", "--days", "2", "--noise", "2", "--out", "first")[0] == 0
+        assert run_cli(capsys, "synth")[0] == 0
+        assert (configs[0].rain_probability, configs[0].seed, configs[0].n_days, configs[0].noise_scale) == (
+            0.5, 4, 2, 2.0)
+        assert configs[1] == RunConfig()
+
     def test_readme_lists_every_key_with_its_flag(self):
         """The README's config-file bullet names exactly the fields of ``RunConfig``, each with its flag."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -809,6 +847,19 @@ class TestConfigFile:
 
 class TestBadInputs:
     """Each bad input ends in exit 1 and one ``error [cmd]:`` line, never a traceback."""
+
+    def test_synth_departure_outside_the_weather_hours(self, capsys, tmp_path):
+        """A service in use that departs before 06:00 is rejected before any CSV is written; one
+        that is not in use may."""
+        config = tmp_path / "t.cfg"
+        config.write_text("timetable = 05:30,07:00\n")
+        argv = ["synth", "--config", str(config), "--days", "2"]
+        code, _, err = run_cli(capsys, *argv, "--services", "2", "--out", str(tmp_path / "two"))
+        assert code == 1
+        assert_one_error_line(err, "synth", "service 1 departs at 05:30, outside the weather hours 06:00-23:59")
+        assert not list(tmp_path.rglob("*.csv"))
+        config.write_text("timetable = 07:00,05:30\n")
+        assert run_cli(capsys, *argv, "--services", "1", "--out", str(tmp_path / "one"))[0] == 0
 
     def test_bad_date_flag(self, workspace, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,12 +1,14 @@
 import base64
 import copy
+import csv
 import dataclasses
 import json
+import re
 from datetime import date, time, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from buscast import data_ingest
@@ -36,6 +38,7 @@ from buscast.synth import SynthConfig, generate, generate_dataset
 
 from ingest_oracle import (
     complete_keys,
+    csv_table,
     ServiceWeather,
     incomplete_keys,
     observations_of,
@@ -150,6 +153,61 @@ class TestParseRidership:
         assert str(caught.value) == (
             f"{path}:3: repeated (date, service, stop) (datetime.date(2021, 10, 1), 1, {2**64})"
         )
+
+
+#: Every character the csv module or a line split could treat apart, and a few plain ones.
+CSV_CHARS = ',"\r\n\0 1a\x85\u2028'
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """Mostly a header and rows of plain fields under drawn line ends, with blank, ragged and
+    special-character lines; otherwise any short text over ``CSV_CHARS``."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(CSV_CHARS, max_size=24))
+    plain = st.text(" 1a\x85\u2028", max_size=3)
+    field = st.integers(0, 29).flatmap(lambda k: st.text(CSV_CHARS, min_size=1, max_size=3) if k == 0 else plain)
+    width = draw(st.integers(1, 4))
+    lines = [",".join(draw(st.lists(st.sampled_from(["a", "b", " a", "", "\x85"]), min_size=width, max_size=width)))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        n = {"row": width, "blank": 0}.get(kind) or draw(st.integers(1, width + 1))
+        lines.append(",".join(draw(st.lists(field, min_size=n, max_size=n))))
+    ends = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    text = "".join(line + (draw(st.sampled_from(["\n", "\r\n"])) if ends == "mixed" else ends) for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@given(text=csv_texts(), limit=st.sampled_from([None, None, None, 2, 5]))
+@example(text="", limit=None)
+@example(text="a,a\r\n", limit=None)
+@example(text="a,b\r\n1," + "9" * 131_073 + "\r\n", limit=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_csv_table_matches_the_csv_reader(text, limit, tmp_path_factory):
+    """``_CsvTable`` reads the table ``csv.reader`` reads, whichever way it splits the text, or raises
+    the same error; ``raise_first`` names the line each row ends on. ``limit`` lowers the field size
+    limit of the csv module for the example."""
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    previous = csv.field_size_limit(limit) if limit else None
+    try:
+        try:
+            expected = csv_table(path, text)
+        except MalformedRow as exc:
+            with pytest.raises(MalformedRow) as caught:
+                data_ingest._CsvTable(path, "CSV")
+            assert str(caught.value) == str(exc)
+            return
+        table = data_ingest._CsvTable(path, "CSV")
+        header, position, n_rows, n_full, columns, lines = expected
+        assert (table.header, table.position, table.n_rows, table.n_full) == (header, position, n_rows, n_full)
+        assert [list(column) for column in table.columns] == columns
+        for i in range(min(n_full + 1, n_rows)):  # each full row flagged, then the first short one
+            with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}:{lines[i]}: "):
+                table.raise_first((np.arange(n_full) == i, MalformedRow, lambda row: "flagged"))
+    finally:
+        if previous is not None:
+            csv.field_size_limit(previous)
 
 
 class TestParseWeather:
