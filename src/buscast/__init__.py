@@ -9,12 +9,10 @@ hyperparameter search, and an RMSE evaluation harness.
 
 from .data_ingest import (
     RidershipColumns,
-    RidershipRecord,
     RouteDataset,
     ServiceWeatherColumns,
     WeatherCategory,
     WeatherColumns,
-    WeatherObservation,
     build_route_dataset,
     join_weather_to_services,
     parse_ridership_csv,

@@ -2,8 +2,10 @@
 
 Subcommands: synth | ingest | correlate | train | tune | evaluate | predict.
 Options can come from a plain-text ``key = value`` config file (--config)
-and are overridden by command-line flags. Every run prints its effective
-configuration, and every command is deterministic given config + seed.
+and are overridden by command-line flags. Every command is deterministic
+given config + seed. A command returns its :class:`Output`, and ``main``
+alone prints it, in the ``--format`` the command takes (:data:`FORMATS`);
+text output starts with the effective configuration.
 """
 
 from __future__ import annotations
@@ -141,7 +143,17 @@ def _list_of(parse):
     return lambda raw: tuple(parse(value) for value in raw.split(","))
 
 
-_ALL = ("synth", "ingest", "correlate", "train", "tune", "evaluate", "predict")
+#: The output formats each command renders, its default first.
+FORMATS = {
+    "synth": ("text", "json"),
+    "ingest": ("text", "json"),
+    "correlate": ("text", "json", "csv"),
+    "train": ("text", "json"),
+    "tune": ("text", "json", "csv"),
+    "evaluate": ("text", "json", "csv"),
+    "predict": ("json",),
+}
+_ALL = tuple(FORMATS)
 _FIT = ("train", "tune", "evaluate")
 _GRID = CandidateGrid()
 _SYNTH = synth.SynthConfig()
@@ -274,11 +286,6 @@ def _boundaries(cfg: RunConfig, dataset: RouteDataset) -> tuple[date, date]:
     return b1, b2
 
 
-def _echo_config(cfg: RunConfig, fmt: str) -> None:
-    if fmt == "text":
-        print(f"config: {json.dumps(cfg.describe(), sort_keys=True)}")
-
-
 def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
     """Load a checkpoint and check its stop count, services per day and feature dimension against the dataset."""
     lm = load_model(path)
@@ -297,7 +304,17 @@ def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
 # commands
 
 
-def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
+@dataclass(frozen=True)
+class Output:
+    """What one command prints: ``payload`` under ``--format json``, ``lines`` after the
+    config line under ``text``, and under ``csv`` the text of the report file ``csv``."""
+
+    payload: dict
+    lines: list[str]
+    csv: Path | None = None
+
+
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> Output:
     config = synth.SynthConfig(**{f.name: getattr(cfg, f.name) for f in fields(synth.SynthConfig)})
     ridership_path, weather_path = synth.write_synthetic_csvs(config, cfg.out_dir)
     summary = {
@@ -308,15 +325,10 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
         "services_per_day": cfg.services_per_day,
         "seed": cfg.seed,
     }
-    if args.format == "json":
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        _echo_config(cfg, args.format)
-        print(f"wrote {ridership_path} and {weather_path}")
-    return 0
+    return Output(summary, [f"wrote {ridership_path} and {weather_path}"])
 
 
-def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> Output:
     if cfg.ridership_csv is None or cfg.weather_csv is None:
         raise BuscastError("ingest needs --ridership and --weather CSV paths")
     records = data_ingest.parse_ridership_csv(cfg.ridership_csv, cfg.ridership_columns)
@@ -341,22 +353,16 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
         "no_rain_observations": len(observations) - rain_hours,
         "dataset": str(cache_path),
     }
-    if args.format == "json":
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        _echo_config(cfg, args.format)
-        print(f"records: {summary['records']}")
-        print(f"services: {summary['services']} ({summary['incomplete_services']} incomplete)")
-        print(f"date range: {lo.isoformat()} .. {hi.isoformat()}")
-        print(
-            f"hourly weather: {summary['rain_observations']} rain / "
-            f"{summary['no_rain_observations']} no rain"
-        )
-        print(f"cached dataset: {cache_path}")
-    return 0
+    return Output(summary, [
+        f"records: {summary['records']}",
+        f"services: {summary['services']} ({summary['incomplete_services']} incomplete)",
+        f"date range: {lo.isoformat()} .. {hi.isoformat()}",
+        f"hourly weather: {rain_hours} rain / {summary['no_rain_observations']} no rain",
+        f"cached dataset: {cache_path}",
+    ])
 
 
-def cmd_correlate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_correlate(args: argparse.Namespace, cfg: RunConfig) -> Output:
     dataset = _load_dataset(cfg)
     if args.start or args.end:
         lo, hi = dataset.date_range()
@@ -367,19 +373,19 @@ def cmd_correlate(args: argparse.Namespace, cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "correlation.csv"
     matrix.to_csv(out_path)
-    if args.format == "json":
-        # an undefined coefficient (a stop whose counts do not vary) is null, as JSON has no NaN
-        cells = [[None if math.isnan(v) else v for v in row] for row in matrix.values.tolist()]
-        print(json.dumps({"matrix": cells, "path": str(out_path)}, allow_nan=False))
-    else:
-        _echo_config(cfg, args.format)
-        for row in matrix.values:
-            print("  ".join(f"{v:7.4f}" for v in row))
-        print(f"wrote {out_path}")
-    return 0
+    # an undefined coefficient (a stop whose counts do not vary) is null, as JSON has no NaN
+    cells = [[None if math.isnan(v) else v for v in row] for row in matrix.values.tolist()]
+    lines = ["  ".join(f"{v:7.4f}" for v in row) for row in matrix.values]
+    return Output({"matrix": cells, "path": str(out_path)}, [*lines, f"wrote {out_path}"], out_path)
 
 
-def _train_one_method(cfg: RunConfig, dataset: RouteDataset, method: MethodId) -> dict:
+def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> Output:
+    method = cfg.method
+    if method is None or method not in TRAINABLE_METHODS:
+        raise BuscastError(
+            "train needs --method one of a, b, c, d, perstop (statistical fits at evaluate time)"
+        )
+    dataset = _load_dataset(cfg)
     spec = method_spec(method, dataset.services_per_day)
     boundaries = _boundaries(cfg, dataset)
     prepared = prepare_windows(dataset, boundaries, spec.features, cfg.hp.sequence_length)
@@ -397,24 +403,8 @@ def _train_one_method(cfg: RunConfig, dataset: RouteDataset, method: MethodId) -
         history.write_csv(history_path)
         written.append(str(history_path))
         best += history.best_val_loss / len(histories)
-    return {"written": written, "best_val_loss": best, "boundaries": [b.isoformat() for b in boundaries]}
-
-
-def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.method is None or cfg.method not in TRAINABLE_METHODS:
-        raise BuscastError(
-            "train needs --method one of a, b, c, d, perstop (statistical fits at evaluate time)"
-        )
-    dataset = _load_dataset(cfg)
-    result = _train_one_method(cfg, dataset, cfg.method)
-    if args.format == "json":
-        print(json.dumps(result, sort_keys=True))
-    else:
-        _echo_config(cfg, args.format)
-        for path in result["written"]:
-            print(f"wrote {path}")
-        print(f"best validation loss: {result['best_val_loss']:.6f}")
-    return 0
+    result = {"written": written, "best_val_loss": best, "boundaries": [b.isoformat() for b in boundaries]}
+    return Output(result, [*(f"wrote {path}" for path in written), f"best validation loss: {best:.6f}"])
 
 
 class SpilledStates:
@@ -471,7 +461,7 @@ class SpilledStates:
             shutil.rmtree(self._dir, ignore_errors=True)
 
 
-def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> Output:
     if cfg.method is None or cfg.method not in TRAINABLE_METHODS:
         raise BuscastError("tune needs --method one of a, b, c, d, perstop")
     dataset = _load_dataset(cfg)
@@ -537,14 +527,11 @@ def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> int:
         "report": str(report_path),
         "best_file": str(best_path),
     }
-    if args.format == "json":
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        _echo_config(cfg, args.format)
-        print(f"ran {summary['trials']} trials; best val loss {result.best_loss:.6f}")
-        print(f"best config: {result.best.to_dict()}")
-        print(f"wrote {report_path} and {best_path}")
-    return 0
+    return Output(summary, [
+        f"ran {summary['trials']} trials; best val loss {result.best_loss:.6f}",
+        f"best config: {result.best.to_dict()}",
+        f"wrote {report_path} and {best_path}",
+    ], report_path)
 
 
 def _load_fitted(
@@ -563,7 +550,7 @@ def _load_fitted(
     return fitted
 
 
-def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Output:
     dataset = _load_dataset(cfg)
     try:
         methods = [MethodId(m.strip().lower()) for m in args.methods.split(",") if m.strip()]
@@ -579,42 +566,31 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
         fitted = fit_methods(dataset, boundaries, {m: cfg.hp for m in trained}, seeds, cfg.schedule())
     else:
         fitted = _load_fitted(cfg, dataset, boundaries, trained)
+    lines: list[str] = []  # the per-seed scores first, then the table
     report = evaluate_methods(
         dataset, boundaries, {m: fitted.get(m) for m in methods}, (cfg.stat_start, cfg.stat_end),
-        cfg.hp.sequence_length, progress=(print if args.format == "text" else None),
+        cfg.hp.sequence_length, progress=lines.append,
     )
 
     reference = MethodId.PER_STOP if MethodId.PER_STOP in report.methods else None
     paths = emit_report(report, cfg.out_dir, reference)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        sys.stdout.write(Path(paths["csv"]).read_text(encoding="utf-8"))
-    else:
-        _echo_config(cfg, args.format)
-        header = ["method"] + [f"stop{i}" for i in report.stops] + ["mean"]
-        print("  ".join(f"{h:>12}" for h in header))
-        for method, result in report.methods.items():
-            row = [method.value] + [f"{v:.3f}" for v in result.per_stop] + [f"{result.mean:.3f}"]
-            print("  ".join(f"{c:>12}" for c in row))
-        if reference is not None:
-            imp = improvement_report(report, reference)
-            for method, gains in imp.per_method.items():
-                if method is reference:
-                    continue
-                print(
-                    f"improvement of {method.value} vs {reference.value}: "
-                    + ", ".join(f"{g:.1f}%" for g in gains)
-                    + f" (mean {imp.mean_per_method[method]:.1f}%)"
-                )
-    # path echo stays on stdout for scripting unless it would corrupt the output
-    sink = sys.stdout if args.format == "text" else sys.stderr
-    for path in paths.values():
-        print(f"wrote {path}", file=sink)
-    return 0
+    table = [["method", *(f"stop{i}" for i in report.stops), "mean"]]
+    table += [[m.value, *(f"{v:.3f}" for v in r.per_stop), f"{r.mean:.3f}"] for m, r in report.methods.items()]
+    lines += ["  ".join(f"{cell:>12}" for cell in row) for row in table]
+    if reference is not None:
+        imp = improvement_report(report, reference)
+        lines += [
+            f"improvement of {method.value} vs {reference.value}: "
+            + ", ".join(f"{g:.1f}%" for g in gains)
+            + f" (mean {imp.mean_per_method[method]:.1f}%)"
+            for method, gains in imp.per_method.items()
+            if method is not reference
+        ]
+    lines += [f"wrote {path}" for path in paths.values()]
+    return Output(report.payload(), lines, paths["csv"])
 
 
-def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> Output:
     dataset = _load_dataset(cfg)
     model_path = Path(args.model)
     if not model_path.is_file():
@@ -646,8 +622,7 @@ def cmd_predict(args: argparse.Namespace, cfg: RunConfig) -> int:
         "predicted_service_index": predicted_service,
         "predictions": {str(stop): predictions[stop - 1] for stop in range(1, dataset.n_stops + 1)},
     }
-    print(json.dumps(payload, sort_keys=True))
-    return 0
+    return Output(payload, [])
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = commands[name] = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="plain-text key = value config file")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=FORMATS[name], default=FORMATS[name][0])
         for f in fields(RunConfig):
             if name in f.metadata["commands"]:
                 p.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
@@ -689,13 +664,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its :class:`Output` in ``--format``; an error is one stderr line."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, _merge(args))
+        cfg = _merge(args)
+        out = args.fn(args, cfg)
+        if args.format == "json":
+            text = json.dumps(out.payload, sort_keys=True) + "\n"
+        elif args.format == "csv":
+            text = out.csv.read_text(encoding="utf-8")
+        else:
+            config = f"config: {json.dumps(cfg.describe(), sort_keys=True)}"
+            text = "".join(f"{line}\n" for line in (config, *out.lines))
     except (BuscastError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

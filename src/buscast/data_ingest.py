@@ -19,7 +19,7 @@ from datetime import date, time, timedelta
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,26 +78,6 @@ MIN_OBS_HOUR = 6
 MAX_OBS_HOUR = 23
 
 
-@dataclass(frozen=True)
-class RidershipRecord:
-    """One observed departure: persons on board when leaving a stop."""
-
-    service_date: date
-    service_index: int
-    stop_index: int
-    ridership: int
-
-
-@dataclass(frozen=True)
-class WeatherObservation:
-    """One hourly weather row in the 6:00-23:00 collection window."""
-
-    obs_date: date
-    obs_hour: int
-    category: WeatherCategory
-    precipitation_mm: float
-
-
 #: The six categories in code order: a weather column holds a category as its index here.
 CATEGORIES = tuple(WeatherCategory)
 _IS_RAIN = np.array([category in RAIN_CATEGORIES for category in CATEGORIES])
@@ -126,11 +106,6 @@ class RidershipColumns(_Columns):
     stop: Sequence[int]
     count: Sequence[int]
 
-    @classmethod
-    def from_records(cls, records: Iterable[RidershipRecord]) -> "RidershipColumns":
-        rows = [(r.service_date.toordinal(), r.service_index, r.stop_index, r.ridership) for r in records]
-        return cls(*_columns(rows, 4))
-
 
 @dataclass(frozen=True, eq=False)
 class WeatherColumns(_Columns):
@@ -146,14 +121,6 @@ class WeatherColumns(_Columns):
     def rain(self) -> np.ndarray:
         """The binarized weather: whether each observation's category counts as rain."""
         return _IS_RAIN[self.category]
-
-    @classmethod
-    def from_observations(cls, observations: Iterable[WeatherObservation]) -> "WeatherColumns":
-        code = {category: i for i, category in enumerate(CATEGORIES)}
-        rows = [(o.obs_date.toordinal(), o.obs_hour, code[o.category], o.precipitation_mm) for o in observations]
-        day, hour, category, precipitation = _columns(rows, 4)
-        return cls(*(np.array(c, dtype=np.int64) for c in (day, hour, category)),
-                   np.array(precipitation, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,13 +570,6 @@ class RouteDataset:
         dataset = cls(n_stops, services, first_date, **grids)
         _check_cells(dataset)
         return dataset
-
-
-def _columns(rows: Sequence, width: int) -> list[Sequence]:
-    """The columns of ``rows``, each of which must hold ``width`` values."""
-    if set(map(len, rows)) - {width}:
-        raise ValueError(f"expected rows of {width} values")
-    return list(zip(*rows)) or [()] * width
 
 
 def _int_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:

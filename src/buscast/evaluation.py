@@ -144,8 +144,9 @@ class EvalReport:
     stops: tuple[int, ...]
     methods: dict[MethodId, MethodResult]
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as JSON-ready values, every RMSE at full precision."""
+        return {
             "stops": list(self.stops),
             "methods": {
                 m.value: {
@@ -156,7 +157,9 @@ class EvalReport:
                 for m, r in self.methods.items()
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:

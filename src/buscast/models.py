@@ -165,18 +165,6 @@ class LstmRegressor:
         for name, arr in self.param_dict().items():
             arr[...] = state[name]
 
-    def _check_inputs(self, xs: Sequence[np.ndarray]) -> None:
-        if len(xs) != self.n_branches:
-            raise MisalignedBatches(f"got {len(xs)} input streams for {self.n_branches} branches")
-        batch, steps = xs[0].shape[0], xs[0].shape[1]
-        for x in xs:
-            if x.ndim != 3 or x.shape[2] != self.input_size:
-                raise ShapeMismatch(f"branch input shape {x.shape} != (B, L, {self.input_size})")
-            if x.shape[0] != batch:
-                raise MisalignedBatches("branch batches have different sizes")
-            if x.shape[1] != steps:
-                raise ShapeMismatch("branch look-back lengths differ")
-
     def forward(self, windows: AlignedWindows, chunk: slice | np.ndarray = slice(None)) -> np.ndarray:
         """Scaled predictions for windows ``chunk`` of ``windows``, shape (B, n_branches); de-scaling is the caller's job.
 
@@ -200,15 +188,16 @@ class LstmRegressor:
         return seq[:, :, -1].transpose(1, 0, 2).reshape(batch, self.n_branches * self.hidden_size)
 
     def forward_backward(
-        self, xs: Sequence[np.ndarray], target: np.ndarray, buffers: BufferPool | None = None
+        self, x: np.ndarray, target: np.ndarray, buffers: BufferPool | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Loss and gradients for one mini-batch of scaled targets.
+        """Loss and gradients for one mini-batch: the gathered (n, B, L, D) windows and their scaled targets.
 
         With ``buffers`` every layer's activations, input projection and dz
         live in the pool's arrays; the gradients are fresh arrays either way.
         """
-        self._check_inputs(xs)
-        seq = np.asarray(xs)  # (n, B, L, D); a batch array passes through uncopied
+        if x.shape[0] != self.n_branches:
+            raise MisalignedBatches(f"got {x.shape[0]} input streams for {self.n_branches} branches")
+        seq = x
         caches = []
         for l, layer in enumerate(self.layers):
             keep = True if buffers is None else buffers.lstm_cache(l, seq, self.hidden_size)
@@ -620,6 +609,14 @@ def _field(mapping: dict, key: str, path: str | Path, what: str = "header key"):
         raise CheckpointError(f"{path}: checkpoint has no {what} {key!r}") from None
 
 
+def _count(mapping: dict, key: str, path: str | Path) -> int:
+    """``mapping[key]``, which must be an int of at least 1; a bool is not a count."""
+    value = _field(mapping, key, path)
+    if type(value) is not int or value < 1:
+        raise CheckpointError(f"{path}: header key {key!r} must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def _parsed(parse, payload, what: str, path: str | Path):
     try:
         return parse(payload)
@@ -632,12 +629,11 @@ def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], path: 
         return _field(params, prefix + name, path, "parameter array")
 
     def stacked(l: int, k: str) -> np.ndarray:
-        arrays = [array(f"branch{b}/layer{l}/{k}") for b in range(_field(entry, "n_branches", path))]
+        arrays = [array(f"branch{b}/layer{l}/{k}") for b in range(n_branches)]
         return _parsed(np.stack, arrays, "parameter arrays", path)
 
-    layers = [
-        LstmLayerParams(*(stacked(l, k) for k in "wub")) for l in range(_field(entry, "n_layers", path))
-    ]
+    n_branches, n_layers = _count(entry, "n_branches", path), _count(entry, "n_layers", path)
+    layers = [LstmLayerParams(*(stacked(l, k) for k in "wub")) for l in range(n_layers)]
     return Member(
         model=LstmRegressor(layers, DenseParams(w=array("head/w"), b=array("head/b"))),
         hp=_parsed(HyperParams.from_dict, _field(entry, "hyperparams", path), "hyperparams", path),
@@ -652,9 +648,12 @@ def load_model(path: str | Path) -> LoadedModel:
         method = MethodId(method_name)
     except ValueError:
         raise CheckpointError(f"{path}: unknown method {method_name!r} in checkpoint") from None
-    spec = method_spec(method, _field(header, "services_per_day", path))
+    spec = method_spec(method, _count(header, "services_per_day", path))
+    look_back, n_stops = _count(header, "look_back", path), _count(header, "n_stops", path)
     if spec.architecture is Architecture.PER_STOP:
         entries = _field(header, "stops", path)
+        if type(entries) is not list or not all(type(entry) is dict for entry in entries):
+            raise CheckpointError(f"{path}: header key 'stops' must be a list of objects")
         prefixes = [f"stop{b}/" for b in range(1, len(entries) + 1)]
     else:
         entries, prefixes = [header], [""]
@@ -666,8 +665,8 @@ def load_model(path: str | Path) -> LoadedModel:
         forecaster=LstmForecaster(members, scalers),
         method=method,
         spec=spec,
-        look_back=_field(header, "look_back", path),
-        n_stops=_field(header, "n_stops", path),
+        look_back=look_back,
+        n_stops=n_stops,
     )
 
 

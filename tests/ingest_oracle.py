@@ -13,6 +13,8 @@ with ``str.split``.
 
 The helpers at the end convert between these row lists and the columns,
 list a dataset's incomplete services, and edit the grids of a dataset cache.
+The row types, ``RidershipRecord`` and ``WeatherObservation``, are the
+oracle's own: the library reads and writes only columns.
 """
 
 from __future__ import annotations
@@ -34,15 +36,14 @@ from buscast.data_ingest import (
     MIN_OBS_HOUR,
     RAIN_CATEGORIES,
     WEATHER_COLUMNS,
+    CATEGORIES,
     RidershipColumns,
-    RidershipRecord,
     GRIDS,
     RouteDataset,
     ServiceKey,
     ServiceWeatherColumns,
     WeatherCategory,
     WeatherColumns,
-    WeatherObservation,
 )
 from buscast.errors import (
     DuplicateKey,
@@ -53,6 +54,26 @@ from buscast.errors import (
     MissingWeather,
     UnknownCategory,
 )
+
+
+@dataclass(frozen=True)
+class RidershipRecord:
+    """One observed departure: persons on board when leaving a stop."""
+
+    service_date: date
+    service_index: int
+    stop_index: int
+    ridership: int
+
+
+@dataclass(frozen=True)
+class WeatherObservation:
+    """One hourly weather row in the 6:00-23:00 collection window."""
+
+    obs_date: date
+    obs_hour: int
+    category: WeatherCategory
+    precipitation_mm: float
 
 
 @dataclass(frozen=True)
@@ -231,6 +252,21 @@ def join_weather_to_services(
         rain_flag, precipitation = binarize_weather(obs)
         services[key] = ServiceWeather(record.service_date, record.service_index, rain_flag, precipitation)
     return sorted(services.values(), key=lambda sw: (sw.service_date, sw.service_index))
+
+
+def ridership_columns(records: Iterable[RidershipRecord]) -> RidershipColumns:
+    """Records as the columns ``build_route_dataset`` takes, values as given."""
+    rows = [(r.service_date.toordinal(), r.service_index, r.stop_index, r.ridership) for r in records]
+    return RidershipColumns(*(list(zip(*rows)) or [()] * 4))
+
+
+def weather_columns(observations: Iterable[WeatherObservation]) -> WeatherColumns:
+    """Observations as the columns ``parse_weather_csv`` returns."""
+    code = {category: i for i, category in enumerate(CATEGORIES)}
+    rows = [(o.obs_date.toordinal(), o.obs_hour, code[o.category], o.precipitation_mm) for o in observations]
+    day, hour, category, precipitation = list(zip(*rows)) or [()] * 4
+    return WeatherColumns(*(np.array(c, dtype=np.int64) for c in (day, hour, category)),
+                          np.array(precipitation, dtype=np.float64))
 
 
 def _lists(columns) -> list[list]:

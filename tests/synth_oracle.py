@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from buscast.data_ingest import WEATHER_COLUMNS, RidershipRecord, WeatherCategory, WeatherObservation
+from buscast.data_ingest import WEATHER_COLUMNS, WeatherCategory
+
+from ingest_oracle import RidershipRecord, WeatherObservation
 
 RAIN_CHOICES = (
     WeatherCategory.RAIN_SHOWERS,

@@ -20,8 +20,6 @@ from buscast.cli import main
 from buscast.data_ingest import (
     RAIN_CATEGORIES,
     WeatherCategory,
-    WeatherColumns,
-    WeatherObservation,
     build_route_dataset,
     join_weather_to_services,
     parse_ridership_csv,
@@ -53,7 +51,7 @@ from buscast.nn_core import (
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams, make_schedule
 
-from ingest_oracle import records_of
+from ingest_oracle import WeatherObservation, records_of, weather_columns
 
 REAL_DATA_DIR = os.environ.get("BUSCAST_REAL_DATA")
 
@@ -226,7 +224,7 @@ def test_c04b_correlation_real_dataset():
 def test_c05_weather_binarization_totals():
     started = time.time()
     wet = {cat for cat in WeatherCategory
-           if WeatherColumns.from_observations([WeatherObservation(date(2021, 10, 1), 7, cat, 0.0)]).rain[0]}
+           if weather_columns([WeatherObservation(date(2021, 10, 1), 7, cat, 0.0)]).rain[0]}
     assert wet == set(RAIN_CATEGORIES)
     assert len(wet) == 4 and len(set(WeatherCategory) - wet) == 2
     if REAL_DATA_DIR:

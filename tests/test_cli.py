@@ -22,7 +22,6 @@ from buscast import cli
 from buscast.cli import RunConfig, _boundaries, _merge, build_parser, main, parse_config_file
 from buscast.data_ingest import (
     DEFAULT_TIMETABLE,
-    RidershipColumns,
     RouteDataset,
     build_route_dataset,
     join_weather_to_services,
@@ -44,7 +43,7 @@ from buscast.models import (
 from buscast.nn_core import OptimizerKind, save_params
 from buscast.tuning import HyperParams, make_schedule
 
-from ingest_oracle import records_of, service_weather_of, with_cache_cells
+from ingest_oracle import records_of, ridership_columns, service_weather_of, with_cache_cells
 from window_oracle import RecordRoute, next_service_key, oracle_stop_rows, oracle_trailing_run, slots_of
 
 #: The directory holding the ``buscast`` package, for a child process's PYTHONPATH.
@@ -549,11 +548,11 @@ class TestPredictTail:
         data, out = tmp_path / "data", tmp_path / "out"
         assert main(["synth", "--days", "7", "--seed", "5", "--out", str(data)]) == 0
         records = [r for r in records_of(parse_ridership_csv(data / "ridership.csv")) if not drop(r)]
-        write_ridership_csv(RidershipColumns.from_records(records), data / "ridership.csv")
+        write_ridership_csv(ridership_columns(records), data / "ridership.csv")
         assert main(["ingest", "--ridership", str(data / "ridership.csv"),
                      "--weather", str(data / "weather.csv"), "--out", str(out)]) == 0
         weather = join_weather_to_services(
-            RidershipColumns.from_records(records), parse_weather_csv(data / "weather.csv"), DEFAULT_TIMETABLE
+            ridership_columns(records), parse_weather_csv(data / "weather.csv"), DEFAULT_TIMETABLE
         )
         return out / "dataset.json", RecordRoute(records, service_weather_of(weather), 5, 26)
 
@@ -886,6 +885,47 @@ class TestBadInputs:
         assert code == 1
         assert_one_error_line(err, "synth", f"{config}: not UTF-8 text (byte 7)")
 
+    @pytest.mark.parametrize("value", ["26", 1.5, True, 0, None], ids=["text", "fraction", "true", "zero", "null"])
+    @pytest.mark.parametrize(
+        "method, entry, key",
+        [
+            ("d", (), "look_back"),
+            ("d", (), "n_stops"),
+            ("d", (), "services_per_day"),
+            ("d", (), "n_branches"),
+            ("d", (), "n_layers"),
+            ("perstop", ("stops", 1), "n_branches"),
+            ("perstop", ("stops", 1), "n_layers"),
+        ],
+    )
+    def test_checkpoint_size_that_is_not_a_count(
+        self, workspace, trained, capsys, tmp_path, method, entry, key, value
+    ):
+        """A size in a checkpoint header must be an int of at least 1: one error line names the key."""
+        from buscast.nn_core import load_params
+
+        header, params = load_params(workspace["out"] / f"{method}.ckpt")
+        edited = header
+        for step in entry:
+            edited = edited[step]
+        edited[key] = value
+        path = tmp_path / "edited.ckpt"
+        save_params(path, header, list(params.items()))
+        code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
+        assert code == 1
+        assert_one_error_line(err, "predict", repr(key))
+
+    @pytest.mark.parametrize("stops", [None, "x", {}, [1], [{}, None]])
+    def test_per_stop_checkpoint_without_a_list_of_stops(self, workspace, trained, capsys, tmp_path, stops):
+        from buscast.nn_core import load_params
+
+        header, params = load_params(workspace["out"] / "perstop.ckpt")
+        path = tmp_path / "edited.ckpt"
+        save_params(path, {**header, "stops": stops}, list(params.items()))
+        code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
+        assert code == 1
+        assert_one_error_line(err, "predict", "'stops' must be a list of objects")
+
     def _evaluate_edited_cache(self, workspace, capsys, tmp_path, edit):
         """Run ``evaluate`` on the shared cache with its JSON payload replaced by ``edit(payload)``."""
         cache = tmp_path / "dataset.json"
@@ -1170,6 +1210,50 @@ def fuzz_base(workspace, trained, tmp_path_factory):
     }
 
 
+@pytest.fixture
+def command_argv(fuzz_base, tmp_path, monkeypatch):
+    """Each command's base argv, run from a fresh working directory holding the files it reads."""
+    root, base = fuzz_base
+    for name in ("d.ckpt", "tiny.cfg"):
+        shutil.copy(root / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    return {command: [command, "--out", ".", *argv] for command, argv in base.items()}
+
+
+class TestOutput:
+    """``main`` alone writes stdout, in a format the command declares in ``cli.FORMATS``."""
+
+    @pytest.mark.parametrize("command", sorted(cli.FORMATS))
+    def test_a_command_prints_nothing_itself(self, command_argv, capsys, command):
+        args = build_parser().parse_args(command_argv[command])
+        assert isinstance(args.fn(args, _merge(args)), cli.Output)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command, report", [("correlate", "correlation.csv"), ("tune", "tuning_d.csv"), ("evaluate", "rmse_report.csv")]
+    )
+    def test_csv_prints_the_report_the_command_wrote(self, command_argv, capsys, command, report):
+        """stdout is text, so each CRLF the csv module ends a row with reads as LF there."""
+        code, out, err = run_cli(capsys, *command_argv[command], "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.encode() == Path(report).read_bytes().replace(b"\r\n", b"\n")
+
+    @pytest.mark.parametrize("command, fmt", [("synth", "csv"), ("ingest", "csv"), ("train", "csv"), ("predict", "text")])
+    def test_a_format_the_command_cannot_render_is_a_usage_error(self, command_argv, capsys, tmp_path, command, fmt):
+        argv = command_argv[command] + ["--out", "fresh", "--format", fmt]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+
+    def test_text_starts_with_the_config_line(self, command_argv, capsys):
+        code, out, _ = run_cli(capsys, *command_argv["evaluate"])
+        lines = out.splitlines()
+        assert code == 0 and lines[0].startswith("config: {")
+        assert lines[1].startswith("d: rmse=") and lines[-1] == "wrote rmse_report.json"
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_flags_end_in_a_clean_exit(fuzz_base, data):
@@ -1179,7 +1263,7 @@ def test_fuzzed_flags_end_in_a_clean_exit(fuzz_base, data):
     command = data.draw(st.sampled_from(sorted(base)))
     knob_flags = [f.metadata["flag"] for f in fields(RunConfig) if command in f.metadata["commands"]]
     flags = data.draw(st.lists(st.sampled_from(knob_flags + list(HAND_WRITTEN_FLAGS[command])), max_size=3))
-    fmt = data.draw(st.sampled_from(("text", "json", "csv")))
+    fmt = data.draw(st.sampled_from(cli.FORMATS[command]))
     argv = [command, "--out", ".", *base[command], "--format", fmt]
     for flag in flags:
         argv += [flag] if flag == "--retrain" else [flag, data.draw(st.sampled_from(FUZZ_VALUES))]
@@ -1193,5 +1277,5 @@ def test_fuzzed_flags_end_in_a_clean_exit(fuzz_base, data):
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
     if code == 1:
         assert_one_error_line(err.getvalue(), command)
-    if code == 0 and (fmt == "json" or command == "predict"):
+    if code == 0 and fmt == "json":
         json.loads(out.getvalue(), parse_constant=reject_constant)

@@ -13,12 +13,8 @@ from hypothesis import strategies as st
 
 from buscast import data_ingest
 from buscast.data_ingest import (
-    RidershipColumns,
-    RidershipRecord,
     RouteDataset,
     WeatherCategory,
-    WeatherColumns,
-    WeatherObservation,
     build_route_dataset,
     parse_ridership_csv,
     parse_weather_csv,
@@ -37,14 +33,18 @@ from buscast.errors import (
 from buscast.synth import SynthConfig, generate, generate_dataset
 
 from ingest_oracle import (
+    RidershipRecord,
+    ServiceWeather,
+    WeatherObservation,
     complete_keys,
     csv_table,
-    ServiceWeather,
     incomplete_keys,
     observations_of,
     records_of,
+    ridership_columns,
     service_weather_columns,
     service_weather_of,
+    weather_columns,
     with_cache_cells,
 )
 
@@ -273,7 +273,7 @@ class TestParseWeather:
 
 def binarize_weather(obs: WeatherObservation) -> tuple[bool, float]:
     """(rain flag, precipitation) of one observation, as the weather columns give them."""
-    weather = WeatherColumns.from_observations([obs])
+    weather = weather_columns([obs])
     return bool(weather.rain[0]), float(weather.precipitation[0])
 
 
@@ -302,13 +302,13 @@ class TestBinarize:
 def join_weather_to_services(records, observations, timetable) -> list[ServiceWeather]:
     """The library join on record and observation lists, its result as a list."""
     return service_weather_of(data_ingest.join_weather_to_services(
-        RidershipColumns.from_records(records), WeatherColumns.from_observations(observations), timetable
+        ridership_columns(records), weather_columns(observations), timetable
     ))
 
 
 def _tables(records, weather):
     """Record and service-weather lists as the column tables ``build_route_dataset`` takes."""
-    return RidershipColumns.from_records(records), service_weather_columns(weather)
+    return ridership_columns(records), service_weather_columns(weather)
 
 
 class TestJoin:
@@ -439,7 +439,7 @@ class TestRoundTrips:
     def test_csv_round_trip(self, tmp_path):
         records, weather, config = _complete_inputs()
         r_path = tmp_path / "r.csv"
-        write_ridership_csv(RidershipColumns.from_records(records), r_path)
+        write_ridership_csv(ridership_columns(records), r_path)
         ds = build_route_dataset(*_tables(records, weather), 5, 26)
         parsed = build_route_dataset(parse_ridership_csv(r_path), service_weather_columns(weather), 5, 26)
         assert parsed.to_payload() == ds.to_payload()
@@ -461,7 +461,7 @@ class TestRoundTrips:
     def test_ridership_csv_round_trip_property(self, rows, tmp_path_factory):
         records = [RidershipRecord(*row) for row in rows]
         path = tmp_path_factory.mktemp("rt") / "r.csv"
-        write_ridership_csv(RidershipColumns.from_records(records), path)
+        write_ridership_csv(ridership_columns(records), path)
         assert records_of(parse_ridership_csv(path)) == records
 
 

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buscast.data_ingest import (
-    RidershipColumns,
-    RidershipRecord,
     build_route_dataset,
 )
 from buscast.errors import (
@@ -36,7 +34,7 @@ from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 from buscast.nn_core import OptimizerKind
 
-from ingest_oracle import ServiceWeather, records_of, service_weather_columns
+from ingest_oracle import RidershipRecord, ServiceWeather, records_of, ridership_columns, service_weather_columns
 
 
 class TestRmse:
@@ -83,7 +81,7 @@ def _two_stop_dataset(series_a, series_b):
         records.append(RidershipRecord(d, svc, 2, b))
         weather.append(ServiceWeather(d, svc, False, 0.0))
     return build_route_dataset(
-        RidershipColumns.from_records(records), service_weather_columns(weather), 2, 26
+        ridership_columns(records), service_weather_columns(weather), 2, 26
     )
 
 

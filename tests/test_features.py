@@ -29,9 +29,9 @@ from buscast.features import (
 )
 from buscast.models import MethodId, method_spec
 from buscast.synth import SynthConfig, generate, generate_dataset
-from buscast.data_ingest import RidershipColumns, join_weather_to_services
+from buscast.data_ingest import join_weather_to_services
 
-from ingest_oracle import complete_keys, incomplete_keys, records_of
+from ingest_oracle import complete_keys, incomplete_keys, records_of, ridership_columns
 from window_oracle import slots_of
 
 
@@ -177,7 +177,7 @@ def _contig_dataset(n_days, drop=None, seed=2):
             for r in records
             if not (r.service_date == drop[0] and r.service_index == drop[1] and r.stop_index == 1)
         ]
-    ridership = RidershipColumns.from_records(records)
+    ridership = ridership_columns(records)
     service_weather = join_weather_to_services(ridership, weather, config.timetable)
     return build_route_dataset(ridership, service_weather, 2, 26)
 

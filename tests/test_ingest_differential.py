@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buscast import data_ingest
-from buscast.data_ingest import RidershipColumns, build_route_dataset
+from buscast.data_ingest import build_route_dataset
 from buscast.errors import BuscastError, MalformedRow
 
 import ingest_oracle
-from ingest_oracle import observations_of, records_of, service_weather_columns, service_weather_of
+from ingest_oracle import observations_of, records_of, ridership_columns, service_weather_columns, service_weather_of
 
 TIMETABLE = {1: time(6, 40), 2: time(7, 10), 3: time(22, 30)}
 N_STOPS, SERVICES = 2, 3
@@ -159,7 +159,7 @@ def test_columnar_ingest_matches_the_row_oracle(files, tmp_path_factory):
     )
     old = _stages(
         ingest_oracle.parse_ridership_csv, ingest_oracle.parse_weather_csv, ingest_oracle.join_weather_to_services,
-        list, list, list, lambda records, joined: (RidershipColumns.from_records(records),
+        list, list, list, lambda records, joined: (ridership_columns(records),
                                                    service_weather_columns(joined)),
         (*paths, tmp / "old.json"),
     )

@@ -129,7 +129,7 @@ def test_two_layer_model_gradients_match_oracle():
     xs = [rng.normal(size=(8, hp.sequence_length, model.input_size)) for _ in range(model.n_branches)]
     target = rng.normal(size=(8, model.n_branches))
 
-    loss, grads = model.forward_backward(xs, target)
+    loss, grads = model.forward_backward(np.stack(xs), target)
     pred_ref, loss_ref, grads_ref = oracle_forward_backward(model, xs, target)
     assert loss == loss_ref
     # The forward-only path, which keeps no cache, predicts the same bits.

@@ -7,7 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from buscast.data_ingest import RidershipColumns, build_route_dataset, join_weather_to_services
+from buscast.data_ingest import build_route_dataset, join_weather_to_services
 from buscast.errors import (
     DivergedTraining,
     EmptyWindow,
@@ -47,7 +47,7 @@ from buscast.nn_core import (
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
 
-from ingest_oracle import records_of
+from ingest_oracle import records_of, ridership_columns
 from window_oracle import aligned_from_tensors, as_windows, slots_of
 
 HP_SMALL = HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM)
@@ -187,9 +187,9 @@ class TestForward:
         rng = np.random.default_rng(0)
         with pytest.raises(MisalignedBatches):
             model.forward(as_windows([rng.normal(size=(3, 6, 1))]))
-        # Windows share their starts across stops; a training batch can still misalign.
-        with pytest.raises(MisalignedBatches):
-            model.forward_backward([rng.normal(size=(3, 6, 1)), rng.normal(size=(4, 6, 1))], np.zeros((3, 2)))
+        # A gathered training batch holds one stream per branch.
+        with pytest.raises(MisalignedBatches, match="got 3 input streams for 2 branches"):
+            model.forward_backward(rng.normal(size=(3, 4, 6, model.input_size)), np.zeros((4, 2)))
 
     def test_model_gradients_match_finite_differences(self):
         from tests_grad_util import model_gradcheck
@@ -429,7 +429,7 @@ class TestStatisticalBaseline:
         records = records_of(ridership)
         first = records[0].service_date
         records = [r for r in records if (r.service_date, r.service_index, r.stop_index) != (first, 5, 2)]
-        ridership = RidershipColumns.from_records(records)
+        ridership = ridership_columns(records)
         weather = join_weather_to_services(ridership, observations, cls.CONFIG.timetable)
         return fit_statistical(build_route_dataset(ridership, weather, 3, 26), (first, first))
 

@@ -43,7 +43,7 @@ def model_gradcheck(seed: int, n_stops: int, hp: HyperParams, batch: int = 2) ->
     def loss():
         return mse_loss(model.forward(windows), target)[0]
 
-    _, grads = model.forward_backward(xs, target)
+    _, grads = model.forward_backward(np.stack(xs), target)
     worst = 0.0
     for name, arr in model.param_dict().items():
         worst = max(worst, max_relative_error(grads[name], numerical_gradient(loss, arr)))
