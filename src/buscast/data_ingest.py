@@ -9,7 +9,6 @@ departure.
 
 from __future__ import annotations
 
-import base64
 import csv
 import io
 import json
@@ -34,6 +33,7 @@ from .errors import (
     UnknownCategory,
     read_input,
 )
+from .nn_core import CHECKPOINT_MAGIC, param_layout, read_header, save_params
 
 ServiceKey = tuple[date, int]
 
@@ -427,7 +427,7 @@ def service_key(slot: int, services_per_day: int) -> ServiceKey:
     return date.fromordinal(day), index + 1
 
 
-#: The grids of a dataset, in cache order, with the dtype each has in a version-3 cache.
+#: The grids of a dataset, in cache order, with the dtype each has in a version-4 cache.
 GRIDS = {
     "ridership": np.dtype("<i8"),
     "mask": np.dtype(bool),
@@ -451,10 +451,10 @@ class RouteDataset:
     its absolute slot ``date.toordinal() * S + service - 1``, which counts
     the timetable's services one by one across days.
 
-    The cache ``save`` writes is a JSON object: a header of ``format``,
-    ``version`` 3, ``n_stops``, ``services_per_day``, ``first_date`` and
-    ``days``, then each grid of ``GRIDS`` as base64 of its little-endian,
-    C-order bytes.
+    The cache ``save`` writes is the checkpoint container (see
+    ``nn_core.save_params``): a JSON header of ``format``, ``version`` 4,
+    ``n_stops``, ``services_per_day``, ``first_date`` and ``days``, then each
+    grid of ``GRIDS`` as its little-endian, C-order bytes.
     """
 
     n_stops: int
@@ -499,74 +499,79 @@ class RouteDataset:
             raise EmptyDataset("no ridership records")
         return subset
 
-    def to_payload(self) -> dict:
-        """The version-3 cache as a JSON object."""
-        return {
+    def save(self, path: str | Path) -> None:
+        """Write the version-4 cache: the header, then each grid of ``GRIDS`` in the checkpoint container."""
+        header = {
             "format": "buscast-dataset",
-            "version": 3,
+            "version": 4,
             "n_stops": self.n_stops,
             "services_per_day": self.services_per_day,
             "first_date": self.first_date.isoformat(),
             "days": len(self.mask),
-            **{
-                name: base64.b64encode(np.ascontiguousarray(getattr(self, name), dtype).tobytes()).decode("ascii")
-                for name, dtype in GRIDS.items()
-            },
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_payload()), encoding="utf-8")
+        save_params(path, header, [(name, np.asarray(getattr(self, name), dtype)) for name, dtype in GRIDS.items()])
 
     @classmethod
     def load(cls, path: str | Path) -> "RouteDataset":
-        """Read a version-3 cache, validating it as outside input.
+        """Read a version-4 cache, validating it as outside input; the grids are read-only views of its bytes.
 
-        The first error found is raised, in this order: not JSON; not a
-        buscast cache; a version-1 or version-2 cache, then any version but 3;
-        a missing key; a bad header value (``n_stops``, ``services_per_day``,
-        ``first_date``, ``days``, then days that run past the last date); the
-        first grid, in ``GRIDS`` order, that is not a base64 string, is not
-        valid base64, or does not hold days x services_per_day (x n_stops)
-        cells of its dtype; then the cells, as ``_check_cells`` checks them.
+        The first error found is raised, in this order: neither the container
+        nor JSON; not a buscast cache; a version-1, -2 or -3 cache (JSON, as
+        written before the container), then any version but 4; a missing
+        key, a malformed ``params`` list, or a grid it does not list; a bad
+        header value (``n_stops``, ``services_per_day``, ``first_date``,
+        ``days``, then days that run past the last date); the first grid, in
+        ``GRIDS`` order, that is not a days x services_per_day (x n_stops)
+        grid of its dtype, or whose bytes the file cuts short; bytes after
+        the last array; then the cells, as ``_check_cells`` checks them.
         """
+        raw = read_input(path, "dataset cache", text=False)
+        container = raw[:4] == CHECKPOINT_MAGIC
         try:
-            payload = json.loads(read_input(path, "dataset cache"))
+            header, offset = read_header(raw) if container else (json.loads(raw), 0)
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
             raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
-        if not (isinstance(payload, dict) and payload.get("format") == "buscast-dataset"):
+        if not (isinstance(header, dict) and header.get("format") == "buscast-dataset"):
             raise MalformedRow(f"{path}: not a buscast dataset cache")
-        version = payload.get("version")
-        if type(version) is int and version in (1, 2):
+        version = header.get("version")
+        if type(version) is int and version in (1, 2, 3):
             raise MalformedRow(f"{path}: version-{version} dataset cache; run 'buscast ingest' again to rewrite it")
-        if type(version) is not int or version != 3:
+        if type(version) is not int or version != 4 or not container:
             raise MalformedRow(f"{path}: unsupported dataset cache version {version!r}")
-        for key in ("n_stops", "services_per_day", "first_date", "days", *GRIDS):
-            if key not in payload:
+        for key in ("n_stops", "services_per_day", "first_date", "days", "params"):
+            if key not in header:
                 raise MalformedRow(f"{path}: dataset cache lacks {key!r}")
+        layout = param_layout(header["params"], offset)
+        if layout is None:
+            raise MalformedRow(f"{path}: malformed grid list in dataset cache")
+        stored = {name: rest for name, *rest in layout}
+        for name in GRIDS:
+            if name not in stored:
+                raise MalformedRow(f"{path}: dataset cache lacks {name!r}")
         for key, least in (("n_stops", 1), ("services_per_day", 1), ("days", 0)):
-            if type(payload[key]) is not int or payload[key] < least:
-                raise MalformedRow(f"{path}: {key} must be an integer >= {least}, got {payload[key]!r}")
+            if type(header[key]) is not int or header[key] < least:
+                raise MalformedRow(f"{path}: {key} must be an integer >= {least}, got {header[key]!r}")
         try:
-            first_date = date.fromisoformat(payload["first_date"])
+            first_date = date.fromisoformat(header["first_date"])
         except (TypeError, ValueError):
-            raise MalformedRow(f"{path}: first_date {payload['first_date']!r} is not an ISO date") from None
-        days, services, n_stops = payload["days"], payload["services_per_day"], payload["n_stops"]
+            raise MalformedRow(f"{path}: first_date {header['first_date']!r} is not an ISO date") from None
+        days, services, n_stops = header["days"], header["services_per_day"], header["n_stops"]
         if days and first_date.toordinal() + days - 1 > date.max.toordinal():
             raise MalformedRow(f"{path}: {days} days from {first_date} run past the last representable date")
 
         grids = {}
         for name, dtype in GRIDS.items():
-            shape = (days, services, n_stops) if name in ("ridership", "mask") else (days, services)
-            if not isinstance(payload[name], str):
-                raise MalformedRow(f"{path}: {name!r} is not a base64 string")
-            try:
-                raw = base64.b64decode(payload[name], validate=True)
-            except ValueError:
-                raise MalformedRow(f"{path}: {name!r} is not valid base64") from None
-            if len(raw) != math.prod(shape) * dtype.itemsize:
-                dims = " x ".join(map(str, shape))
-                raise MalformedRow(f"{path}: {name!r} holds {len(raw)} bytes, not a {dims} grid of {dtype.name}")
-            grids[name] = np.frombuffer(raw, dtype).reshape(shape)
+            grid = (days, services, n_stops) if name in ("ridership", "mask") else (days, services)
+            shape, kind, start, stop = stored[name]
+            expected = f"a {' x '.join(map(str, grid))} grid of {dtype.name}"
+            if (shape, kind) != (grid, dtype):
+                raise MalformedRow(f"{path}: {name!r} is a {' x '.join(map(str, shape))} grid of {kind.name}, "
+                                   f"not {expected}")
+            if stop > len(raw):
+                raise MalformedRow(f"{path}: {name!r} holds {max(len(raw) - start, 0)} bytes, not {expected}")
+            grids[name] = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape)
+        if layout[-1][-1] != len(raw):
+            raise MalformedRow(f"{path}: the arrays end at byte {layout[-1][-1]}, the file at byte {len(raw)}")
         dataset = cls(n_stops, services, first_date, **grids)
         _check_cells(dataset)
         return dataset

@@ -150,13 +150,23 @@ def inverse_scale(x: float | np.ndarray, params: ScalerParams):
     return x * (params.max - params.min) + params.min
 
 
-def one_hot(index: int | np.ndarray, cardinality: int) -> np.ndarray:
-    """Unit vector e_index of length ``cardinality``; an array of N indices gives N rows."""
-    index = np.asarray(index)
+def _check_index(index: np.ndarray, cardinality: int) -> None:
     bad = index[(index < 0) | (index >= cardinality)]
     if bad.size:
         raise IndexOutOfRange(f"index {bad.flat[0]} outside [0, {cardinality})")
+
+
+def one_hot(index: int | np.ndarray, cardinality: int) -> np.ndarray:
+    """Unit vector e_index of length ``cardinality``; an array of N indices gives N rows."""
+    index = np.asarray(index)
+    _check_index(index, cardinality)
     return np.eye(cardinality)[index]
+
+
+def _set_one_hot(rows: np.ndarray, col: int, index: np.ndarray, cardinality: int) -> None:
+    """Write ``one_hot(index, cardinality)`` into the zero columns ``col : col + cardinality`` of ``rows``."""
+    _check_index(index, cardinality)
+    rows[np.arange(len(index)), col + index] = 1.0
 
 
 def fit_scalers(train: RouteDataset, spec: FeatureSpec) -> ScalerSet:
@@ -187,14 +197,13 @@ def encode_stop(dataset: RouteDataset, stop_index: int, spec: FeatureSpec, scale
     col = 1
     if spec.use_day_of_week:
         weekday = (dataset.first_date.weekday() + slots // services) % N_WEEKDAYS
-        rows[:, col : col + N_WEEKDAYS] = one_hot(weekday, N_WEEKDAYS)
+        _set_one_hot(rows, col, weekday, N_WEEKDAYS)
         col += N_WEEKDAYS
     if spec.use_service_number:
-        rows[:, col : col + spec.services_per_day] = one_hot(slots % services, spec.services_per_day)
+        _set_one_hot(rows, col, slots % services, spec.services_per_day)
         col += spec.services_per_day
     if spec.use_rain:
-        rain = dataset.rain.ravel()[slots].astype(np.intp)
-        rows[:, col : col + N_RAIN_CLASSES] = one_hot(rain, N_RAIN_CLASSES)
+        _set_one_hot(rows, col, dataset.rain.ravel()[slots].astype(np.intp), N_RAIN_CLASSES)
         rows[:, col + N_RAIN_CLASSES] = scale(dataset.precipitation.ravel()[slots], scalers.precipitation)
     return FeatureMatrix(stop_index, rows, targets, dataset.first_slot + slots)
 

@@ -522,9 +522,32 @@ def _scalers_to_payload(scalers: ScalerSet) -> dict:
     }
 
 
-def _scalers_from_payload(payload: dict) -> ScalerSet:
+def _is_bounds(value) -> bool:
+    """Whether ``value`` is a ``[min, max]`` list of two finite numbers (bools are not numbers)."""
+    try:
+        return type(value) is list and len(value) == 2 and all(
+            type(v) in (int, float) and math.isfinite(v) for v in value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _scalers_from_header(header: dict, n_stops: int, path: str | Path) -> ScalerSet:
+    """The scalers of ``header``: ``ridership`` maps "1".."n_stops" to bounds, ``precipitation`` is bounds."""
+    payload = _field(header, "scalers", path)
+    ridership = payload.get("ridership") if type(payload) is dict else None
+    if not (
+        type(ridership) is dict
+        and len(ridership) == n_stops
+        and set(ridership) == {str(stop) for stop in range(1, n_stops + 1)}
+        and all(map(_is_bounds, ridership.values()))
+    ):
+        raise CheckpointError(f"{path}: header key 'scalers.ridership' must map stops '1'..'{n_stops}' "
+                              "to [min, max] pairs of finite numbers")
+    if not _is_bounds(payload.get("precipitation")):
+        raise CheckpointError(f"{path}: header key 'scalers.precipitation' must be a [min, max] pair of "
+                              "finite numbers")
     return ScalerSet(
-        ridership={int(k): ScalerParams(v[0], v[1]) for k, v in payload["ridership"].items()},
+        ridership={int(k): ScalerParams(*v) for k, v in ridership.items()},
         precipitation=ScalerParams(*payload["precipitation"]),
     )
 
@@ -620,22 +643,31 @@ def _count(mapping: dict, key: str, path: str | Path) -> int:
 def _parsed(parse, payload, what: str, path: str | Path):
     try:
         return parse(payload)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:  # OverflowError: int(inf)
         raise CheckpointError(f"{path}: malformed {what} in checkpoint ({exc!r})") from None
 
 
 def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], path: str | Path) -> Member:
-    def array(name: str) -> np.ndarray:
-        return _field(params, prefix + name, path, "parameter array")
+    """One member of a checkpoint; each array must be float64 of the shape the member's sizes imply."""
+
+    def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        arr = _field(params, prefix + name, path, "parameter array")
+        if arr.dtype != np.float64 or arr.shape != shape:
+            raise CheckpointError(f"{path}: parameter array {prefix + name!r} is {arr.dtype} of shape "
+                                  f"{arr.shape}, not float64 of shape {shape}")
+        return arr
 
     def stacked(l: int, k: str) -> np.ndarray:
-        arrays = [array(f"branch{b}/layer{l}/{k}") for b in range(n_branches)]
-        return _parsed(np.stack, arrays, "parameter arrays", path)
+        shape = {"w": (4 * hidden, hidden if l else inputs), "u": (4 * hidden, hidden), "b": (4 * hidden,)}[k]
+        return np.stack([array(f"branch{b}/layer{l}/{k}", shape) for b in range(n_branches)])
 
-    n_branches, n_layers = _count(entry, "n_branches", path), _count(entry, "n_layers", path)
+    n_branches, n_layers, hidden, inputs = (
+        _count(entry, key, path) for key in ("n_branches", "n_layers", "hidden_size", "input_size")
+    )
     layers = [LstmLayerParams(*(stacked(l, k) for k in "wub")) for l in range(n_layers)]
+    head = DenseParams(w=array("head/w", (n_branches, n_branches * hidden)), b=array("head/b", (n_branches,)))
     return Member(
-        model=LstmRegressor(layers, DenseParams(w=array("head/w"), b=array("head/b"))),
+        model=LstmRegressor(layers, head),
         hp=_parsed(HyperParams.from_dict, _field(entry, "hyperparams", path), "hyperparams", path),
         seed=_field(entry, "seed", path),
     )
@@ -643,6 +675,8 @@ def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], path: 
 
 def load_model(path: str | Path) -> LoadedModel:
     header, params = load_params(path)
+    if header.get("kind") != "buscast-model":
+        raise CheckpointError(f"{path}: not a buscast model checkpoint (kind {header.get('kind')!r})")
     method_name = _field(header, "method", path)
     try:
         method = MethodId(method_name)
@@ -660,9 +694,8 @@ def load_model(path: str | Path) -> LoadedModel:
     members = tuple(
         _load_member(entry, prefix, params, path) for entry, prefix in zip(entries, prefixes)
     )
-    scalers = _parsed(_scalers_from_payload, _field(header, "scalers", path), "scalers", path)
     return LoadedModel(
-        forecaster=LstmForecaster(members, scalers),
+        forecaster=LstmForecaster(members, _scalers_from_header(header, n_stops, path)),
         method=method,
         spec=spec,
         look_back=look_back,

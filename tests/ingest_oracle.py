@@ -12,16 +12,20 @@ reference for ``data_ingest._CsvTable``, which splits a quote-free file
 with ``str.split``.
 
 The helpers at the end convert between these row lists and the columns,
-list a dataset's incomplete services, and edit the grids of a dataset cache.
+list a dataset's incomplete services, and read, edit and write a dataset
+cache, as a payload of header keys and grid arrays, independently of
+``RouteDataset.save`` and ``load``.
 The row types, ``RidershipRecord`` and ``WeatherObservation``, are the
 oracle's own: the library reads and writes only columns.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import io
+import json
+import math
+import struct
 from dataclasses import dataclass, fields
 from datetime import date, time, timedelta
 from pathlib import Path
@@ -318,12 +322,63 @@ def complete_keys(dataset: RouteDataset) -> tuple[ServiceKey, ...]:
     return _keys(dataset, dataset.complete)
 
 
+def dataset_payload(dataset: RouteDataset) -> dict:
+    """The payload of a dataset's version-4 cache: its header keys, then each grid of ``GRIDS`` as a writable
+    array of the grid's dtype."""
+    return {
+        "format": "buscast-dataset",
+        "version": 4,
+        "n_stops": dataset.n_stops,
+        "services_per_day": dataset.services_per_day,
+        "first_date": dataset.first_date.isoformat(),
+        "days": len(dataset.mask),
+        **{name: np.array(getattr(dataset, name), dtype) for name, dtype in GRIDS.items()},
+    }
+
+
+def cache_bytes(payload: dict) -> bytes:
+    """The version-4 cache file holding a payload: the container magic, the header's length, the header, then
+    each array's bytes in payload order.
+
+    The header holds every key whose value is not an array, ``format_version``
+    1 and a ``params`` entry per array, ``[name, shape]`` for float64 and
+    ``[name, shape, dtype]`` otherwise; a payload's own ``params`` replaces
+    the entries.
+    """
+    arrays = {key: value for key, value in payload.items() if isinstance(value, np.ndarray)}
+    header = {"format_version": 1, **{key: value for key, value in payload.items() if key not in arrays}}
+    header.setdefault("params", [
+        [name, list(arr.shape)] + ([arr.dtype.str] if arr.dtype != np.float64 else []) for name, arr in arrays.items()
+    ])
+    blob = json.dumps(header, sort_keys=True).encode()
+    return b"BCKP" + struct.pack("<Q", len(blob)) + blob + b"".join(arr.tobytes() for arr in arrays.values())
+
+
+def dataset_bytes(dataset: RouteDataset) -> bytes:
+    """The bytes of a dataset's version-4 cache, to compare two datasets by."""
+    return cache_bytes(dataset_payload(dataset))
+
+
+def read_cache(path: Path) -> dict:
+    """The payload of a version-4 cache file: its header keys but ``format_version`` and ``params``, then each
+    array, a writable copy, under its name."""
+    raw = Path(path).read_bytes()
+    assert raw[:4] == b"BCKP", f"{path} is not a version-4 cache"
+    (length,) = struct.unpack_from("<Q", raw, 4)
+    header, offset = json.loads(raw[12 : 12 + length]), 12 + length
+    payload = {key: value for key, value in header.items() if key not in ("format_version", "params")}
+    for name, shape, *dtype in header["params"]:
+        dtype = np.dtype(dtype[0] if dtype else "<f8")
+        payload[name] = np.frombuffer(raw, dtype, math.prod(shape), offset).reshape(shape).copy()
+        offset += math.prod(shape) * dtype.itemsize
+    assert offset == len(raw)
+    return payload
+
+
 def cache_grid(payload: dict, name: str) -> np.ndarray:
-    """A writable copy of grid ``name`` of a version-3 cache payload; a bool grid reads as its raw bytes."""
-    shape = (payload["days"], payload["services_per_day"], payload["n_stops"])
-    shape = shape if name in ("ridership", "mask") else shape[:2]
-    dtype = np.uint8 if GRIDS[name] == bool else GRIDS[name]
-    return np.frombuffer(base64.b64decode(payload[name]), dtype).reshape(shape).copy()
+    """A writable copy of grid ``name`` of a cache payload; a bool grid reads as its raw bytes."""
+    grid = payload[name]
+    return (grid.view(np.uint8) if grid.dtype == bool else grid).copy()
 
 
 def with_cache_cells(payload: dict, name: str, *cells: tuple) -> dict:
@@ -331,4 +386,4 @@ def with_cache_cells(payload: dict, name: str, *cells: tuple) -> dict:
     grid = cache_grid(payload, name)
     for index, value in cells:
         grid[index] = value
-    return {**payload, name: base64.b64encode(grid.tobytes()).decode("ascii")}
+    return {**payload, name: grid.view(payload[name].dtype)}

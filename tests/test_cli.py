@@ -43,7 +43,9 @@ from buscast.models import (
 from buscast.nn_core import OptimizerKind, save_params
 from buscast.tuning import HyperParams, make_schedule
 
-from ingest_oracle import records_of, ridership_columns, service_weather_of, with_cache_cells
+from ingest_oracle import (
+    cache_bytes, read_cache, records_of, ridership_columns, service_weather_of, with_cache_cells,
+)
 from window_oracle import RecordRoute, next_service_key, oracle_stop_rows, oracle_trailing_run, slots_of
 
 #: The directory holding the ``buscast`` package, for a child process's PYTHONPATH.
@@ -487,8 +489,9 @@ class TestPredict:
             (lambda h: h.update(method="zz"), None, "unknown method 'zz'"),
             (lambda h: None, "branch0/layer0/w", "'branch0/layer0/w'"),
             (lambda h: h["hyperparams"].pop("optimizer"), None, "malformed hyperparams"),
+            (lambda h: h["hyperparams"].update(batch_size=float("inf")), None, "malformed hyperparams"),
         ],
-        ids=["no-method", "unknown-method", "missing-array", "bad-hyperparams"],
+        ids=["no-method", "unknown-method", "missing-array", "bad-hyperparams", "infinite-hyperparameter"],
     )
     def test_malformed_checkpoint(self, workspace, capsys, tmp_path, edit_header, drop, fragment):
         from buscast.nn_core import load_params
@@ -927,9 +930,9 @@ class TestBadInputs:
         assert_one_error_line(err, "predict", "'stops' must be a list of objects")
 
     def _evaluate_edited_cache(self, workspace, capsys, tmp_path, edit):
-        """Run ``evaluate`` on the shared cache with its JSON payload replaced by ``edit(payload)``."""
+        """Run ``evaluate`` on the shared cache with its payload replaced by ``edit(payload)``."""
         cache = tmp_path / "dataset.json"
-        cache.write_text(json.dumps(edit(json.loads(workspace["dataset"].read_text()))))
+        cache.write_bytes(cache_bytes(edit(read_cache(workspace["dataset"]))))
         return run_cli(
             capsys, "evaluate", "--dataset", str(cache), "--methods", "statistical", "--out", str(tmp_path),
         )
@@ -993,9 +996,37 @@ class TestBadInputs:
             err, "predict", f"{cache}: version-2 dataset cache; run 'buscast ingest' again to rewrite it",
         )
 
+    def test_version_3_cache_asks_for_a_new_ingest(self, workspace, trained, capsys, tmp_path):
+        """The JSON cache with base64 grids that ``ingest`` wrote before the container."""
+        cache = tmp_path / "dataset.json"
+        cache.write_text(json.dumps({
+            "format": "buscast-dataset", "version": 3, "n_stops": 1, "services_per_day": 1,
+            "first_date": "2021-10-01", "days": 1, "ridership": "AwAAAAAAAAA=", "mask": "AQ==", "rain": "AA==",
+            "precipitation": "AAAAAAAAAAA=", "weather_mask": "AQ==",
+        }))
+        code, _, err = run_cli(
+            capsys, "predict", "--dataset", str(cache), "--model", str(workspace["out"] / "d.ckpt"),
+        )
+        assert code == 1
+        assert_one_error_line(
+            err, "predict", f"{cache}: version-3 dataset cache; run 'buscast ingest' again to rewrite it",
+        )
+
+    def test_checkpoint_given_as_the_dataset(self, workspace, trained, capsys):
+        checkpoint = workspace["out"] / "d.ckpt"
+        code, _, err = run_cli(capsys, "predict", "--dataset", str(checkpoint), "--model", str(checkpoint))
+        assert code == 1
+        assert_one_error_line(err, "predict", f"{checkpoint}: not a buscast dataset cache")
+
+    def test_dataset_given_as_the_model(self, workspace, trained, capsys):
+        cache = workspace["dataset"]
+        code, _, err = run_cli(capsys, "predict", "--dataset", str(cache), "--model", str(cache))
+        assert code == 1
+        assert_one_error_line(err, "predict", f"{cache}: not a buscast model checkpoint (kind None)")
+
     @pytest.mark.parametrize("edit, fragment", [
-        (lambda payload: {**payload, "mask": "%%%"}, "'mask' is not valid base64"),
-        (lambda payload: {**payload, "days": payload["days"] + 1}, "'ridership' holds"),
+        (lambda payload: {**payload, "mask": payload["mask"].astype(np.uint8)}, "malformed grid list"),
+        (lambda payload: {**payload, "days": payload["days"] + 1}, "'ridership' is a 24 x 26 x 5 grid of int64"),
         (lambda payload: with_cache_cells(payload, "weather_mask", ((0, 0), 2)), "weather flag 2 for"),
     ], ids=["bad-base64", "days-disagree", "weather-flag-2"])
     def test_dataset_cache_with_bad_grid(self, workspace, capsys, tmp_path, edit, fragment):

@@ -1,4 +1,3 @@
-import base64
 import copy
 import csv
 import dataclasses
@@ -44,6 +43,10 @@ from ingest_oracle import (
     ridership_columns,
     service_weather_columns,
     service_weather_of,
+    cache_bytes,
+    dataset_bytes,
+    dataset_payload,
+    read_cache,
     weather_columns,
     with_cache_cells,
 )
@@ -391,7 +394,7 @@ class TestBuildRouteDataset:
         records, weather, config = _complete_inputs()
         ds = build_route_dataset(*_tables(reversed(records), weather), 5, 26)
         assert int(ds.mask.sum()) == len(records)
-        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26).to_payload()
+        assert dataset_bytes(ds) == dataset_bytes(build_route_dataset(*_tables(records, weather), 5, 26))
 
     def test_numpy_integers_are_integers(self):
         records, weather, config = _complete_inputs()
@@ -400,7 +403,7 @@ class TestBuildRouteDataset:
             for r in records
         ]
         ds = build_route_dataset(*_tables(as_numpy, weather), 5, 26)
-        assert ds.to_payload() == build_route_dataset(*_tables(records, weather), 5, 26).to_payload()
+        assert dataset_bytes(ds) == dataset_bytes(build_route_dataset(*_tables(records, weather), 5, 26))
 
     def test_every_service_needs_weather(self):
         records, weather, config = _complete_inputs()
@@ -412,7 +415,8 @@ class TestRoundTrips:
     def test_dataset_cache_round_trip(self, tmp_path, small_dataset):
         path = tmp_path / "dataset.json"
         small_dataset.save(path)
-        assert RouteDataset.load(path).to_payload() == small_dataset.to_payload()
+        assert path.read_bytes() == dataset_bytes(small_dataset)
+        assert dataset_bytes(RouteDataset.load(path)) == dataset_bytes(small_dataset)
 
     def test_cache_rewrite_is_byte_identical(self, tmp_path):
         records, weather, config = _complete_inputs()
@@ -433,7 +437,7 @@ class TestRoundTrips:
             *_tables([r for r in records if r.service_date == day], [sw for sw in weather if sw.service_date == day]),
             5, 26,
         )
-        assert sliced.to_payload() == rebuilt.to_payload()
+        assert dataset_bytes(sliced) == dataset_bytes(rebuilt)
         assert sliced.date_range() == (day, day)
 
     def test_csv_round_trip(self, tmp_path):
@@ -442,7 +446,7 @@ class TestRoundTrips:
         write_ridership_csv(ridership_columns(records), r_path)
         ds = build_route_dataset(*_tables(records, weather), 5, 26)
         parsed = build_route_dataset(parse_ridership_csv(r_path), service_weather_columns(weather), 5, 26)
-        assert parsed.to_payload() == ds.to_payload()
+        assert dataset_bytes(parsed) == dataset_bytes(ds)
 
     @given(
         rows=st.lists(
@@ -493,7 +497,7 @@ def test_full_year_observation_count():
 
 
 def _grid_payload(records, weather) -> dict:
-    """A version-3 dataset cache laying out exactly these records and weather rows, unvalidated."""
+    """The payload of a dataset cache laying out exactly these records and weather rows, unvalidated."""
     dates = [r.service_date for r in records] + [sw.service_date for sw in weather]
     first = min(dates, default=D1)
     days = (max(dates) - first).days + 1 if dates else 0
@@ -506,7 +510,7 @@ def _grid_payload(records, weather) -> dict:
     for sw in weather:
         cell = ((sw.service_date - first).days, sw.service_index - 1)
         rain[cell], precipitation[cell], weather_mask[cell] = sw.rain_flag, sw.precipitation_mm, True
-    return RouteDataset(5, 26, first, ridership, mask, rain, precipitation, weather_mask).to_payload()
+    return dataset_payload(RouteDataset(5, 26, first, ridership, mask, rain, precipitation, weather_mask))
 
 
 def _with_count(records, i, value):
@@ -595,7 +599,7 @@ def test_bad_input_error_and_precedence(case, source, tmp_path):
             build_route_dataset(*_tables(records, weather), 5, 26)
         else:
             cache = tmp_path / "dataset.json"
-            cache.write_text(json.dumps(_grid_payload(records, weather)))
+            cache.write_bytes(cache_bytes(_grid_payload(records, weather)))
             RouteDataset.load(cache)
     assert str(caught.value) == message
 
@@ -608,9 +612,11 @@ def _without(payload, key):
     return {k: v for k, v in payload.items() if k != key}
 
 
-def _with_bytes(payload, key, edit):
-    """The payload with grid ``key``'s decoded bytes replaced by ``edit(bytes)``."""
-    return {**payload, key: base64.b64encode(edit(base64.b64decode(payload[key]))).decode("ascii")}
+def _cut_in(payload, key, kept):
+    """The cache file of the payload, cut ``kept`` bytes into grid ``key``."""
+    start = sum(payload[name].nbytes for name in list(data_ingest.GRIDS)[: list(data_ingest.GRIDS).index(key)])
+    raw = cache_bytes(payload)
+    return raw[: len(raw) - sum(payload[name].nbytes for name in data_ingest.GRIDS) + start + kept]
 
 
 def _no_counts(payload):
@@ -632,40 +638,61 @@ def _unobserved(payload, day, service):
 
 CELL = "(datetime.date(2021, 10, 1), 5)"
 
-#: name -> (edit of a valid 2-day, 26-service, 5-stop cache, error class, message
-#: with <path> for the cache's path). The cases run in the load's order; those
-#: named ``...-before-...`` or ``earlier-...-first`` break two checks and expect
-#: the one the load raises first. A version-3 cache fixes each grid's dtype, so
-#: the cases that gave one cell a JSON value of another type (``count-true``,
-#: ``rain-float``, ``precipitation-text`` ...) give that value to the whole grid.
+#: name -> (edit of a valid 2-day, 26-service, 5-stop cache payload, error class,
+#: message with <path> for the cache's path). An edit returns a payload, which
+#: is written as a version-4 cache, or the file's bytes or text. The cases run
+#: in the load's order; those named ``...-before-...`` or ``earlier-...-first``
+#: break two checks and expect the one the load raises first. A cache fixes
+#: each grid's dtype, so the cases that gave one cell a value of another type
+#: (``count-true``, ``rain-float``, ``precipitation-text`` ...) give the whole
+#: grid that type.
 BAD_CACHES = {
-    # 1. not a version-3 buscast cache
+    # 1. not a version-4 buscast cache
     "not-json": (lambda p: "{", MalformedRow,
                  "<path>: malformed dataset cache: Expecting property name enclosed in double quotes: "
                  "line 1 column 2 (char 1)"),
     "too-deeply-nested": (lambda p: "[" * 100_000, MalformedRow,
                           "<path>: malformed dataset cache: maximum recursion depth exceeded while decoding a JSON "
                           "array from a unicode string"),
-    "not-an-object": (lambda p: [], MalformedRow, "<path>: not a buscast dataset cache"),
+    "corrupt-header": (lambda p: cache_bytes(p).replace(b'{"days"', b'["days"', 1), MalformedRow,
+                       "<path>: malformed dataset cache: Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    "cut-before-the-header": (lambda p: b"BCKP\0\0", MalformedRow, "<path>: malformed dataset cache: no container header"),
+    "not-an-object": (lambda p: "[]", MalformedRow, "<path>: not a buscast dataset cache"),
     "other-format": (lambda p: _with(p, format="csv"), MalformedRow, "<path>: not a buscast dataset cache"),
     "version-1": (lambda p: _with(p, version=1), MalformedRow,
                   "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
     "version-2": (lambda p: _with(p, version=2), MalformedRow,
                   "<path>: version-2 dataset cache; run 'buscast ingest' again to rewrite it"),
     "version-3": (lambda p: _with(p, version="3"), MalformedRow, "<path>: unsupported dataset cache version '3'"),
-    "version-4": (lambda p: _with(p, version=4), MalformedRow, "<path>: unsupported dataset cache version 4"),
+    "json-version-3": (lambda p: json.dumps({"format": "buscast-dataset", "version": 3, "ridership": ""}),
+                       MalformedRow, "<path>: version-3 dataset cache; run 'buscast ingest' again to rewrite it"),
+    # only the container holds version 4
+    "version-4": (lambda p: json.dumps({"format": "buscast-dataset", "version": 4}), MalformedRow,
+                  "<path>: unsupported dataset cache version 4"),
+    "version-5": (lambda p: _with(p, version=5), MalformedRow, "<path>: unsupported dataset cache version 5"),
     "no-version": (lambda p: _without(p, "version"), MalformedRow,
                    "<path>: unsupported dataset cache version None"),
     "version-before-key": (lambda p: _without(_with(p, version=1), "ridership"), MalformedRow,
                            "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
-    # 2. a missing key
+    # 2. a missing key, a malformed grid list, or a grid it does not list
     "no-first-date": (lambda p: _without(p, "first_date"), MalformedRow, "<path>: dataset cache lacks 'first_date'"),
     "no-days-key": (lambda p: _without(p, "days"), MalformedRow, "<path>: dataset cache lacks 'days'"),
+    "grid-list-not-a-list": (lambda p: _with(p, params={}), MalformedRow,
+                             "<path>: malformed grid list in dataset cache"),
+    "grid-without-shape": (lambda p: _with(p, params=[["ridership"]]), MalformedRow,
+                           "<path>: malformed grid list in dataset cache"),
     "no-rain": (lambda p: _without(p, "rain"), MalformedRow, "<path>: dataset cache lacks 'rain'"),
     "no-weather-mask": (lambda p: _without(p, "weather_mask"), MalformedRow,
                         "<path>: dataset cache lacks 'weather_mask'"),
     "key-before-header": (lambda p: _without(_with(p, n_stops=0), "precipitation"), MalformedRow,
                           "<path>: dataset cache lacks 'precipitation'"),
+    # a dtype outside the container's int64, bool and float64
+    "count-text": (lambda p: _with(p, ridership=p["ridership"].astype(str)), MalformedRow,
+                   "<path>: malformed grid list in dataset cache"),
+    "bad-base64": (lambda p: _with(p, mask=p["mask"].astype(np.uint8)), MalformedRow,
+                   "<path>: malformed grid list in dataset cache"),
+    "precipitation-text": (lambda p: _with(p, precipitation=p["precipitation"].astype(str)), MalformedRow,
+                           "<path>: malformed grid list in dataset cache"),
     # 3. a bad header value
     "no-stops": (lambda p: _with(p, n_stops=0), MalformedRow, "<path>: n_stops must be an integer >= 1, got 0"),
     "stops-true": (lambda p: _with(p, n_stops=True), MalformedRow,
@@ -679,42 +706,45 @@ BAD_CACHES = {
                            "<path>: first_date 20211001 is not an ISO date"),
     "days-past-the-last-date": (lambda p: _with(p, first_date="9999-12-31"), MalformedRow,
                                 "<path>: 2 days from 9999-12-31 run past the last representable date"),
-    "header-before-shape": (lambda p: _with(p, n_stops=0, ridership={}), MalformedRow,
+    "header-before-shape": (lambda p: _with(p, n_stops=0, ridership=p["ridership"][:1]), MalformedRow,
                             "<path>: n_stops must be an integer >= 1, got 0"),
-    # 4. a grid that is not base64 of days x services (x stops) cells of its dtype
-    "ridership-not-a-list": (lambda p: _with(p, ridership={}), MalformedRow,
-                             "<path>: 'ridership' is not a base64 string"),
-    "count-list": (lambda p: _with(p, ridership=[3]), MalformedRow, "<path>: 'ridership' is not a base64 string"),
-    "count-true": (lambda p: _with(p, ridership=True), MalformedRow, "<path>: 'ridership' is not a base64 string"),
-    "count-float": (lambda p: _with(p, ridership=1.5), MalformedRow, "<path>: 'ridership' is not a base64 string"),
-    "count-nan": (lambda p: _with(p, ridership=float("nan")), MalformedRow,
-                  "<path>: 'ridership' is not a base64 string"),
-    "count-text": (lambda p: _with(p, ridership="3"), MalformedRow, "<path>: 'ridership' is not valid base64"),
-    "bad-base64": (lambda p: _with(p, mask=p["mask"][:-4] + "#A=="), MalformedRow,
-                   "<path>: 'mask' is not valid base64"),
-    "rain-true": (lambda p: _with(p, rain=True), MalformedRow, "<path>: 'rain' is not a base64 string"),
-    "rain-float": (lambda p: _with(p, rain=1.0), MalformedRow, "<path>: 'rain' is not a base64 string"),
-    "precipitation-text": (lambda p: _with(p, precipitation="1"), MalformedRow,
-                           "<path>: 'precipitation' is not valid base64"),
-    "ragged-ridership": (lambda p: _with_bytes(p, "ridership", lambda b: b[:-8]), MalformedRow,
+    # 4. a grid that is not days x services (x stops) cells of its dtype, or that the file cuts short;
+    # then bytes after the last grid
+    "ridership-not-a-list": (lambda p: _with(p, ridership=p["ridership"].ravel()), MalformedRow,
+                             "<path>: 'ridership' is a 260 grid of int64, not a 2 x 26 x 5 grid of int64"),
+    "count-list": (lambda p: _with(p, ridership=np.array([3])), MalformedRow,
+                   "<path>: 'ridership' is a 1 grid of int64, not a 2 x 26 x 5 grid of int64"),
+    "count-true": (lambda p: _with(p, ridership=np.ones((2, 26, 5), bool)), MalformedRow,
+                   "<path>: 'ridership' is a 2 x 26 x 5 grid of bool, not a 2 x 26 x 5 grid of int64"),
+    "count-float": (lambda p: _with(p, ridership=np.full((2, 26, 5), 1.5)), MalformedRow,
+                    "<path>: 'ridership' is a 2 x 26 x 5 grid of float64, not a 2 x 26 x 5 grid of int64"),
+    "count-nan": (lambda p: _with(p, ridership=np.full((2, 26, 5), np.nan)), MalformedRow,
+                  "<path>: 'ridership' is a 2 x 26 x 5 grid of float64, not a 2 x 26 x 5 grid of int64"),
+    "rain-true": (lambda p: _with(p, rain=np.ones((2, 26), np.int64)), MalformedRow,
+                  "<path>: 'rain' is a 2 x 26 grid of int64, not a 2 x 26 grid of bool"),
+    "rain-float": (lambda p: _with(p, rain=np.ones((2, 26))), MalformedRow,
+                   "<path>: 'rain' is a 2 x 26 grid of float64, not a 2 x 26 grid of bool"),
+    "ragged-ridership": (lambda p: _cut_in(p, "ridership", 2072), MalformedRow,
                          "<path>: 'ridership' holds 2072 bytes, not a 2 x 26 x 5 grid of int64"),
-    "too-deep-ridership": (lambda p: _with_bytes(p, "ridership", lambda b: b * 2), MalformedRow,
-                           "<path>: 'ridership' holds 4160 bytes, not a 2 x 26 x 5 grid of int64"),
-    "wrong-payload-length": (lambda p: _with_bytes(p, "mask", lambda b: b + b"\0\0\0"), MalformedRow,
-                             "<path>: 'mask' holds 263 bytes, not a 2 x 26 x 5 grid of bool"),
+    "too-deep-ridership": (lambda p: _with(p, ridership=np.concatenate([p["ridership"]] * 2)), MalformedRow,
+                           "<path>: 'ridership' is a 4 x 26 x 5 grid of int64, not a 2 x 26 x 5 grid of int64"),
     "stops-disagree": (lambda p: _with(p, n_stops=4), MalformedRow,
-                       "<path>: 'ridership' holds 2080 bytes, not a 2 x 26 x 4 grid of int64"),
+                       "<path>: 'ridership' is a 2 x 26 x 5 grid of int64, not a 2 x 26 x 4 grid of int64"),
     "services-disagree": (lambda p: _with(p, services_per_day=27), MalformedRow,
-                          "<path>: 'ridership' holds 2080 bytes, not a 2 x 27 x 5 grid of int64"),
+                          "<path>: 'ridership' is a 2 x 26 x 5 grid of int64, not a 2 x 27 x 5 grid of int64"),
     "days-disagree": (lambda p: _with(p, days=3), MalformedRow,
-                      "<path>: 'ridership' holds 2080 bytes, not a 3 x 26 x 5 grid of int64"),
-    "rain-days-disagree": (lambda p: _with_bytes(p, "rain", lambda b: b[:26]), MalformedRow,
-                           "<path>: 'rain' holds 26 bytes, not a 2 x 26 grid of bool"),
-    "ragged-precipitation": (lambda p: _with_bytes(p, "precipitation", lambda b: b[:-8]), MalformedRow,
+                      "<path>: 'ridership' is a 2 x 26 x 5 grid of int64, not a 3 x 26 x 5 grid of int64"),
+    "rain-days-disagree": (lambda p: _with(p, rain=p["rain"][:1]), MalformedRow,
+                           "<path>: 'rain' is a 1 x 26 grid of bool, not a 2 x 26 grid of bool"),
+    "ragged-precipitation": (lambda p: _cut_in(p, "precipitation", 408), MalformedRow,
                              "<path>: 'precipitation' holds 408 bytes, not a 2 x 26 grid of float64"),
+    "cut-before-a-grid": (lambda p: _cut_in(p, "weather_mask", 0), MalformedRow,
+                          "<path>: 'weather_mask' holds 0 bytes, not a 2 x 26 grid of bool"),
     "shape-before-counts": (
-        lambda p: _with_bytes(with_cache_cells(p, "ridership", ((0, 0, 0), -1)), "rain", lambda b: b[:-1]),
+        lambda p: _cut_in(with_cache_cells(p, "ridership", ((0, 0, 0), -1)), "rain", 51),
         MalformedRow, "<path>: 'rain' holds 51 bytes, not a 2 x 26 grid of bool"),
+    "wrong-payload-length": (lambda p: cache_bytes(p) + b"\0\0\0", MalformedRow,
+                             "<path>: the arrays end at byte 3176, the file at byte 3179"),
     # 5. the first bad count cell in (date, service, stop) order, its first failing check
     "bool-byte-2": (lambda p: with_cache_cells(p, "mask", ((0, 4, 2), 2)), MalformedRow,
                     "observed flag 2 for (datetime.date(2021, 10, 1), 5, 3) is not 0 or 1"),
@@ -735,7 +765,7 @@ BAD_CACHES = {
         MalformedRow, "negative ridership -1"),
     # 6. no count at all
     "no-counts": (_no_counts, EmptyDataset, "no ridership records"),
-    "no-days": (lambda p: _with(p, days=0, **{key: "" for key in data_ingest.GRIDS}), EmptyDataset,
+    "no-days": (lambda p: _with(p, days=0, **{key: p[key][:0] for key in data_ingest.GRIDS}), EmptyDataset,
                 "no ridership records"),
     "count-before-empty": (lambda p: with_cache_cells(_no_counts(p), "ridership", ((1, 2, 3), 5)), MalformedRow,
                            "ridership 5 for (datetime.date(2021, 10, 2), 3, 4) is not observed"),
@@ -781,7 +811,7 @@ BAD_CACHES = {
 @pytest.fixture(scope="module")
 def valid_cache_payload():
     records, weather, config = _complete_inputs()
-    return build_route_dataset(*_tables(records, weather), 5, 26).to_payload()
+    return dataset_payload(build_route_dataset(*_tables(records, weather), 5, 26))
 
 
 @pytest.mark.parametrize("case", list(BAD_CACHES))
@@ -789,7 +819,10 @@ def test_bad_cache_error_and_precedence(case, valid_cache_payload, tmp_path):
     edit, error, message = BAD_CACHES[case]
     cache = tmp_path / "dataset.json"
     edited = edit(copy.deepcopy(valid_cache_payload))
-    cache.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    if isinstance(edited, str):
+        cache.write_text(edited)
+    else:
+        cache.write_bytes(edited if isinstance(edited, bytes) else cache_bytes(edited))
     with pytest.raises(error) as caught:
         RouteDataset.load(cache)
     assert str(caught.value) == message.replace("<path>", str(cache))

@@ -201,6 +201,28 @@ def test_small_window_pass_matches_oracle(n, batch, steps, dim, hidden, debug, m
     assert_window_pass_exact(*_stride_one_case(n, batch, steps, dim, hidden))
 
 
+def _starts(layout: str, batch: int, rng) -> np.ndarray:
+    """Window starts: consecutive ones, one gap, every other row, or a shuffle of consecutive rows."""
+    consecutive = np.arange(batch) + 2
+    return {
+        "consecutive": consecutive,
+        "one-gap": consecutive + (consecutive >= batch // 2 + 2),
+        "every-other": 2 * consecutive,
+        "shuffled": rng.permutation(consecutive),
+    }[layout].astype(np.intp)
+
+
+@pytest.mark.parametrize("layout", ["consecutive", "one-gap", "every-other", "shuffled"])
+@pytest.mark.parametrize("n, batch, steps, dim, hidden", [(5, 512, 26, 37, 16), (5, 64, 182, 37, 16), (2, 40, 6, 37, 4)])
+def test_consecutive_and_gapped_starts_match_oracle(layout, n, batch, steps, dim, hidden):
+    # Consecutive starts add slices of the row projections; any others gather
+    # them. The last shape is below the row-projection floor.
+    rng = np.random.default_rng(batch + steps)
+    rows = rng.normal(size=(n, 2 * batch + steps + 4, dim))
+    w, u, b = branched_params(rng, n, dim, hidden)
+    assert_window_pass_exact(w, u, b, rows, _starts(layout, batch, rng), steps)
+
+
 @pytest.mark.parametrize("dim", [1, 37])
 @pytest.mark.parametrize("hidden", [16, 64, 256, 1024])
 def test_gemm_rows_do_not_depend_on_the_row_count(dim, hidden):

@@ -11,6 +11,7 @@ from buscast.data_ingest import build_route_dataset, join_weather_to_services, p
 from buscast.errors import BadArgs
 from buscast.synth import SynthConfig, generate, generate_dataset, write_synthetic_csvs
 
+from ingest_oracle import dataset_bytes
 from synth_oracle import oracle_write_csvs
 
 CUSTOM_TIMETABLE = {1: time(6, 5), 2: time(12, 30), 3: time(18, 0), 4: time(23, 59)}
@@ -45,7 +46,7 @@ def test_pinned_digests(tmp_path, config, ridership_sha, weather_sha):
     ridership, weather = parse_ridership_csv(oracle / "ridership.csv"), parse_weather_csv(oracle / "weather.csv")
     ingested = build_route_dataset(ridership, join_weather_to_services(ridership, weather, config.timetable),
                                    config.n_stops, config.services_per_day)
-    assert generate_dataset(config).to_payload() == ingested.to_payload()
+    assert dataset_bytes(generate_dataset(config)) == dataset_bytes(ingested)
 
 
 @st.composite
