@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, replace
 from datetime import date, time, timedelta
 from enum import Enum
@@ -33,7 +32,7 @@ from .errors import (
     UnknownCategory,
     read_input,
 )
-from .nn_core import CHECKPOINT_MAGIC, param_layout, read_header, save_params
+from .nn_core import read_arrays, read_header, save_params
 
 ServiceKey = tuple[date, int]
 
@@ -517,18 +516,19 @@ class RouteDataset:
 
         The first error found is raised, in this order: neither the container
         nor JSON; not a buscast cache; a version-1, -2 or -3 cache (JSON, as
-        written before the container), then any version but 4; a missing
-        key, a malformed ``params`` list, or a grid it does not list; a bad
-        header value (``n_stops``, ``services_per_day``, ``first_date``,
-        ``days``, then days that run past the last date); the first grid, in
-        ``GRIDS`` order, that is not a days x services_per_day (x n_stops)
-        grid of its dtype, or whose bytes the file cuts short; bytes after
-        the last array; then the cells, as ``_check_cells`` checks them.
+        written before the container), then any version but 4; a container
+        that ``nn_core.read_arrays`` refuses (its version, its ``params``
+        list, arrays the file cuts short, bytes after the last array); a
+        missing key or grid, or an array that is not a grid; a bad header
+        value (``n_stops``, ``services_per_day``, ``first_date``, ``days``,
+        then days that run past the last date); the first grid, in ``GRIDS``
+        order, that is not a days x services_per_day (x n_stops) grid of its
+        dtype; then the cells, as ``_check_cells`` checks them.
         """
         raw = read_input(path, "dataset cache", text=False)
-        container = raw[:4] == CHECKPOINT_MAGIC
         try:
-            header, offset = read_header(raw) if container else (json.loads(raw), 0)
+            container = read_header(raw)
+            header, offset = container or (json.loads(raw), None)
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
             raise MalformedRow(f"{path}: malformed dataset cache: {exc}") from None
         if not (isinstance(header, dict) and header.get("format") == "buscast-dataset"):
@@ -536,18 +536,18 @@ class RouteDataset:
         version = header.get("version")
         if type(version) is int and version in (1, 2, 3):
             raise MalformedRow(f"{path}: version-{version} dataset cache; run 'buscast ingest' again to rewrite it")
-        if type(version) is not int or version != 4 or not container:
+        if type(version) is not int or version != 4 or offset is None:
             raise MalformedRow(f"{path}: unsupported dataset cache version {version!r}")
-        for key in ("n_stops", "services_per_day", "first_date", "days", "params"):
-            if key not in header:
+        try:
+            arrays = read_arrays(raw, header, offset)
+        except ValueError as exc:
+            raise MalformedRow(f"{path}: {exc}") from None
+        for key in ("n_stops", "services_per_day", "first_date", "days", *GRIDS):
+            if key not in (arrays if key in GRIDS else header):
                 raise MalformedRow(f"{path}: dataset cache lacks {key!r}")
-        layout = param_layout(header["params"], offset)
-        if layout is None:
-            raise MalformedRow(f"{path}: malformed grid list in dataset cache")
-        stored = {name: rest for name, *rest in layout}
-        for name in GRIDS:
-            if name not in stored:
-                raise MalformedRow(f"{path}: dataset cache lacks {name!r}")
+        for name in arrays:
+            if name not in GRIDS:
+                raise MalformedRow(f"{path}: dataset cache holds {name!r}, which is not a grid")
         for key, least in (("n_stops", 1), ("services_per_day", 1), ("days", 0)):
             if type(header[key]) is not int or header[key] < least:
                 raise MalformedRow(f"{path}: {key} must be an integer >= {least}, got {header[key]!r}")
@@ -558,21 +558,13 @@ class RouteDataset:
         days, services, n_stops = header["days"], header["services_per_day"], header["n_stops"]
         if days and first_date.toordinal() + days - 1 > date.max.toordinal():
             raise MalformedRow(f"{path}: {days} days from {first_date} run past the last representable date")
-
-        grids = {}
         for name, dtype in GRIDS.items():
             grid = (days, services, n_stops) if name in ("ridership", "mask") else (days, services)
-            shape, kind, start, stop = stored[name]
-            expected = f"a {' x '.join(map(str, grid))} grid of {dtype.name}"
-            if (shape, kind) != (grid, dtype):
-                raise MalformedRow(f"{path}: {name!r} is a {' x '.join(map(str, shape))} grid of {kind.name}, "
-                                   f"not {expected}")
-            if stop > len(raw):
-                raise MalformedRow(f"{path}: {name!r} holds {max(len(raw) - start, 0)} bytes, not {expected}")
-            grids[name] = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape)
-        if layout[-1][-1] != len(raw):
-            raise MalformedRow(f"{path}: the arrays end at byte {layout[-1][-1]}, the file at byte {len(raw)}")
-        dataset = cls(n_stops, services, first_date, **grids)
+            stored = arrays[name]
+            if (stored.shape, stored.dtype) != (grid, dtype):
+                raise MalformedRow(f"{path}: {name!r} is a {' x '.join(map(str, stored.shape))} grid of "
+                                   f"{stored.dtype.name}, not a {' x '.join(map(str, grid))} grid of {dtype.name}")
+        dataset = cls(n_stops, services, first_date, **{name: arrays[name] for name in GRIDS})
         _check_cells(dataset)
         return dataset
 

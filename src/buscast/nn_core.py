@@ -302,11 +302,9 @@ def branched_lstm_forward_windows(
     Overlapping windows share rows, so the distinct rows the windows read
     are projected by the halved W once, and step t adds the (n, B, 4H) gather
     of its rows' projections where :func:`branched_lstm_forward` adds its
-    slice of the windowed projection. For consecutive starts that gather is
-    a slice of the row projections, added without a copy (and the distinct
-    rows are a range, found without a sort). Above ``_MIN_ROW_PROJECTION`` a
-    GEMM row comes out with the same bits whatever the other rows are, so
-    the returned read-only (n, B, L, H) hidden sequence equals the
+    slice of the windowed projection. Above ``_MIN_ROW_PROJECTION`` a GEMM
+    row comes out with the same bits whatever the other rows are, so the
+    returned read-only (n, B, L, H) hidden sequence equals the
     ``keep_cache=False`` pass over the gathered windows, bit for bit; a
     smaller projection is run over the gathered windows.
     """
@@ -314,19 +312,12 @@ def branched_lstm_forward_windows(
         raise ShapeMismatch(f"rows shape {rows.shape} != (n={w.shape[0]}, T, D={w.shape[2]})")
     n, batch, hidden = rows.shape[0], len(starts), u.shape[2]
     steps = starts[:, None] + np.arange(look_back)
-    consecutive = batch > 0 and bool((np.diff(starts) == 1).all())
-    if consecutive:
-        read = np.arange(starts[0], starts[0] + batch + look_back - 1)
-    else:
-        read, where = np.unique(steps, return_inverse=True)
+    read, where = np.unique(steps, return_inverse=True)
     if len(read) < 2 or len(read) * 4 * hidden < _MIN_ROW_PROJECTION:
         return branched_lstm_forward(w, u, b, np.take(rows, steps, axis=1), keep_cache=False)[0]
     w_half, u_half, b_half = _halved(w, u, b)
-    proj = np.matmul(np.take(rows, read, axis=1), w_half.transpose(0, 2, 1))
-    buffers = _forward_only_buffers(n, batch, look_back, hidden)
-    if consecutive:  # step t of window i reads row i + t of read
-        return _lstm_steps(u_half, b_half, lambda t: proj[:, t : t + batch], *buffers)
     where = where.reshape(batch, look_back).T.copy()  # where[t, i]: row of step t of window i in read
+    proj = np.matmul(np.take(rows, read, axis=1), w_half.transpose(0, 2, 1))
     step_in = np.empty((n, batch, 4 * hidden))
 
     def step_input(t: int) -> np.ndarray:
@@ -334,7 +325,7 @@ def branched_lstm_forward_windows(
         # a copy first); every index in where is in range.
         return np.take(proj, where[t], axis=1, out=step_in, mode="clip")
 
-    return _lstm_steps(u_half, b_half, step_input, *buffers)
+    return _lstm_steps(u_half, b_half, step_input, *_forward_only_buffers(n, batch, look_back, hidden))
 
 
 # Steps of local derivatives computed per block in the backward pass: enough
@@ -548,7 +539,11 @@ class Sgd(Optimizer):
 class RmsProp(Optimizer):
     kind = OptimizerKind.RMSPROP
     SLOTS = ("v",)
-    rho, eps = 0.9, 1e-8
+
+    def __init__(self, learning_rate: float, rho: float = 0.9, eps: float = 1e-8):
+        super().__init__(learning_rate)
+        self.rho = rho
+        self.eps = eps
 
     def _update(self, name, param, grad):
         v = self._slot("v", name, param)
@@ -560,7 +555,12 @@ class RmsProp(Optimizer):
 class Adam(Optimizer):
     kind = OptimizerKind.ADAM
     SLOTS = ("m", "v")
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        super().__init__(learning_rate)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
 
     def _moments(self, name, param, grad):
         m = self._slot("m", name, param)
@@ -663,57 +663,66 @@ def save_params(path: str | Path, header: dict, named_params: Iterable[tuple[str
             fh.write(arr.tobytes())
 
 
-def read_header(raw: bytes) -> tuple[object, int]:
-    """The JSON header of a :func:`save_params` file's bytes and the offset of its first array; ValueError (or
-    RecursionError, for nesting too deep to decode) unless they start with the magic, a length and that header."""
-    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 12:
+def read_header(raw: bytes) -> tuple[object, int] | None:
+    """The decoded JSON header of a :func:`save_params` file's bytes and the offset of its first array.
+
+    None when the bytes do not start with the container magic; ValueError (or
+    RecursionError, for nesting too deep to decode) when they stop before the
+    header's length or the header is not JSON.
+    """
+    if raw[:4] != CHECKPOINT_MAGIC:
+        return None
+    if len(raw) < 12:
         raise ValueError("no container header")
     (blob_len,) = struct.unpack_from("<Q", raw, 4)
     return json.loads(raw[12 : 12 + blob_len].decode("utf-8")), 12 + blob_len
 
 
-def param_layout(entries, offset: int) -> list[tuple[str, tuple[int, ...], np.dtype, int, int]] | None:
-    """Each ``params`` entry as (name, shape, dtype, start, stop), its array's bytes being
-    ``raw[start:stop]`` when the arrays lie back to back from ``offset``.
+def read_arrays(raw: bytes, header: dict, offset: int) -> dict[str, np.ndarray]:
+    """The arrays a container's header lists under ``params``, as read-only views of ``raw`` from ``offset``.
 
-    None unless ``entries`` is a list of ``[name, shape]`` or ``[name, shape,
-    dtype]`` entries, each with a non-negative integer shape and a dtype of
-    ``PARAM_DTYPES``; an entry without a dtype is float64.
+    The first problem found is a ValueError, in this order: a
+    ``format_version`` other than ``CHECKPOINT_VERSION``; then, entry by
+    entry, one that is not ``[name, shape]`` or ``[name, shape, dtype]`` with
+    a new name, a non-negative integer shape and a dtype of ``PARAM_DTYPES``
+    (an entry without one is float64), or whose bytes the file cuts short;
+    then bytes after the last array.
     """
-    if not isinstance(entries, list):
-        return None
-    layout = []
-    for entry in entries:
+    version = header.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported container version {version!r}")
+    entries = header.get("params")
+    arrays: dict[str, np.ndarray] = {}
+    for entry in entries if isinstance(entries, list) else [None]:
         name, shape, *dtype = entry if isinstance(entry, list) and len(entry) in (2, 3) else (None, None)
-        if not (isinstance(name, str) and isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-                and all(d in PARAM_DTYPES for d in dtype)):
-            return None
+        if not (isinstance(name, str) and name not in arrays and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape) and all(d in PARAM_DTYPES for d in dtype)):
+            raise ValueError("malformed parameter list")
         dtype = np.dtype(dtype[0] if dtype else "<f8")
-        stop = offset + math.prod(shape) * dtype.itemsize
-        layout.append((name, tuple(shape), dtype, offset, stop))
-        offset = stop
-    return layout
+        size = math.prod(shape) * dtype.itemsize
+        if offset + size > len(raw):
+            raise ValueError(f"truncated payload at {name} ({max(len(raw) - offset, 0)} of {size} bytes)")
+        arrays[name] = np.frombuffer(raw, dtype, math.prod(shape), offset).reshape(shape)
+        offset += size
+    if offset != len(raw):
+        raise ValueError(f"the arrays end at byte {offset}, the file at byte {len(raw)}")
+    return arrays
 
 
 def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and named arrays (copies) of a :func:`save_params` file; a malformed one is a CheckpointError."""
     raw = read_input(path, "checkpoint", text=False)
-    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 12:
-        raise CheckpointError(f"{path}: not a buscast checkpoint")
     try:
-        header, offset = read_header(raw)
+        container = read_header(raw)
     except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError, deep nesting
-        header = None
+        container = (None, 0)
+    if container is None:
+        raise CheckpointError(f"{path}: not a buscast checkpoint")
+    header, offset = container
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt checkpoint header")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
-    layout = param_layout(header.get("params"), offset)
-    if layout is None:
-        raise CheckpointError(f"{path}: malformed parameter list in checkpoint header")
-    params: dict[str, np.ndarray] = {}
-    for name, shape, dtype, start, stop in layout:
-        if stop > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        params[name] = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape).copy()
-    return header, params
+    try:
+        arrays = read_arrays(raw, header, offset)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return header, {name: arr.copy() for name, arr in arrays.items()}

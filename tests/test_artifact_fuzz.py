@@ -4,7 +4,8 @@ Every header path of a ``d`` and a ``perstop`` checkpoint, and every header
 key of a dataset cache, is set in turn to each of a fixed list of garbage
 values; a few hundred grid bytes of the cache are set to other values too.
 Reading the result must end in a result or in one ``error [predict]:`` line,
-never in a traceback. The checkpoints go through ``load_model`` in bulk, and
+never in a traceback; no garbage value is a valid cache header value, so
+those mutations must end in the error line. The checkpoints go through ``load_model`` in bulk, and
 through ``main(["predict", ...])`` for each one it accepts and a fixed sample
 of those it rejects.
 """
@@ -76,15 +77,16 @@ def _mutations(raw: bytes):
         parent[path[-1]] = original
 
 
-def _predict(capsys, dataset: Path, model: Path) -> str | None:
-    """Run ``predict``; None when it exits 0, or 1 with one error line, else what went wrong."""
+def _predict(capsys, dataset: Path, model: Path, refused: bool = False) -> str | None:
+    """Run ``predict``; None when it exits 1 with one error line, or 0 with none unless ``refused``, else what
+    went wrong."""
     try:
         code = main(["predict", "--dataset", str(dataset), "--model", str(model)])
     except Exception as exc:  # noqa: BLE001 - the sweep reports any traceback
         capsys.readouterr()
         return f"traceback {exc!r}"
     err = capsys.readouterr().err.strip().splitlines()
-    if code == 0 and not err:
+    if code == 0 and not err and not refused:
         return None
     if code == 1 and len(err) == 1 and err[0].startswith("error [predict]: "):
         return None
@@ -119,8 +121,9 @@ def test_dataset_cache_sweep(route, tmp_path, capsys):
     raw = (route / "dataset.json").read_bytes()
     assert _predict(capsys, route / "dataset.json", model) is None
     header, body = _split(raw)
+    # No garbage value is a valid header value, so each header mutation is refused.
     cases = [
-        (f"{key} = {value!r}", _container({**header, key: value}, body)) for key in header for value in GARBAGE
+        (f"{key} = {value!r}", _container({**header, key: value}, body), True) for key in header for value in GARBAGE
     ]
     # Grid bytes set to other values: every grid, the bool ones to 0, 1 or any byte.
     rng = np.random.default_rng(19)
@@ -129,11 +132,11 @@ def test_dataset_cache_sweep(route, tmp_path, capsys):
     for offset, value in zip(rng.integers(0, size, 300).tolist(), rng.integers(0, 256, 300).tolist()):
         flipped = bytearray(body)
         flipped[offset] = value if value != body[offset] else value ^ 1
-        cases.append((f"byte {offset} = {flipped[offset]}", _container(header, bytes(flipped))))
+        cases.append((f"byte {offset} = {flipped[offset]}", _container(header, bytes(flipped)), False))
     failures = []
-    for what, data in cases:
+    for what, data, refused in cases:
         path.write_bytes(data)
-        failure = _predict(capsys, path, model)
+        failure = _predict(capsys, path, model, refused)
         if failure:
             failures.append(f"{what}: {failure}")
     assert not failures, f"{len(failures)} of {len(cases)} mutations:\n" + "\n".join(failures[:20])

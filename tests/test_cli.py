@@ -1025,7 +1025,7 @@ class TestBadInputs:
         assert_one_error_line(err, "predict", f"{cache}: not a buscast model checkpoint (kind None)")
 
     @pytest.mark.parametrize("edit, fragment", [
-        (lambda payload: {**payload, "mask": payload["mask"].astype(np.uint8)}, "malformed grid list"),
+        (lambda payload: {**payload, "mask": payload["mask"].astype(np.uint8)}, "malformed parameter list"),
         (lambda payload: {**payload, "days": payload["days"] + 1}, "'ridership' is a 24 x 26 x 5 grid of int64"),
         (lambda payload: with_cache_cells(payload, "weather_mask", ((0, 0), 2)), "weather flag 2 for"),
     ], ids=["bad-base64", "days-disagree", "weather-flag-2"])

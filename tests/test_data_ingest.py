@@ -674,26 +674,50 @@ BAD_CACHES = {
                    "<path>: unsupported dataset cache version None"),
     "version-before-key": (lambda p: _without(_with(p, version=1), "ridership"), MalformedRow,
                            "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
-    # 2. a missing key, a malformed grid list, or a grid it does not list
+    # 2. a container that nn_core.read_arrays refuses: its version, its params list (a dtype outside
+    # int64, bool and float64 included), an array the file cuts short, then bytes after the last array
+    "container-version-2": (lambda p: _with(p, format_version=2), MalformedRow,
+                            "<path>: unsupported container version 2"),
+    "container-version-text": (lambda p: _with(p, format_version="1"), MalformedRow,
+                               "<path>: unsupported container version '1'"),
+    "container-version-true": (lambda p: _with(p, format_version=True), MalformedRow,
+                               "<path>: unsupported container version True"),
+    "version-before-container": (lambda p: _with(p, version=1, format_version=2), MalformedRow,
+                                 "<path>: version-1 dataset cache; run 'buscast ingest' again to rewrite it"),
+    "grid-list-not-a-list": (lambda p: _with(p, params={}), MalformedRow, "<path>: malformed parameter list"),
+    "grid-without-shape": (lambda p: _with(p, params=[["ridership"]]), MalformedRow,
+                           "<path>: malformed parameter list"),
+    "grid-listed-twice": (lambda p: _with(p, params=[["ridership", [2, 26, 5], "<i8"]] * 2), MalformedRow,
+                          "<path>: malformed parameter list"),
+    "count-text": (lambda p: _with(p, ridership=p["ridership"].astype(str)), MalformedRow,
+                   "<path>: malformed parameter list"),
+    "bad-base64": (lambda p: _with(p, mask=p["mask"].astype(np.uint8)), MalformedRow,
+                   "<path>: malformed parameter list"),
+    "precipitation-text": (lambda p: _with(p, precipitation=p["precipitation"].astype(str)), MalformedRow,
+                           "<path>: malformed parameter list"),
+    "ragged-ridership": (lambda p: _cut_in(p, "ridership", 2072), MalformedRow,
+                         "<path>: truncated payload at ridership (2072 of 2080 bytes)"),
+    "ragged-precipitation": (lambda p: _cut_in(p, "precipitation", 408), MalformedRow,
+                             "<path>: truncated payload at precipitation (408 of 416 bytes)"),
+    "cut-before-a-grid": (lambda p: _cut_in(p, "weather_mask", 0), MalformedRow,
+                          "<path>: truncated payload at weather_mask (0 of 52 bytes)"),
+    "wrong-payload-length": (lambda p: cache_bytes(p) + b"\0\0\0", MalformedRow,
+                             "<path>: the arrays end at byte 3176, the file at byte 3179"),
+    "container-before-key": (lambda p: _cut_in(_without(p, "first_date"), "rain", 51), MalformedRow,
+                             "<path>: truncated payload at rain (51 of 52 bytes)"),
+    # 3. a missing key or grid, or an array that is not a grid
     "no-first-date": (lambda p: _without(p, "first_date"), MalformedRow, "<path>: dataset cache lacks 'first_date'"),
     "no-days-key": (lambda p: _without(p, "days"), MalformedRow, "<path>: dataset cache lacks 'days'"),
-    "grid-list-not-a-list": (lambda p: _with(p, params={}), MalformedRow,
-                             "<path>: malformed grid list in dataset cache"),
-    "grid-without-shape": (lambda p: _with(p, params=[["ridership"]]), MalformedRow,
-                           "<path>: malformed grid list in dataset cache"),
     "no-rain": (lambda p: _without(p, "rain"), MalformedRow, "<path>: dataset cache lacks 'rain'"),
     "no-weather-mask": (lambda p: _without(p, "weather_mask"), MalformedRow,
                         "<path>: dataset cache lacks 'weather_mask'"),
     "key-before-header": (lambda p: _without(_with(p, n_stops=0), "precipitation"), MalformedRow,
                           "<path>: dataset cache lacks 'precipitation'"),
-    # a dtype outside the container's int64, bool and float64
-    "count-text": (lambda p: _with(p, ridership=p["ridership"].astype(str)), MalformedRow,
-                   "<path>: malformed grid list in dataset cache"),
-    "bad-base64": (lambda p: _with(p, mask=p["mask"].astype(np.uint8)), MalformedRow,
-                   "<path>: malformed grid list in dataset cache"),
-    "precipitation-text": (lambda p: _with(p, precipitation=p["precipitation"].astype(str)), MalformedRow,
-                           "<path>: malformed grid list in dataset cache"),
-    # 3. a bad header value
+    "extra-array": (lambda p: _with(p, stops=np.zeros(5)), MalformedRow,
+                    "<path>: dataset cache holds 'stops', which is not a grid"),
+    "missing-before-extra": (lambda p: _with(_without(p, "rain"), stops=np.zeros(5)), MalformedRow,
+                             "<path>: dataset cache lacks 'rain'"),
+    # 4. a bad header value
     "no-stops": (lambda p: _with(p, n_stops=0), MalformedRow, "<path>: n_stops must be an integer >= 1, got 0"),
     "stops-true": (lambda p: _with(p, n_stops=True), MalformedRow,
                    "<path>: n_stops must be an integer >= 1, got True"),
@@ -708,8 +732,7 @@ BAD_CACHES = {
                                 "<path>: 2 days from 9999-12-31 run past the last representable date"),
     "header-before-shape": (lambda p: _with(p, n_stops=0, ridership=p["ridership"][:1]), MalformedRow,
                             "<path>: n_stops must be an integer >= 1, got 0"),
-    # 4. a grid that is not days x services (x stops) cells of its dtype, or that the file cuts short;
-    # then bytes after the last grid
+    # 5. a grid that is not days x services (x stops) cells of its dtype
     "ridership-not-a-list": (lambda p: _with(p, ridership=p["ridership"].ravel()), MalformedRow,
                              "<path>: 'ridership' is a 260 grid of int64, not a 2 x 26 x 5 grid of int64"),
     "count-list": (lambda p: _with(p, ridership=np.array([3])), MalformedRow,
@@ -724,8 +747,6 @@ BAD_CACHES = {
                   "<path>: 'rain' is a 2 x 26 grid of int64, not a 2 x 26 grid of bool"),
     "rain-float": (lambda p: _with(p, rain=np.ones((2, 26))), MalformedRow,
                    "<path>: 'rain' is a 2 x 26 grid of float64, not a 2 x 26 grid of bool"),
-    "ragged-ridership": (lambda p: _cut_in(p, "ridership", 2072), MalformedRow,
-                         "<path>: 'ridership' holds 2072 bytes, not a 2 x 26 x 5 grid of int64"),
     "too-deep-ridership": (lambda p: _with(p, ridership=np.concatenate([p["ridership"]] * 2)), MalformedRow,
                            "<path>: 'ridership' is a 4 x 26 x 5 grid of int64, not a 2 x 26 x 5 grid of int64"),
     "stops-disagree": (lambda p: _with(p, n_stops=4), MalformedRow,
@@ -736,16 +757,9 @@ BAD_CACHES = {
                       "<path>: 'ridership' is a 2 x 26 x 5 grid of int64, not a 3 x 26 x 5 grid of int64"),
     "rain-days-disagree": (lambda p: _with(p, rain=p["rain"][:1]), MalformedRow,
                            "<path>: 'rain' is a 1 x 26 grid of bool, not a 2 x 26 grid of bool"),
-    "ragged-precipitation": (lambda p: _cut_in(p, "precipitation", 408), MalformedRow,
-                             "<path>: 'precipitation' holds 408 bytes, not a 2 x 26 grid of float64"),
-    "cut-before-a-grid": (lambda p: _cut_in(p, "weather_mask", 0), MalformedRow,
-                          "<path>: 'weather_mask' holds 0 bytes, not a 2 x 26 grid of bool"),
-    "shape-before-counts": (
-        lambda p: _cut_in(with_cache_cells(p, "ridership", ((0, 0, 0), -1)), "rain", 51),
-        MalformedRow, "<path>: 'rain' holds 51 bytes, not a 2 x 26 grid of bool"),
-    "wrong-payload-length": (lambda p: cache_bytes(p) + b"\0\0\0", MalformedRow,
-                             "<path>: the arrays end at byte 3176, the file at byte 3179"),
-    # 5. the first bad count cell in (date, service, stop) order, its first failing check
+    "shape-before-counts": (lambda p: with_cache_cells(_with(p, rain=p["rain"][:1]), "ridership", ((0, 0, 0), -1)),
+                            MalformedRow, "<path>: 'rain' is a 1 x 26 grid of bool, not a 2 x 26 grid of bool"),
+    # 6. the first bad count cell in (date, service, stop) order, its first failing check
     "bool-byte-2": (lambda p: with_cache_cells(p, "mask", ((0, 4, 2), 2)), MalformedRow,
                     "observed flag 2 for (datetime.date(2021, 10, 1), 5, 3) is not 0 or 1"),
     "count-not-observed": (lambda p: with_cache_cells(with_cache_cells(p, "mask", ((0, 4, 2), 0)), "ridership",
@@ -763,13 +777,13 @@ BAD_CACHES = {
         lambda p: with_cache_cells(with_cache_cells(p, "mask", ((0, 3, 4), 0)), "ridership", ((0, 3, 4), 3),
                                    ((0, 3, 1), -1)),
         MalformedRow, "negative ridership -1"),
-    # 6. no count at all
+    # 7. no count at all
     "no-counts": (_no_counts, EmptyDataset, "no ridership records"),
     "no-days": (lambda p: _with(p, days=0, **{key: p[key][:0] for key in data_ingest.GRIDS}), EmptyDataset,
                 "no ridership records"),
     "count-before-empty": (lambda p: with_cache_cells(_no_counts(p), "ridership", ((1, 2, 3), 5)), MalformedRow,
                            "ridership 5 for (datetime.date(2021, 10, 2), 3, 4) is not observed"),
-    # 7. an observed service without weather
+    # 8. an observed service without weather
     "missing-weather": (lambda p: _no_weather(p, 0, 20), MissingWeather,
                         "no service weather for (datetime.date(2021, 10, 1), 21)"),
     "count-before-missing-weather": (
@@ -778,7 +792,7 @@ BAD_CACHES = {
     "missing-weather-before-values": (
         lambda p: with_cache_cells(_no_weather(p, 1, 3), "rain", ((0, 0), 7)),
         MissingWeather, "no service weather for (datetime.date(2021, 10, 2), 4)"),
-    # 8. the first (date, service) with bad weather, its first failing check
+    # 9. the first (date, service) with bad weather, its first failing check
     "weather-flag-2": (lambda p: with_cache_cells(p, "weather_mask", ((0, 4), 2)), MalformedRow,
                        f"weather flag 2 for {CELL} is not 0 or 1"),
     "rain-7": (lambda p: with_cache_cells(p, "rain", ((0, 4), 7)), MalformedRow,

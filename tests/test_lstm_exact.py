@@ -215,8 +215,8 @@ def _starts(layout: str, batch: int, rng) -> np.ndarray:
 @pytest.mark.parametrize("layout", ["consecutive", "one-gap", "every-other", "shuffled"])
 @pytest.mark.parametrize("n, batch, steps, dim, hidden", [(5, 512, 26, 37, 16), (5, 64, 182, 37, 16), (2, 40, 6, 37, 4)])
 def test_consecutive_and_gapped_starts_match_oracle(layout, n, batch, steps, dim, hidden):
-    # Consecutive starts add slices of the row projections; any others gather
-    # them. The last shape is below the row-projection floor.
+    # Consecutive, gapped and shuffled starts all gather the row projections
+    # of their steps. The last shape is below the row-projection floor.
     rng = np.random.default_rng(batch + steps)
     rows = rng.normal(size=(n, 2 * batch + steps + 4, dim))
     w, u, b = branched_params(rng, n, dim, hidden)

@@ -1,9 +1,11 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from buscast.errors import NonPositiveLearningRate, ShapeMismatch
+from buscast.errors import CheckpointError, NonPositiveLearningRate, ShapeMismatch
 from buscast.nn_core import (
     Adam,
     CHECKPOINT_VERSION,
@@ -400,3 +402,57 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError):
             load_params(path)
+
+    def test_integer_and_bool_arrays_keep_their_dtype(self, tmp_path):
+        named = [("w", np.ones((2, 3))), ("n", np.arange(4)), ("m", np.array([True, False]))]
+        path = tmp_path / "params.ckpt"
+        save_params(path, {}, named)
+        header, params = load_params(path)
+        assert header["params"] == [["w", [2, 3]], ["n", [4], "<i8"], ["m", [2], "|b1"]]
+        for name, arr in named:
+            assert params[name].dtype == arr.dtype and params[name].tobytes() == arr.tobytes()
+            assert params[name].flags.writeable
+
+
+def _saved_container(tmp_path) -> tuple:
+    """A two-array checkpoint's path, its header and the bytes after the header."""
+    path = tmp_path / "params.ckpt"
+    save_params(path, {"note": "x"}, [("w", np.ones((4, 3))), ("b", np.ones(5))])
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 4)
+    return path, json.loads(raw[12 : 12 + length]), raw[12 + length :]
+
+
+def _write_container(path, header: dict, body: bytes) -> None:
+    blob = json.dumps(header).encode()
+    path.write_bytes(b"BCKP" + struct.pack("<Q", len(blob)) + blob + body)
+
+
+@pytest.mark.parametrize("version", [2, "1", True, None])
+def test_other_container_versions_are_refused(tmp_path, version):
+    path, header, body = _saved_container(tmp_path)
+    _write_container(path, {**header, "format_version": version}, body)
+    with pytest.raises(CheckpointError, match=f"unsupported container version {version!r}$"):
+        load_params(path)
+
+
+def test_bytes_after_the_last_array_are_refused(tmp_path):
+    path, header, body = _saved_container(tmp_path)
+    end = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(CheckpointError, match=f"the arrays end at byte {end}, the file at byte {end + 8}$"):
+        load_params(path)
+
+
+def test_cut_short_array_is_named(tmp_path):
+    path, header, body = _saved_container(tmp_path)
+    _write_container(path, header, body[:-1])
+    with pytest.raises(CheckpointError, match=r"truncated payload at b \(39 of 40 bytes\)$"):
+        load_params(path)
+
+
+def test_array_listed_twice_is_refused(tmp_path):
+    path, header, body = _saved_container(tmp_path)
+    _write_container(path, {**header, "params": [["w", [4, 3]], ["w", [5]]]}, body)
+    with pytest.raises(CheckpointError, match="malformed parameter list$"):
+        load_params(path)
