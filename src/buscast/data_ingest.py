@@ -32,7 +32,7 @@ from .errors import (
     UnknownCategory,
     read_input,
 )
-from .nn_core import read_arrays, read_header, save_params
+from .nn_core import header_values, integer, read_arrays, read_header, save_params
 
 ServiceKey = tuple[date, int]
 
@@ -519,11 +519,12 @@ class RouteDataset:
         written before the container), then any version but 4; a container
         that ``nn_core.read_arrays`` refuses (its version, its ``params``
         list, arrays the file cuts short, bytes after the last array); a
-        missing key or grid, or an array that is not a grid; a bad header
-        value (``n_stops``, ``services_per_day``, ``first_date``, ``days``,
-        then days that run past the last date); the first grid, in ``GRIDS``
-        order, that is not a days x services_per_day (x n_stops) grid of its
-        dtype; then the cells, as ``_check_cells`` checks them.
+        missing grid, or an array that is not a grid; the first header key,
+        in the order ``n_stops``, ``services_per_day``, ``days``,
+        ``first_date``, that is missing or that ``nn_core.header_values``
+        refuses; days that run past the last date; the first grid, in
+        ``GRIDS`` order, that is not a days x services_per_day (x n_stops)
+        grid of its dtype; then the cells, as ``_check_cells`` checks them.
         """
         raw = read_input(path, "dataset cache", text=False)
         try:
@@ -542,20 +543,14 @@ class RouteDataset:
             arrays = read_arrays(raw, header, offset)
         except ValueError as exc:
             raise MalformedRow(f"{path}: {exc}") from None
-        for key in ("n_stops", "services_per_day", "first_date", "days", *GRIDS):
-            if key not in (arrays if key in GRIDS else header):
-                raise MalformedRow(f"{path}: dataset cache lacks {key!r}")
-        for name in arrays:
+        for name in (*GRIDS, *arrays):  # the first grid missing, then the first array that is not a grid
+            if name not in arrays:
+                raise MalformedRow(f"{path}: dataset cache lacks {name!r}")
             if name not in GRIDS:
                 raise MalformedRow(f"{path}: dataset cache holds {name!r}, which is not a grid")
-        for key, least in (("n_stops", 1), ("services_per_day", 1), ("days", 0)):
-            if type(header[key]) is not int or header[key] < least:
-                raise MalformedRow(f"{path}: {key} must be an integer >= {least}, got {header[key]!r}")
-        try:
-            first_date = date.fromisoformat(header["first_date"])
-        except (TypeError, ValueError):
-            raise MalformedRow(f"{path}: first_date {header['first_date']!r} is not an ISO date") from None
-        days, services, n_stops = header["days"], header["services_per_day"], header["n_stops"]
+        n_stops, services, days, first_date = header_values(header, {
+            "n_stops": integer(1), "services_per_day": integer(1), "days": integer(0), "first_date": date.fromisoformat,
+        }, lambda message: MalformedRow(f"{path}: {message}")).values()
         if days and first_date.toordinal() + days - 1 > date.max.toordinal():
             raise MalformedRow(f"{path}: {days} days from {first_date} run past the last representable date")
         for name, dtype in GRIDS.items():

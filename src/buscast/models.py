@@ -58,6 +58,9 @@ from .nn_core import (
     dense_forward,
     init_dense_params,
     init_lstm_layers,
+    header_check,
+    header_values,
+    integer,
     load_params,
     make_optimizer,
     mse_loss,
@@ -287,7 +290,6 @@ def _batched_loss(model: LstmRegressor, data: AlignedWindows, batch_size: int = 
 class TrainSchedule:
     max_epochs: int = 200
     patience: int = 10
-    restore_best: bool = True
     clip_norm: float | None = 5.0  # None disables gradient clipping
 
 
@@ -334,9 +336,9 @@ def train(
 ) -> TrainHistory:
     """Mini-batch training on scaled targets; returns the per-epoch history.
 
-    The model is left holding the parameters of the best validation epoch
-    (when ``schedule.restore_best``). The ``seed`` drives batch shuffling
-    only; initialization is fixed by :func:`build_model`.
+    The model is left holding the parameters of the best validation epoch.
+    The ``seed`` drives batch shuffling only; initialization is fixed by
+    :func:`build_model`.
 
     With ``state`` the run goes on from it, parameters, optimizer, shuffle
     generator and history included (``seed`` is then unused), up to epoch
@@ -398,8 +400,7 @@ def train(
         state.params = best_state if best_is_last else model.snapshot()
         state.best = None if best_is_last else best_state
         state.optimizer, state.rng, state.history = optimizer, rng, history
-    if schedule.restore_best:
-        model.restore(best_state)
+    model.restore(best_state)
     return history
 
 
@@ -522,34 +523,27 @@ def _scalers_to_payload(scalers: ScalerSet) -> dict:
     }
 
 
-def _is_bounds(value) -> bool:
-    """Whether ``value`` is a ``[min, max]`` list of two finite numbers (bools are not numbers)."""
-    try:
-        return type(value) is list and len(value) == 2 and all(
-            type(v) in (int, float) and math.isfinite(v) for v in value)
-    except OverflowError:  # an int beyond float range
-        return False
+#: A :func:`header_values` check for a finite number; a bool is not one.
+_finite = header_check(lambda value: type(value) in (int, float) and math.isfinite(value), "must be a finite number")
 
 
-def _scalers_from_header(header: dict, n_stops: int, path: str | Path) -> ScalerSet:
-    """The scalers of ``header``: ``ridership`` maps "1".."n_stops" to bounds, ``precipitation`` is bounds."""
-    payload = _field(header, "scalers", path)
-    ridership = payload.get("ridership") if type(payload) is dict else None
-    if not (
-        type(ridership) is dict
-        and len(ridership) == n_stops
-        and set(ridership) == {str(stop) for stop in range(1, n_stops + 1)}
-        and all(map(_is_bounds, ridership.values()))
-    ):
-        raise CheckpointError(f"{path}: header key 'scalers.ridership' must map stops '1'..'{n_stops}' "
-                              "to [min, max] pairs of finite numbers")
-    if not _is_bounds(payload.get("precipitation")):
-        raise CheckpointError(f"{path}: header key 'scalers.precipitation' must be a [min, max] pair of "
-                              "finite numbers")
-    return ScalerSet(
-        ridership={int(k): ScalerParams(*v) for k, v in ridership.items()},
-        precipitation=ScalerParams(*payload["precipitation"]),
-    )
+def _bounds(value) -> ScalerParams:
+    if type(value) is not list or len(value) != 2:
+        raise ValueError("bounds must be [min, max] pairs")
+    return ScalerParams(*map(_finite, value))
+
+
+def _scalers(n_stops: int):
+    """A :func:`header_values` check: ``ridership`` maps "1".."n_stops" to bounds, ``precipitation`` is bounds."""
+
+    def check(payload) -> ScalerSet:
+        ridership = payload["ridership"] if type(payload) is dict else None
+        if not (type(ridership) is dict and len(ridership) == n_stops
+                and set(ridership) == {str(stop) for stop in range(1, n_stops + 1)}):
+            raise ValueError(f"'ridership' must map stops '1'..'{n_stops}' to bounds")
+        return ScalerSet({int(stop): _bounds(v) for stop, v in ridership.items()}, _bounds(payload["precipitation"]))
+
+    return check
 
 
 @dataclass
@@ -624,83 +618,54 @@ def save_model(
     save_params(path, header, params)
 
 
-def _field(mapping: dict, key: str, path: str | Path, what: str = "header key"):
-    """``mapping[key]``; a missing key makes the checkpoint malformed, named by the key."""
-    try:
-        return mapping[key]
-    except (KeyError, TypeError):
-        raise CheckpointError(f"{path}: checkpoint has no {what} {key!r}") from None
-
-
-def _count(mapping: dict, key: str, path: str | Path) -> int:
-    """``mapping[key]``, which must be an int of at least 1; a bool is not a count."""
-    value = _field(mapping, key, path)
-    if type(value) is not int or value < 1:
-        raise CheckpointError(f"{path}: header key {key!r} must be an integer of at least 1, got {value!r}")
-    return value
-
-
-def _parsed(parse, payload, what: str, path: str | Path):
-    try:
-        return parse(payload)
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:  # OverflowError: int(inf)
-        raise CheckpointError(f"{path}: malformed {what} in checkpoint ({exc!r})") from None
-
-
-def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], path: str | Path) -> Member:
-    """One member of a checkpoint; each array must be float64 of the shape the member's sizes imply."""
+def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], width: int, fail) -> Member:
+    """One member of ``width`` branches; each array must be float64 of the shape the member's sizes imply."""
 
     def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        arr = _field(params, prefix + name, path, "parameter array")
-        if arr.dtype != np.float64 or arr.shape != shape:
-            raise CheckpointError(f"{path}: parameter array {prefix + name!r} is {arr.dtype} of shape "
-                                  f"{arr.shape}, not float64 of shape {shape}")
+        arr = params.get(prefix + name)
+        if arr is None or arr.dtype != np.float64 or arr.shape != shape:
+            held = "missing" if arr is None else f"{arr.dtype} of shape {arr.shape}"
+            raise fail(f"parameter array {prefix + name!r} is {held}, not float64 of shape {shape}")
         return arr
 
     def stacked(l: int, k: str) -> np.ndarray:
         shape = {"w": (4 * hidden, hidden if l else inputs), "u": (4 * hidden, hidden), "b": (4 * hidden,)}[k]
-        return np.stack([array(f"branch{b}/layer{l}/{k}", shape) for b in range(n_branches)])
+        return np.stack([array(f"branch{b}/layer{l}/{k}", shape) for b in range(width)])
 
-    n_branches, n_layers, hidden, inputs = (
-        _count(entry, key, path) for key in ("n_branches", "n_layers", "hidden_size", "input_size")
-    )
+    _, n_layers, hidden, inputs = header_values(entry, {
+        "n_branches": integer(width, width), "n_layers": integer(1), "hidden_size": integer(1),
+        "input_size": integer(1),
+    }, fail).values()
     layers = [LstmLayerParams(*(stacked(l, k) for k in "wub")) for l in range(n_layers)]
-    head = DenseParams(w=array("head/w", (n_branches, n_branches * hidden)), b=array("head/b", (n_branches,)))
-    return Member(
-        model=LstmRegressor(layers, head),
-        hp=_parsed(HyperParams.from_dict, _field(entry, "hyperparams", path), "hyperparams", path),
-        seed=_field(entry, "seed", path),
-    )
+    head = DenseParams(w=array("head/w", (width, width * hidden)), b=array("head/b", (width,)))
+    hp, seed = header_values(entry, {"hyperparams": HyperParams.from_dict, "seed": integer(0)}, fail).values()
+    return Member(model=LstmRegressor(layers, head), hp=hp, seed=seed)
 
 
 def load_model(path: str | Path) -> LoadedModel:
+    """The model a :func:`save_model` file holds; a malformed one is a CheckpointError."""
     header, params = load_params(path)
     if header.get("kind") != "buscast-model":
         raise CheckpointError(f"{path}: not a buscast model checkpoint (kind {header.get('kind')!r})")
-    method_name = _field(header, "method", path)
-    try:
-        method = MethodId(method_name)
-    except ValueError:
-        raise CheckpointError(f"{path}: unknown method {method_name!r} in checkpoint") from None
-    spec = method_spec(method, _count(header, "services_per_day", path))
-    look_back, n_stops = _count(header, "look_back", path), _count(header, "n_stops", path)
+
+    def fail(message: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {message}")
+
+    method, services_per_day, look_back, n_stops = header_values(header, {
+        "method": MethodId, "services_per_day": integer(1), "look_back": integer(1), "n_stops": integer(1),
+    }, fail).values()
+    spec = method_spec(method, services_per_day)
     if spec.architecture is Architecture.PER_STOP:
-        entries = _field(header, "stops", path)
-        if type(entries) is not list or not all(type(entry) is dict for entry in entries):
-            raise CheckpointError(f"{path}: header key 'stops' must be a list of objects")
-        prefixes = [f"stop{b}/" for b in range(1, len(entries) + 1)]
+        stops = header_values(header, {"stops": header_check(
+            lambda entries: type(entries) is list and len(entries) == n_stops
+            and all(type(entry) is dict for entry in entries), f"must be a list of {n_stops} objects, one per stop",
+        )}, fail)["stops"]
+        members = tuple(_load_member(entry, f"stop{b}/", params, 1, lambda message, b=b: fail(f"stop {b}: {message}"))
+                        for b, entry in enumerate(stops, 1))
     else:
-        entries, prefixes = [header], [""]
-    members = tuple(
-        _load_member(entry, prefix, params, path) for entry, prefix in zip(entries, prefixes)
-    )
-    return LoadedModel(
-        forecaster=LstmForecaster(members, _scalers_from_header(header, n_stops, path)),
-        method=method,
-        spec=spec,
-        look_back=look_back,
-        n_stops=n_stops,
-    )
+        members = (_load_member(header, "", params, n_stops, fail),)
+    scalers = header_values(header, {"scalers": _scalers(n_stops)}, fail)["scalers"]
+    return LoadedModel(LstmForecaster(members, scalers), method, spec, look_back, n_stops)
 
 
 def save_train_state(path: str | Path, state: TrainState) -> None:
@@ -733,23 +698,34 @@ def _generator(state: dict) -> np.random.Generator:
 
 
 def load_train_state(path: str | Path, hp: HyperParams) -> TrainState:
-    """The :class:`TrainState` a :func:`save_train_state` file holds, its optimizer built from ``hp``."""
+    """The :class:`TrainState` a :func:`save_train_state` file holds, its optimizer built from ``hp``; a file that
+    does not fit a run of ``hp`` (see the README's "training states") is a CheckpointError."""
     header, arrays = load_params(path)
+
+    def fail(message: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {message}")
+
     optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
-    kind = _field(header, "optimizer", path)
-    if kind != optimizer.kind.value:
-        raise CheckpointError(f"{path}: training state of optimizer {kind!r}, not {optimizer.kind.value!r}")
-    optimizer.step_count = _field(header, "step_count", path)
+    _, _, optimizer.step_count, best_epoch, best_val_loss, rng = header_values(header, {
+        "kind": header_check(lambda kind: kind == "buscast-train-state", "must be 'buscast-train-state'"),
+        "optimizer": header_check(lambda kind: kind == hp.optimizer.value, f"must be {hp.optimizer.value!r}"),
+        "step_count": integer(0, 2**63 - 1), "best_epoch": integer(1), "best_val_loss": _finite, "rng": _generator,
+    }, fail).values()
+    history = arrays.get("history")
+    if not (history is not None and history.shape[1:] == (3,) and best_epoch <= len(history)
+            and np.array_equal(history[:, 0], np.arange(1, len(history) + 1))):
+        raise fail(f"array 'history' must hold (epoch, train, val) rows for epochs 1..k, k >= best epoch {best_epoch}")
     groups: dict[str, dict[str, np.ndarray]] = {"params": {}, "best": {}, **optimizer.slots}
     for key, arr in arrays.items():
         group, _, name = key.partition("/")
         if group in groups:
             groups[group][name] = arr
-    history = TrainHistory(
-        epochs=[(int(epoch), train_loss, val_loss) for epoch, train_loss, val_loss in
-                _field(arrays, "history", path, "array").tolist()],
-        best_epoch=_field(header, "best_epoch", path),
-        best_val_loss=_field(header, "best_val_loss", path),
-    )
-    rng = _parsed(_generator, _field(header, "rng", path), "generator state", path)
-    return TrainState(history, groups["params"], groups["best"] or None, optimizer, rng)
+    names = {f"layer{l}/{k}" for l in range(hp.n_layers) for k in "wub"} | {"head/w", "head/b"}
+    shapes = {name: arr.shape for name, arr in groups["params"].items()}
+    if set(shapes) != names or any({name: arr.shape for name, arr in named.items()} != shapes
+                                   for group, named in groups.items() if named or group != "best"):
+        raise fail(f"the params/, best/ and optimizer slot arrays must each be the {len(names)} arrays of a "
+                   f"{hp.n_layers}-layer model")
+    epochs = [(int(epoch), train_loss, val_loss) for epoch, train_loss, val_loss in history.tolist()]
+    return TrainState(TrainHistory(epochs, best_epoch, best_val_loss), groups["params"], groups["best"] or None,
+                      optimizer, rng)

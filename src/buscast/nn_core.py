@@ -73,11 +73,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -539,11 +540,7 @@ class Sgd(Optimizer):
 class RmsProp(Optimizer):
     kind = OptimizerKind.RMSPROP
     SLOTS = ("v",)
-
-    def __init__(self, learning_rate: float, rho: float = 0.9, eps: float = 1e-8):
-        super().__init__(learning_rate)
-        self.rho = rho
-        self.eps = eps
+    rho, eps = 0.9, 1e-8
 
     def _update(self, name, param, grad):
         v = self._slot("v", name, param)
@@ -555,12 +552,7 @@ class RmsProp(Optimizer):
 class Adam(Optimizer):
     kind = OptimizerKind.ADAM
     SLOTS = ("m", "v")
-
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def _moments(self, name, param, grad):
         m = self._slot("m", name, param)
@@ -726,3 +718,39 @@ def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return header, {name: arr.copy() for name, arr in arrays.items()}
+
+
+def header_values(header: dict, spec: Mapping[str, Callable], fail: Callable[[str], Exception]) -> dict:
+    """What each check of ``spec`` reads from its key of ``header``, key by key in ``spec`` order.
+
+    A check returns the value it reads or refuses it with KeyError, TypeError, ValueError or OverflowError, and
+    allocates nothing in proportion to a value it has not bounded. The first key missing or value refused raises
+    ``fail(message)``, the message naming the key, the reason and the value."""
+    values = {}
+    for key, check in spec.items():
+        if key not in header:
+            raise fail(f"header key {key!r} is missing")
+        try:
+            values[key] = check(header[key])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            reason = f"no key {exc}" if type(exc) is KeyError else exc
+            raise fail(f"header key {key!r}: {reason}, got {reprlib.repr(header[key])}") from None
+    return values
+
+
+def header_check(accepts: Callable[[object], bool], reason: str) -> Callable:
+    """A :func:`header_values` check that returns a value ``accepts`` approves and refuses any other with ``reason``."""
+
+    def check(value):
+        if not accepts(value):
+            raise ValueError(reason)
+        return value
+
+    return check
+
+
+def integer(least: int, most: float = math.inf) -> Callable:
+    """A :func:`header_values` check for an int (not a bool) from ``least`` to ``most``."""
+    bounds = (f"of at least {least}" if most == math.inf else f"from {least} to {most}" if most > least
+              else f"equal to {least}")
+    return header_check(lambda value: type(value) is int and least <= value <= most, f"must be an integer {bounds}")

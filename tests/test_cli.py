@@ -486,10 +486,11 @@ class TestPredict:
         "edit_header, drop, fragment",
         [
             (lambda h: h.pop("method"), None, "'method'"),
-            (lambda h: h.update(method="zz"), None, "unknown method 'zz'"),
+            (lambda h: h.update(method="zz"), None, "header key 'method': 'zz' is not a valid MethodId, got 'zz'"),
             (lambda h: None, "branch0/layer0/w", "'branch0/layer0/w'"),
-            (lambda h: h["hyperparams"].pop("optimizer"), None, "malformed hyperparams"),
-            (lambda h: h["hyperparams"].update(batch_size=float("inf")), None, "malformed hyperparams"),
+            (lambda h: h["hyperparams"].pop("optimizer"), None, "header key 'hyperparams': no key 'optimizer'"),
+            (lambda h: h["hyperparams"].update(batch_size=float("inf")), None,
+             "header key 'hyperparams': cannot convert float infinity to integer"),
         ],
         ids=["no-method", "unknown-method", "missing-array", "bad-hyperparams", "infinite-hyperparameter"],
     )
@@ -927,7 +928,24 @@ class TestBadInputs:
         save_params(path, {**header, "stops": stops}, list(params.items()))
         code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
         assert code == 1
-        assert_one_error_line(err, "predict", "'stops' must be a list of objects")
+        assert_one_error_line(err, "predict", "header key 'stops': must be a list of 5 objects, one per stop")
+
+    @pytest.mark.parametrize("members", [4, 6])
+    def test_per_stop_checkpoint_with_a_member_per_stop_too_few_or_many(
+        self, workspace, trained, capsys, tmp_path, members
+    ):
+        """A 5-stop per-stop checkpoint needs 5 members: the error line names the file and the key."""
+        from buscast.nn_core import load_params
+
+        header, params = load_params(workspace["out"] / "perstop.ckpt")
+        stops = (header["stops"] * 2)[:members]
+        arrays = [(f"stop{b}/{name.partition('/')[2]}", arr) for b in range(1, members + 1)
+                  for name, arr in params.items() if name.startswith("stop1/")]
+        path = tmp_path / "edited.ckpt"
+        save_params(path, {**header, "stops": stops}, arrays)
+        code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
+        assert code == 1
+        assert_one_error_line(err, "predict", str(path), "'stops'")
 
     def _evaluate_edited_cache(self, workspace, capsys, tmp_path, edit):
         """Run ``evaluate`` on the shared cache with its payload replaced by ``edit(payload)``."""
@@ -965,7 +983,7 @@ class TestBadInputs:
             workspace, capsys, tmp_path, lambda payload: {**payload, "n_stops": 0},
         )
         assert code == 1
-        assert_one_error_line(err, "evaluate", "n_stops must be an integer >= 1, got 0")
+        assert_one_error_line(err, "evaluate", "header key 'n_stops': must be an integer of at least 1, got 0")
 
     def test_version_1_cache_asks_for_a_new_ingest(self, workspace, trained, capsys, tmp_path):
         cache = tmp_path / "dataset.json"

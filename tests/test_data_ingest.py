@@ -705,9 +705,7 @@ BAD_CACHES = {
                              "<path>: the arrays end at byte 3176, the file at byte 3179"),
     "container-before-key": (lambda p: _cut_in(_without(p, "first_date"), "rain", 51), MalformedRow,
                              "<path>: truncated payload at rain (51 of 52 bytes)"),
-    # 3. a missing key or grid, or an array that is not a grid
-    "no-first-date": (lambda p: _without(p, "first_date"), MalformedRow, "<path>: dataset cache lacks 'first_date'"),
-    "no-days-key": (lambda p: _without(p, "days"), MalformedRow, "<path>: dataset cache lacks 'days'"),
+    # 3. a missing grid, or an array that is not a grid
     "no-rain": (lambda p: _without(p, "rain"), MalformedRow, "<path>: dataset cache lacks 'rain'"),
     "no-weather-mask": (lambda p: _without(p, "weather_mask"), MalformedRow,
                         "<path>: dataset cache lacks 'weather_mask'"),
@@ -717,21 +715,29 @@ BAD_CACHES = {
                     "<path>: dataset cache holds 'stops', which is not a grid"),
     "missing-before-extra": (lambda p: _with(_without(p, "rain"), stops=np.zeros(5)), MalformedRow,
                              "<path>: dataset cache lacks 'rain'"),
-    # 4. a bad header value
-    "no-stops": (lambda p: _with(p, n_stops=0), MalformedRow, "<path>: n_stops must be an integer >= 1, got 0"),
+    # 4. a missing or bad header key, key by key in the order n_stops, services_per_day, days, first_date
+    "no-first-date": (lambda p: _without(p, "first_date"), MalformedRow, "<path>: header key 'first_date' is missing"),
+    "no-days-key": (lambda p: _without(p, "days"), MalformedRow, "<path>: header key 'days' is missing"),
+    "grid-before-header-key": (lambda p: _without(_without(p, "first_date"), "rain"), MalformedRow,
+                               "<path>: dataset cache lacks 'rain'"),
+    "value-before-later-key": (lambda p: _without(_with(p, n_stops=0), "days"), MalformedRow,
+                               "<path>: header key 'n_stops': must be an integer of at least 1, got 0"),
+    "no-stops": (lambda p: _with(p, n_stops=0), MalformedRow,
+                 "<path>: header key 'n_stops': must be an integer of at least 1, got 0"),
     "stops-true": (lambda p: _with(p, n_stops=True), MalformedRow,
-                   "<path>: n_stops must be an integer >= 1, got True"),
+                   "<path>: header key 'n_stops': must be an integer of at least 1, got True"),
     "services-text": (lambda p: _with(p, services_per_day="26"), MalformedRow,
-                      "<path>: services_per_day must be an integer >= 1, got '26'"),
-    "negative-days": (lambda p: _with(p, days=-1), MalformedRow, "<path>: days must be an integer >= 0, got -1"),
+                      "<path>: header key 'services_per_day': must be an integer of at least 1, got '26'"),
+    "negative-days": (lambda p: _with(p, days=-1), MalformedRow,
+                      "<path>: header key 'days': must be an integer of at least 0, got -1"),
     "bad-first-date": (lambda p: _with(p, first_date="2021-13-01"), MalformedRow,
-                       "<path>: first_date '2021-13-01' is not an ISO date"),
+                       "<path>: header key 'first_date': month must be in 1..12, got '2021-13-01'"),
     "numeric-first-date": (lambda p: _with(p, first_date=20211001), MalformedRow,
-                           "<path>: first_date 20211001 is not an ISO date"),
+                           "<path>: header key 'first_date': fromisoformat: argument must be str, got 20211001"),
     "days-past-the-last-date": (lambda p: _with(p, first_date="9999-12-31"), MalformedRow,
                                 "<path>: 2 days from 9999-12-31 run past the last representable date"),
     "header-before-shape": (lambda p: _with(p, n_stops=0, ridership=p["ridership"][:1]), MalformedRow,
-                            "<path>: n_stops must be an integer >= 1, got 0"),
+                            "<path>: header key 'n_stops': must be an integer of at least 1, got 0"),
     # 5. a grid that is not days x services (x stops) cells of its dtype
     "ridership-not-a-list": (lambda p: _with(p, ridership=p["ridership"].ravel()), MalformedRow,
                              "<path>: 'ridership' is a 260 grid of int64, not a 2 x 26 x 5 grid of int64"),

@@ -315,16 +315,17 @@ class TestTrain:
         hp = HyperParams(8, 6, 4, n_layers, 0.01, kind)
         k, m = 3, 4
 
-        def run(epochs, restore_best, state=None, seed=6):
+        def run(epochs, state=None, seed=6):
             model = build_model(method_spec(MethodId.A), hp, 2, seed=5)
-            schedule = TrainSchedule(max_epochs=epochs, patience=epochs, restore_best=restore_best)
+            schedule = TrainSchedule(max_epochs=epochs, patience=epochs)
             return model, train(model, data, val, hp, schedule, seed, state)
 
-        restored, history = run(k + m, restore_best=True)
-        unrestored, _ = run(k + m, restore_best=False)
+        # The one run's state holds its last epoch's parameters, before the best one is restored.
+        one_run = TrainState()
+        restored, history = run(k + m, state=one_run)
 
         state = TrainState()
-        run(k, restore_best=True, state=state)
+        run(k, state=state)
         assert (state.best is None) == (state.history.best_epoch == k)
         path = tmp_path / "train.state"
         save_train_state(path, state)
@@ -338,14 +339,14 @@ class TestTrain:
             for name, arr in arrays.items():
                 assert loaded.optimizer.slots[slot][name].tobytes() == arr.tobytes()
 
-        resumed, resumed_history = run(k + m, restore_best=True, state=loaded, seed=99)  # the seed goes unused
+        resumed, resumed_history = run(k + m, state=loaded, seed=99)  # the seed goes unused
         assert resumed_history.epochs == history.epochs
         assert np.array(resumed_history.epochs).tobytes() == np.array(history.epochs).tobytes()
         assert resumed_history.best_epoch == history.best_epoch
         assert resumed_history.best_val_loss == history.best_val_loss
         for name, arr in restored.param_dict().items():
             assert resumed.param_dict()[name].tobytes() == arr.tobytes()
-        for name, arr in unrestored.param_dict().items():
+        for name, arr in one_run.params.items():
             assert loaded.params[name].tobytes() == arr.tobytes()
 
     def test_nan_input_diverges(self):
