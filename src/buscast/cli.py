@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .features import encode_stop, encode_windows, prepare_windows, scale_targets, stop_view
 from .models import (
-    Architecture,
+    TRAINABLE,
     LoadedModel,
     MethodId,
     TrainSchedule,
@@ -54,6 +54,7 @@ from .models import (
     build_model,
     load_model,
     load_train_state,
+    member_plan,
     method_spec,
     predict_next_service,
     save_model,
@@ -62,8 +63,6 @@ from .models import (
 )
 from .nn_core import OptimizerKind
 from .tuning import CandidateGrid, HyperParams, make_schedule, run_hyperband, write_tuning_report
-
-TRAINABLE_METHODS = (MethodId.A, MethodId.B, MethodId.C, MethodId.D, MethodId.PER_STOP)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -287,13 +286,11 @@ def _boundaries(cfg: RunConfig, dataset: RouteDataset) -> tuple[date, date]:
 
 
 def _load_checked(path: Path, dataset: RouteDataset) -> LoadedModel:
-    """Load a checkpoint and check its stop count, services per day and feature dimension against the dataset."""
+    """Load a checkpoint and check its stop count and services per day against the dataset."""
     lm = load_model(path)
-    expected_dim = method_spec(lm.method, dataset.services_per_day).features.dimension
     for what, trained, given in (
         ("n_stops", lm.n_stops, dataset.n_stops),
         ("services_per_day", lm.spec.features.services_per_day, dataset.services_per_day),
-        *(("feature dimension", m.model.input_size, expected_dim) for m in lm.forecaster.members),
     ):
         if trained != given:
             raise CheckpointError(f"{path}: checkpoint has {what} {trained}, dataset has {given}")
@@ -381,10 +378,8 @@ def cmd_correlate(args: argparse.Namespace, cfg: RunConfig) -> Output:
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> Output:
     method = cfg.method
-    if method is None or method not in TRAINABLE_METHODS:
-        raise BuscastError(
-            "train needs --method one of a, b, c, d, perstop (statistical fits at evaluate time)"
-        )
+    if method not in TRAINABLE:
+        raise BuscastError("train needs --method one of a, b, c, d, perstop (statistical fits at evaluate time)")
     dataset = _load_dataset(cfg)
     spec = method_spec(method, dataset.services_per_day)
     boundaries = _boundaries(cfg, dataset)
@@ -462,46 +457,40 @@ class SpilledStates:
 
 
 def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> Output:
-    if cfg.method is None or cfg.method not in TRAINABLE_METHODS:
+    if cfg.method not in TRAINABLE:
         raise BuscastError("tune needs --method one of a, b, c, d, perstop")
     dataset = _load_dataset(cfg)
     spec = method_spec(cfg.method, dataset.services_per_day)
     boundaries = _boundaries(cfg, dataset)
     schedule = make_schedule(cfg.tune_max_resource, cfg.tune_eta)
     grid = cfg.grid
-    stop_col = (args.stop - 1) if spec.architecture is Architecture.PER_STOP else None
-    if stop_col is not None and not 1 <= args.stop <= dataset.n_stops:
-        n = dataset.n_stops
+    n = dataset.n_stops
+    if not 1 <= args.stop <= n:
         raise BuscastError(f"--stop must be in 1..{n} (the dataset has {n} stops), got {args.stop}")
+    # The method's one regressor that predicts --stop; its label names the report files.
+    label, stops, _ = next(plan for plan in member_plan(spec, n, cfg.seed) if plan[1].start < args.stop <= plan[1].stop)
 
-    window_cache: dict[int, object] = {}
+    # The regressor's scaled training and validation windows per look-back; None for a look-back longer than a
+    # split, an infeasible config rather than an error.
+    splits: dict[int, list | None] = {}
     states = SpilledStates(cfg.out_dir)
 
     def trial(hp: HyperParams, epochs: int, seed: int) -> float:
         state = states.resume(hp, seed)
-        if hp.sequence_length not in window_cache:
+        if hp.sequence_length not in splits:
             try:
-                window_cache[hp.sequence_length] = prepare_windows(
-                    dataset, boundaries, spec.features, hp.sequence_length
-                )
+                prepared = prepare_windows(dataset, boundaries, spec.features, hp.sequence_length)
+                splits[hp.sequence_length] = [stop_view(scale_targets(split, prepared.scalers), stops)
+                                              for split in (prepared.train, prepared.val)]
             except TooShort:
-                window_cache[hp.sequence_length] = None
-        prepared = window_cache[hp.sequence_length]
-        if prepared is None:
-            # look-back longer than a split: infeasible config, not an error
+                splits[hp.sequence_length] = None
+        if splits[hp.sequence_length] is None:
             return float("inf")
-        train_scaled = scale_targets(prepared.train, prepared.scalers)
-        val_scaled = scale_targets(prepared.val, prepared.scalers)
-        if stop_col is not None:
-            train_scaled = stop_view(train_scaled, slice(stop_col, stop_col + 1))
-            val_scaled = stop_view(val_scaled, slice(stop_col, stop_col + 1))
-        model = build_model(spec, hp, dataset.n_stops, seed)
+        model = build_model(spec, hp, n, seed)
         # Patience equal to the budget never fires, so going on from the state
         # of the previous rung's budget equals training this one from scratch.
-        trial_schedule = TrainSchedule(
-            max_epochs=epochs, patience=max(epochs, 1), clip_norm=cfg.clip_norm
-        )
-        history = train(model, train_scaled, val_scaled, hp, trial_schedule, seed + 1, state)
+        trial_schedule = TrainSchedule(max_epochs=epochs, patience=max(epochs, 1), clip_norm=cfg.clip_norm)
+        history = train(model, *splits[hp.sequence_length], hp, trial_schedule, seed + 1, state)
         states.hold(hp, seed, state)
         return history.best_val_loss
 
@@ -511,9 +500,8 @@ def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> Output:
     finally:
         states.close()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = cfg.method.value if stop_col is None else f"{cfg.method.value}_stop{args.stop}"
-    report_path = cfg.out_dir / f"tuning_{suffix}.csv"
-    best_path = cfg.out_dir / f"best_{suffix}.json"
+    report_path = cfg.out_dir / f"tuning_{label}.csv"
+    best_path = cfg.out_dir / f"best_{label}.json"
     write_tuning_report(result, report_path)
     best_path.write_text(
         json.dumps({"hyperparams": result.best.to_dict(), "val_loss": result.best_loss,
@@ -560,7 +548,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Output:
         raise BuscastError("evaluate needs --methods, e.g. --methods a,d,perstop,statistical")
 
     boundaries = _boundaries(cfg, dataset)
-    trained = [m for m in methods if m in TRAINABLE_METHODS]
+    trained = [m for m in methods if m in TRAINABLE]
     if args.retrain:
         seeds = [cfg.seed + i for i in range(cfg.eval_seeds)]
         fitted = fit_methods(dataset, boundaries, {m: cfg.hp for m in trained}, seeds, cfg.schedule())
@@ -654,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands["correlate"].add_argument("--start", help="restrict to dates >= this (ISO)")
     commands["correlate"].add_argument("--end", help="restrict to dates <= this (ISO)")
-    commands["tune"].add_argument("--stop", type=int, default=1, help="stop index to tune for the per-stop method")
+    commands["tune"].add_argument("--stop", type=int, default=1, help="tune the regressor of this stop (default 1)")
     p = commands["evaluate"]
     p.add_argument("--methods", default="a,b,c,d,perstop,statistical")
     p.add_argument("--retrain", action="store_true",

@@ -231,24 +231,25 @@ class _CsvTable:
         """Raise for the first row that is short or fails a check, prefixed with its ``path:line``.
 
         Each check flags the full rows it fails and builds the message for a
-        row; the first check that flags the row raises, as its exception
-        class. The line, the physical one on which the row ends, is found by
-        reading the text again.
+        row; the first check that flags the row raises, through
+        ``_raise_first``, as its exception class. The full rows all come
+        before the short one.
         """
-        failing = np.logical_or.reduce([flags for flags, _, _ in checks])
-        i = int(np.argmax(failing)) if failing.any() else self.n_full
-        if i == self.n_rows:
-            return
+        _raise_first(*((flags, lambda i, error=error, message=message: error(f"{self._line(i)[0]}: {message(i)}"))
+                       for flags, error, message in checks))
+        if self.n_full < self.n_rows:
+            where, row = self._line(self.n_full)
+            raise MalformedRow(f"{where}: expected {len(self.header)} fields, got {len(row)}")
+
+    def _line(self, i: int) -> tuple[str, list[str]]:
+        """``path:line`` of non-blank row i, the line being the physical one on which the row ends, and the row;
+        found by reading the text again."""
         reader = csv.reader(io.StringIO(self.text, newline=""))
         next(reader)  # the header, blank or not
         rows = (row for row in reader if row)
         for _ in range(i + 1):
             row = next(rows)
-        where = f"{self.path}:{reader.line_num}"
-        if len(row) < len(self.header):
-            raise MalformedRow(f"{where}: expected {len(self.header)} fields, got {len(row)}")
-        error, message = next((error, message) for flags, error, message in checks if flags[i])
-        raise error(f"{where}: {message(i)}")
+        return f"{self.path}:{reader.line_num}", row
 
 
 def _parse_column(raws: Sequence[str], parse: Callable[[str], object], dtype: type) -> tuple[np.ndarray, np.ndarray]:
@@ -392,10 +393,8 @@ def join_weather_to_services(
     Returns one row per (date, service) of the records, in that order.
     """
     w_day, w_hour = weather.day, weather.hour
-    repeats = np.flatnonzero(_repeated(w_day, w_hour))
-    if repeats.size:
-        i = int(repeats[0])
-        raise DuplicateKey(f"duplicate weather observation for {(date.fromordinal(int(w_day[i])), int(w_hour[i]))}")
+    _raise_first((_repeated(w_day, w_hour), lambda i: DuplicateKey(
+        f"duplicate weather observation for {(date.fromordinal(int(w_day[i])), int(w_hour[i]))}")))
     first = int(w_day.min()) if len(weather) else 0
     observation = np.full((int(w_day.max()) - first + 1 if len(weather) else 0, 24), -1, dtype=np.intp)
     on_grid = (w_hour >= 0) & (w_hour < 24)
@@ -409,11 +408,10 @@ def join_weather_to_services(
     found = (hour >= 0) & (day >= 0) & (day < len(observation))
     obs = np.full(len(day), -1, dtype=np.intp)
     obs[found] = observation[day[found], hour[found]]
-    if (obs < 0).any():
-        i = int(np.argmax(obs < 0))
-        if hour[i] < 0:
-            raise MissingTimetableEntry(f"service {records.service[i]} has no departure time")
-        raise MissingWeather(f"no weather for {date.fromordinal(int(day[i]) + first)} hour {int(hour[i])}")
+    _raise_first(
+        (hour < 0, lambda i: MissingTimetableEntry(f"service {records.service[i]} has no departure time")),
+        (obs < 0, lambda i: MissingWeather(f"no weather for {date.fromordinal(int(day[i]) + first)} hour {hour[i]}")),
+    )
 
     _, pick = np.unique(day * len(services) + slot, return_index=True)
     obs = obs[pick]
@@ -653,13 +651,9 @@ def build_route_dataset(
         raise EmptyDataset("no ridership records")
     w_day = np.array(w_day, dtype=np.int64)
     w_svc, w_bad = _int_column(w_service)
-    if w_bad.any():
-        raise MalformedRow(f"non-integer service index {w_service[int(np.argmax(w_bad))]!r} in service weather")
-    order = np.lexsort((w_svc, w_day))
-    repeats = order[1:][(np.diff(w_day[order]) == 0) & (np.diff(w_svc[order]) == 0)]
-    if repeats.size:
-        i = repeats.min()
-        raise DuplicateKey(f"duplicate service weather for {(date.fromordinal(int(w_day[i])), int(w_svc[i]))}")
+    _raise_first((w_bad, lambda i: MalformedRow(f"non-integer service index {w_service[i]!r} in service weather")))
+    _raise_first((_repeated(w_day, w_svc), lambda i: DuplicateKey(
+        f"duplicate service weather for {(date.fromordinal(int(w_day[i])), int(w_svc[i]))}")))
 
     (svc, bad_svc), (stp, bad_stp), (cnt, bad_cnt) = (_int_column(c) for c in (service, stop, count))
     days = np.array(day, dtype=np.int64)
@@ -679,11 +673,8 @@ def build_route_dataset(
             f"repeated (date, service, stop) {(date.fromordinal(int(days[i])), int(svc[i]), int(stp[i]))}")),
     )
     _raise_first(*checks)
-    outside = (w_svc < 1) | (w_svc > services_per_day)
-    if outside.any():
-        raise MalformedRow(
-            f"service weather for service {int(w_svc[np.argmax(outside)])} outside [1, {services_per_day}]"
-        )
+    _raise_first(((w_svc < 1) | (w_svc > services_per_day),
+                  lambda i: MalformedRow(f"service weather for service {w_svc[i]} outside [1, {services_per_day}]")))
 
     first = int(min(days[0], w_day.min(initial=days[0])))
     n_days = int(max(days[-1], w_day.max(initial=days[-1]))) - first + 1

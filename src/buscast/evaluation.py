@@ -230,22 +230,18 @@ def fit_forecaster(
 ) -> tuple[LstmForecaster, dict[str, TrainHistory]]:
     """Build and train every regressor of a NN method; histories are keyed by regressor label.
 
-    Regressor k reads and predicts the next ``n_branches`` stops after those
-    of regressors 0..k-1: all of them for a joint method, one for the per-stop
-    baseline. Seeds come from :func:`member_plan`.
+    Each regressor's label, stops and seed come from :func:`member_plan`.
     """
     train_scaled = scale_targets(prepared.train, prepared.scalers)
     val_scaled = scale_targets(prepared.val, prepared.scalers)
     n_stops = train_scaled.n_stops
-    members, histories, first = [], {}, 0
-    for label, model_seed in member_plan(spec, n_stops, seed):
+    members, histories = [], {}
+    for label, stops, model_seed in member_plan(spec, n_stops, seed):
         model = build_model(spec, hp, n_stops, model_seed)
-        stops = slice(first, first + model.n_branches)
         histories[label] = train(
             model, stop_view(train_scaled, stops), stop_view(val_scaled, stops), hp, schedule, model_seed + 1
         )
         members.append(Member(model, hp, model_seed))
-        first = stops.stop
     return LstmForecaster(tuple(members), prepared.scalers), histories
 
 

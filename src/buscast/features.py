@@ -250,9 +250,7 @@ def scale_targets(aligned: AlignedWindows, scalers: ScalerSet) -> AlignedWindows
     """Copy of the aligned windows with targets min-max scaled per stop."""
     y = aligned.y.copy()
     for col in range(y.shape[1]):
-        params = scalers.ridership[col + 1]
-        span = params.max - params.min
-        y[:, col] = 0.0 if span == 0.0 else (y[:, col] - params.min) / span
+        y[:, col] = scale(y[:, col], scalers.ridership[col + 1])
     return replace(aligned, y=y)
 
 

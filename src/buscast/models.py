@@ -91,20 +91,24 @@ class MethodSpec:
     architecture: Architecture
 
 
+#: Each method's feature blocks (day of week, service number, rain), None for none, and its architecture.
+_METHODS = {
+    MethodId.A: ((False, False, False), Architecture.JOINT),
+    MethodId.B: ((True, True, False), Architecture.JOINT),
+    MethodId.C: ((False, False, True), Architecture.JOINT),
+    MethodId.D: ((True, True, True), Architecture.JOINT),
+    MethodId.PER_STOP: ((False, False, False), Architecture.PER_STOP),
+    MethodId.STATISTICAL: (None, Architecture.NONE),
+}
+
+#: The methods that train a model, in table order.
+TRAINABLE = tuple(method for method, (_, architecture) in _METHODS.items() if architecture is not Architecture.NONE)
+
+
 def method_spec(method: MethodId, services_per_day: int = 26) -> MethodSpec:
     """Feature blocks and architecture for each of the six evaluated methods."""
-    s = services_per_day
-    table = {
-        MethodId.A: MethodSpec(MethodId.A, FeatureSpec(False, False, False, s), Architecture.JOINT),
-        MethodId.B: MethodSpec(MethodId.B, FeatureSpec(True, True, False, s), Architecture.JOINT),
-        MethodId.C: MethodSpec(MethodId.C, FeatureSpec(False, False, True, s), Architecture.JOINT),
-        MethodId.D: MethodSpec(MethodId.D, FeatureSpec(True, True, True, s), Architecture.JOINT),
-        MethodId.PER_STOP: MethodSpec(
-            MethodId.PER_STOP, FeatureSpec(False, False, False, s), Architecture.PER_STOP
-        ),
-        MethodId.STATISTICAL: MethodSpec(MethodId.STATISTICAL, None, Architecture.NONE),
-    }
-    return table[method]
+    blocks, architecture = _METHODS[method]
+    return MethodSpec(method, None if blocks is None else FeatureSpec(*blocks, services_per_day), architecture)
 
 
 class LstmRegressor:
@@ -165,7 +169,12 @@ class LstmRegressor:
         return {name: arr.copy() for name, arr in self.param_dict().items()}
 
     def restore(self, state: dict[str, np.ndarray]) -> None:
-        for name, arr in self.param_dict().items():
+        """Copy a :meth:`snapshot` in; it must hold the names and shapes of :meth:`param_dict`, no more."""
+        params = self.param_dict()
+        held, shapes = ({name: arr.shape for name, arr in named.items()} for named in (state, params))
+        if held != shapes:
+            raise ShapeMismatch(f"parameter arrays {held} do not fit a model of {shapes}")
+        for name, arr in params.items():
             arr[...] = state[name]
 
     def forward(self, windows: AlignedWindows, chunk: slice | np.ndarray = slice(None)) -> np.ndarray:
@@ -254,16 +263,18 @@ def build_model(spec: MethodSpec, hp: HyperParams, n_stops: int, seed: int) -> L
     return LstmRegressor(layers, head)
 
 
-def member_plan(spec: MethodSpec, n_stops: int, seed: int) -> list[tuple[str, int]]:
-    """(label, initialization seed) of each regressor a NN method trains, in stop order.
+def member_plan(spec: MethodSpec, n_stops: int, seed: int) -> list[tuple[str, slice, int]]:
+    """(label, stops, initialization seed) of each regressor a NN method trains, in stop order.
 
-    A joint method trains one model labelled with the method. The per-stop
-    baseline trains one model per stop b, labelled ``<method>_stop<b>`` and
-    seeded ``seed * n_stops + b - 1``. Every regressor shuffles with its seed + 1.
+    ``stops`` are the zero-based columns the regressor reads and predicts. A
+    joint method trains one model over every stop, labelled with the method.
+    The per-stop baseline trains one model per stop b, labelled
+    ``<method>_stop<b>`` and seeded ``seed * n_stops + b - 1``. Every
+    regressor shuffles with its seed + 1.
     """
     if spec.architecture is Architecture.JOINT:
-        return [(spec.method.value, seed)]
-    return [(f"{spec.method.value}_stop{b + 1}", seed * n_stops + b) for b in range(n_stops)]
+        return [(spec.method.value, slice(0, n_stops), seed)]
+    return [(f"{spec.method.value}_stop{b + 1}", slice(b, b + 1), seed * n_stops + b) for b in range(n_stops)]
 
 
 def _batched_forward(model: LstmRegressor, data: AlignedWindows, batch: int = 512) -> np.ndarray:
@@ -546,6 +557,13 @@ def _scalers(n_stops: int):
     return check
 
 
+def _trainable(value) -> MethodId:
+    """A :func:`header_values` check for a method of :data:`TRAINABLE`."""
+    if (method := MethodId(value)) not in TRAINABLE:
+        raise ValueError(f"{value!r} trains no model")
+    return method
+
+
 @dataclass
 class LoadedModel:
     forecaster: LstmForecaster
@@ -618,8 +636,8 @@ def save_model(
     save_params(path, header, params)
 
 
-def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], width: int, fail) -> Member:
-    """One member of ``width`` branches; each array must be float64 of the shape the member's sizes imply."""
+def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], width: int, inputs: int, fail) -> Member:
+    """One member of ``width`` branches reading ``inputs`` features; each array float64 of the shape its sizes imply."""
 
     def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
         arr = params.get(prefix + name)
@@ -632,9 +650,9 @@ def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], width:
         shape = {"w": (4 * hidden, hidden if l else inputs), "u": (4 * hidden, hidden), "b": (4 * hidden,)}[k]
         return np.stack([array(f"branch{b}/layer{l}/{k}", shape) for b in range(width)])
 
-    _, n_layers, hidden, inputs = header_values(entry, {
+    _, n_layers, hidden, _ = header_values(entry, {
         "n_branches": integer(width, width), "n_layers": integer(1), "hidden_size": integer(1),
-        "input_size": integer(1),
+        "input_size": integer(inputs, inputs),
     }, fail).values()
     layers = [LstmLayerParams(*(stacked(l, k) for k in "wub")) for l in range(n_layers)]
     head = DenseParams(w=array("head/w", (width, width * hidden)), b=array("head/b", (width,)))
@@ -652,18 +670,21 @@ def load_model(path: str | Path) -> LoadedModel:
         return CheckpointError(f"{path}: {message}")
 
     method, services_per_day, look_back, n_stops = header_values(header, {
-        "method": MethodId, "services_per_day": integer(1), "look_back": integer(1), "n_stops": integer(1),
+        "method": _trainable, "services_per_day": integer(1), "look_back": integer(1), "n_stops": integer(1),
     }, fail).values()
     spec = method_spec(method, services_per_day)
+    inputs = spec.features.dimension
     if spec.architecture is Architecture.PER_STOP:
         stops = header_values(header, {"stops": header_check(
             lambda entries: type(entries) is list and len(entries) == n_stops
             and all(type(entry) is dict for entry in entries), f"must be a list of {n_stops} objects, one per stop",
         )}, fail)["stops"]
-        members = tuple(_load_member(entry, f"stop{b}/", params, 1, lambda message, b=b: fail(f"stop {b}: {message}"))
-                        for b, entry in enumerate(stops, 1))
+        members = tuple(
+            _load_member(entry, f"stop{b}/", params, 1, inputs, lambda message, b=b: fail(f"stop {b}: {message}"))
+            for b, entry in enumerate(stops, 1)
+        )
     else:
-        members = (_load_member(header, "", params, n_stops, fail),)
+        members = (_load_member(header, "", params, n_stops, inputs, fail),)
     scalers = header_values(header, {"scalers": _scalers(n_stops)}, fail)["scalers"]
     return LoadedModel(LstmForecaster(members, scalers), method, spec, look_back, n_stops)
 
@@ -720,12 +741,12 @@ def load_train_state(path: str | Path, hp: HyperParams) -> TrainState:
         group, _, name = key.partition("/")
         if group in groups:
             groups[group][name] = arr
-    names = {f"layer{l}/{k}" for l in range(hp.n_layers) for k in "wub"} | {"head/w", "head/b"}
-    shapes = {name: arr.shape for name, arr in groups["params"].items()}
-    if set(shapes) != names or any({name: arr.shape for name, arr in named.items()} != shapes
-                                   for group, named in groups.items() if named or group != "best"):
-        raise fail(f"the params/, best/ and optimizer slot arrays must each be the {len(names)} arrays of a "
-                   f"{hp.n_layers}-layer model")
+    layout = {name: (arr.shape, arr.dtype) for name, arr in groups["params"].items()}
+    if any(dtype != np.float64 for _, dtype in layout.values()) or any(
+        {name: (arr.shape, arr.dtype) for name, arr in named.items()} != layout
+        for group, named in groups.items() if named or group != "best"
+    ):
+        raise fail("the params/, best/ and optimizer slot arrays must each be the same float64 arrays")
     epochs = [(int(epoch), train_loss, val_loss) for epoch, train_loss, val_loss in history.tolist()]
     return TrainState(TrainHistory(epochs, best_epoch, best_val_loss), groups["params"], groups["best"] or None,
                       optimizer, rng)

@@ -487,14 +487,17 @@ class TestPredict:
         [
             (lambda h: h.pop("method"), None, "'method'"),
             (lambda h: h.update(method="zz"), None, "header key 'method': 'zz' is not a valid MethodId, got 'zz'"),
+            (lambda h: h.update(method="statistical"), None,
+             "header key 'method': 'statistical' trains no model, got 'statistical'"),
             (lambda h: None, "branch0/layer0/w", "'branch0/layer0/w'"),
             (lambda h: h["hyperparams"].pop("optimizer"), None, "header key 'hyperparams': no key 'optimizer'"),
             (lambda h: h["hyperparams"].update(batch_size=float("inf")), None,
              "header key 'hyperparams': cannot convert float infinity to integer"),
         ],
-        ids=["no-method", "unknown-method", "missing-array", "bad-hyperparams", "infinite-hyperparameter"],
+        ids=["no-method", "unknown-method", "statistical-method", "missing-array", "bad-hyperparams",
+             "infinite-hyperparameter"],
     )
-    def test_malformed_checkpoint(self, workspace, capsys, tmp_path, edit_header, drop, fragment):
+    def test_malformed_checkpoint(self, workspace, trained, capsys, tmp_path, edit_header, drop, fragment):
         from buscast.nn_core import load_params
 
         header, params = load_params(workspace["out"] / "d.ckpt")
@@ -654,13 +657,15 @@ class TestTune:
 
     @pytest.mark.parametrize("stop", ["-1", "0", "6"])
     def test_stop_outside_the_dataset_rejected(self, workspace, capsys, tmp_path, stop):
-        code, _, err = run_cli(
-            capsys, "tune", "--dataset", str(workspace["dataset"]), "--method", "perstop",
-            "--stop", stop, "--out", str(tmp_path),
-        )
-        assert code == 1
-        assert_one_error_line(err, "tune", "--stop", "1..5", "5 stops", f"got {stop}")
-        assert not any(tmp_path.iterdir())
+        """For a joint method too: its one regressor predicts stops 1..5, and no other."""
+        for method in ("perstop", "d"):
+            code, _, err = run_cli(
+                capsys, "tune", "--dataset", str(workspace["dataset"]), "--method", method,
+                "--stop", stop, "--out", str(tmp_path),
+            )
+            assert code == 1
+            assert_one_error_line(err, "tune", "--stop", "1..5", "5 stops", f"got {stop}")
+            assert not any(tmp_path.iterdir())
 
     def test_unimplemented_tune_optimizer_rejected(self, workspace, capsys, tmp_path):
         config = tmp_path / "tune.cfg"
@@ -918,6 +923,21 @@ class TestBadInputs:
         code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
         assert code == 1
         assert_one_error_line(err, "predict", repr(key))
+
+    def test_checkpoint_of_another_input_width(self, workspace, trained, capsys, tmp_path):
+        """A ``d`` checkpoint whose input layer reads 5 features, its arrays to match: ``d`` reads 37, so
+        ``predict`` and ``evaluate`` refuse it with one line that names the key."""
+        from buscast.nn_core import load_params
+
+        header, params = load_params(workspace["out"] / "d.ckpt")
+        arrays = [(name, np.ascontiguousarray(arr[:, :5]) if name.endswith("layer0/w") else arr)
+                  for name, arr in params.items()]
+        save_params(tmp_path / "d.ckpt", {**header, "input_size": 5}, arrays)
+        for argv in (["predict", "--model", str(tmp_path / "d.ckpt")],
+                     ["evaluate", "--methods", "d", "--out", str(tmp_path)]):
+            code, _, err = run_cli(capsys, *argv, "--dataset", str(workspace["dataset"]))
+            assert code == 1
+            assert_one_error_line(err, argv[0], "header key 'input_size': must be an integer equal to 37, got 5")
 
     @pytest.mark.parametrize("stops", [None, "x", {}, [1], [{}, None]])
     def test_per_stop_checkpoint_without_a_list_of_stops(self, workspace, trained, capsys, tmp_path, stops):

@@ -9,12 +9,14 @@ import pytest
 
 from buscast.data_ingest import build_route_dataset, join_weather_to_services
 from buscast.errors import (
+    CheckpointError,
     DivergedTraining,
     EmptyWindow,
     InsufficientHistory,
     InvalidHyperParams,
     MisalignedBatches,
     MissingKey,
+    ShapeMismatch,
 )
 from buscast.features import AlignedWindows, ScalerParams, ScalerSet, prepare_windows, scale_targets
 from buscast import models
@@ -30,6 +32,7 @@ from buscast.models import (
     fit_statistical,
     load_model,
     load_train_state,
+    member_plan,
     method_spec,
     predict_next_service,
     save_model,
@@ -43,6 +46,7 @@ from buscast.nn_core import (
     branched_lstm_forward,
     dense_forward,
     load_params,
+    save_params,
 )
 from buscast.synth import SynthConfig, generate, generate_dataset
 from buscast.tuning import HyperParams
@@ -83,6 +87,13 @@ class TestMethodSpecs:
         assert b.use_day_of_week and b.use_service_number and not b.use_rain
         c = method_spec(MethodId.C).features
         assert not c.use_day_of_week and not c.use_service_number and c.use_rain
+
+    def test_trainable_methods_and_their_regressors(self):
+        assert models.TRAINABLE == (MethodId.A, MethodId.B, MethodId.C, MethodId.D, MethodId.PER_STOP)
+        assert member_plan(method_spec(MethodId.D), 5, 2) == [("d", slice(0, 5), 2)]
+        assert member_plan(method_spec(MethodId.PER_STOP), 3, 2) == [
+            ("perstop_stop1", slice(0, 1), 6), ("perstop_stop2", slice(1, 2), 7), ("perstop_stop3", slice(2, 3), 8),
+        ]
 
 
 class TestBuildModel:
@@ -348,6 +359,31 @@ class TestTrain:
             assert resumed.param_dict()[name].tobytes() == arr.tobytes()
         for name, arr in one_run.params.items():
             assert loaded.params[name].tobytes() == arr.tobytes()
+
+    def test_resuming_the_state_of_another_model_is_refused(self, tmp_path):
+        """A saved one-branch Adam state resumed into a five-branch model ends in one ShapeMismatch."""
+        state = TrainState()
+        train(build_model(method_spec(MethodId.PER_STOP), HP_SMALL, 5, seed=5), self._data(n_stops=1),
+              self._data(seed=1, n=8, n_stops=1), HP_SMALL, TrainSchedule(2, 2), 6, state)
+        save_train_state(tmp_path / "train.state", state)
+        loaded = load_train_state(tmp_path / "train.state", HP_SMALL)
+        model = build_model(method_spec(MethodId.A), HP_SMALL, 5, seed=5)
+        with pytest.raises(ShapeMismatch, match="do not fit a model of"):
+            train(model, self._data(n_stops=5), self._data(seed=1, n=8, n_stops=5), HP_SMALL, TrainSchedule(3, 3), 6,
+                  loaded)
+
+    def test_train_state_arrays_must_be_float64(self, tmp_path):
+        """``head/b`` stored as int64 in every group, so the groups agree: the load still refuses it."""
+        state = TrainState()
+        train(build_model(method_spec(MethodId.A), HP_SMALL, 2, seed=5), self._data(), self._data(seed=1, n=8),
+              HP_SMALL, TrainSchedule(2, 2), 6, state)
+        save_train_state(tmp_path / "train.state", state)
+        header, arrays = load_params(tmp_path / "train.state")
+        save_params(tmp_path / "edited.state", header,
+                    [(name, arr.astype(np.int64) if name.endswith("/head/b") else arr) for name, arr in arrays.items()])
+        load_train_state(tmp_path / "train.state", HP_SMALL)
+        with pytest.raises(CheckpointError, match="must each be the same float64 arrays"):
+            load_train_state(tmp_path / "edited.state", HP_SMALL)
 
     def test_nan_input_diverges(self):
         data = self._data()
