@@ -35,7 +35,6 @@ from .features import (
     build_windows,
     chronological_split,
     fit_scaler,
-    one_hot,
     prepare_windows,
     scale,
 )

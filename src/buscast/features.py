@@ -150,22 +150,11 @@ def inverse_scale(x: float | np.ndarray, params: ScalerParams):
     return x * (params.max - params.min) + params.min
 
 
-def _check_index(index: np.ndarray, cardinality: int) -> None:
+def _set_one_hot(rows: np.ndarray, col: int, index: np.ndarray, cardinality: int) -> None:
+    """Set row i's column ``col + index[i]`` of the zero columns ``col : col + cardinality`` to 1."""
     bad = index[(index < 0) | (index >= cardinality)]
     if bad.size:
         raise IndexOutOfRange(f"index {bad.flat[0]} outside [0, {cardinality})")
-
-
-def one_hot(index: int | np.ndarray, cardinality: int) -> np.ndarray:
-    """Unit vector e_index of length ``cardinality``; an array of N indices gives N rows."""
-    index = np.asarray(index)
-    _check_index(index, cardinality)
-    return np.eye(cardinality)[index]
-
-
-def _set_one_hot(rows: np.ndarray, col: int, index: np.ndarray, cardinality: int) -> None:
-    """Write ``one_hot(index, cardinality)`` into the zero columns ``col : col + cardinality`` of ``rows``."""
-    _check_index(index, cardinality)
     rows[np.arange(len(index)), col + index] = 1.0
 
 

@@ -117,7 +117,7 @@ class LstmRegressor:
     Branch b consumes only stop b's windows; the head maps the concatenated
     final hidden states (n*H) to n outputs, one scaled prediction per stop.
     Each layer holds the parameters of all n branches as one stacked
-    :class:`LstmLayerParams`; per-branch names exist only in checkpoints.
+    :class:`LstmLayerParams`, in memory and in checkpoints alike.
     """
 
     def __init__(self, layers: list[LstmLayerParams], head: DenseParams):
@@ -140,10 +140,6 @@ class LstmRegressor:
     @property
     def hidden_size(self) -> int:
         return self.layers[0].u.shape[2]
-
-    @property
-    def input_size(self) -> int:
-        return self.layers[0].w.shape[2]
 
     def param_dict(self) -> dict[str, np.ndarray]:
         """Canonically ordered live views of every parameter array."""
@@ -573,15 +569,9 @@ class LoadedModel:
     n_stops: int
 
 
-def _member_header(member: Member) -> dict:
-    return {
-        "hyperparams": member.hp.to_dict(),
-        "seed": member.seed,
-        "n_branches": member.model.n_branches,
-        "n_layers": member.model.n_layers,
-        "hidden_size": member.model.hidden_size,
-        "input_size": member.model.input_size,
-    }
+#: The layout version of a model checkpoint's header and arrays; a header without one is of the earlier
+#: layout, which held each branch's arrays apart.
+MODEL_VERSION = 2
 
 
 def save_model(
@@ -595,68 +585,53 @@ def save_model(
 ) -> None:
     """One checkpoint file per method, the per-stop baseline included.
 
-    A joint model's hyperparameters, seed and sizes are top-level header
-    keys. The per-stop baseline lists them per stop under ``stops`` and
-    stores stop b's parameters under ``stop<b>/``.
+    ``members`` lists each regressor's hyperparameters and seed in
+    :func:`member_plan` order, and each regressor's :meth:`LstmRegressor.param_dict`
+    arrays are stored as held, under its label: ``d/layer0/w``, ``perstop_stop3/head/b``.
     """
-    spec = method_spec(method, services_per_day)
+    plan = member_plan(method_spec(method, services_per_day), n_stops, 0)
     header = {
         "kind": "buscast-model",
+        "version": MODEL_VERSION,
         "method": method.value,
-        "feature_spec": {
-            "use_ridership": True,  # every method reads the counts; the key keeps checkpoints byte-identical
-            "use_day_of_week": spec.features.use_day_of_week,
-            "use_service_number": spec.features.use_service_number,
-            "use_rain": spec.features.use_rain,
-            "services_per_day": spec.features.services_per_day,
-            "dimension": spec.features.dimension,
-        },
-        "scalers": _scalers_to_payload(forecaster.scalers),
+        "services_per_day": services_per_day,
         "look_back": look_back,
         "n_stops": n_stops,
-        "services_per_day": services_per_day,
+        "scalers": _scalers_to_payload(forecaster.scalers),
+        "members": [{"hyperparams": member.hp.to_dict(), "seed": member.seed} for member in forecaster.members],
     }
-    members = forecaster.members
-    if spec.architecture is Architecture.PER_STOP:
-        header["stops"] = [_member_header(member) for member in members]
-        prefixes = [f"stop{b}/" for b in range(1, len(members) + 1)]
-    else:
-        # stop_index is always null; it keeps joint checkpoints byte-identical to earlier ones
-        header.update(_member_header(members[0]), stop_index=None)
-        prefixes = [""]
-    # The file format holds one array per branch and layer, branch-major;
-    # _load_member restacks them per layer.
-    params = []
-    for prefix, member in zip(prefixes, members):
-        model = member.model
-        for b in range(model.n_branches):
-            for l, layer in enumerate(model.layers):
-                params += [(f"{prefix}branch{b}/layer{l}/{k}", getattr(layer, k)[b]) for k in "wub"]
-        params += [(f"{prefix}head/w", model.head.w), (f"{prefix}head/b", model.head.b)]
+    params = [
+        (f"{label}/{name}", arr)
+        for (label, _, _), member in zip(plan, forecaster.members, strict=True)
+        for name, arr in member.model.param_dict().items()
+    ]
     save_params(path, header, params)
 
 
-def _load_member(entry: dict, prefix: str, params: dict[str, np.ndarray], width: int, inputs: int, fail) -> Member:
-    """One member of ``width`` branches reading ``inputs`` features; each array float64 of the shape its sizes imply."""
+def _load_member(entry: dict, label: str, width: int, inputs: int, look_back: int, params: dict, fail) -> Member:
+    """Member ``label`` of ``width`` branches reading ``inputs`` features, taken out of ``params``; its
+    hyperparameters set the float64 shape each of its arrays must have."""
+    payload, seed = header_values(entry, {
+        "hyperparams": header_check(lambda value: type(value) is dict, "must be an object"), "seed": integer(0),
+    }, fail).values()
+    hp = HyperParams.from_dict(payload, lambda message: fail(f"hyperparams: {message}"))
+    if hp.sequence_length != look_back:
+        raise fail(f"hyperparams: sequence_length {hp.sequence_length} is not the look-back {look_back}")
 
     def array(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        arr = params.get(prefix + name)
+        arr = params.pop(f"{label}/{name}", None)
         if arr is None or arr.dtype != np.float64 or arr.shape != shape:
             held = "missing" if arr is None else f"{arr.dtype} of shape {arr.shape}"
-            raise fail(f"parameter array {prefix + name!r} is {held}, not float64 of shape {shape}")
+            raise fail(f"parameter array {label + '/' + name!r} is {held}, not float64 of shape {shape}")
         return arr
 
-    def stacked(l: int, k: str) -> np.ndarray:
-        shape = {"w": (4 * hidden, hidden if l else inputs), "u": (4 * hidden, hidden), "b": (4 * hidden,)}[k]
-        return np.stack([array(f"branch{b}/layer{l}/{k}", shape) for b in range(width)])
-
-    _, n_layers, hidden, _ = header_values(entry, {
-        "n_branches": integer(width, width), "n_layers": integer(1), "hidden_size": integer(1),
-        "input_size": integer(inputs, inputs),
-    }, fail).values()
-    layers = [LstmLayerParams(*(stacked(l, k) for k in "wub")) for l in range(n_layers)]
-    head = DenseParams(w=array("head/w", (width, width * hidden)), b=array("head/b", (width,)))
-    hp, seed = header_values(entry, {"hyperparams": HyperParams.from_dict, "seed": integer(0)}, fail).values()
+    gates = (width, 4 * hp.lstm_nodes)
+    layers = [
+        LstmLayerParams(array(f"layer{l}/w", (*gates, hp.lstm_nodes if l else inputs)),
+                        array(f"layer{l}/u", (*gates, hp.lstm_nodes)), array(f"layer{l}/b", gates))
+        for l in range(hp.n_layers)
+    ]
+    head = DenseParams(w=array("head/w", (width, width * hp.lstm_nodes)), b=array("head/b", (width,)))
     return Member(model=LstmRegressor(layers, head), hp=hp, seed=seed)
 
 
@@ -669,23 +644,27 @@ def load_model(path: str | Path) -> LoadedModel:
     def fail(message: str) -> CheckpointError:
         return CheckpointError(f"{path}: {message}")
 
-    method, services_per_day, look_back, n_stops = header_values(header, {
-        "method": _trainable, "services_per_day": integer(1), "look_back": integer(1), "n_stops": integer(1),
+    if "version" not in header:
+        raise fail("a checkpoint of the earlier per-branch layout; run 'buscast train' again to rewrite it")
+    _, method, services_per_day, look_back, n_stops = header_values(header, {
+        "version": integer(MODEL_VERSION, MODEL_VERSION), "method": _trainable, "services_per_day": integer(1),
+        "look_back": integer(1), "n_stops": integer(1),
     }, fail).values()
     spec = method_spec(method, services_per_day)
-    inputs = spec.features.dimension
-    if spec.architecture is Architecture.PER_STOP:
-        stops = header_values(header, {"stops": header_check(
-            lambda entries: type(entries) is list and len(entries) == n_stops
-            and all(type(entry) is dict for entry in entries), f"must be a list of {n_stops} objects, one per stop",
-        )}, fail)["stops"]
-        members = tuple(
-            _load_member(entry, f"stop{b}/", params, 1, inputs, lambda message, b=b: fail(f"stop {b}: {message}"))
-            for b, entry in enumerate(stops, 1)
-        )
-    else:
-        members = (_load_member(header, "", params, n_stops, inputs, fail),)
+    # The scalers hold an entry per stop, so they bound n_stops, and the plan, by the header's own size.
     scalers = header_values(header, {"scalers": _scalers(n_stops)}, fail)["scalers"]
+    plan = member_plan(spec, n_stops, 0)
+    entries = header_values(header, {"members": header_check(
+        lambda entries: type(entries) is list and len(entries) == len(plan)
+        and all(type(entry) is dict for entry in entries), f"must be a list of {len(plan)} objects, one per regressor",
+    )}, fail)["members"]
+    members = tuple(
+        _load_member(entry, label, stops.stop - stops.start, spec.features.dimension, look_back, params,
+                     lambda message, label=label: fail(f"member {label!r}: {message}"))
+        for (label, stops, _), entry in zip(plan, entries)
+    )
+    if params:
+        raise fail(f"parameter array {next(iter(params))!r} belongs to no member")
     return LoadedModel(LstmForecaster(members, scalers), method, spec, look_back, n_stops)
 
 

@@ -29,11 +29,8 @@ from .data_ingest import (
     MAX_OBS_HOUR,
     MIN_OBS_HOUR,
     RidershipColumns,
-    RouteDataset,
     WeatherCategory,
     WeatherColumns,
-    build_route_dataset,
-    join_weather_to_services,
     write_ridership_csv,
     write_weather_csv,
 )
@@ -116,13 +113,6 @@ def generate(config: SynthConfig) -> tuple[RidershipColumns, WeatherColumns]:
         WeatherColumns(np.repeat(ordinals, HOURS), np.tile(np.arange(MIN_OBS_HOUR, MAX_OBS_HOUR + 1), days),
                        category.ravel(), precipitation.ravel()),
     )
-
-
-def generate_dataset(config: SynthConfig) -> RouteDataset:
-    """Generate and assemble in one step (used heavily by tests)."""
-    ridership, weather = generate(config)
-    service_weather = join_weather_to_services(ridership, weather, config.timetable)
-    return build_route_dataset(ridership, service_weather, config.n_stops, config.services_per_day)
 
 
 def write_synthetic_csvs(config: SynthConfig, out_dir: str | Path) -> tuple[Path, Path]:

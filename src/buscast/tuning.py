@@ -27,7 +27,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import BadArgs, NoTrialsRan
-from .nn_core import OptimizerKind
+from .nn_core import OptimizerKind, header_check, header_values, integer
 
 #: Candidate values used when no custom grid is supplied.
 DEFAULT_BATCH_SIZES = (16, 32, 64, 128, 256)
@@ -63,15 +63,22 @@ class HyperParams:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "HyperParams":
-        return cls(
-            batch_size=int(payload["batch_size"]),
-            sequence_length=int(payload["sequence_length"]),
-            lstm_nodes=int(payload["lstm_nodes"]),
-            n_layers=int(payload["n_layers"]),
-            learning_rate=float(payload["learning_rate"]),
-            optimizer=OptimizerKind(payload["optimizer"]),
-        )
+    def from_dict(cls, payload: dict, fail: Callable[[str], Exception] = ValueError) -> "HyperParams":
+        """The hyperparameters of a :meth:`to_dict` payload, each field checked by :func:`header_values`, never
+        coerced: the sizes integers of at least 1, the learning rate a finite number above 0, the optimizer a kind."""
+        return cls(**header_values(payload, _FIELDS, fail))
+
+
+#: The :func:`header_values` check of each :class:`HyperParams` field, in field order.
+_FIELDS = {
+    "batch_size": integer(1),
+    "sequence_length": integer(1),
+    "lstm_nodes": integer(1),
+    "n_layers": integer(1),
+    "learning_rate": header_check(lambda rate: type(rate) in (int, float) and 0 < rate < math.inf,
+                                  "must be a finite number above 0"),
+    "optimizer": OptimizerKind,
+}
 
 
 @dataclass(frozen=True)
@@ -82,17 +89,6 @@ class CandidateGrid:
     n_layers: Sequence[int] = DEFAULT_N_LAYERS
     learning_rates: Sequence[float] = DEFAULT_LEARNING_RATES
     optimizers: Sequence[OptimizerKind] = DEFAULT_OPTIMIZERS
-
-    @property
-    def cardinality(self) -> int:
-        return (
-            len(self.batch_sizes)
-            * len(self.sequence_lengths)
-            * len(self.lstm_nodes)
-            * len(self.n_layers)
-            * len(self.learning_rates)
-            * len(self.optimizers)
-        )
 
 
 def sample_config(rng: np.random.Generator, grid: CandidateGrid | None = None) -> HyperParams:
@@ -127,10 +123,6 @@ class Bracket:
     @property
     def n_initial(self) -> int:
         return self.rungs[0].n_configs
-
-    @property
-    def initial_epochs(self) -> int:
-        return self.rungs[0].epochs
 
 
 @dataclass(frozen=True)

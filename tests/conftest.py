@@ -1,6 +1,8 @@
 import pytest
 
-from buscast.synth import SynthConfig, generate_dataset
+from buscast.synth import SynthConfig
+
+from synth_oracle import generate_dataset
 
 
 @pytest.fixture(scope="session")

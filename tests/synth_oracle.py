@@ -4,7 +4,8 @@ This is the straightforward implementation the columnar generator in
 ``buscast.synth`` replaced: one scalar draw at a time, one
 ``RidershipRecord`` per (date, service, stop) and one ``WeatherObservation``
 per hour, written row by row with ``csv.writer``. The columnar path must
-write the same CSV bytes.
+write the same CSV bytes. ``generate_dataset`` builds the tests' in-memory
+routes from the columnar generator.
 """
 
 import csv
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from buscast.data_ingest import WEATHER_COLUMNS, WeatherCategory
+from buscast.data_ingest import (
+    WEATHER_COLUMNS, RouteDataset, WeatherCategory, build_route_dataset, join_weather_to_services,
+)
+from buscast.synth import generate
 
 from ingest_oracle import RidershipRecord, WeatherObservation
 
@@ -93,3 +97,10 @@ def oracle_write_csvs(config, out_dir: Path) -> tuple[Path, Path]:
         for o in observations:
             writer.writerow([o.obs_date.isoformat(), o.obs_hour, o.category.value, repr(o.precipitation_mm)])
     return ridership_path, weather_path
+
+
+def generate_dataset(config) -> RouteDataset:
+    """The route of ``config`` (a ``SynthConfig``) as ``ingest`` builds it from the CSVs ``synth`` writes."""
+    ridership, weather = generate(config)
+    service_weather = join_weather_to_services(ridership, weather, config.timetable)
+    return build_route_dataset(ridership, service_weather, config.n_stops, config.services_per_day)

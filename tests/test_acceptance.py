@@ -48,10 +48,11 @@ from buscast.nn_core import (
     init_lstm_layers,
     mse_loss,
 )
-from buscast.synth import SynthConfig, generate, generate_dataset
+from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams, make_schedule
 
 from ingest_oracle import WeatherObservation, records_of, weather_columns
+from synth_oracle import generate_dataset
 
 REAL_DATA_DIR = os.environ.get("BUSCAST_REAL_DATA")
 
@@ -241,7 +242,7 @@ def test_c05_weather_binarization_totals():
 def test_c06_hyperband_schedule():
     started = time.time()
     schedule = make_schedule(27, 3)
-    assert [(b.index, b.n_initial, b.initial_epochs) for b in schedule.brackets] == [
+    assert [(b.index, b.n_initial, b.rungs[0].epochs) for b in schedule.brackets] == [
         (3, 27, 1), (2, 9, 3), (1, 6, 9), (0, 4, 27),
     ]
     expected_rungs = {

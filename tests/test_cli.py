@@ -489,10 +489,11 @@ class TestPredict:
             (lambda h: h.update(method="zz"), None, "header key 'method': 'zz' is not a valid MethodId, got 'zz'"),
             (lambda h: h.update(method="statistical"), None,
              "header key 'method': 'statistical' trains no model, got 'statistical'"),
-            (lambda h: None, "branch0/layer0/w", "'branch0/layer0/w'"),
-            (lambda h: h["hyperparams"].pop("optimizer"), None, "header key 'hyperparams': no key 'optimizer'"),
-            (lambda h: h["hyperparams"].update(batch_size=float("inf")), None,
-             "header key 'hyperparams': cannot convert float infinity to integer"),
+            (lambda h: None, "d/layer0/w", "parameter array 'd/layer0/w' is missing"),
+            (lambda h: h["members"][0]["hyperparams"].pop("optimizer"), None,
+             "member 'd': hyperparams: header key 'optimizer' is missing"),
+            (lambda h: h["members"][0]["hyperparams"].update(batch_size=float("inf")), None,
+             "header key 'batch_size': must be an integer of at least 1, got inf"),
         ],
         ids=["no-method", "unknown-method", "statistical-method", "missing-array", "bad-hyperparams",
              "infinite-hyperparameter"],
@@ -901,16 +902,19 @@ class TestBadInputs:
             ("d", (), "look_back"),
             ("d", (), "n_stops"),
             ("d", (), "services_per_day"),
-            ("d", (), "n_branches"),
-            ("d", (), "n_layers"),
-            ("perstop", ("stops", 1), "n_branches"),
-            ("perstop", ("stops", 1), "n_layers"),
+            ("d", ("members", 0, "hyperparams"), "lstm_nodes"),
+            ("d", ("members", 0, "hyperparams"), "n_layers"),
+            ("perstop", ("members", 1, "hyperparams"), "lstm_nodes"),
+            ("perstop", ("members", 1, "hyperparams"), "n_layers"),
+            ("d", ("members", 0, "hyperparams"), "batch_size"),
+            ("perstop", ("members", 1, "hyperparams"), "sequence_length"),
         ],
     )
     def test_checkpoint_size_that_is_not_a_count(
         self, workspace, trained, capsys, tmp_path, method, entry, key, value
     ):
-        """A size in a checkpoint header must be an int of at least 1: one error line names the key."""
+        """A size in a checkpoint header, a member's hyperparameters included, must be an int of at least 1: one
+        error line names the key."""
         from buscast.nn_core import load_params
 
         header, params = load_params(workspace["out"] / f"{method}.ckpt")
@@ -925,30 +929,83 @@ class TestBadInputs:
         assert_one_error_line(err, "predict", repr(key))
 
     def test_checkpoint_of_another_input_width(self, workspace, trained, capsys, tmp_path):
-        """A ``d`` checkpoint whose input layer reads 5 features, its arrays to match: ``d`` reads 37, so
-        ``predict`` and ``evaluate`` refuse it with one line that names the key."""
+        """A ``d`` checkpoint whose input layer reads 5 features: ``d`` reads 37, so ``predict`` and ``evaluate``
+        refuse it with one line that names the array and the width it must have."""
         from buscast.nn_core import load_params
 
         header, params = load_params(workspace["out"] / "d.ckpt")
-        arrays = [(name, np.ascontiguousarray(arr[:, :5]) if name.endswith("layer0/w") else arr)
+        arrays = [(name, np.ascontiguousarray(arr[..., :5]) if name.endswith("layer0/w") else arr)
                   for name, arr in params.items()]
-        save_params(tmp_path / "d.ckpt", {**header, "input_size": 5}, arrays)
+        save_params(tmp_path / "d.ckpt", header, arrays)
         for argv in (["predict", "--model", str(tmp_path / "d.ckpt")],
                      ["evaluate", "--methods", "d", "--out", str(tmp_path)]):
             code, _, err = run_cli(capsys, *argv, "--dataset", str(workspace["dataset"]))
             assert code == 1
-            assert_one_error_line(err, argv[0], "header key 'input_size': must be an integer equal to 37, got 5")
+            assert_one_error_line(err, argv[0], "parameter array 'd/layer0/w' is float64 of shape (5, 16, 5), "
+                                                "not float64 of shape (5, 16, 37)")
+
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [
+            ("batch_size", True, "header key 'batch_size': must be an integer of at least 1, got True"),
+            ("batch_size", 16.9, "header key 'batch_size': must be an integer of at least 1, got 16.9"),
+            ("learning_rate", float("nan"), "header key 'learning_rate': must be a finite number above 0, got nan"),
+            ("lstm_nodes", "999", "header key 'lstm_nodes': must be an integer of at least 1, got '999'"),
+            ("n_layers", 7, "parameter array 'd/layer1/w' is missing"),
+            ("sequence_length", 12, "sequence_length 12 is not the look-back 13"),
+        ],
+        ids=["true-batch", "fractional-batch", "nan-learning-rate", "text-nodes", "more-layers-than-arrays",
+             "another-look-back"],
+    )
+    def test_checkpoint_hyperparameters_are_checked_not_coerced(
+        self, workspace, trained, capsys, tmp_path, key, value, fragment
+    ):
+        """Each member's hyperparameters set its array shapes, so each is checked as it stands: one error line."""
+        from buscast.nn_core import load_params
+
+        header, params = load_params(workspace["out"] / "d.ckpt")
+        header["members"][0]["hyperparams"][key] = value
+        path = tmp_path / "edited.ckpt"
+        save_params(path, header, list(params.items()))
+        code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
+        assert code == 1
+        assert_one_error_line(err, "predict", str(path), "member 'd': ", fragment)
+
+    def test_checkpoint_of_the_per_branch_layout_asks_for_a_new_train(self, workspace, trained, capsys, tmp_path):
+        """A ``d`` checkpoint as written before the layout version: sizes in the header, one array per branch and
+        layer. ``predict`` and ``evaluate`` refuse it with one line that asks for ``buscast train``."""
+        from buscast.nn_core import load_params
+
+        header, params = load_params(workspace["out"] / "d.ckpt")
+        del header["version"]
+        (member,) = header.pop("members")
+        hp = member["hyperparams"]
+        header.update(member, n_branches=5, n_layers=hp["n_layers"], hidden_size=hp["lstm_nodes"], input_size=37,
+                      stop_index=None, feature_spec={
+                          "use_ridership": True, "use_day_of_week": True, "use_service_number": True,
+                          "use_rain": True, "services_per_day": 26, "dimension": 37,
+                      })
+        layers = [(name.removeprefix("d/"), arr) for name, arr in params.items() if "/layer" in name]
+        arrays = [(f"branch{b}/{name}", arr[b]) for b in range(5) for name, arr in layers]
+        arrays += [(name.removeprefix("d/"), arr) for name, arr in params.items() if "/head/" in name]
+        save_params(tmp_path / "d.ckpt", header, arrays)
+        for argv in (["predict", "--model", str(tmp_path / "d.ckpt")],
+                     ["evaluate", "--methods", "d", "--out", str(tmp_path)]):
+            code, _, err = run_cli(capsys, *argv, "--dataset", str(workspace["dataset"]))
+            assert code == 1
+            assert_one_error_line(err, argv[0], str(tmp_path / "d.ckpt"), "run 'buscast train' again")
 
     @pytest.mark.parametrize("stops", [None, "x", {}, [1], [{}, None]])
     def test_per_stop_checkpoint_without_a_list_of_stops(self, workspace, trained, capsys, tmp_path, stops):
+        """``members`` holds one object per stop for ``perstop``; ``stops`` is what stands there instead."""
         from buscast.nn_core import load_params
 
         header, params = load_params(workspace["out"] / "perstop.ckpt")
         path = tmp_path / "edited.ckpt"
-        save_params(path, {**header, "stops": stops}, list(params.items()))
+        save_params(path, {**header, "members": stops}, list(params.items()))
         code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
         assert code == 1
-        assert_one_error_line(err, "predict", "header key 'stops': must be a list of 5 objects, one per stop")
+        assert_one_error_line(err, "predict", "header key 'members': must be a list of 5 objects, one per regressor")
 
     @pytest.mark.parametrize("members", [4, 6])
     def test_per_stop_checkpoint_with_a_member_per_stop_too_few_or_many(
@@ -958,14 +1015,14 @@ class TestBadInputs:
         from buscast.nn_core import load_params
 
         header, params = load_params(workspace["out"] / "perstop.ckpt")
-        stops = (header["stops"] * 2)[:members]
-        arrays = [(f"stop{b}/{name.partition('/')[2]}", arr) for b in range(1, members + 1)
-                  for name, arr in params.items() if name.startswith("stop1/")]
+        entries = (header["members"] * 2)[:members]
+        arrays = [(f"perstop_stop{b}/{name.partition('/')[2]}", arr) for b in range(1, members + 1)
+                  for name, arr in params.items() if name.startswith("perstop_stop1/")]
         path = tmp_path / "edited.ckpt"
-        save_params(path, {**header, "stops": stops}, arrays)
+        save_params(path, {**header, "members": entries}, arrays)
         code, _, err = run_cli(capsys, "predict", "--dataset", str(workspace["dataset"]), "--model", str(path))
         assert code == 1
-        assert_one_error_line(err, "predict", str(path), "'stops'")
+        assert_one_error_line(err, "predict", str(path), "'members'")
 
     def _evaluate_edited_cache(self, workspace, capsys, tmp_path, edit):
         """Run ``evaluate`` on the shared cache with its payload replaced by ``edit(payload)``."""

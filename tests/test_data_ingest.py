@@ -29,7 +29,7 @@ from buscast.errors import (
     MissingWeather,
     UnknownCategory,
 )
-from buscast.synth import SynthConfig, generate, generate_dataset
+from buscast.synth import SynthConfig, generate
 
 from ingest_oracle import (
     RidershipRecord,
@@ -50,6 +50,7 @@ from ingest_oracle import (
     weather_columns,
     with_cache_cells,
 )
+from synth_oracle import generate_dataset
 
 
 def _write(tmp_path, name, text):

@@ -30,11 +30,12 @@ from buscast.evaluation import (
 )
 from buscast.features import prepare_windows
 from buscast.models import MethodId, TrainSchedule, fit_statistical, method_spec
-from buscast.synth import SynthConfig, generate, generate_dataset
+from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 from buscast.nn_core import OptimizerKind
 
 from ingest_oracle import RidershipRecord, ServiceWeather, records_of, ridership_columns, service_weather_columns
+from synth_oracle import generate_dataset
 
 
 class TestRmse:

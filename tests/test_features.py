@@ -22,17 +22,17 @@ from buscast.features import (
     fit_scaler,
     fit_scalers,
     inverse_scale,
-    one_hot,
     prepare_windows,
     scale,
     scale_targets,
 )
 from buscast.models import MethodId, method_spec
-from buscast.synth import SynthConfig, generate, generate_dataset
+from buscast.synth import SynthConfig, generate
 from buscast.data_ingest import join_weather_to_services
 
 from ingest_oracle import complete_keys, incomplete_keys, records_of, ridership_columns
-from window_oracle import slots_of
+from synth_oracle import generate_dataset
+from window_oracle import one_hot, slots_of
 
 
 class TestScaler:

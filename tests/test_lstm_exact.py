@@ -126,7 +126,7 @@ def test_two_layer_model_gradients_match_oracle():
     hp = HyperParams(8, 6, 16, 2, 0.01, OptimizerKind.ADAM)
     model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=3)
     rng = np.random.default_rng(3)
-    xs = [rng.normal(size=(8, hp.sequence_length, model.input_size)) for _ in range(model.n_branches)]
+    xs = [rng.normal(size=(8, hp.sequence_length, model.layers[0].w.shape[2])) for _ in range(model.n_branches)]
     target = rng.normal(size=(8, model.n_branches))
 
     loss, grads = model.forward_backward(np.stack(xs), target)
@@ -254,7 +254,7 @@ def test_model_window_pass_skips_rows_and_spans_a_gap(n_layers):
     hp = HyperParams(16, 26, 16, n_layers, 0.01, OptimizerKind.ADAM)
     model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=11)
     rng = np.random.default_rng(11)
-    windows = _gapped_windows(rng, 5, model.input_size, hp.sequence_length)
+    windows = _gapped_windows(rng, 5, model.layers[0].w.shape[2], hp.sequence_length)
     windows = subset_by_targets(windows, windows.slots[::2])
     assert windows.starts[windows.starts < 60].size and windows.starts[windows.starts > 60].size
     n_windows = windows.n_samples
@@ -274,7 +274,7 @@ def test_one_window_prediction_matches_oracle(steps, hidden):
     hp = HyperParams(16, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
     model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=4)
     rng = np.random.default_rng(4)
-    history = [rng.normal(size=(steps, model.input_size)) for _ in range(5)]
+    history = [rng.normal(size=(steps, model.layers[0].w.shape[2])) for _ in range(5)]
     unit = ScalerParams(0.0, 1.0)  # de-scaling by x * 1.0 + 0.0 keeps every bit
     forecaster = LstmForecaster((Member(model, hp, 4),), ScalerSet({b: unit for b in range(1, 6)}, unit))
     got = predict_next_service(forecaster, history, steps, int(slots_of([(date(2022, 1, 2), 1)], 26)[0]))

@@ -48,10 +48,11 @@ from buscast.nn_core import (
     load_params,
     save_params,
 )
-from buscast.synth import SynthConfig, generate, generate_dataset
+from buscast.synth import SynthConfig, generate
 from buscast.tuning import HyperParams
 
 from ingest_oracle import records_of, ridership_columns
+from synth_oracle import generate_dataset
 from window_oracle import aligned_from_tensors, as_windows, slots_of
 
 HP_SMALL = HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM)
@@ -102,14 +103,14 @@ class TestBuildModel:
         model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=0)
         assert model.head.w.shape == (5, 320)
         assert model.n_branches == 5
-        assert model.input_size == 37
+        assert model.layers[0].w.shape[2] == 37
 
     def test_per_stop_head_widths(self):
         hp = HyperParams(256, 26, 16, 1, 0.01, OptimizerKind.RMSPROP)
         model = build_model(method_spec(MethodId.PER_STOP), hp, n_stops=5, seed=0)
         assert model.head.w.shape == (1, 16)
         assert model.n_branches == 1
-        assert model.input_size == 1
+        assert model.layers[0].w.shape[2] == 1
 
     def test_zero_layers_rejected(self):
         hp = HyperParams(16, 26, 64, 0, 0.001, OptimizerKind.ADAM)
@@ -200,7 +201,7 @@ class TestForward:
             model.forward(as_windows([rng.normal(size=(3, 6, 1))]))
         # A gathered training batch holds one stream per branch.
         with pytest.raises(MisalignedBatches, match="got 3 input streams for 2 branches"):
-            model.forward_backward(rng.normal(size=(3, 4, 6, model.input_size)), np.zeros((4, 2)))
+            model.forward_backward(rng.normal(size=(3, 4, 6, model.layers[0].w.shape[2])), np.zeros((4, 2)))
 
     def test_model_gradients_match_finite_differences(self):
         from tests_grad_util import model_gradcheck
@@ -216,7 +217,7 @@ class TestForward:
         n, batch, steps, hidden = 5, 256, 26, 16
         hp = HyperParams(batch, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n, seed=0)
-        rows = np.random.default_rng(0).normal(size=(n, batch + steps - 1, model.input_size))
+        rows = np.random.default_rng(0).normal(size=(n, batch + steps - 1, model.layers[0].w.shape[2]))
         windows = AlignedWindows(rows, np.arange(batch), np.zeros((batch, n)), steps, slots=np.arange(batch))
         model.forward(windows)
         tracemalloc.start()
@@ -592,22 +593,23 @@ class TestCheckpoint:
         windows = _random_windows(np.random.default_rng(3), 2, 5, 26, 1)
         assert np.array_equal(loaded.forecaster.predict(windows), LstmForecaster(members, scalers).predict(windows))
 
-    def test_checkpoint_names_stay_per_branch(self, tmp_path):
-        # Golden: whatever the in-memory layout, a checkpoint stores one array per
-        # branch and layer, named and ordered branch by branch, then the head.
+    def test_checkpoint_holds_each_members_arrays_as_held(self, tmp_path):
+        # Golden: a checkpoint's header keys, and its arrays, which are each member's param_dict() arrays, stacked
+        # over the branches as in memory, under the member's label, member by member in plan order.
         scalers = lambda n: ScalerSet({b: ScalerParams(0.0, 1.0) for b in range(1, n + 1)}, ScalerParams(0.0, 1.0))
         hp = HyperParams(8, 6, 4, 2, 0.01, OptimizerKind.ADAM)
         joint = Member(build_model(method_spec(MethodId.D), hp, 3, seed=0), hp, 0)
         save_model(tmp_path / "d.ckpt", LstmForecaster((joint,), scalers(3)), method=MethodId.D,
                    look_back=6, n_stops=3, services_per_day=26)
-        assert load_params(tmp_path / "d.ckpt")[0]["params"] == [
-            ["branch0/layer0/w", [16, 37]], ["branch0/layer0/u", [16, 4]], ["branch0/layer0/b", [16]],
-            ["branch0/layer1/w", [16, 4]], ["branch0/layer1/u", [16, 4]], ["branch0/layer1/b", [16]],
-            ["branch1/layer0/w", [16, 37]], ["branch1/layer0/u", [16, 4]], ["branch1/layer0/b", [16]],
-            ["branch1/layer1/w", [16, 4]], ["branch1/layer1/u", [16, 4]], ["branch1/layer1/b", [16]],
-            ["branch2/layer0/w", [16, 37]], ["branch2/layer0/u", [16, 4]], ["branch2/layer0/b", [16]],
-            ["branch2/layer1/w", [16, 4]], ["branch2/layer1/u", [16, 4]], ["branch2/layer1/b", [16]],
-            ["head/w", [3, 12]], ["head/b", [3]],
+        header = load_params(tmp_path / "d.ckpt")[0]
+        assert sorted(header) == ["format_version", "kind", "look_back", "members", "method", "n_stops", "params",
+                                  "scalers", "services_per_day", "version"]
+        assert (header["kind"], header["version"], header["members"]) == (
+            "buscast-model", 2, [{"hyperparams": hp.to_dict(), "seed": 0}])
+        assert header["params"] == [
+            ["d/layer0/w", [3, 16, 37]], ["d/layer0/u", [3, 16, 4]], ["d/layer0/b", [3, 16]],
+            ["d/layer1/w", [3, 16, 4]], ["d/layer1/u", [3, 16, 4]], ["d/layer1/b", [3, 16]],
+            ["d/head/w", [3, 12]], ["d/head/b", [3]],
         ]
 
         spec = method_spec(MethodId.PER_STOP)
@@ -615,11 +617,13 @@ class TestCheckpoint:
         members = tuple(Member(build_model(spec, h, 2, seed=b), h, b) for b, h in enumerate(hps))
         save_model(tmp_path / "perstop.ckpt", LstmForecaster(members, scalers(2)), method=MethodId.PER_STOP,
                    look_back=6, n_stops=2, services_per_day=26)
-        assert load_params(tmp_path / "perstop.ckpt")[0]["params"] == [
-            ["stop1/branch0/layer0/w", [16, 1]], ["stop1/branch0/layer0/u", [16, 4]],
-            ["stop1/branch0/layer0/b", [16]], ["stop1/head/w", [1, 4]], ["stop1/head/b", [1]],
-            ["stop2/branch0/layer0/w", [12, 1]], ["stop2/branch0/layer0/u", [12, 3]],
-            ["stop2/branch0/layer0/b", [12]], ["stop2/branch0/layer1/w", [12, 3]],
-            ["stop2/branch0/layer1/u", [12, 3]], ["stop2/branch0/layer1/b", [12]],
-            ["stop2/head/w", [1, 3]], ["stop2/head/b", [1]],
+        header = load_params(tmp_path / "perstop.ckpt")[0]
+        assert header["members"] == [{"hyperparams": h.to_dict(), "seed": b} for b, h in enumerate(hps)]
+        assert header["params"] == [
+            ["perstop_stop1/layer0/w", [1, 16, 1]], ["perstop_stop1/layer0/u", [1, 16, 4]],
+            ["perstop_stop1/layer0/b", [1, 16]], ["perstop_stop1/head/w", [1, 4]], ["perstop_stop1/head/b", [1]],
+            ["perstop_stop2/layer0/w", [1, 12, 1]], ["perstop_stop2/layer0/u", [1, 12, 3]],
+            ["perstop_stop2/layer0/b", [1, 12]], ["perstop_stop2/layer1/w", [1, 12, 3]],
+            ["perstop_stop2/layer1/u", [1, 12, 3]], ["perstop_stop2/layer1/b", [1, 12]],
+            ["perstop_stop2/head/w", [1, 3]], ["perstop_stop2/head/b", [1]],
         ]

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from buscast.data_ingest import build_route_dataset, join_weather_to_services, parse_ridership_csv, parse_weather_csv
 from buscast.errors import BadArgs
-from buscast.synth import SynthConfig, generate, generate_dataset, write_synthetic_csvs
+from buscast.synth import SynthConfig, generate, write_synthetic_csvs
 
 from ingest_oracle import dataset_bytes
-from synth_oracle import oracle_write_csvs
+from synth_oracle import generate_dataset, oracle_write_csvs
 
 CUSTOM_TIMETABLE = {1: time(6, 5), 2: time(12, 30), 3: time(18, 0), 4: time(23, 59)}
 

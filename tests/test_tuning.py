@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ class TestGrid:
     def test_cardinality(self):
         # 5 batch sizes x 2 sequence lengths x 5 node counts x 3 depths
         # x 3 learning rates x 4 implemented optimizers
-        assert CandidateGrid().cardinality == 1800
+        grid = CandidateGrid()
+        assert math.prod(len(getattr(grid, f.name)) for f in fields(grid)) == 1800
 
     def test_sampling_reproducible(self):
         a = [sample_config(np.random.default_rng(3)) for _ in range(20)]
@@ -47,7 +49,7 @@ class TestSchedule:
     def test_hand_derived_table_r27(self):
         schedule = make_schedule(27, 3)
         assert [b.index for b in schedule.brackets] == [3, 2, 1, 0]
-        assert [(b.n_initial, b.initial_epochs) for b in schedule.brackets] == [
+        assert [(b.n_initial, b.rungs[0].epochs) for b in schedule.brackets] == [
             (27, 1),
             (9, 3),
             (6, 9),
@@ -63,7 +65,7 @@ class TestSchedule:
 
     def test_hand_derived_table_r9(self):
         schedule = make_schedule(9, 3)
-        assert [(b.n_initial, b.initial_epochs) for b in schedule.brackets] == [
+        assert [(b.n_initial, b.rungs[0].epochs) for b in schedule.brackets] == [
             (9, 1),
             (3, 3),
             (3, 9),

@@ -14,6 +14,7 @@ from datetime import timedelta
 
 import numpy as np
 
+from buscast.errors import IndexOutOfRange
 from buscast.features import N_RAIN_CLASSES, N_WEEKDAYS, AlignedWindows, ScalerParams, ScalerSet, scale
 
 
@@ -76,10 +77,12 @@ def oracle_scalers(route: RecordRoute, use_rain: bool) -> ScalerSet:
     )
 
 
-def one_hot(index: int, cardinality: int) -> np.ndarray:
-    vec = np.zeros(cardinality, dtype=np.float64)
-    vec[index] = 1.0
-    return vec
+def one_hot(index, cardinality: int) -> np.ndarray:
+    """Unit vector e_index of length ``cardinality``; an array of N indices gives N rows."""
+    index = np.asarray(index)
+    if np.any((index < 0) | (index >= cardinality)):
+        raise IndexOutOfRange(f"index outside [0, {cardinality})")
+    return np.eye(cardinality)[index]
 
 
 def encode_service(record, service_weather, spec, scalers) -> np.ndarray:
