@@ -19,15 +19,19 @@ left by an excluded incomplete service: a window is always L truly
 consecutive timetable slots. Every row, window and target is named by the
 absolute slot of its service (see ``RouteDataset``), one int64 per row.
 
-Windows are never materialized. A split is held as its encoded rows, one
-(n, T, D) stack over the stops, plus the first row of each window
-(``starts``); window i of stop b is ``rows[b, starts[i] : starts[i] + L]``.
-:meth:`AlignedWindows.batch` gathers one training mini-batch with a single
-``np.take`` into a C-contiguous (n, B, L, D) array, fresh or given, holding
+Windows are never materialized, and the columns every stop shares are held
+once. A split is held as each stop's scaled ridership, one (n, T) array, the
+(T, D-1) covariate columns (weekday, service, rain, precipitation) that are
+the same at every stop, and the first row of each window (``starts``). Row t
+of stop b is ``[ridership[b, t] | covariates[t]]``, byte for byte what
+:func:`encode_stop` gives, and window i of stop b is rows ``starts[i] :
+starts[i] + L``. :meth:`AlignedWindows.batch` gathers one training
+mini-batch into a C-contiguous (n, B, L, D) array, fresh or given, holding
 exactly the bytes that stacking per-window copies would, so the LSTM core
 sees the same operands and training stays bit-identical. Forward-only
-passes read the rows and starts themselves. Memory is that of the rows, not
-L times it.
+passes assemble the (n, R, D) rows a chunk of windows reads
+(:meth:`AlignedWindows.window_rows`). Memory is n*T + T*(D-1) floats, not
+n*T*D, nor L times it.
 """
 
 from __future__ import annotations
@@ -102,9 +106,15 @@ class WindowedDataset:
 
 @dataclass(frozen=True)
 class AlignedWindows:
-    """Window streams of all stops; the stops share one slot axis, so every window predicts one service."""
+    """Window streams of all stops; the stops share one slot axis, so every window predicts one service.
 
-    rows: np.ndarray  # (n_stops, T, D) encoded rows, the only copy
+    Encoded row t of stop b is ``[ridership[b, t] | covariates[t]]``: the
+    weekday, service and weather columns are the same at every stop, so they
+    are held once.
+    """
+
+    ridership: np.ndarray  # (n_stops, T) scaled ridership, column 0 of each stop's encoded rows
+    covariates: np.ndarray  # (T, D-1) columns 1.. of the encoded rows, the same at every stop
     starts: np.ndarray  # (N,) intp, first row of each window
     y: np.ndarray  # (N, n_stops) raw targets, column b-1 = stop b
     look_back: int
@@ -118,17 +128,40 @@ class AlignedWindows:
     def n_stops(self) -> int:
         return self.y.shape[1]
 
+    @property
+    def dimension(self) -> int:
+        return self.covariates.shape[1] + 1
+
     def batch(self, idx, out: np.ndarray | None = None) -> np.ndarray:
         """Windows ``idx`` (indices or a slice) of every stop: one C-contiguous (n, B, L, D) array.
 
         With ``out``, a C-contiguous array of that shape, the windows are
         gathered into it and it is returned.
         """
-        steps = self.starts[idx][:, None] + np.arange(self.look_back)
+        return self._join(self.starts[idx][:, None] + np.arange(self.look_back), out)
+
+    def window_rows(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The rows windows ``idx`` read, and where each window starts in them.
+
+        The rows run from the first window's start to the last one's end, one
+        C-contiguous (n, R, D) array; window i of stop b is ``rows[b, s[i] :
+        s[i] + L]`` of the returned ``(rows, s)``.
+        """
+        starts = self.starts[idx]
+        lo, hi = int(starts.min()), int(starts.max()) + self.look_back
+        return self._join(slice(lo, hi)), starts - lo
+
+    def _join(self, at, out: np.ndarray | None = None) -> np.ndarray:
+        """Encoded rows ``at`` (a slice, or an array of row numbers) of every stop, into ``out`` or a fresh array."""
+        covariates = self.covariates[at]
         if out is None:
-            return np.take(self.rows, steps, axis=1)
-        # "raise" would gather into a copy of out first; every step is in range.
-        return np.take(self.rows, steps, axis=1, out=out, mode="clip")
+            out = np.empty((len(self.ridership), *covariates.shape[:-1], self.dimension))
+        # Copying stop 1's rows whole to the other stops is faster than
+        # broadcasting the covariates into each; column 0 is written last.
+        out[0, ..., 1:] = covariates
+        out[1:] = out[0]
+        out[..., 0] = self.ridership[:, at]
+        return out
 
 
 def fit_scaler(values: Sequence[float] | np.ndarray) -> ScalerParams:
@@ -244,12 +277,12 @@ def scale_targets(aligned: AlignedWindows, scalers: ScalerSet) -> AlignedWindows
 
 
 def stop_view(aligned: AlignedWindows, stops: slice) -> AlignedWindows:
-    """The streams of the stops in ``stops`` (zero-based columns) out of an aligned set; shares the rows."""
-    return replace(aligned, rows=aligned.rows[stops], y=aligned.y[:, stops])
+    """The streams of the stops in ``stops`` (zero-based columns) out of an aligned set; shares the arrays."""
+    return replace(aligned, ridership=aligned.ridership[stops], y=aligned.y[:, stops])
 
 
 def subset_by_targets(aligned: AlignedWindows, slots: np.ndarray) -> AlignedWindows:
-    """Restrict windows to those predicting one of ``slots`` (order preserved); shares the rows."""
+    """Restrict windows to those predicting one of ``slots`` (order preserved); shares the encoded columns."""
     keep = np.isin(aligned.slots, slots)
     if not keep.any():
         raise EmptyInput("no windows left after target restriction")
@@ -273,18 +306,23 @@ def encode_windows(
     """Encode and window every stop of one dataset with pre-fitted scalers.
 
     The stops share the dataset's complete services, so their windows start
-    at the same rows and predict the same services.
+    at the same rows and predict the same services, and all columns but the
+    ridership are the same at every stop: stop 1's encoding supplies them
+    and the windows, and each stop adds its scaled ridership.
     """
-    per_stop = [
-        build_windows(encode_stop(dataset, stop, spec, scalers), look_back)
-        for stop in range(1, dataset.n_stops + 1)
-    ]
+    matrix = encode_stop(dataset, 1, spec, scalers)
+    windows = build_windows(matrix, look_back)
+    targets = dataset.ridership.reshape(-1, dataset.n_stops)[matrix.slots - dataset.first_slot].astype(np.float64)
+    ridership = np.empty((dataset.n_stops, len(targets)))
+    for b in range(dataset.n_stops):
+        ridership[b] = scale(targets[:, b], scalers.ridership[b + 1])
     return AlignedWindows(
-        rows=np.stack([w.x for w in per_stop]),
-        starts=per_stop[0].starts,
-        y=np.column_stack([w.y[:, 0] for w in per_stop]),
+        ridership=ridership,
+        covariates=matrix.rows[:, 1:].copy(),  # not a view that keeps stop 1's rows alive
+        starts=windows.starts,
+        y=targets[windows.starts + look_back],
         look_back=look_back,
-        slots=per_stop[0].slots,
+        slots=windows.slots,
     )
 
 

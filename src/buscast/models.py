@@ -177,15 +177,14 @@ class LstmRegressor:
         """Scaled predictions for windows ``chunk`` of ``windows``, shape (B, n_branches); de-scaling is the caller's job.
 
         No backward pass follows, so no BPTT cache is kept. Layer 0 reads the
-        windows' encoded rows (:func:`branched_lstm_forward_windows`); each
-        layer above reads the hidden sequence of the one below.
+        encoded rows the chunk's windows span (:meth:`AlignedWindows.window_rows`,
+        :func:`branched_lstm_forward_windows`); each layer above reads the
+        hidden sequence of the one below.
         """
-        if windows.rows.shape[0] != self.n_branches:
-            raise MisalignedBatches(f"got {windows.rows.shape[0]} input streams for {self.n_branches} branches")
+        if windows.ridership.shape[0] != self.n_branches:
+            raise MisalignedBatches(f"got {windows.ridership.shape[0]} input streams for {self.n_branches} branches")
         first, *upper = self.layers
-        seq = branched_lstm_forward_windows(
-            first.w, first.u, first.b, windows.rows, windows.starts[chunk], windows.look_back
-        )
+        seq = branched_lstm_forward_windows(first.w, first.u, first.b, *windows.window_rows(chunk), windows.look_back)
         for layer in upper:
             seq, _ = branched_lstm_forward(layer.w, layer.u, layer.b, seq, keep_cache=False)
         return dense_forward(self.head, self._concat_states(seq))
@@ -369,7 +368,7 @@ def train(
         rng = np.random.default_rng(seed)
         history = TrainHistory()
         best_state = model.snapshot()
-    window_shape = (train_data.look_back, train_data.rows.shape[2])
+    window_shape = (train_data.look_back, train_data.dimension)
 
     for epoch in range(len(history.epochs) + 1, schedule.max_epochs + 1):
         order = rng.permutation(n)
@@ -500,17 +499,23 @@ def predict_next_service(
 ) -> list[float]:
     """Predict the service of slot ``target`` at every stop from the L encoded services before it.
 
-    ``history`` holds one (L, D) feature block per stop. The blocks become a
-    single window, so every method predicts through its one ``predict``.
-    Returned values are de-scaled persons, clamped at zero.
+    ``history`` holds one (L, D) feature block per stop, whose columns 1..
+    (weekday, service, weather) must be the same at every stop. The blocks
+    become a single window, so every method predicts through its one
+    ``predict``. Returned values are de-scaled persons, clamped at zero.
     """
     for block in history:
         if block.ndim != 2 or block.shape[0] != look_back:
             raise InsufficientHistory(
                 f"need exactly {look_back} consecutive services per stop, got {block.shape}"
             )
+    covariates = history[0][:, 1:]
+    for stop, block in enumerate(history[1:], start=2):
+        if block.shape != history[0].shape or block[:, 1:].tobytes() != covariates.tobytes():
+            raise MisalignedBatches(f"the history of stop {stop} differs from stop 1's in columns 1..")
     window = AlignedWindows(
-        rows=np.stack(history),
+        ridership=np.stack([block[:, 0] for block in history]),
+        covariates=covariates,
         starts=np.zeros(1, dtype=np.intp),
         y=np.full((1, len(history)), np.nan),  # the unknown target
         look_back=look_back,

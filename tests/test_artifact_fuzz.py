@@ -204,7 +204,8 @@ def train_state(tmp_path_factory):
 
     def windows(n: int) -> AlignedWindows:
         starts = np.arange(n)
-        return AlignedWindows(rng.normal(size=(2, n + 3, 1)), starts, rng.normal(size=(n, 2)), 4, starts + 4)
+        return AlignedWindows(rng.normal(size=(2, n + 3)), np.zeros((n + 3, 0)), starts, rng.normal(size=(n, 2)), 4,
+                              starts + 4)
 
     hp = HyperParams(8, 4, 4, 1, 0.01, OptimizerKind.ADAM)
     data, state = (windows(24), windows(8)), TrainState()

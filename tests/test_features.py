@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import date, timedelta
 
 import numpy as np
@@ -19,6 +20,7 @@ from buscast.features import (
     build_windows,
     chronological_split,
     encode_stop,
+    encode_windows,
     fit_scaler,
     fit_scalers,
     inverse_scale,
@@ -165,6 +167,14 @@ class TestEncodeService:
             assert np.all(matrix.rows[:, 0] >= 0.0) and np.all(matrix.rows[:, 0] <= 1.0)
             assert np.all(matrix.rows[:, 36] >= 0.0) and np.all(matrix.rows[:, 36] <= 1.0)
 
+    def test_service_past_the_spec_is_refused(self, encoded):
+        # A spec of one service fewer than the route: service 26's index 25
+        # would land in the rain block's first column, inside the row.
+        ds, spec, scalers = encoded
+        short = dataclasses.replace(spec, services_per_day=ds.services_per_day - 1)
+        with pytest.raises(IndexOutOfRange, match=r"index 25 outside \[0, 25\)"):
+            encode_windows(ds, short, scalers, 26)
+
 
 def _contig_dataset(n_days, drop=None, seed=2):
     """Small 2-stop route; optionally drop one stop row to create a gap."""
@@ -293,3 +303,37 @@ class TestScaleTargets:
             restored = inverse_scale(scaled.y[:, col], params)
             assert np.allclose(restored, prepared.train.y[:, col])
 
+
+def _held_bytes(obj) -> int:
+    """Bytes of the distinct buffers behind the arrays of a dataclass, nested dataclasses included."""
+    held = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            held[id(value)] = value.nbytes
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                walk(getattr(value, f.name))
+
+    walk(obj)
+    return sum(held.values())
+
+
+def test_a_split_holds_the_shared_columns_once():
+    # n stops' ridership plus one copy of the D-1 columns every stop shares,
+    # not an (n, T, D) stack, beside the starts, targets and slots.
+    ds = generate_dataset(SynthConfig(n_days=60, seed=5))
+    lo, _ = ds.date_range()
+    bounds = (lo + timedelta(days=39), lo + timedelta(days=49))
+    spec = method_spec(MethodId.D, 26).features
+    prepared = prepare_windows(ds, bounds, spec, 26)
+    total = 0
+    for split, aligned in zip(chronological_split(ds, bounds), (prepared.train, prepared.val, prepared.test)):
+        rows = int(split.complete.sum())
+        allowed = 8 * (ds.n_stops * rows + rows * (spec.dimension - 1))
+        allowed += aligned.starts.nbytes + aligned.y.nbytes + aligned.slots.nbytes
+        assert _held_bytes(aligned) <= allowed
+        total += allowed
+    assert _held_bytes(prepared) <= total

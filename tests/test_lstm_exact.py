@@ -22,7 +22,7 @@ from buscast.nn_core import (
 )
 from buscast.tuning import HyperParams
 from lstm_oracle import oracle_backward, oracle_forward
-from window_oracle import as_windows, slots_of
+from window_oracle import as_windows, shared_covariates, slots_of
 
 
 def assert_bit_identical(actual, expected):
@@ -127,6 +127,7 @@ def test_two_layer_model_gradients_match_oracle():
     model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=3)
     rng = np.random.default_rng(3)
     xs = [rng.normal(size=(8, hp.sequence_length, model.layers[0].w.shape[2])) for _ in range(model.n_branches)]
+    xs = shared_covariates(xs)  # the forward-only path reads windows of one route
     target = rng.normal(size=(8, model.n_branches))
 
     loss, grads = model.forward_backward(np.stack(xs), target)
@@ -239,12 +240,12 @@ def test_gemm_rows_do_not_depend_on_the_row_count(dim, hidden):
 
 def _gapped_windows(rng, n, dim, look_back):
     """Stride-1 windows over two segments of 60 and 70 rows with the row between them excluded."""
-    rows = rng.normal(size=(n, 131, dim))
+    ridership, covariates = rng.normal(size=(n, 131)), rng.normal(size=(131, dim - 1))
     starts = np.concatenate([np.arange(0, 60 - look_back), np.arange(61, 131 - look_back)]).astype(np.intp)
     first = date(2022, 1, 1)
     keys = tuple((first + timedelta(days=int(s) // 26), 1 + int(s) % 26) for s in starts + look_back)
     y = np.zeros((len(starts), n))
-    return AlignedWindows(rows, starts, y, look_back, slots_of(keys, 26))
+    return AlignedWindows(ridership, covariates, starts, y, look_back, slots_of(keys, 26))
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -265,7 +266,8 @@ def test_model_window_pass_skips_rows_and_spans_a_gap(n_layers):
         pred_ref, _, _ = oracle_forward_backward(model, x, np.zeros_like(pred))
         assert_bit_identical(pred, pred_ref)
         layer = model.layers[0]
-        assert_window_pass_exact(layer.w, layer.u, layer.b, windows.rows, windows.starts[chunk], hp.sequence_length)
+        rows, starts = windows.window_rows(chunk)
+        assert_window_pass_exact(layer.w, layer.u, layer.b, rows, starts, hp.sequence_length)
 
 
 @pytest.mark.parametrize("steps, hidden", [(26, 16), (182, 64)])
@@ -274,7 +276,7 @@ def test_one_window_prediction_matches_oracle(steps, hidden):
     hp = HyperParams(16, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
     model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=4)
     rng = np.random.default_rng(4)
-    history = [rng.normal(size=(steps, model.layers[0].w.shape[2])) for _ in range(5)]
+    history = shared_covariates([rng.normal(size=(steps, model.layers[0].w.shape[2])) for _ in range(5)])
     unit = ScalerParams(0.0, 1.0)  # de-scaling by x * 1.0 + 0.0 keeps every bit
     forecaster = LstmForecaster((Member(model, hp, 4),), ScalerSet({b: unit for b in range(1, 6)}, unit))
     got = predict_next_service(forecaster, history, steps, int(slots_of([(date(2022, 1, 2), 1)], 26)[0]))

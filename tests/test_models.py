@@ -53,13 +53,13 @@ from buscast.tuning import HyperParams
 
 from ingest_oracle import records_of, ridership_columns
 from synth_oracle import generate_dataset
-from window_oracle import aligned_from_tensors, as_windows, slots_of
+from window_oracle import aligned_from_tensors, as_windows, shared_covariates, slots_of
 
 HP_SMALL = HyperParams(8, 6, 4, 1, 0.01, OptimizerKind.ADAM)
 
 
 def _random_windows(rng, n_stops, n, look_back, dim):
-    xs = tuple(rng.normal(size=(n, look_back, dim)) for _ in range(n_stops))
+    xs = shared_covariates([rng.normal(size=(n, look_back, dim)) for _ in range(n_stops)])
     y = rng.normal(size=(n, n_stops))
     keys = tuple((date(2022, 1, 1 + i // 26), 1 + i % 26) for i in range(n))
     return aligned_from_tensors(xs, y, look_back, slots_of(keys, 26))
@@ -69,7 +69,7 @@ def _mean(baseline, stop, service, day=date(2021, 10, 11)):
     """The statistical baseline's prediction of (day, service) at ``stop``, through its ``predict``."""
     services, n_stops = baseline.means.shape
     windows = AlignedWindows(
-        np.zeros((n_stops, 1, 1)), np.zeros(1, dtype=np.intp), np.zeros((1, n_stops)), 1,
+        np.zeros((n_stops, 1)), np.zeros((1, 0)), np.zeros(1, dtype=np.intp), np.zeros((1, n_stops)), 1,
         slots_of([(day, service)], services),
     )
     return float(baseline.predict(windows)[0, stop - 1])
@@ -148,7 +148,7 @@ class TestForward:
     def test_permuting_batch_permutes_predictions(self):
         model = build_model(method_spec(MethodId.D), HP_SMALL, 4, seed=1)
         rng = np.random.default_rng(1)
-        xs = [rng.normal(size=(6, 6, 37)) for _ in range(4)]
+        xs = shared_covariates([rng.normal(size=(6, 6, 37)) for _ in range(4)])
         pred = model.forward(as_windows(xs))
         perm = rng.permutation(6)
         pred_perm = model.forward(as_windows([x[perm] for x in xs]))
@@ -160,7 +160,7 @@ class TestForward:
         hp = HyperParams(8, 5, 3, 2, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n_stops=3, seed=7)
         rng = np.random.default_rng(7)
-        xs = [rng.normal(size=(1, 5, 37)) for _ in range(3)]
+        xs = shared_covariates([rng.normal(size=(1, 5, 37)) for _ in range(3)])
 
         states = []
         for b, x in enumerate(xs):
@@ -217,8 +217,10 @@ class TestForward:
         n, batch, steps, hidden = 5, 256, 26, 16
         hp = HyperParams(batch, steps, hidden, 1, 0.01, OptimizerKind.ADAM)
         model = build_model(method_spec(MethodId.D), hp, n, seed=0)
-        rows = np.random.default_rng(0).normal(size=(n, batch + steps - 1, model.layers[0].w.shape[2]))
-        windows = AlignedWindows(rows, np.arange(batch), np.zeros((batch, n)), steps, slots=np.arange(batch))
+        rng, n_rows = np.random.default_rng(0), batch + steps - 1
+        covariates = rng.normal(size=(n_rows, model.layers[0].w.shape[2] - 1))
+        windows = AlignedWindows(rng.normal(size=(n, n_rows)), covariates, np.arange(batch), np.zeros((batch, n)),
+                                 steps, slots=np.arange(batch))
         model.forward(windows)
         tracemalloc.start()
         try:
@@ -388,7 +390,7 @@ class TestTrain:
 
     def test_nan_input_diverges(self):
         data = self._data()
-        data.rows[0, 0, 0] = math.nan  # stop 1, window 0, step 0
+        data.ridership[0, 0] = math.nan  # stop 1, window 0, step 0
         val = self._data(seed=1, n=8)
         model = build_model(method_spec(MethodId.A), HP_SMALL, 2, seed=5)
         hp = HyperParams(64, 6, 4, 1, 0.01, OptimizerKind.ADAM)  # one batch covers all
@@ -411,7 +413,7 @@ class TestTrain:
         # finite for 200 epochs on bounded inputs
         rng = np.random.default_rng(14)
         data = _random_windows(rng, 2, 32, 6, 1)
-        data = dataclasses.replace(data, rows=np.clip(data.rows, -1, 1), y=np.clip(data.y, 0, 1))
+        data = dataclasses.replace(data, ridership=np.clip(data.ridership, -1, 1), y=np.clip(data.y, 0, 1))
         hp = HyperParams(16, 6, 4, 1, 0.01, kind)
         model = build_model(method_spec(MethodId.A), hp, 2, seed=3)
         history = train(model, data, data, hp, TrainSchedule(max_epochs=200, patience=200), seed=4)
@@ -521,6 +523,19 @@ class TestPredictNextService:
         forecaster = LstmForecaster((self._constant(MethodId.A, 1, [0.0]),), self._scalers(1))
         with pytest.raises(InsufficientHistory):
             predict_next_service(forecaster, [np.zeros((5, 1))], 6, self.TARGET)
+
+    def test_history_blocks_must_share_columns_past_the_ridership(self):
+        forecaster = LstmForecaster((self._constant(MethodId.D, 3, [0.0] * 3),), self._scalers(3))
+        rng = np.random.default_rng(5)
+        history = [rng.normal(size=(6, 37))] * 3
+        assert len(predict_next_service(forecaster, history, 6, self.TARGET)) == 3
+        history = [block.copy() for block in history]
+        history[0][:, 0] += 1.0  # ridership is each stop's own
+        history[2][4, 9] += 1.0
+        with pytest.raises(MisalignedBatches, match="stop 3 differs from stop 1's in columns 1"):
+            predict_next_service(forecaster, history, 6, self.TARGET)
+        with pytest.raises(MisalignedBatches, match="stop 2 differs"):
+            predict_next_service(forecaster, [history[0], history[0][:, :30], history[0]], 6, self.TARGET)
 
     def test_statistical_artifact_uses_target_index(self):
         ds = generate_dataset(SynthConfig(n_days=10, n_stops=2, seed=4))

@@ -1,4 +1,4 @@
-"""The columnar encoding and rows-plus-starts windows against the record-list oracle, byte for byte."""
+"""The columnar encoding and shared-columns windows against the record-list oracle, byte for byte."""
 
 import dataclasses
 from datetime import date, timedelta
@@ -111,6 +111,28 @@ def test_rows_match_per_service_encoding(route, method):
 
 
 @pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
+def test_split_columns_join_to_each_stops_rows(route, method):
+    # A split holds each stop's column 0 and one copy of columns 1..; joined,
+    # they are every stop's encoded rows of that split.
+    ds, _ = route
+    spec = method_spec(method, 26).features
+    prepared = prepare_windows(ds, BOUNDS, spec, LOOK_BACK)
+    for split_ds, aligned in zip(chronological_split(ds, BOUNDS), (prepared.train, prepared.val, prepared.test)):
+        assert aligned.covariates.shape[1] == spec.dimension - 1 == aligned.dimension - 1
+        for stop in range(1, ds.n_stops + 1):
+            joined = np.column_stack([aligned.ridership[stop - 1], aligned.covariates])
+            _assert_same_bytes(joined, encode_stop(split_ds, stop, spec, prepared.scalers).rows)
+
+
+def _assembled_windows(aligned, idx):
+    """Windows ``idx`` as the forward pass reads them: out of the rows the chunk spans."""
+    rows, starts = aligned.window_rows(idx)
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert starts.min() == 0 and rows.shape[1] == starts.max() + aligned.look_back
+    return np.take(rows, starts[:, None] + np.arange(aligned.look_back), axis=1)
+
+
+@pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
 def test_batches_match_stacked_windows(route, method):
     spec, prepared, splits = _splits(route, method)
     for split_lists, aligned in splits:
@@ -121,6 +143,7 @@ def test_batches_match_stacked_windows(route, method):
         assert aligned.n_samples == xs[0].shape[0] and aligned.n_stops == route[0].n_stops
         for idx in _index_sets(aligned.n_samples):
             _assert_same_bytes(aligned.batch(idx), oracle_batch(xs, idx))
+            _assert_same_bytes(_assembled_windows(aligned, idx), oracle_batch(xs, idx))
 
 
 @pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
@@ -132,22 +155,25 @@ def test_views_share_rows_and_match_oracle(route, method):
     keep = set(index_map[3::2])
     sub = subset_by_targets(train, slots_of(keep, 26))
     mask = np.array([key in keep for key in index_map])
-    assert np.shares_memory(sub.rows, train.rows)
+    assert sub.ridership is train.ridership and sub.covariates is train.covariates
     _assert_same_slots(sub.slots, slots_of([k for k in index_map if k in keep], 26))
     assert sub.y.tobytes() == y[mask].tobytes()
     sub_xs = tuple(x[mask] for x in xs)
     for idx in _index_sets(sub.n_samples):
         _assert_same_bytes(sub.batch(idx), oracle_batch(sub_xs, idx))
+        _assert_same_bytes(_assembled_windows(sub, idx), oracle_batch(sub_xs, idx))
 
     for b in range(route[0].n_stops):
         view = stop_view(train, slice(b, b + 1))
-        assert np.shares_memory(view.rows, train.rows)
+        assert np.shares_memory(view.ridership, train.ridership) and view.covariates is train.covariates
         assert view.y.tobytes() == y[:, b : b + 1].tobytes()
         for idx in _index_sets(view.n_samples):
             _assert_same_bytes(view.batch(idx), oracle_batch(xs[b : b + 1], idx))
+            _assert_same_bytes(_assembled_windows(view, idx), oracle_batch(xs[b : b + 1], idx))
 
     scaled = scale_targets(train, prepared.scalers)
-    assert np.shares_memory(scaled.rows, train.rows) and not np.shares_memory(scaled.y, train.y)
+    assert scaled.ridership is train.ridership and scaled.covariates is train.covariates
+    assert not np.shares_memory(scaled.y, train.y)
 
 
 def test_forward_on_a_batch_equals_forward_on_stacked_windows(route):

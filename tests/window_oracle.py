@@ -1,7 +1,7 @@
 """Reference feature encoding and windowing, kept as an exact-equality oracle.
 
 This is the straightforward implementation the columnar dataset and the
-rows-plus-starts layout in ``buscast.features`` replaced: it works on the
+shared-columns layout in ``buscast.features`` replaced: it works on the
 parsed ``RidershipRecord`` and ``ServiceWeather`` lists, never on a
 ``RouteDataset``. It groups the records by (date, service), builds one
 feature row per complete service block by block with scalar scaling and
@@ -157,17 +157,30 @@ def oracle_batch(xs, idx) -> np.ndarray:
     return np.stack([x[idx] for x in xs])
 
 
-def aligned_from_tensors(xs, y, look_back, slots) -> AlignedWindows:
-    """Exact rows-plus-starts form of per-stop (N, L, D) window tensors.
+def shared_covariates(xs) -> list:
+    """Copies of per-stop (..., D) arrays whose columns 1.. are stop 1's, as every encoded route's are."""
+    return [np.concatenate([x[..., :1], xs[0][..., 1:]], axis=-1) for x in xs]
 
-    Window i of stop b becomes ``rows[b, i*L : (i+1)*L]``, so ``batch(idx)``
-    returns ``oracle_batch(xs, idx)`` byte for byte.
+
+def aligned_from_tensors(xs, y, look_back, slots) -> AlignedWindows:
+    """Exact ridership-plus-covariates form of per-stop (N, L, D) window tensors.
+
+    Window i of stop b becomes rows ``i*L : (i+1)*L``, so ``batch(idx)``
+    returns ``oracle_batch(xs, idx)`` byte for byte. Columns 1.. must be the
+    same at every stop (see :func:`shared_covariates`).
     """
     n, steps, dim = xs[0].shape
     assert steps == look_back
-    rows = np.stack([x.reshape(n * steps, dim) for x in xs])
+    rows = [x.reshape(n * steps, dim) for x in xs]
+    covariates = np.ascontiguousarray(rows[0][:, 1:])
+    assert all(r[:, 1:].tobytes() == covariates.tobytes() for r in rows), "columns 1.. differ between stops"
     return AlignedWindows(
-        rows=rows, starts=np.arange(n, dtype=np.intp) * steps, y=y, look_back=look_back, slots=slots
+        ridership=np.stack([r[:, 0] for r in rows]),
+        covariates=covariates,
+        starts=np.arange(n, dtype=np.intp) * steps,
+        y=y,
+        look_back=look_back,
+        slots=slots,
     )
 
 
