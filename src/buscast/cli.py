@@ -177,8 +177,8 @@ class RunConfig:
     weather_csv: Path | None = _knob(None, Path, "--weather", ("ingest",), "weather CSV path")
     out_dir: Path = _knob(Path("out"), Path, "--out", _ALL, "output directory (default ./out)")
     dataset: Path | None = _knob(None, Path, "--dataset", _ALL, "cached dataset file from 'ingest'")
-    n_stops: int = _knob(5, _at_least(1), "--n-stops", ("synth", "ingest"))
-    services_per_day: int = _knob(26, _at_least(1), "--services", ("synth", "ingest"))
+    n_stops: int = _knob(_SYNTH.n_stops, _at_least(1), "--n-stops", ("synth",))
+    services_per_day: int = _knob(_SYNTH.services_per_day, _at_least(1), "--services", ("synth",))
     n_days: int = _knob(_SYNTH.n_days, _at_least(1), "--days", ("synth",), "days to synthesize (default 60)")
     start_date: date = _knob(_SYNTH.start_date, date.fromisoformat, "--start-date", ("synth",), "first date (ISO)")
     rain_probability: float = _knob(_SYNTH.rain_probability, _finite, "--rain-prob", ("synth",))
@@ -331,7 +331,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> Output:
     records = data_ingest.parse_ridership_csv(cfg.ridership_csv, cfg.ridership_columns)
     observations = data_ingest.parse_weather_csv(cfg.weather_csv, cfg.category_aliases)
     service_weather = data_ingest.join_weather_to_services(records, observations, cfg.timetable)
-    dataset = data_ingest.build_route_dataset(records, service_weather, cfg.n_stops, cfg.services_per_day)
+    dataset = data_ingest.build_route_dataset(records, service_weather, *data_ingest.route_shape(records))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = cfg.out_dir / "dataset.json"
     dataset.save(cache_path)
@@ -464,11 +464,11 @@ def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> Output:
     boundaries = _boundaries(cfg, dataset)
     schedule = make_schedule(cfg.tune_max_resource, cfg.tune_eta)
     grid = cfg.grid
-    n = dataset.n_stops
-    if not 1 <= args.stop <= n:
-        raise BuscastError(f"--stop must be in 1..{n} (the dataset has {n} stops), got {args.stop}")
+    n, stop = dataset.n_stops, _convert("--stop", int, args.stop)
+    if not 1 <= stop <= n:
+        raise BuscastError(f"--stop must be in 1..{n} (the dataset has {n} stops), got {stop}")
     # The method's one regressor that predicts --stop; its label names the report files.
-    label, stops, _ = next(plan for plan in member_plan(spec, n, cfg.seed) if plan[1].start < args.stop <= plan[1].stop)
+    label, stops, _ = next(plan for plan in member_plan(spec, n, cfg.seed) if plan[1].start < stop <= plan[1].stop)
 
     # The regressor's scaled training and validation windows per look-back; None for a look-back longer than a
     # split, an infeasible config rather than an error.
@@ -560,19 +560,18 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Output:
         cfg.hp.sequence_length, progress=lines.append,
     )
 
-    reference = MethodId.PER_STOP if MethodId.PER_STOP in report.methods else None
-    paths = emit_report(report, cfg.out_dir, reference)
+    imp = improvement_report(report, MethodId.PER_STOP) if MethodId.PER_STOP in report.methods else None
+    paths = emit_report(report, cfg.out_dir, imp)
     table = [["method", *(f"stop{i}" for i in report.stops), "mean"]]
     table += [[m.value, *(f"{v:.3f}" for v in r.per_stop), f"{r.mean:.3f}"] for m, r in report.methods.items()]
     lines += ["  ".join(f"{cell:>12}" for cell in row) for row in table]
-    if reference is not None:
-        imp = improvement_report(report, reference)
+    if imp is not None:
         lines += [
-            f"improvement of {method.value} vs {reference.value}: "
+            f"improvement of {method.value} vs {imp.reference.value}: "
             + ", ".join(f"{g:.1f}%" for g in gains)
             + f" (mean {imp.mean_per_method[method]:.1f}%)"
             for method, gains in imp.per_method.items()
-            if method is not reference
+            if method is not imp.reference
         ]
     lines += [f"wrote {path}" for path in paths.values()]
     return Output(report.payload(), lines, paths["csv"])
@@ -642,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands["correlate"].add_argument("--start", help="restrict to dates >= this (ISO)")
     commands["correlate"].add_argument("--end", help="restrict to dates <= this (ISO)")
-    commands["tune"].add_argument("--stop", type=int, default=1, help="tune the regressor of this stop (default 1)")
+    commands["tune"].add_argument("--stop", default="1", help="tune the regressor of this stop (default 1)")
     p = commands["evaluate"]
     p.add_argument("--methods", default="a,b,c,d,perstop,statistical")
     p.add_argument("--retrain", action="store_true",
@@ -666,6 +665,9 @@ def main(argv: list[str] | None = None) -> int:
             text = "".join(f"{line}\n" for line in (config, *out.lines))
     except (BuscastError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too; a bare one has no message
+        print(f"error [{args.command}]: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     sys.stdout.write(text)
     return 0

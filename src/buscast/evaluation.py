@@ -195,9 +195,9 @@ def improvement_report(report: EvalReport, reference: MethodId) -> ImprovementRe
 
 
 def emit_report(
-    report: EvalReport, out_dir: str | Path, reference: MethodId | None = None
+    report: EvalReport, out_dir: str | Path, improvement: ImprovementReport | None = None
 ) -> dict[str, Path]:
-    """Write the comparison CSV, a full-precision JSON, and the improvement matrix."""
+    """Write the comparison CSV, a full-precision JSON, and the improvement matrix, if given."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -206,17 +206,16 @@ def emit_report(
     }
     report.to_csv(paths["csv"])
     paths["json"].write_text(report.to_json(), encoding="utf-8")
-    if reference is not None and reference in report.methods:
-        imp = improvement_report(report, reference)
+    if improvement is not None:
         paths["improvement"] = out_dir / "improvement_report.csv"
         with paths["improvement"].open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["method"] + [f"stop{i}_gain_pct" for i in report.stops] + ["mean_gain_pct"]
             )
-            for method, gains in imp.per_method.items():
+            for method, gains in improvement.per_method.items():
                 writer.writerow(
-                    [method.value] + [repr(v) for v in gains] + [repr(imp.mean_per_method[method])]
+                    [method.value] + [repr(v) for v in gains] + [repr(improvement.mean_per_method[method])]
                 )
     return paths
 

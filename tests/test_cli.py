@@ -46,6 +46,7 @@ from buscast.tuning import HyperParams, make_schedule
 from ingest_oracle import (
     cache_bytes, read_cache, records_of, ridership_columns, service_weather_of, with_cache_cells,
 )
+from test_artifact_fuzz import _capped
 from window_oracle import RecordRoute, next_service_key, oracle_stop_rows, oracle_trailing_run, slots_of
 
 #: The directory holding the ``buscast`` package, for a child process's PYTHONPATH.
@@ -214,6 +215,41 @@ class TestIngest:
         assert caches[1] == caches[0]
         lines = 1 + 24 * 26 * 5 + 1
         assert errors[1] == errors[0] == f"error [ingest]: <data>/ridership.csv:{lines}: value -4 below minimum 0\n"
+
+    def test_only_synth_takes_the_size_flags(self, capsys):
+        for command, takes in (("ingest", False), ("synth", True)):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            usage = capsys.readouterr().out
+            assert ("--n-stops" in usage, "--services" in usage) == (takes, takes)
+
+    def test_stop_and_service_counts_come_from_the_csv(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli(capsys, "synth", "--days", "4", "--n-stops", "3", "--services", "4", "--out", str(data))[0] == 0
+        code, out, _ = run_cli(
+            capsys, "ingest", "--ridership", str(data / "ridership.csv"), "--weather", str(data / "weather.csv"),
+            "--out", str(tmp_path), "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["complete_services"] == 4 * 4
+        dataset = RouteDataset.load(tmp_path / "dataset.json")
+        assert (dataset.n_stops, dataset.services_per_day) == (3, 4)
+
+    @pytest.mark.parametrize("extra_row, highest", [("", 5), ("2021-10-01,1,100000000,7\n", 100000000)],
+                             ids=["stops-1-2-4-5", "and-stop-100000000"])
+    def test_stop_without_a_record_is_refused(self, workspace, capsys, tmp_path, extra_row, highest):
+        """No array is sized by a stop index: a stop far past the others is refused under a capped address
+        space, as a missing stop is."""
+        header, *rows = (workspace["data"] / "ridership.csv").read_text().splitlines()
+        ridership = tmp_path / "ridership.csv"
+        ridership.write_text("\n".join([header, *(row for row in rows if row.split(",")[2] != "3")]) + "\n" + extra_row)
+        with _capped():
+            code, _, err = run_cli(
+                capsys, "ingest", "--ridership", str(ridership), "--weather", str(workspace["data"] / "weather.csv"),
+                "--out", str(tmp_path / "out"),
+            )
+        assert code == 1
+        assert_one_error_line(err, "ingest", "stop 3 has no ridership record", f"highest stop index is {highest}")
+        assert not (tmp_path / "out" / "dataset.json").exists()
 
     def test_non_utf8_csv_is_one_error_line(self, workspace, capsys, tmp_path):
         r = tmp_path / "r.csv"
@@ -510,7 +546,7 @@ class TestPredict:
         assert_one_error_line(err, "predict", fragment)
 
     def test_insufficient_history(self, capsys, tmp_path, workspace):
-        # a dataset with only 12 services against look-back 13
+        # a day of 26 services whose trailing run of complete services is 12 (15..26) against look-back 13
         import csv
 
         data = tmp_path / "data"
@@ -520,7 +556,7 @@ class TestPredict:
         with (data / "short.csv").open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(rows[0])
-            w.writerows(r for r in rows[1:] if int(r[1]) <= 12)
+            w.writerows(r for r in rows[1:] if r[1:3] != ["14", "1"])
         assert main(["ingest", "--ridership", str(data / "short.csv"),
                      "--weather", str(data / "weather.csv"), "--out", str(out)]) == 0
         capsys.readouterr()
@@ -529,7 +565,7 @@ class TestPredict:
             "--model", str(workspace["out"] / "d.ckpt"),
         )
         assert code == 1
-        assert "13" in err
+        assert_one_error_line(err, "predict", "need 13", "trailing run has 12")
 
 
 DAY7 = date(2021, 10, 7)
@@ -1155,13 +1191,14 @@ class TestBadInputs:
             (["evaluate", "--methods", "a", "--retrain", "--patience", "0"], "--patience: must be at least 1"),
             (["tune", "--method", "a", "--eta", "1"], "invalid value '1' for --eta: must be at least 2"),
             (["tune", "--method", "a", "--max-resource", "0"], "--max-resource: must be at least 1"),
+            (["tune", "--method", "a", "--stop", "abc"], "invalid value 'abc' for --stop"),
             (["train", "--method", "a", "--batch-size", "abc"], "invalid value 'abc' for --batch-size"),
             (["synth", "--noise", "nan"], "invalid value 'nan' for --noise: must be a finite number"),
         ],
         ids=["seeds-0", "seeds-negative", "max-epochs-0", "clip-negative", "clip-0", "clip-nan", "clip-inf",
              "n-stops-0", "services-0", "seed-negative-synth", "seed-negative-train", "seed-negative-tune",
              "seed-negative-evaluate-retrain", "learning-rate-nan", "learning-rate-inf", "learning-rate-0",
-             "patience-0", "eta-1", "max-resource-0", "batch-size-abc", "synth-noise-nan"],
+             "patience-0", "eta-1", "max-resource-0", "stop-abc", "batch-size-abc", "synth-noise-nan"],
     )
     def test_out_of_range_flag(self, workspace, tiny_grid, capsys, tmp_path, argv, fragment):
         # Tiny settings come before the case's flags, so a missing range check fails fast.
@@ -1171,6 +1208,20 @@ class TestBadInputs:
         code, _, err = run_cli(capsys, argv[0], *tiny, *argv[1:], *dataset, "--out", str(tmp_path))
         assert code == 1
         assert_one_error_line(err, argv[0], fragment)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sizes", [["--lstm-nodes", "100000000"], ["--n-layers", "100000000", "--lstm-nodes", "4"]],
+                             ids=["lstm-nodes", "n-layers"])
+    def test_model_too_large_for_memory(self, workspace, capsys, tmp_path, sizes):
+        """Under a capped address space, a model that does not fit ends in one line, numpy's
+        _ArrayMemoryError (the width) and a bare MemoryError (the depth) alike."""
+        with _capped():
+            code, _, err = run_cli(
+                capsys, "train", "--dataset", str(workspace["dataset"]), "--method", "a", *sizes,
+                "--out", str(tmp_path),
+            )
+        assert code == 1
+        assert_one_error_line(err, "train", "out of memory")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -1227,7 +1278,7 @@ class TestCheckpointMatchesDataset:
         data, out = root / "data", root / "out"
         assert main(["synth", "--days", "24", "--n-stops", "3", "--seed", "4", "--out", str(data)]) == 0
         assert main(["ingest", "--ridership", str(data / "ridership.csv"), "--weather",
-                     str(data / "weather.csv"), "--n-stops", "3", "--out", str(out)]) == 0
+                     str(data / "weather.csv"), "--out", str(out)]) == 0
         return out / "dataset.json"
 
     @pytest.fixture(scope="class")

@@ -200,7 +200,7 @@ class TestImprovement:
 class TestEmitReport:
     def test_csv_layout_and_json_round_trip(self, tmp_path):
         report = _reference_report()
-        paths = emit_report(report, tmp_path, reference=MethodId.PER_STOP)
+        paths = emit_report(report, tmp_path, improvement_report(report, MethodId.PER_STOP))
         lines = paths["csv"].read_text().splitlines()
         assert len(lines) == 1 + 6  # header + six methods
         assert lines[0].split(",")[:2] == ["method", "stop1_rmse"]
