@@ -330,6 +330,8 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> Output:
         raise BuscastError("ingest needs --ridership and --weather CSV paths")
     records = data_ingest.parse_ridership_csv(cfg.ridership_csv, cfg.ridership_columns)
     observations = data_ingest.parse_weather_csv(cfg.weather_csv, cfg.category_aliases)
+    for path, columns in ((cfg.ridership_csv, records), (cfg.weather_csv, observations)):
+        data_ingest.check_date_span(path, columns)
     service_weather = data_ingest.join_weather_to_services(records, observations, cfg.timetable)
     dataset = data_ingest.build_route_dataset(records, service_weather, *data_ingest.route_shape(records))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -418,6 +418,18 @@ def join_weather_to_services(
     return ServiceWeatherColumns(day[pick] + first, service[pick], weather.rain[obs], weather.precipitation[obs])
 
 
+def check_date_span(path: str | Path, columns: _Columns) -> None:
+    """Refuse a parsed CSV whose dates span more days than it has rows, naming both dates and the row count.
+
+    The join's observation index and the dataset grid have a day axis as long as the span, so this runs
+    before either is sized."""
+    if len(columns):
+        first, last = int(np.min(columns.day)), int(np.max(columns.day))
+        if last - first + 1 > len(columns):
+            raise MalformedRow(f"{path}: its dates run from {date.fromordinal(first)} to {date.fromordinal(last)}, "
+                               f"{last - first + 1} days, more than its {len(columns)} rows")
+
+
 def route_shape(records: RidershipColumns) -> tuple[int, int]:
     """The (n_stops, services_per_day) parsed records state: their highest stop and service index, once
     every stop 1..n has a record. Costs in proportion to the rows, never to an index; (0, 0) for no rows."""

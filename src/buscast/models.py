@@ -220,9 +220,7 @@ class LstmRegressor:
 
         grads: dict[str, np.ndarray] = {"head/w": dw_head, "head/b": db_head}
         # Gradient enters the top layer only at the final step.
-        d_state = dconcat.reshape(batch, self.n_branches, hidden).transpose(1, 0, 2)
-        grad_seq = np.zeros((self.n_branches, batch, seq.shape[2], hidden))
-        grad_seq[:, :, -1] = d_state
+        grad_seq = dconcat.reshape(batch, self.n_branches, hidden).transpose(1, 0, 2)
         for l in reversed(range(self.n_layers)):
             layer = self.layers[l]
             layer_grads = branched_lstm_backward(layer.w, layer.u, caches[l], grad_seq, need_dx=l > 0)

@@ -35,12 +35,16 @@ unhalved weights:
 
 Caches are time-major: gates (L, 4, n, B, H), cell and hidden states
 (L+1, n, B, H) with index 0 the zero initial state, so each step and each
-gate of every branch is one contiguous (n, B, H) block. A forward pass that
-no backward pass follows (validation, evaluation, prediction) keeps no
-cache: it reuses one step of gates, one cell state and one tanh(cell), and
-keeps only the (L+1, n, B, H) hidden states the next layer reads. Every
-forward pass runs one step loop with the same operations, so they agree to
-the bit.
+gate of every branch is one contiguous (n, B, H) block. tanh(cell) is not
+cached: every pass writes it into one (n, B, H) slot, and the backward pass
+recomputes it a block of steps at a time with the same ufunc, so to the same
+bits. The backward pass spends its cache: once its step loop ends the gates
+are dead, and the batch-major copies its parameter reductions need are
+written into them. A forward pass that no backward pass follows
+(validation, evaluation, prediction) keeps no cache: it reuses one step of
+gates and one cell state, and keeps only the (L+1, n, B, H) hidden states
+the next layer reads. Every forward pass runs one step loop with the same
+operations, so they agree to the bit.
 
 The first layer of such a pass reads look-back windows of encoded rows
 (:func:`branched_lstm_forward_windows`). Stride-1 windows share L-1 of
@@ -117,13 +121,14 @@ class LstmCache:
     """Per-step activations retained for exact backpropagation through time.
 
     Apart from the layer input, every array is time-major, so one step of all
-    n branches is a single contiguous (n, B, H) block.
+    n branches is a single contiguous (n, B, H) block. tanh(c) is not kept;
+    the backward pass recomputes it from ``c``. A cache serves one backward
+    pass: that pass overwrites ``gates`` and ``work``.
     """
 
     x: np.ndarray  # (n, B, L, D) layer input
     gates: np.ndarray  # (L, 4, n, B, H), post-activation, order [i, f, g, o]
     c: np.ndarray  # (L+1, n, B, H) cell states; c[0] is the zero initial state
-    tanh_c: np.ndarray  # (L, n, B, H)
     h: np.ndarray  # (L+1, n, B, H) hidden states; h[0] is the zero initial state
     work: np.ndarray  # (n, B, L, 4H) input projection in the forward pass, dz in the backward pass
 
@@ -162,9 +167,9 @@ class BufferPool:
     def lstm_cache(self, layer: int, x: np.ndarray, hidden: int) -> LstmCache:
         """An unfilled cache of LSTM layer ``layer`` over input x, for :func:`branched_lstm_forward` to fill.
 
-        Every layer shares one work buffer: a layer's input projection is
-        dead once its forward pass ends, and its dz once its backward pass
-        ends.
+        It holds the layer's gates, cell states and hidden states, and every
+        layer shares one work buffer: a layer's input projection is dead once
+        its forward pass ends, and its dz once its backward pass ends.
         """
         n, batch, steps, _ = x.shape
         state = (steps + 1, n, batch, hidden)
@@ -172,7 +177,6 @@ class BufferPool:
             x=x,
             gates=self.take((layer, "gates"), (steps, 4, n, batch, hidden)),
             c=self.take((layer, "c"), state),
-            tanh_c=self.take((layer, "tanh_c"), (steps, n, batch, hidden)),
             h=self.take((layer, "h"), state),
             work=self.take("work", (n, batch, steps, 4 * hidden)),
         )
@@ -185,18 +189,17 @@ def _halved(w: np.ndarray, u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _forward_only_buffers(n: int, batch: int, steps: int, hidden: int) -> tuple[np.ndarray, ...]:
-    """Gates, cell state and tanh(cell) of one step, and all hidden states: what a pass without backward holds."""
-    one = (1, n, batch, hidden)
-    return np.empty((1, 4, n, batch, hidden)), np.empty(one), np.empty(one), np.empty((steps + 1, n, batch, hidden))
+    """Gates and cell state of one step, and all hidden states: what a pass without backward holds."""
+    return np.empty((1, 4, n, batch, hidden)), np.empty((1, n, batch, hidden)), np.empty((steps + 1, n, batch, hidden))
 
 
-def _lstm_steps(u_half, b_half, step_input, gates, c, tanh_c, h) -> np.ndarray:
+def _lstm_steps(u_half, b_half, step_input, gates, c, h) -> np.ndarray:
     """The step loop of every forward pass; returns the read-only (n, B, L, H) hidden sequence.
 
-    ``step_input(t)`` is the (n, B, 4H) input projection of step t. ``gates``,
-    ``c`` and ``tanh_c`` hold every step, ``c`` with the zero state first, or
-    one step that each step overwrites, ``c`` then being updated in place.
-    ``h`` (L+1, n, B, H) always holds every hidden state.
+    ``step_input(t)`` is the (n, B, 4H) input projection of step t. ``gates``
+    and ``c`` hold every step, ``c`` with the zero state first, or one step
+    that each step overwrites, ``c`` then being updated in place. ``h``
+    (L+1, n, B, H) always holds every hidden state.
     """
     steps = h.shape[0] - 1
     n, batch, hidden = h.shape[1:]
@@ -212,6 +215,7 @@ def _lstm_steps(u_half, b_half, step_input, gates, c, tanh_c, h) -> np.ndarray:
     hu = np.empty((n, batch, 4 * hidden))
     hu_by_gate = hu.reshape(n, batch, 4, hidden).transpose(2, 0, 1, 3)
     ig = np.empty((n, batch, hidden))
+    tanh_c = np.empty((n, batch, hidden))
 
     for t in range(steps):
         # Slots of step t and of the cell state it writes: one slot without a cache.
@@ -228,8 +232,8 @@ def _lstm_steps(u_half, b_half, step_input, gates, c, tanh_c, h) -> np.ndarray:
         np.multiply(f, c[s], out=c[s_next])
         np.multiply(i, g, out=ig)
         c[s_next] += ig
-        np.tanh(c[s_next], out=tanh_c[s])
-        np.multiply(o, tanh_c[s], out=h[t + 1])
+        np.tanh(c[s_next], out=tanh_c)
+        np.multiply(o, tanh_c, out=h[t + 1])
 
     # Read-only, as a cache's h is still needed by the backward pass.
     hs = h[1:].transpose(1, 2, 0, 3)
@@ -251,12 +255,12 @@ def branched_lstm_forward(
     batched matmul instead of n small ones. Returns the hidden sequence, a
     read-only (n, B, L, H) view of the hidden states, and the cache for
     :func:`branched_lstm_backward`. With ``keep_cache=False`` no backward pass
-    can follow: one step of gates, one cell state and one tanh(cell) are
-    overwritten every step, only the hidden states are kept, and the cache
-    is None. Both modes run the same operations in the same order, so the
-    hidden sequence is the same to the bit. ``keep_cache`` may also be an
-    unfilled cache over x (see :meth:`BufferPool.lstm_cache`), which the
-    pass fills and returns instead of allocating one.
+    can follow: one step of gates and one cell state are overwritten every
+    step, only the hidden states are kept, and the cache is None. Both modes
+    run the same operations in the same order, so the hidden sequence is the
+    same to the bit. ``keep_cache`` may also be an unfilled cache over x (see
+    :meth:`BufferPool.lstm_cache`), which the pass fills and returns instead
+    of allocating one.
     """
     if x.ndim != 4 or x.shape[0] != w.shape[0] or x.shape[3] != w.shape[2]:
         raise ShapeMismatch(f"input shape {x.shape} != (n={w.shape[0]}, B, L, D={w.shape[2]})")
@@ -275,7 +279,7 @@ def branched_lstm_forward(
     buffers = (
         _forward_only_buffers(n, batch, steps, hidden)
         if cache is None
-        else (cache.gates, cache.c, cache.tanh_c, cache.h)
+        else (cache.gates, cache.c, cache.h)
     )
     hs = _lstm_steps(u_half, b_half, lambda t: xw[:, :, t], *buffers)
     return hs, cache
@@ -341,14 +345,17 @@ def _local_derivatives(
 
     dcell_dh[j] = o * (1 - tanh(c)^2); k[j, :3] scale dc into the i, f and g
     blocks of dz and k[j, 3] scales dh into the o block, for step start + j.
+    tanh(c) is recomputed into ``tmp``: the forward pass keeps no copy.
     """
     m = stop - start
     dcell_dh, k, tmp = dcell_dh[:m], k[:m], tmp[:m]
     i, f, g, o = cache.gates[start:stop].transpose(1, 0, 2, 3, 4)
-    tanh_c = cache.tanh_c[start:stop]
+    tanh_c = np.tanh(cache.c[start + 1 : stop + 1], out=tmp)
     np.multiply(tanh_c, tanh_c, out=dcell_dh)
     np.subtract(1.0, dcell_dh, out=dcell_dh)
     dcell_dh *= o
+    np.multiply(tanh_c, o, out=k[:, 3])
+    k[:, 3] *= np.subtract(1.0, o, out=tmp)
     np.multiply(g, i, out=k[:, 0])
     k[:, 0] *= np.subtract(1.0, i, out=tmp)
     np.multiply(cache.c[start:stop], f, out=k[:, 1])
@@ -356,8 +363,16 @@ def _local_derivatives(
     np.multiply(g, g, out=tmp)
     np.subtract(1.0, tmp, out=tmp)
     np.multiply(i, tmp, out=k[:, 2])
-    np.multiply(tanh_c, o, out=k[:, 3])
-    k[:, 3] *= np.subtract(1.0, o, out=tmp)
+
+
+def _flat_batch_major(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """(n, B, L, k) ``a`` as (n, B * L, k): a view if ``a`` is C-contiguous, else a copy, in ``spare`` if it fits."""
+    n, batch, steps, k = a.shape
+    if not a.flags.c_contiguous and a.size <= spare.size:
+        copy = spare.reshape(-1)[: a.size].reshape(a.shape)
+        np.copyto(copy, a)
+        a = copy
+    return a.reshape(n, batch * steps, k)
 
 
 def branched_lstm_backward(
@@ -369,14 +384,25 @@ def branched_lstm_backward(
 ) -> LstmGrads:
     """Exact BPTT through :func:`branched_lstm_forward`.
 
-    ``grad_hs`` is dLoss/d(hidden sequence), shape (n, B, L, H); gradients
-    come back per branch with the same leading axis. With ``need_dx=False``
-    the input gradient is skipped and ``dx`` is None.
+    ``grad_hs`` is dLoss/d(hidden sequence), shape (n, B, L, H), or (n, B, H)
+    when the gradient enters at the last step only; the other steps then add
+    a +0.0 block, as the zeros of the full shape would. Gradients come back
+    per branch with the same leading axis. With ``need_dx=False`` the input
+    gradient is skipped and ``dx`` is None.
+
+    The pass spends its cache: dz is written into ``cache.work``, and the
+    batch-major copies of the hidden states and of a strided layer input
+    into ``cache.gates``, which are dead once the step loop ends. A second
+    backward pass needs a fresh forward pass.
     """
     n, batch, steps, dim = cache.x.shape
     hidden = u.shape[2]
-    if grad_hs.shape != (n, batch, steps, hidden):
-        raise ShapeMismatch(f"grad shape {grad_hs.shape} != {(n, batch, steps, hidden)}")
+    if grad_hs.shape == (n, batch, steps, hidden):
+        grad_steps = grad_hs.transpose(2, 0, 1, 3)
+    elif grad_hs.shape == (n, batch, hidden):
+        grad_steps = [np.zeros((n, batch, hidden))] * (steps - 1) + [grad_hs]
+    else:
+        raise ShapeMismatch(f"grad shape {grad_hs.shape} != {(n, batch, steps, hidden)} or {(n, batch, hidden)}")
 
     # dz keeps the batch-major (n, B, L, 4H) layout so the parameter
     # reductions below sum in the same order as a batch-major BPTT would.
@@ -396,7 +422,7 @@ def branched_lstm_backward(
         _local_derivatives(cache, start, stop, dcell_dh, k, tmp)
         for t in reversed(range(start, stop)):
             j = t - start
-            np.add(grad_hs[:, :, t], dh_next, out=dh)
+            np.add(grad_steps[t], dh_next, out=dh)
             np.multiply(dh, dcell_dh[j], out=dc)
             dc += dc_next
             np.multiply(dc, f[t], out=dc_next)
@@ -406,10 +432,11 @@ def branched_lstm_backward(
 
     flat_dz = dz.reshape(n, batch * steps, 4 * hidden)
     flat_dz_t = flat_dz.transpose(0, 2, 1)
-    h_prev = cache.h[:-1].transpose(1, 2, 0, 3).reshape(n, batch * steps, hidden)
+    # The gates are dead from here on: the batch-major copies go into them.
+    du = np.matmul(flat_dz_t, _flat_batch_major(cache.h[:-1].transpose(1, 2, 0, 3), cache.gates))
     grads = LstmGrads(
-        dw=np.matmul(flat_dz_t, cache.x.reshape(n, batch * steps, dim)),
-        du=np.matmul(flat_dz_t, h_prev),
+        dw=np.matmul(flat_dz_t, _flat_batch_major(cache.x, cache.gates)),
+        du=du,
         db=flat_dz.sum(axis=1),
         dx=np.matmul(flat_dz, w).reshape(n, batch, steps, dim) if need_dx else None,
     )

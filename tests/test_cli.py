@@ -251,6 +251,30 @@ class TestIngest:
         assert_one_error_line(err, "ingest", "stop 3 has no ridership record", f"highest stop index is {highest}")
         assert not (tmp_path / "out" / "dataset.json").exists()
 
+    @pytest.mark.parametrize("wide", ["ridership", "weather"])
+    def test_date_span_beyond_the_rows_is_refused(self, workspace, capsys, tmp_path, wide):
+        """No array is sized by a date span: a CSV dated 0001-01-01 and 9999-12-31 is refused under a capped
+        address space, naming the CSV, both dates and its row count."""
+        ridership, weather = workspace["data"] / "ridership.csv", tmp_path / "weather.csv"
+        far = "0001-01-01,7,Sunny,0.0\n9999-12-31,7,Sunny,0.0\n"
+        if wide == "ridership":  # the two far dates alone: ten records and two observations
+            ridership = tmp_path / "ridership.csv"
+            ridership.write_text("date,service_index,stop_index,ridership\n" + "".join(
+                f"{day},2,{stop},7\n" for day in ("0001-01-01", "9999-12-31") for stop in range(1, 6)))
+            weather.write_text("date,hour,category,precipitation_mm\n" + far)
+            wide_csv, rows = ridership, 10
+        else:
+            weather.write_text((workspace["data"] / "weather.csv").read_text() + far)
+            wide_csv, rows = weather, 24 * 18 + 2
+        with _capped():
+            code, _, err = run_cli(
+                capsys, "ingest", "--ridership", str(ridership), "--weather", str(weather),
+                "--out", str(tmp_path / "out"),
+            )
+        assert code == 1
+        assert_one_error_line(err, "ingest", str(wide_csv), "0001-01-01", "9999-12-31", f"its {rows} rows")
+        assert not (tmp_path / "out" / "dataset.json").exists()
+
     def test_non_utf8_csv_is_one_error_line(self, workspace, capsys, tmp_path):
         r = tmp_path / "r.csv"
         r.write_bytes(b"\xff\xfe" + (workspace["data"] / "ridership.csv").read_bytes())

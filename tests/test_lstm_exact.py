@@ -10,6 +10,7 @@ from buscast.features import AlignedWindows, ScalerParams, ScalerSet, subset_by_
 from buscast.models import LstmForecaster, Member, MethodId, build_model, method_spec, predict_next_service
 from buscast.nn_core import (
     _MIN_ROW_PROJECTION,
+    BufferPool,
     OptimizerKind,
     branched_lstm_backward,
     branched_lstm_forward,
@@ -46,10 +47,11 @@ def branched_params(rng, n, dim, hidden):
     return layer.w, layer.u, b
 
 
-@pytest.mark.parametrize(
-    "n, batch, steps, dim, hidden",
-    [(5, 8, 6, 37, 16), (5, 4, 6, 1, 16), (1, 8, 6, 1, 16), (2, 3, 5, 7, 64)],
-)
+# (5, 64, 7, 37, 16) runs its backward in blocks of 3, 3 and 1 steps.
+ORACLE_SHAPES = [(5, 8, 6, 37, 16), (5, 4, 6, 1, 16), (1, 8, 6, 1, 16), (2, 3, 5, 7, 64), (5, 64, 7, 37, 16)]
+
+
+@pytest.mark.parametrize("n, batch, steps, dim, hidden", ORACLE_SHAPES)
 def test_forward_and_backward_match_oracle(n, batch, steps, dim, hidden):
     rng = np.random.default_rng(n * 1000 + hidden)
     w, u, b = branched_params(rng, n, dim, hidden)
@@ -68,11 +70,31 @@ def test_forward_and_backward_match_oracle(n, batch, steps, dim, hidden):
     assert_bit_identical(grads.db, db)
     assert_bit_identical(grads.dx, dx)
 
+    # A backward pass spends its cache, so the second one needs a fresh forward pass.
+    _, cache = branched_lstm_forward(w, u, b, x)
     skipped = branched_lstm_backward(w, u, cache, grad_hs, need_dx=False)
     assert skipped.dx is None
     assert_bit_identical(skipped.dw, dw)
     assert_bit_identical(skipped.du, du)
     assert_bit_identical(skipped.db, db)
+
+
+@pytest.mark.parametrize("n, batch, steps, dim, hidden", ORACLE_SHAPES)
+def test_last_step_gradient_matches_dense_one(n, batch, steps, dim, hidden):
+    # An (n, B, H) gradient enters at the last step only, with the bits of
+    # the zero-filled (n, B, L, H) gradient that holds it at the last step.
+    rng = np.random.default_rng(n * 100 + batch)
+    w, u, b = branched_params(rng, n, dim, hidden)
+    x = rng.normal(size=(n, batch, steps, dim))
+    last = rng.normal(size=(n, batch, hidden))
+    dense = np.zeros((n, batch, steps, hidden))
+    dense[:, :, -1] = last
+
+    want = oracle_backward(w, u, oracle_forward(w, u, b, x)[1], dense)
+    for grad_hs in (last, dense):
+        grads = branched_lstm_backward(w, u, branched_lstm_forward(w, u, b, x)[1], grad_hs)
+        for got, ref in zip((grads.dw, grads.du, grads.db, grads.dx), want):
+            assert_bit_identical(got, ref)
 
 
 def test_all_zero_input_matches_oracle():
@@ -123,14 +145,21 @@ def oracle_forward_backward(model, xs, target):
 
 
 def test_two_layer_model_gradients_match_oracle():
-    hp = HyperParams(8, 6, 16, 2, 0.01, OptimizerKind.ADAM)
+    # At B = 64 and L = 7 each backward runs blocks of 3, 3 and 1 steps.
+    for batch, steps in ((8, 6), (64, 7)):
+        for buffers in (None, BufferPool()):
+            _assert_two_layer_model_matches_oracle(batch, steps, buffers)
+
+
+def _assert_two_layer_model_matches_oracle(batch, steps, buffers):
+    hp = HyperParams(batch, steps, 16, 2, 0.01, OptimizerKind.ADAM)
     model = build_model(method_spec(MethodId.D), hp, n_stops=5, seed=3)
     rng = np.random.default_rng(3)
-    xs = [rng.normal(size=(8, hp.sequence_length, model.layers[0].w.shape[2])) for _ in range(model.n_branches)]
+    xs = [rng.normal(size=(batch, steps, model.layers[0].w.shape[2])) for _ in range(model.n_branches)]
     xs = shared_covariates(xs)  # the forward-only path reads windows of one route
-    target = rng.normal(size=(8, model.n_branches))
+    target = rng.normal(size=(batch, model.n_branches))
 
-    loss, grads = model.forward_backward(np.stack(xs), target)
+    loss, grads = model.forward_backward(np.stack(xs), target, buffers)
     pred_ref, loss_ref, grads_ref = oracle_forward_backward(model, xs, target)
     assert loss == loss_ref
     # The forward-only path, which keeps no cache, predicts the same bits.

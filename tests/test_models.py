@@ -231,6 +231,28 @@ class TestForward:
         gate_cache_bytes = steps * 4 * n * batch * hidden * 8
         assert peak < gate_cache_bytes
 
+    @pytest.mark.parametrize("n, batch, steps, hidden, n_layers, bound_mib", [(5, 128, 26, 16, 1, 22.5),
+                                                                             (5, 26, 26, 64, 2, 34)])
+    def test_training_step_memory_bound(self, n, batch, steps, hidden, n_layers, bound_mib):
+        # One pooled training step holds, per layer, its gates, cell and
+        # hidden states, plus one shared (n, B, L, 4H) work array: 21.6 and
+        # 31.4 MiB at these shapes. Caching tanh(c), a zero-filled
+        # (n, B, L, H) top-layer gradient and fresh batch-major copies in the
+        # backward pass read 27.7 and 37.0 MiB together; at the first shape,
+        # any one of them alone reads 23.6 MiB or more.
+        hp = HyperParams(batch, steps, hidden, n_layers, 0.01, OptimizerKind.ADAM)
+        model = build_model(method_spec(MethodId.D), hp, n, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, batch, steps, model.layers[0].w.shape[2]))
+        target = rng.normal(size=(batch, n))
+        tracemalloc.start()
+        try:
+            model.forward_backward(x, target, BufferPool())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
+
 
 class TestTrain:
     def _data(self, seed=0, n=24, n_stops=2, dim=1, look_back=6):

@@ -142,8 +142,13 @@ def test_batches_match_stacked_windows(route, method):
         _assert_same_slots(aligned.slots, slots_of(index_map, 26))
         assert aligned.n_samples == xs[0].shape[0] and aligned.n_stops == route[0].n_stops
         for idx in _index_sets(aligned.n_samples):
-            _assert_same_bytes(aligned.batch(idx), oracle_batch(xs, idx))
-            _assert_same_bytes(_assembled_windows(aligned, idx), oracle_batch(xs, idx))
+            expected = oracle_batch(xs, idx)
+            _assert_same_bytes(aligned.batch(idx), expected)
+            _assert_same_bytes(_assembled_windows(aligned, idx), expected)
+            # Training gathers into a reused buffer: every byte is overwritten.
+            out = np.full(expected.shape, np.nan)
+            assert aligned.batch(idx, out=out) is out
+            _assert_same_bytes(out, expected)
 
 
 @pytest.mark.parametrize("method", NN_METHODS, ids=lambda m: m.value)
