@@ -333,7 +333,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> Output:
     for path, columns in ((cfg.ridership_csv, records), (cfg.weather_csv, observations)):
         data_ingest.check_date_span(path, columns)
     service_weather = data_ingest.join_weather_to_services(records, observations, cfg.timetable)
-    dataset = data_ingest.build_route_dataset(records, service_weather, *data_ingest.route_shape(records))
+    shape = data_ingest.route_shape(records)
+    data_ingest.check_grid_size(cfg.ridership_csv, records, *shape)
+    dataset = data_ingest.build_route_dataset(records, service_weather, *shape)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = cfg.out_dir / "dataset.json"
     dataset.save(cache_path)

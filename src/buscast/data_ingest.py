@@ -430,6 +430,20 @@ def check_date_span(path: str | Path, columns: _Columns) -> None:
                                f"{last - first + 1} days, more than its {len(columns)} rows")
 
 
+def check_grid_size(path: str | Path, records: RidershipColumns, n_stops: int, services_per_day: int) -> None:
+    """Refuse ridership records whose span of days times their stops exceeds their rows, naming the grid's sizes.
+
+    The span and the stop count are each bounded by the rows, but not their product, and the dataset grid is
+    (days, services, stops): this keeps it within ``services_per_day`` cells per row, that is, on average
+    one record per stop per day."""
+    if len(records):
+        days = int(np.max(records.day)) - int(np.min(records.day)) + 1
+        if days * n_stops > len(records):
+            raise MalformedRow(f"{path}: its {days} days x {n_stops} stops are more than its {len(records)} rows, "
+                               f"for a grid of {days} x {services_per_day} x {n_stops} = "
+                               f"{days * services_per_day * n_stops} cells")
+
+
 def route_shape(records: RidershipColumns) -> tuple[int, int]:
     """The (n_stops, services_per_day) parsed records state: their highest stop and service index, once
     every stop 1..n has a record. Costs in proportion to the rows, never to an index; (0, 0) for no rows."""

@@ -138,15 +138,7 @@ class AlignedWindows:
         With ``out``, a C-contiguous array of that shape, the windows are
         gathered into it and it is returned.
         """
-        at = self.starts[idx][:, None] + np.arange(self.look_back)
-        if self.dimension > 1:
-            return self._join(at, out)
-        if out is None:
-            out = np.empty((len(self.ridership), *at.shape, 1))
-        # No covariate columns: gather the ridership straight into the output
-        # ("raise" would gather into a copy first). Every window is in range.
-        np.take(self.ridership, at, axis=1, out=out[..., 0], mode="clip")
-        return out
+        return self._join(self.starts[idx][:, None] + np.arange(self.look_back), out)
 
     def window_rows(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """The rows windows ``idx`` read, and where each window starts in them.

@@ -40,7 +40,8 @@ cached: every pass writes it into one (n, B, H) slot, and the backward pass
 recomputes it a block of steps at a time with the same ufunc, so to the same
 bits. The backward pass spends its cache: once its step loop ends the gates
 are dead, and the batch-major copies its parameter reductions need are
-written into them. A forward pass that no backward pass follows
+written into them; a spent cache is refused until a forward pass fills it
+again. A forward pass that no backward pass follows
 (validation, evaluation, prediction) keeps no cache: it reuses one step of
 gates and one cell state, and keeps only the (L+1, n, B, H) hidden states
 the next layer reads. Every forward pass runs one step loop with the same
@@ -123,7 +124,8 @@ class LstmCache:
     Apart from the layer input, every array is time-major, so one step of all
     n branches is a single contiguous (n, B, H) block. tanh(c) is not kept;
     the backward pass recomputes it from ``c``. A cache serves one backward
-    pass: that pass overwrites ``gates`` and ``work``.
+    pass: that pass overwrites ``gates`` and ``work`` and marks it ``spent``,
+    and a forward pass that fills it clears the mark.
     """
 
     x: np.ndarray  # (n, B, L, D) layer input
@@ -131,6 +133,7 @@ class LstmCache:
     c: np.ndarray  # (L+1, n, B, H) cell states; c[0] is the zero initial state
     h: np.ndarray  # (L+1, n, B, H) hidden states; h[0] is the zero initial state
     work: np.ndarray  # (n, B, L, 4H) input projection in the forward pass, dz in the backward pass
+    spent: bool = False  # a backward pass has overwritten gates and work
 
 
 @dataclass
@@ -282,6 +285,8 @@ def branched_lstm_forward(
         else (cache.gates, cache.c, cache.h)
     )
     hs = _lstm_steps(u_half, b_half, lambda t: xw[:, :, t], *buffers)
+    if cache is not None:
+        cache.spent = False
     return hs, cache
 
 
@@ -393,8 +398,10 @@ def branched_lstm_backward(
     The pass spends its cache: dz is written into ``cache.work``, and the
     batch-major copies of the hidden states and of a strided layer input
     into ``cache.gates``, which are dead once the step loop ends. A second
-    backward pass needs a fresh forward pass.
+    backward pass needs a fresh forward pass; a spent cache is refused.
     """
+    if cache.spent:
+        raise RuntimeError("this LSTM cache was spent by a backward pass; run the forward pass again")
     n, batch, steps, dim = cache.x.shape
     hidden = u.shape[2]
     if grad_hs.shape == (n, batch, steps, hidden):
@@ -403,6 +410,7 @@ def branched_lstm_backward(
         grad_steps = [np.zeros((n, batch, hidden))] * (steps - 1) + [grad_hs]
     else:
         raise ShapeMismatch(f"grad shape {grad_hs.shape} != {(n, batch, steps, hidden)} or {(n, batch, hidden)}")
+    cache.spent = True
 
     # dz keeps the batch-major (n, B, L, 4H) layout so the parameter
     # reductions below sum in the same order as a batch-major BPTT would.

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +273,26 @@ class TestIngest:
             )
         assert code == 1
         assert_one_error_line(err, "ingest", str(wide_csv), "0001-01-01", "9999-12-31", f"its {rows} rows")
+        assert not (tmp_path / "out" / "dataset.json").exists()
+
+    def test_days_times_stops_beyond_the_rows_is_refused(self, capsys, tmp_path):
+        """The span and the stop count each fit the rows, but not their product: stops 1..k on one day and
+        stop 1 on k days would ask for a k x 2 x k grid. It is refused under a capped address space, naming
+        the three sizes and the row count."""
+        k = 4000
+        days = [(date(2020, 1, 1) + timedelta(days=d)).isoformat() for d in range(k)]
+        ridership, weather = tmp_path / "ridership.csv", tmp_path / "weather.csv"
+        ridership.write_text("date,service_index,stop_index,ridership\n" + "".join(
+            [f"{days[0]},2,{stop},7\n" for stop in range(1, k + 1)] + [f"{day},2,1,7\n" for day in days[1:]]))
+        weather.write_text("date,hour,category,precipitation_mm\n" + "".join(f"{day},7,Sunny,0.0\n" for day in days))
+        with _capped():
+            code, _, err = run_cli(
+                capsys, "ingest", "--ridership", str(ridership), "--weather", str(weather),
+                "--out", str(tmp_path / "out"),
+            )
+        assert code == 1
+        assert_one_error_line(err, "ingest", str(ridership), f"{k} days x {k} stops", f"its {2 * k - 1} rows",
+                              f"{k} x 2 x {k} = {2 * k * k} cells")
         assert not (tmp_path / "out" / "dataset.json").exists()
 
     def test_non_utf8_csv_is_one_error_line(self, workspace, capsys, tmp_path):

@@ -97,6 +97,25 @@ def test_last_step_gradient_matches_dense_one(n, batch, steps, dim, hidden):
             assert_bit_identical(got, ref)
 
 
+def test_spent_cache_is_refused_until_a_forward_pass_refills_it():
+    rng = np.random.default_rng(11)
+    n, batch, steps, dim, hidden = 2, 4, 5, 7, 16
+    w, u, b = branched_params(rng, n, dim, hidden)
+    x = rng.normal(size=(n, batch, steps, dim))
+    grad_hs = rng.normal(size=(n, batch, hidden))
+    cache = BufferPool().lstm_cache(0, x, hidden)
+
+    branched_lstm_forward(w, u, b, x, keep_cache=cache)
+    first = branched_lstm_backward(w, u, cache, grad_hs)
+    with pytest.raises(RuntimeError, match="spent by a backward pass"):
+        branched_lstm_backward(w, u, cache, grad_hs)
+    # The same buffers, filled again, give the same bits.
+    branched_lstm_forward(w, u, b, x, keep_cache=cache)
+    again = branched_lstm_backward(w, u, cache, grad_hs)
+    for got, ref in zip((again.dw, again.du, again.db, again.dx), (first.dw, first.du, first.db, first.dx)):
+        assert_bit_identical(got, ref)
+
+
 def test_all_zero_input_matches_oracle():
     rng = np.random.default_rng(7)
     n, batch, steps, dim, hidden = 5, 4, 6, 37, 16
