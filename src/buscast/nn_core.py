@@ -41,10 +41,10 @@ recomputes it a block of steps at a time with the same ufunc, so to the same
 bits. The backward pass spends its cache: once its step loop ends the gates
 are dead, and the batch-major copies its parameter reductions need are
 written into them; a spent cache is refused until a forward pass fills it
-again. A forward pass that no backward pass follows
-(validation, evaluation, prediction) keeps no cache: it reuses one step of
-gates and one cell state, and keeps only the (L+1, n, B, H) hidden states
-the next layer reads. Every forward pass runs one step loop with the same
+again. A forward pass that no backward pass follows (validation,
+evaluation, prediction) keeps no cache: it reuses one step of gates and one
+cell state, and keeps only the (L+1, n, B, H) hidden states the next layer
+reads. Every forward pass runs one step loop with the same
 operations, so they agree to the bit.
 
 The first layer of such a pass reads look-back windows of encoded rows
