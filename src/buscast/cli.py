@@ -33,6 +33,7 @@ from .errors import (
     MissingModel,
     TooShort,
     read_input,
+    write_output,
 )
 from .evaluation import (
     FittedMethod,
@@ -507,11 +508,10 @@ def cmd_tune(args: argparse.Namespace, cfg: RunConfig) -> Output:
     report_path = cfg.out_dir / f"tuning_{label}.csv"
     best_path = cfg.out_dir / f"best_{label}.json"
     write_tuning_report(result, report_path)
-    best_path.write_text(
-        json.dumps({"hyperparams": result.best.to_dict(), "val_loss": result.best_loss,
-                    "seed": result.best_seed}, indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
+    best = json.dumps({"hyperparams": result.best.to_dict(), "val_loss": result.best_loss,
+                       "seed": result.best_seed}, indent=2, sort_keys=True)
+    with write_output(best_path) as fh:
+        fh.write(best)
     summary = {
         "trials": len(result.trials),
         "best": result.best.to_dict(),

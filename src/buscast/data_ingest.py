@@ -31,6 +31,7 @@ from .errors import (
     MissingWeather,
     UnknownCategory,
     read_input,
+    write_output,
 )
 from .nn_core import header_values, integer, read_arrays, read_header, save_params
 
@@ -737,7 +738,9 @@ def _write_csv(path: str | Path, header: Sequence[str], day: Sequence[int], *col
     iso = {d: date.fromordinal(d).isoformat() for d in set(day)}
     row = ",".join(["{}"] * len(header)) + "\r\n"
     rows = map(row.format, map(iso.__getitem__, day), *(np.asarray(c).tolist() for c in columns))
-    Path(path).write_text(row.format(*header) + "".join(rows), encoding="utf-8", newline="")
+    text = row.format(*header) + "".join(rows)
+    with write_output(path) as fh:
+        fh.write(text)
 
 
 def write_ridership_csv(columns: RidershipColumns, path: str | Path) -> None:

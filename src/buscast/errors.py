@@ -1,9 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the file helpers every command reads and writes through.
 
 Every error raised by buscast derives from :class:`BuscastError`, so callers
 (and the CLI) can catch one type and still report a precise failure kind.
+Every input is read with :func:`read_input`; every output file is written
+with :func:`write_output`, in place and cut to its new length.
 """
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -26,6 +30,27 @@ def read_input(path, what: str, text: bool = True) -> str | bytes:
         return raw.decode("utf-8") if text else raw
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+@contextmanager
+def write_output(path, binary: bool = False):
+    """``path`` opened for writing as UTF-8 text with line ends untranslated, or as bytes if ``binary``.
+
+    The file is written over in place and cut where the writing stopped, even
+    if the block raises, so it ends as a truncating open would leave it. An
+    existing file is not truncated on open: freeing its blocks first can take
+    tens of milliseconds on a filesystem mounted with ``discard``. An error in
+    the block still cuts the file, so content that may fail to build is built
+    before it. A process killed inside the block leaves the new bytes over the
+    old file's tail; a file that must not be read torn marks itself whole
+    last, as ``nn_core.save_params`` does with its magic.
+    """
+    fd = os.open(os.fspath(path), os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
 
 
 # ingestion

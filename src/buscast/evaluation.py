@@ -27,6 +27,7 @@ from .errors import (
     LengthMismatch,
     MissingMethod,
     ZeroReferenceRmse,
+    write_output,
 )
 from .features import (
     AlignedWindows,
@@ -79,7 +80,7 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        with write_output(path) as fh:
             writer = csv.writer(fh)
             labels = [f"stop{i}" for i in range(1, self.n_stops + 1)]
             writer.writerow([""] + labels)
@@ -162,7 +163,7 @@ class EvalReport:
         return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        with write_output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["method"] + [f"stop{i}_rmse" for i in self.stops] + ["mean_rmse"])
             for method, result in self.methods.items():
@@ -205,10 +206,12 @@ def emit_report(
         "json": out_dir / "rmse_report.json",
     }
     report.to_csv(paths["csv"])
-    paths["json"].write_text(report.to_json(), encoding="utf-8")
+    text = report.to_json()
+    with write_output(paths["json"]) as fh:
+        fh.write(text)
     if improvement is not None:
         paths["improvement"] = out_dir / "improvement_report.csv"
-        with paths["improvement"].open("w", newline="", encoding="utf-8") as fh:
+        with write_output(paths["improvement"]) as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["method"] + [f"stop{i}_gain_pct" for i in report.stops] + ["mean_gain_pct"]

@@ -43,6 +43,7 @@ from .errors import (
     MisalignedBatches,
     MissingKey,
     ShapeMismatch,
+    write_output,
 )
 from .features import AlignedWindows, FeatureSpec, ScalerParams, ScalerSet, inverse_scale, stop_view
 from .nn_core import (
@@ -304,7 +305,7 @@ class TrainHistory:
     best_val_loss: float = math.inf
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        with write_output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_loss"])
             for epoch, train_loss, val_loss in self.epochs:

@@ -92,6 +92,7 @@ from .errors import (
     NonPositiveLearningRate,
     ShapeMismatch,
     read_input,
+    write_output,
 )
 
 
@@ -671,6 +672,10 @@ def save_params(path: str | Path, header: dict, named_params: Iterable[tuple[str
     as float64; the ``params`` entry of an array that is not float64 names
     its dtype as a third element. The payload order matches those entries,
     so a round trip restores bit-identical arrays.
+
+    The file is rewritten in place, so the magic goes in last, once the old
+    file's tail is cut: a write killed before that leaves no container, even
+    where the new bytes fill the old file to its length.
     """
     stored = {"i": "<i8", "b": "|b1"}  # by dtype kind; any other is float64
     named = [
@@ -682,12 +687,16 @@ def save_params(path: str | Path, header: dict, named_params: Iterable[tuple[str
         [name, list(arr.shape)] + ([arr.dtype.str] if arr.dtype != np.float64 else []) for name, arr in named
     ]
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
+    with write_output(path, binary=True) as fh:
+        fh.write(bytes(len(CHECKPOINT_MAGIC)))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _, arr in named:
             fh.write(arr.tobytes())
+        end = fh.truncate()
+        fh.seek(0)
+        fh.write(CHECKPOINT_MAGIC)
+        fh.seek(end)
 
 
 def read_header(raw: bytes) -> tuple[object, int] | None:

@@ -26,7 +26,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import BadArgs, NoTrialsRan
+from .errors import BadArgs, NoTrialsRan, write_output
 from .nn_core import OptimizerKind, header_check, header_values, integer
 
 #: Candidate values used when no custom grid is supplied.
@@ -252,7 +252,7 @@ def run_hyperband(
 
 def write_tuning_report(result: HyperbandResult, path: str | Path) -> None:
     """Audit trail CSV; the winning row is flagged in the last column."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with write_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["trial_id", "bracket", "rung", "epochs", "batch", "seq_len", "nodes",

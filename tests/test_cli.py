@@ -29,7 +29,7 @@ from buscast.data_ingest import (
     parse_weather_csv,
     write_ridership_csv,
 )
-from buscast.errors import BuscastError, DivergedTraining
+from buscast.errors import BuscastError, DivergedTraining, write_output
 from buscast.features import prepare_windows, scale_targets, stop_view
 from buscast.models import (
     MethodId,
@@ -1310,6 +1310,19 @@ class TestBadInputs:
         assert code == 1
         assert_one_error_line(err, argv[0], f"{what} {directory}")
 
+    @pytest.mark.parametrize("command, output", [("ingest", "dataset.json"), ("evaluate", "rmse_report.csv")])
+    def test_directory_for_an_output_names_the_output(self, workspace, capsys, tmp_path, command, output):
+        directory = tmp_path / output
+        directory.mkdir()
+        data = workspace["data"]
+        argv = {
+            "ingest": ["--ridership", str(data / "ridership.csv"), "--weather", str(data / "weather.csv")],
+            "evaluate": ["--dataset", str(workspace["dataset"]), "--methods", "statistical"],
+        }[command]
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert_one_error_line(err, command, f"Is a directory: '{directory}'")
+
     def test_clip_norm_none_disables_clipping(self):
         args = build_parser().parse_args(["train", "--clip-norm", "none"])
         assert _merge(args).clip_norm is None
@@ -1473,6 +1486,82 @@ class TestOutput:
         lines = out.splitlines()
         assert code == 0 and lines[0].startswith("config: {")
         assert lines[1].startswith("d: rmse=") and lines[-1] == "wrote rmse_report.json"
+
+
+class TestWriteOutput:
+    """``write_output`` writes over a file in place and cuts it where the writing stopped."""
+
+    @pytest.mark.parametrize("binary, new", [(False, "ab\r\nc\n"), (True, b"\x00ab")])
+    def test_a_shorter_output_leaves_only_the_new_bytes(self, tmp_path, binary, new):
+        path = tmp_path / "out"
+        path.write_bytes(b"0123456789" * 100)
+        with write_output(path, binary=binary) as fh:
+            fh.write(new)
+        assert path.read_bytes() == (new if binary else new.encode("utf-8"))
+
+    def test_a_missing_file_gets_the_mode_a_truncating_open_gives(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            with open(tmp_path / "by_open", "w"):
+                pass
+            with write_output(tmp_path / "by_helper"):
+                pass
+        finally:
+            os.umask(umask)
+        assert os.stat(tmp_path / "by_helper").st_mode == os.stat(tmp_path / "by_open").st_mode
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_an_error_in_the_block_leaves_what_was_written(self, tmp_path, binary):
+        path = tmp_path / "out"
+        path.write_bytes(b"0123456789" * 100)
+        with pytest.raises(RuntimeError), write_output(path, binary=binary) as fh:
+            fh.write(b"abc" if binary else "abc")
+            raise RuntimeError
+        assert path.read_bytes() == b"abc"
+
+
+def test_no_command_truncates_an_output(tiny_grid, capsys, tmp_path, monkeypatch):
+    """Each command, run twice into one ``--out``, opens no output with O_TRUNC or a "w" mode, and
+    writes the same bytes the second time."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    dataset = ["--dataset", str(out / "dataset.json")]
+    commands = [
+        ["synth", "--days", "24", "--seed", "7", "--out", str(data)],
+        ["ingest", "--ridership", str(data / "ridership.csv"), "--weather", str(data / "weather.csv"),
+         "--out", str(out)],
+        ["train", *dataset, "--method", "d", *TINY_HP, "--out", str(out)],
+        ["evaluate", *dataset, "--methods", "d,a,statistical", "--retrain", "--seeds", "1", *TINY_HP,
+         "--out", str(out)],
+        ["tune", *dataset, "--method", "d", "--config", str(tiny_grid), "--max-resource", "3", "--out", str(out)],
+        ["correlate", *dataset, "--out", str(out)],
+    ]
+    opened = []
+    os_open, io_open = os.open, io.open
+
+    def record(path, how):
+        if not isinstance(path, int) and Path(path).is_relative_to(tmp_path):
+            opened.append((str(path), how))
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        record(path, flags & os.O_TRUNC)
+        return os_open(path, flags, *args, **kwargs)
+
+    def spy_io_open(file, mode="r", *args, **kwargs):
+        record(file, "w" in mode)
+        return io_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(io, "open", spy_io_open)
+    monkeypatch.setattr("builtins.open", spy_io_open)
+    runs = []
+    for _ in range(2):
+        for argv in commands:
+            assert run_cli(capsys, *argv)[0] == 0, argv
+        runs.append({path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()})
+    monkeypatch.undo()
+    assert {path for path, truncates in opened if truncates} == set()
+    assert any(path.endswith("d.ckpt") for path, _ in opened)
+    assert runs[1] == runs[0]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

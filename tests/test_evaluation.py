@@ -213,6 +213,19 @@ class TestEmitReport:
             assert entry == {"per_stop": list(per_stop), "mean": float(np.mean(per_stop)), "per_seed": {}}
         assert paths["improvement"].exists()
 
+    def test_a_report_that_fails_to_build_leaves_the_old_file(self, tmp_path, monkeypatch):
+        report = _reference_report()
+        paths = emit_report(report, tmp_path, None)
+        before = paths["json"].read_bytes()
+
+        def out_of_memory(self):
+            raise MemoryError
+
+        monkeypatch.setattr(EvalReport, "to_json", out_of_memory)
+        with pytest.raises(MemoryError):
+            emit_report(report, tmp_path, None)
+        assert paths["json"].read_bytes() == before
+
 
 class TestEvaluateMethodAndHarness:
     def test_memorizing_model_scores_near_zero_on_its_own_windows(self):

@@ -1,11 +1,15 @@
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from buscast.errors import CheckpointError, NonPositiveLearningRate, ShapeMismatch
+from buscast import nn_core
+from buscast.data_ingest import RouteDataset
+from buscast.errors import CheckpointError, MalformedRow, NonPositiveLearningRate, ShapeMismatch
 from buscast.nn_core import (
     Adam,
     CHECKPOINT_VERSION,
@@ -456,3 +460,67 @@ def test_array_listed_twice_is_refused(tmp_path):
     _write_container(path, {**header, "params": [["w", [4, 3]], ["w", [5]]]}, body)
     with pytest.raises(CheckpointError, match="malformed parameter list$"):
         load_params(path)
+
+
+class _Killed(BaseException):
+    """The process dying mid-write: no ``finally`` of the writer runs."""
+
+
+class _DyingFile:
+    """A binary file that takes ``budget`` more bytes, then dies."""
+
+    def __init__(self, fh, budget: int):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data) -> int:
+        kept = bytes(data)[: self.budget]
+        self.budget -= self.fh.write(kept)
+        if len(kept) < len(data):
+            raise _Killed
+        return len(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def _killed_after(budget: int):
+    """A stand-in for ``write_output`` that writes over the file in place and dies after ``budget`` bytes."""
+
+    @contextlib.contextmanager
+    def write_output(path, binary=False):
+        with open(os.open(path, os.O_WRONLY), "wb", buffering=0) as fh:
+            yield _DyingFile(fh, budget)
+
+    return write_output
+
+
+def test_a_rewrite_killed_midway_is_no_checkpoint(tmp_path, monkeypatch):
+    """A rewrite with the same shapes, killed after any byte it wrote, is refused: the new bytes over
+    the old file's tail have the length the new header asks for, so only the magic, written last, tells."""
+    rng = np.random.default_rng(3)
+    old, new = ([("w", rng.normal(size=(4, 3))), ("b", rng.normal(size=5))] for _ in range(2))
+    old, new = list(old), list(new)
+    path = tmp_path / "params.ckpt"
+    save_params(path, {"note": "x"}, new)
+    size = path.stat().st_size
+    for budget in range(1, size + 4):
+        save_params(path, {"note": "x"}, old)
+        with monkeypatch.context() as m, pytest.raises(_Killed):
+            m.setattr(nn_core, "write_output", _killed_after(budget))
+            save_params(path, {"note": "x"}, new)
+        assert path.stat().st_size == size
+        with pytest.raises(CheckpointError, match="not a buscast checkpoint$"):
+            load_params(path)
+    monkeypatch.setattr(nn_core, "write_output", _killed_after(size + 4))
+    save_params(path, {"note": "x"}, new)
+    assert all(arr.tobytes() == dict(new)[name].tobytes() for name, arr in load_params(path)[1].items())
+
+
+def test_a_cache_rewrite_killed_before_its_magic_is_refused(tmp_path, monkeypatch, small_dataset):
+    path = tmp_path / "dataset.json"
+    small_dataset.save(path)
+    monkeypatch.setattr(nn_core, "write_output", _killed_after(path.stat().st_size))
+    with pytest.raises(_Killed):
+        small_dataset.save(path)
+    with pytest.raises(MalformedRow, match="malformed dataset cache"):
+        RouteDataset.load(path)
